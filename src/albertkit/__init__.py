@@ -79,7 +79,6 @@ from .corestriction import (
 from .clifford import (
     CliffordAlgebra,
     arf_trivial,
-    clifford,
     clifford_iso_check,
     even_clifford_binary,
 )

@@ -197,11 +197,6 @@ class CliffordElem:
         return " + ".join(parts)
 
 
-def clifford(form):
-    """The Clifford algebra of a form of dimension at most 6."""
-    return CliffordAlgebra(form)
-
-
 def even_part_masks(C):
     return C.basis_masks(even_only=True)
 
@@ -355,7 +350,7 @@ def clifford_iso_check(ad, cor, check_even_diagonal=True):
     certifies the image spans a 64-dimensional F-space (so the map onto
     M_2 of the 16-dimensional fixed algebra is bijective).
     """
-    from .corestriction import f_matrix, m2_mul
+    from .corestriction import f_matrix, m2_equals_scalar, m2_mul
 
     t = ad.tensor
     F = ad.ext.base
@@ -366,11 +361,11 @@ def clifford_iso_check(ad, cor, check_even_diagonal=True):
     # defining relations
     for i in range(n):
         sq = m2_mul(t, fs[i], fs[i])
-        if not _m2_eq_scalar(t, sq, ad.form.upper[i][i]):
+        if not m2_equals_scalar(t, sq, ad.form.upper[i][i]):
             raise RelationViolation("f(xi_i)^2 relation fails")
         for j in range(i + 1, n):
             anti = _m2_add(t, m2_mul(t, fs[i], fs[j]), m2_mul(t, fs[j], fs[i]))
-            if not _m2_eq_scalar(t, anti, B[i][j]):
+            if not m2_equals_scalar(t, anti, B[i][j]):
                 raise RelationViolation("anticommutation relation fails")
     # monomial images, increasing mask order
     images = {0: ident}
@@ -406,13 +401,3 @@ def clifford_iso_check(ad, cor, check_even_diagonal=True):
 
 def _m2_add(t, A, B):
     return tuple(tuple(A[i][j] + B[i][j] for j in range(2)) for i in range(2))
-
-
-def _m2_eq_scalar(t, M, value_in_F):
-    scal = t.scalar(t.K.from_base(value_in_F))
-    return (
-        (M[0][0] - scal).is_zero()
-        and (M[1][1] - scal).is_zero()
-        and M[0][1].is_zero()
-        and M[1][0].is_zero()
-    )

@@ -25,7 +25,7 @@ from .errors import (
 )
 from .fields import centered_ints
 from .forms import QuadraticForm, scalar_candidates, solve_polar_equal_one
-from .isotropy import isotropy, projective_points
+from .isotropy import _clear_denominators, isotropy, projective_points
 from .quaternion import QuaternionAlgebra, validate_disjoint_witness
 
 
@@ -341,10 +341,7 @@ class CorestrictionAlgebra:
         rows, chosen_idx, inv = self._basis_matrix
         target = self.tensor.realify(elem)
         cand = linalg.mat_vec(inv, [target[i] for i in chosen_idx], F)
-        for row, t in zip(rows, target):
-            acc = F.zero()
-            for a, x in zip(row, cand):
-                acc = acc + a * x
+        for acc, t in zip(linalg.mat_vec(rows, cand, F), target):
             if not F.is_zero(acc - t):
                 return None
         return cand
@@ -442,7 +439,7 @@ def split_projection_iso(ext, cor, Q1, Q2):
     for r in range(16):
         for s in range(16):
             prod = cor.mul_coords(_unit16(F, r), _unit16(F, s))
-            lhs = _apply_images(F, images, prod)
+            lhs = linalg.combine(prod, images, F, 16)
             rhs = direct.mul_coords(images[r], images[s])
             if lhs != rhs:
                 raise InternalContradiction("projection fails multiplicativity")
@@ -451,14 +448,6 @@ def split_projection_iso(ext, cor, Q1, Q2):
 
 def _unit16(F, r):
     return tuple(F.one() if i == r else F.zero() for i in range(16))
-
-
-def _apply_images(F, images, coords):
-    acc = [F.zero()] * 16
-    for c, img in zip(coords, images):
-        if not F.is_zero(c):
-            acc = [a + c * b for a, b in zip(acc, img)]
-    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -567,26 +556,8 @@ def _char2_complement(ext, Q):
     chosen = linalg.independent_subset([kappa_vec] + list(Y), F, 8, target=7)
     if len(chosen) != 7 or chosen[0] != kappa_vec:
         raise InternalContradiction("kappa line is not inside the trace-condition space")
-    out = [_clear_f_denominators(F, v) for v in chosen[1:]]
+    out = [_clear_denominators(F, v) for v in chosen[1:]]
     return [Q.element(ext.unrealify_vec(v)) for v in out]
-
-
-def _clear_f_denominators(F, vec):
-    """Scale an F-vector to polynomial entries over a function field."""
-    from .fields import RatFuncElem, RationalFunctionField
-
-    if not isinstance(F, RationalFunctionField):
-        return vec
-    lcm = None
-    for c in vec:
-        d = c.den
-        if lcm is None:
-            lcm = d
-        elif d.degree > 0:
-            g = lcm.gcd(d)
-            lcm = lcm.divmod(g)[0] * d
-    scale = RatFuncElem(F, lcm, F.one().den, reduce=False)
-    return tuple(c * scale for c in vec)
 
 
 def albert_form(ext, Q, tensor=None):
@@ -761,7 +732,7 @@ def isotropic_to_generator(ad, witness_coords, height=6, max_candidates=20000, s
             for c, tv in zip(coords, trd_basis):
                 if not F.is_zero(c):
                     trd_val = trd_val + K.from_base(c) * tv
-            if _is_zero_scalar(ext, trd_val):
+            if K.is_zero(trd_val):
                 continue
         if not F.is_zero(ad.form.evaluate(coords)):
             raise InternalContradiction("candidate is not isotropic")
@@ -771,7 +742,7 @@ def isotropic_to_generator(ad, witness_coords, height=6, max_candidates=20000, s
             y = y0 + shift
             kappa_y = y.scale(kappa)
             trd = kappa_y.trd()
-            if _is_zero_scalar(ext, trd):
+            if K.is_zero(trd):
                 continue
             try:
                 data = validate_disjoint_witness(Q, ext, kappa_y, etale_required=True)
@@ -781,13 +752,6 @@ def isotropic_to_generator(ad, witness_coords, height=6, max_candidates=20000, s
     raise BudgetExhausted(
         "no suitable isotropic representative found", searched=checked
     )
-
-
-def _is_zero_scalar(ext, value):
-    if ext.kind == "field":
-        a, b = ext.coords(value)
-        return ext.base.is_zero(a) and ext.base.is_zero(b)
-    return ext.base.is_zero(value.a) and ext.base.is_zero(value.b)
 
 
 def _isotropic_candidates(ad, witness_coords, height):
@@ -813,8 +777,7 @@ def _isotropic_candidates(ad, witness_coords, height):
         corr = form.evaluate(zeta)
         zeta = tuple(a - corr * b for a, b in zip(zeta, u))
         yield zeta
-        rows = [_polar_row6(form, u), _polar_row6(form, zeta)]
-        comp = linalg.kernel_basis([tuple(r) for r in rows], F, 6)
+        comp = linalg.kernel_basis([form.polar_row(u), form.polar_row(zeta)], F, 6)
         pool_height = 2 if isinstance(F, RationalFunctionField) else height
         pool = list(scalar_candidates(F, pool_height))
         count = 0
@@ -822,10 +785,7 @@ def _isotropic_candidates(ad, witness_coords, height):
             count += 1
             if count > 20000:
                 break
-            x = [F.zero()] * 6
-            for c, vec in zip(coeffs, comp):
-                if not F.is_zero(c):
-                    x = [a + c * b for a, b in zip(x, vec)]
+            x = linalg.combine(coeffs, comp, F, 6)
             val = form.evaluate(x)
             cand = tuple(a + u_i - val * z_i for a, u_i, z_i in zip(x, u, zeta))
             yield cand
@@ -833,18 +793,6 @@ def _isotropic_candidates(ad, witness_coords, height):
         for vec in projective_points(F, 6, 1):
             if F.is_zero(form.evaluate(vec)):
                 yield vec
-
-
-def _polar_row6(form, v):
-    f = form.field
-    B = form.polar_matrix()
-    out = []
-    for j in range(form.n):
-        acc = f.zero()
-        for i in range(form.n):
-            acc = acc + v[i] * B[i][j]
-        out.append(acc)
-    return out
 
 
 def generator_to_isotropic(ad, x):

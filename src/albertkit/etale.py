@@ -10,10 +10,10 @@ gamma(kappa) = -kappa.
 from __future__ import annotations
 
 from .errors import AlgebraError, NotEtale
-from .fields import Field, QuadraticFieldExtension
+from .fields import Field, QuadraticFieldExtension, ScalarElem
 
 
-class SplitElem:
+class SplitElem(ScalarElem):
     """Element (a, b) of the split algebra F x F."""
 
     __slots__ = ("alg", "a", "b")
@@ -23,13 +23,6 @@ class SplitElem:
         self.a = a
         self.b = b
 
-    def _check(self, other):
-        if isinstance(other, int):
-            return self.alg.from_int(other)
-        if isinstance(other, SplitElem) and other.alg == self.alg:
-            return other
-        raise AlgebraError("mixed split-algebra contexts")
-
     def __add__(self, other):
         other = self._check(other)
         return SplitElem(self.alg, self.a + other.a, self.b + other.b)
@@ -38,12 +31,6 @@ class SplitElem:
 
     def __neg__(self):
         return SplitElem(self.alg, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
 
     def __mul__(self, other):
         other = self._check(other)
@@ -57,9 +44,6 @@ class SplitElem:
         if base.is_zero(other.a) or base.is_zero(other.b):
             raise ZeroDivisionError("division by a zero divisor in F x F")
         return SplitElem(self.alg, self.a / other.a, self.b / other.b)
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -78,8 +62,9 @@ class SplitElem:
         base = self.alg.base
         return not (base.is_zero(self.a) and base.is_zero(self.b))
 
-    def __repr__(self):
-        return "(%s,%s)" % (self.a, self.b)
+
+# ScalarElem reads the context as `field`: alias the `alg` slot under that name
+SplitElem.field = SplitElem.alg
 
 
 class SplitAlgebra:

@@ -57,7 +57,7 @@ class Field:
         raise NotImplementedError
 
     def is_zero(self, x):
-        return self.coerce(x) == self.zero()
+        return not self.coerce(x)
 
     # -- roots ---------------------------------------------------------------
     def is_square(self, x):
@@ -152,6 +152,39 @@ class RationalField(Field):
 QQ = RationalField()
 
 
+class ScalarElem:
+    """Operator boilerplate shared by the element types that carry a context.
+
+    A subclass stores its field (or split algebra) as `field` and defines
+    __add__, __neg__, __mul__ and __truediv__; the reflected and derived
+    operators below go through those.
+    """
+
+    __slots__ = ()
+
+    def _check(self, other):
+        """other as an element of this context: ints are coerced, anything else is a fault."""
+        if isinstance(other, int):
+            return self.field.from_int(other)
+        if isinstance(other, type(self)) and other.field == self.field:
+            return other
+        raise AlgebraError(
+            "mixed contexts: %r in %s with %s %r" % (self, self.field.name, type(other).__name__, other)
+        )
+
+    def __sub__(self, other):
+        return self + (-self._check(other))
+
+    def __rsub__(self, other):
+        return self._check(other) - self
+
+    def __rtruediv__(self, other):
+        return self._check(other) / self
+
+    def __repr__(self):
+        return self.field.format_element(self)
+
+
 # ---------------------------------------------------------------------------
 # finite fields
 # ---------------------------------------------------------------------------
@@ -168,7 +201,7 @@ _DEFAULT_REDUCTION = {
 }
 
 
-class GFElem:
+class GFElem(ScalarElem):
     """Element of a finite field, stored as a coefficient tuple mod p."""
 
     __slots__ = ("field", "coeffs")
@@ -176,13 +209,6 @@ class GFElem:
     def __init__(self, field, coeffs):
         self.field = field
         self.coeffs = coeffs
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, GFElem) and other.field == self.field:
-            return other
-        raise AlgebraError("mixed finite-field contexts: %r vs %r" % (self, other))
 
     def __add__(self, other):
         other = self._check(other)
@@ -195,12 +221,6 @@ class GFElem:
         p = self.field.p
         return GFElem(self.field, tuple((-a) % p for a in self.coeffs))
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
     def __mul__(self, other):
         other = self._check(other)
         return self.field._mul(self, other)
@@ -210,9 +230,6 @@ class GFElem:
     def __truediv__(self, other):
         other = self._check(other)
         return self * self.field.inv(other)
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -224,9 +241,6 @@ class GFElem:
 
     def __bool__(self):
         return any(self.coeffs)
-
-    def __repr__(self):
-        return self.field.format_element(self)
 
 
 class FiniteField(Field):
@@ -588,7 +602,7 @@ class Poly:
         return self.format("x")
 
 
-class RatFuncElem:
+class RatFuncElem(ScalarElem):
     """Reduced fraction of polynomials; denominator monic and nonzero."""
 
     __slots__ = ("field", "num", "den")
@@ -612,13 +626,6 @@ class RatFuncElem:
         self.num = num
         self.den = den
 
-    def _check(self, other):
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, RatFuncElem) and other.field == self.field:
-            return other
-        raise AlgebraError("mixed function-field contexts")
-
     def is_polynomial(self):
         return self.den.degree == 0
 
@@ -634,12 +641,6 @@ class RatFuncElem:
     def __neg__(self):
         return RatFuncElem(self.field, -self.num, self.den, reduce=False)
 
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
     def __mul__(self, other):
         other = self._check(other)
         if self.den.degree == 0 and other.den.degree == 0:
@@ -653,9 +654,6 @@ class RatFuncElem:
         if other.num.is_zero():
             raise ZeroDivisionError("division by zero in %s" % self.field.name)
         return RatFuncElem(self.field, self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return self._check(other) / self
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -672,9 +670,6 @@ class RatFuncElem:
 
     def __bool__(self):
         return not self.num.is_zero()
-
-    def __repr__(self):
-        return self.field.format_element(self)
 
 
 class RationalFunctionField(Field):
@@ -953,7 +948,7 @@ def _artin_schreier_poly_roots(field, p):
 # ---------------------------------------------------------------------------
 
 
-class QuadExtElem:
+class QuadExtElem(ScalarElem):
     """Element a + b*w of a quadratic extension, w^2 = alpha*w + beta."""
 
     __slots__ = ("field", "a", "b")
@@ -963,13 +958,6 @@ class QuadExtElem:
         self.a = a
         self.b = b
 
-    def _check(self, other):
-        if isinstance(other, int):
-            return self.field.from_int(other)
-        if isinstance(other, QuadExtElem) and other.field == self.field:
-            return other
-        raise AlgebraError("mixed quadratic-extension contexts")
-
     def __add__(self, other):
         other = self._check(other)
         return QuadExtElem(self.field, self.a + other.a, self.b + other.b)
@@ -978,12 +966,6 @@ class QuadExtElem:
 
     def __neg__(self):
         return QuadExtElem(self.field, -self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
 
     def __mul__(self, other):
         other = self._check(other)
@@ -1001,9 +983,6 @@ class QuadExtElem:
         other = self._check(other)
         return self * self.field.inv(other)
 
-    def __rtruediv__(self, other):
-        return self._check(other) / self
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
@@ -1020,9 +999,6 @@ class QuadExtElem:
     def __bool__(self):
         base = self.field.base
         return not (base.is_zero(self.a) and base.is_zero(self.b))
-
-    def __repr__(self):
-        return self.field.format_element(self)
 
 
 class QuadraticFieldExtension(Field):

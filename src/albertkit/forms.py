@@ -96,6 +96,10 @@ class QuadraticForm:
             self._polar = tuple(B)
         return self._polar
 
+    def polar_row(self, v):
+        """B v for the (symmetric) polar matrix B: polar(v, x) = sum_j row[j] x_j."""
+        return linalg.mat_vec(self.polar_matrix(), v, self.field)
+
     def polar(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise AlgebraError("dimension mismatch in polar form")
@@ -152,10 +156,6 @@ class QuadraticForm:
             embed = target.from_base
         return QuadraticForm(target, [[embed(c) for c in row] for row in self.upper])
 
-    def transform(self, columns):
-        """phi(U x) for the matrix U given by its columns."""
-        return self.restrict(columns)
-
     # -- classification ----------------------------------------------------
     def classify(self):
         f = self.field
@@ -185,14 +185,7 @@ class QuadraticForm:
             coeff_kernel = linalg.kernel_basis([tuple(row)], f, len(vals))
         else:
             coeff_kernel = self._imperfect_radical_kernel(vals)
-        out = []
-        for coeffs in coeff_kernel:
-            vec = [f.zero()] * self.n
-            for c, v in zip(coeffs, rad_polar):
-                if not f.is_zero(c):
-                    vec = [a + c * b for a, b in zip(vec, v)]
-            out.append(tuple(vec))
-        return out
+        return [linalg.combine(coeffs, rad_polar, f, self.n) for coeffs in coeff_kernel]
 
     def _imperfect_radical_kernel(self, vals):
         f = self.field
@@ -367,25 +360,9 @@ def isotropic_spanning_set(form, witness, verify=True):
     return basis
 
 
-def _unit_rhs(form, v):
-    """Right-hand side for solving polar(v, x) = 1 as B x = rhs with B rows."""
-    f = form.field
-    # solve B^T? polar(v, x) = v^T B x; we want a solution x of (v^T B) x = 1.
-    B = form.polar_matrix()
-    row = []
-    for j in range(form.n):
-        acc = f.zero()
-        for i in range(form.n):
-            acc = acc + v[i] * B[i][j]
-        row.append(acc)
-    return row
-
-
 def solve_polar_equal_one(form, v):
     """Solve polar(v, x) = 1 for x, or None."""
-    f = form.field
-    row = _unit_rhs(form, v)
-    return linalg.solve([tuple(row)], (f.one(),), f)
+    return linalg.solve([form.polar_row(v)], (form.field.one(),), form.field)
 
 
 def scalar_candidates(field, height):
@@ -461,16 +438,12 @@ def isometric_embedding(psi, phi, height=20, max_candidates=200000):
     cols = []
 
     def column_candidates(k):
-        rows = []
-        rhs = []
-        for j in range(k):
-            rows.append(_unit_rhs(phi, cols[j]))
-            rhs.append(psiB[j][k])
+        rows = [phi.polar_row(cols[j]) for j in range(k)]
         if rows:
-            part = linalg.solve([tuple(r) for r in rows], tuple(rhs), f)
+            part = linalg.solve(rows, tuple(psiB[j][k] for j in range(k)), f)
             if part is None:
                 return
-            kern = linalg.kernel_basis([tuple(r) for r in rows], f, phi.n)
+            kern = linalg.kernel_basis(rows, f, phi.n)
         else:
             part = tuple(f.zero() for _ in range(phi.n))
             kern = [
@@ -490,11 +463,7 @@ def isometric_embedding(psi, phi, height=20, max_candidates=200000):
                 ran_out[0] = True
                 return
             budget[0] -= 1
-            vec = list(part)
-            for c, kv in zip(coeffs, kern):
-                if not f.is_zero(c):
-                    vec = [a + c * b for a, b in zip(vec, kv)]
-            yield tuple(vec)
+            yield tuple(a + b for a, b in zip(part, linalg.combine(coeffs, kern, f, phi.n)))
 
     def extend(k):
         if k == psi.n:

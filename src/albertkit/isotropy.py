@@ -583,6 +583,9 @@ def _is_c2_function_field(field):
 
 
 def _clear_denominators(f, vec):
+    """vec scaled to polynomial entries over F(t); unchanged over other fields."""
+    if not isinstance(f, RationalFunctionField):
+        return vec
     lcm = None
     for c in vec:
         d = c.den
@@ -638,21 +641,18 @@ def char2_isotropic_stream(form, tail_height=1, max_tails=1500):
             continue
         u_s, g_s = pairs[s]
         others = [i for i in range(k) if i != s]
+        other_vecs = [v for i in others for v in pairs[i]]
         count = 0
         for assign in itertools.product(tail_pool, repeat=2 * len(others)):
             count += 1
             if count > max_tails:
                 break
             c = f.zero()
-            vec = [f.zero()] * form.n
             for idx, oi in enumerate(others):
                 x_v, y_v = assign[2 * idx], assign[2 * idx + 1]
                 a_o, b_o, m_o = data[oi]
                 c = c + a_o * x_v * x_v + m_o * x_v * y_v + b_o * y_v * y_v
-                if x_v:
-                    vec = [p + x_v * q for p, q in zip(vec, pairs[oi][0])]
-                if y_v:
-                    vec = [p + y_v * q for p, q in zip(vec, pairs[oi][1])]
+            vec = linalg.combine(assign, other_vecs, f, form.n)
             # a X^2 + m X + (b + c) = 0 with W = a X:  W^2 + m W = a(b + c)
             N = a_s * (b_s + c)
             if N.den.degree == 0 and m_s.den.degree == 0:
@@ -782,15 +782,6 @@ class WittDecomposition:
         return self.radical_dim + self.hyperbolic_count
 
 
-def _combine(ambient_vectors, coeffs, field):
-    n = len(ambient_vectors[0]) if ambient_vectors else 0
-    out = [field.zero()] * n
-    for c, vec in zip(coeffs, ambient_vectors):
-        if not field.is_zero(c):
-            out = [a + c * b for a, b in zip(out, vec)]
-    return tuple(out)
-
-
 def witt_decompose(form, height=DEFAULT_HEIGHT):
     """phi = rad  _|_  m x hyperbolic  _|_  anisotropic kernel, verified.
 
@@ -819,15 +810,12 @@ def witt_decompose(form, height=DEFAULT_HEIGHT):
             raise InternalContradiction("isotropic vector with no dual in a regular form")
         cw = sub.evaluate(w_local)
         v_local = tuple(a - cw * b for a, b in zip(w_local, u_local))
-        u = _combine(work, u_local, f)
-        v = _combine(work, v_local, f)
+        u = linalg.combine(u_local, work, f, n)
+        v = linalg.combine(v_local, work, f, n)
         pairs.append((u, v))
-        rows = [
-            tuple(_polar_row(sub, u_local)),
-            tuple(_polar_row(sub, v_local)),
-        ]
+        rows = [sub.polar_row(u_local), sub.polar_row(v_local)]
         kern = linalg.kernel_basis(rows, f, len(work))
-        work = [_combine(work, k, f) for k in kern]
+        work = [linalg.combine(k, work, f, n) for k in kern]
     kernel_form = form.restrict(work)
     basis = list(rad)
     for u, v in pairs:
@@ -844,18 +832,6 @@ def witt_decompose(form, height=DEFAULT_HEIGHT):
         kernel_basis=tuple(work),
         radical_basis=tuple(rad),
     )
-
-
-def _polar_row(form, v):
-    f = form.field
-    B = form.polar_matrix()
-    out = []
-    for j in range(form.n):
-        acc = f.zero()
-        for i in range(form.n):
-            acc = acc + v[i] * B[i][j]
-        out.append(acc)
-    return out
 
 
 def _verify_witt(form, rad, pairs, kernel_basis, kernel_form):

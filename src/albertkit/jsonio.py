@@ -10,6 +10,7 @@ generator); split-algebra scalars are two-element lists.
 from __future__ import annotations
 
 import re
+from math import isqrt
 
 from .errors import AlgebraError, MalformedCertificate
 from .etale import EtaleQuadratic, SplitAlgebra
@@ -21,6 +22,12 @@ from .fields import (
     RationalFunctionField,
 )
 from .forms import QuadraticForm
+
+# Hostile input must not stall the parser: x^N costs N multiplications, and
+# the order of a parsed F(q) bounds every enumeration over it.  Acceptance-
+# batch reports print exponents up to 5 and fields up to F(4).
+MAX_EXPONENT = 64
+MAX_FIELD_ORDER = 1 << 16
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*/^])")
 
@@ -86,6 +93,8 @@ class _ExprParser:
             e = self.take()
             if not e or not e.isdigit():
                 raise AlgebraError("exponent must be a nonnegative integer")
+            if int(e) > MAX_EXPONENT:
+                raise AlgebraError("exponent %s exceeds %d" % (e, MAX_EXPONENT))
             out = self.field.one()
             for _ in range(int(e)):
                 out = out * val
@@ -215,16 +224,17 @@ def parse_field(spec):
 
 
 def _prime_power(q):
-    for p in range(2, q + 1):
-        if q % p == 0:
-            k = 0
-            while q % p == 0:
-                q //= p
-                k += 1
-            if q != 1:
-                raise AlgebraError("not a prime power")
-            return p, k
-    raise AlgebraError("not a prime power")
+    """(p, k) with q = p^k, for 1 < q <= MAX_FIELD_ORDER."""
+    if not 1 < q <= MAX_FIELD_ORDER:
+        raise AlgebraError("field order %d is outside 2..%d" % (q, MAX_FIELD_ORDER))
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
+    k = 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    if q != 1:
+        raise AlgebraError("not a prime power")
+    return p, k
 
 
 def _parse_monic_poly(base, text, var, degree):

@@ -37,12 +37,6 @@ def _rref(rows, field, ncols):
     return rows[:r], pivots
 
 
-def rref(rows, field, ncols=None):
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    return _rref(rows, field, ncols)
-
-
 def rank(rows, field, ncols=None):
     if not rows:
         return 0
@@ -83,10 +77,7 @@ def solve(rows, rhs, field):
                 sol[pc] = sol[pc] - red_full[i][c] * sol[c]
     # pivots of rref have zero entries elsewhere, so back substitution above
     # only matters for free columns (which stay zero); verify exactly
-    for r, b in zip(rows, rhs):
-        acc = field.zero()
-        for a, x in zip(r, sol):
-            acc = acc + a * x
+    for acc, b in zip(mat_vec(rows, sol, field), rhs):
         if not field.is_zero(acc - b):
             return None
     return tuple(sol)
@@ -155,29 +146,17 @@ def mat_vec(rows, vec, field):
     return tuple(out)
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(u, c):
-    return tuple(a * c for a in u)
+def combine(coeffs, vectors, field, n):
+    """The n-vector sum of c * v over paired coefficients and vectors."""
+    out = [field.zero()] * n
+    for c, vec in zip(coeffs, vectors):
+        if not field.is_zero(c):
+            out = [a + c * b for a, b in zip(out, vec)]
+    return tuple(out)
 
 
 def is_zero_vec(u, field):
     return all(field.is_zero(a) for a in u)
-
-
-def express(vec, basis_rows, field):
-    """Coordinates of vec in the span of basis_rows, or None."""
-    if not basis_rows:
-        return () if is_zero_vec(vec, field) else None
-    ncols = len(basis_rows)
-    rows = [tuple(b[i] for b in basis_rows) for i in range(len(vec))]
-    return solve(rows, vec, field)
 
 
 def extend_to_basis(vectors, field, n):

@@ -308,8 +308,8 @@ def validate_disjoint_witness(Q, ext, x, etale_required):
     F = ext.base
     trd = x.trd()
     nrd = x.nrd()
-    p = _scalar_in_F(ext, trd)
-    q = _scalar_in_F(ext, nrd)
+    p = ext.in_base(trd)
+    q = ext.in_base(nrd)
     if p is None:
         raise InvalidWitness("Trd(x) is not in F")
     if q is None:
@@ -324,19 +324,6 @@ def validate_disjoint_witness(Q, ext, x, etale_required):
             if F.is_zero(p * p - 4 * q):
                 raise InvalidWitness("discriminant vanishes: F[x] not etale")
     return {"trd": p, "nrd": q}
-
-
-def _scalar_in_F(ext, value):
-    """The F-coordinate of a K-scalar that must lie in F.1, else None."""
-    if ext.kind == "field":
-        a, b = ext.coords(value)
-        if ext.base.is_zero(b):
-            return a
-        return None
-    # split: (c, c)
-    if value.a == value.b:
-        return value.a
-    return None
 
 
 def _k_independent(Q, ext, x):
@@ -486,7 +473,7 @@ def _move_off_hyperplane(psi, u):
     if v is None:
         return None
     # candidates v' = v + k with polar(u, v') = 1 and y(v') != 0
-    kern = linalg.kernel_basis([tuple(_polar_row(psi, u))], d, psi.n)
+    kern = linalg.kernel_basis([psi.polar_row(u)], d, psi.n)
     candidates = [v] + [tuple(a + b for a, b in zip(v, k)) for k in kern]
     for cand in candidates:
         if d.is_zero(cand[3]):
@@ -496,15 +483,3 @@ def _move_off_hyperplane(psi, u):
         if d.is_zero(psi.evaluate(vec)) and not d.is_zero(vec[3]):
             return vec
     return None
-
-
-def _polar_row(form, v):
-    f = form.field
-    B = form.polar_matrix()
-    out = []
-    for j in range(form.n):
-        acc = f.zero()
-        for i in range(form.n):
-            acc = acc + v[i] * B[i][j]
-        out.append(acc)
-    return out

@@ -17,14 +17,12 @@ from .forms import QuadraticForm, isotropic_spanning_set
 from .isotropy import isotropy, witt_decompose
 
 
-def _lift_index(ext, i):
-    """F-basis vector index i of the restriction of scalars -> K-vector."""
-    # even index 2j -> b_j, odd index 2j+1 -> w * b_j
-    return divmod(i, 2)
-
-
 def transfer(ext, phi):
-    """s_* phi over F; the F-basis is (b_0, w b_0, b_1, w b_1, ...)."""
+    """s_* phi over F; the F-basis is (b_0, w b_0, b_1, w b_1, ...).
+
+    Vectors move between phi's space and the transfer's with
+    ext.unrealify_vec and ext.realify_vec.
+    """
     if not ext.is_field:
         raise SplitK("transfer is not defined over the split algebra")
     K = ext.ring
@@ -50,30 +48,6 @@ def transfer(ext, phi):
             rows[i][j] = ext.s(phi.polar(lifts[i], lifts[j]))
     out = QuadraticForm(F, rows)
     return out
-
-
-def transfer_lift_vector(ext, n, fvec):
-    """F-vector of the transfer space -> the K-vector it names."""
-    K = ext.ring
-    w = ext.w
-    out = [K.zero()] * n
-    for i, c in enumerate(fvec):
-        j, odd = divmod(i, 2)
-        term = K.from_base(c)
-        if odd:
-            term = term * w
-        out[j] = out[j] + term
-    return tuple(out)
-
-
-def transfer_push_vector(ext, kvec):
-    """K-vector -> its coordinates in the transfer's F-basis."""
-    out = []
-    for x in kvec:
-        a, b = ext.coords(x)
-        out.append(a)
-        out.append(b)
-    return tuple(out)
 
 
 @dataclass
@@ -109,7 +83,7 @@ def descend(ext, phi, height=12):
 
     psi_an, emb_an_local = _descend_anisotropic(ext, phi_an, height, steps)
     # map the embedding back into phi's ambient coordinates
-    embedding = [_combine_K(aniso_basis, v, K, phi.n) for v in emb_an_local]
+    embedding = [linalg.combine(v, aniso_basis, K, phi.n) for v in emb_an_local]
     psi = psi_an
     for (u, v) in wd_K.pairs:
         block = QuadraticForm.hyperbolic_plane(F)
@@ -122,14 +96,6 @@ def descend(ext, phi, height=12):
     result = DescentResult(psi=psi, embedding=tuple(embedding), i0=i0, steps=steps)
     _verify_descent(ext, phi, result)
     return result
-
-
-def _combine_K(basis, coeffs, K, n):
-    out = [K.zero()] * n
-    for c, vec in zip(coeffs, basis):
-        if c:
-            out = [a + c * b for a, b in zip(out, vec)]
-    return tuple(out)
 
 
 def _descend_anisotropic(ext, phi, height, steps):
@@ -148,7 +114,7 @@ def _descend_anisotropic(ext, phi, height, steps):
     if i0 == 0:
         return QuadraticForm.zero_form(F, 0), []
     u_F = wd.pairs[0][0]
-    u = transfer_lift_vector(ext, n, u_F)
+    u = ext.unrealify_vec(u_F)
     cu = phi.evaluate(u)
     cu_F = ext.in_base(cu)
     if cu_F is None:
@@ -165,12 +131,11 @@ def _descend_anisotropic(ext, phi, height, steps):
     lam = ext.w
     lam_v = tuple(lam * c for c in v)
     # orthogonal complement W of span_F(u, lam*v) under the transfer form
-    u_push = transfer_push_vector(ext, u)
-    lamv_push = transfer_push_vector(ext, lam_v)
+    u_push = ext.realify_vec(u)
+    lamv_push = ext.realify_vec(lam_v)
     if T.polar(u_push, lamv_push) != F.one() or not F.is_zero(T.evaluate(u_push)):
         raise InternalContradiction("U block is not hyperbolic for the transfer")
-    rows = [_polar_row_vec(T, u_push), _polar_row_vec(T, lamv_push)]
-    Wb = linalg.kernel_basis([tuple(r) for r in rows], F, 2 * n)
+    Wb = linalg.kernel_basis([T.polar_row(u_push), T.polar_row(lamv_push)], F, 2 * n)
     T_W = T.restrict(Wb)
     verdict = isotropy(T_W, height=height)
     if not verdict.is_isotropic:
@@ -178,8 +143,8 @@ def _descend_anisotropic(ext, phi, height, steps):
     spanning = isotropic_spanning_set(T_W, verdict.witness)
     w_K = None
     for cand in spanning:
-        amb = _combine_F(Wb, cand, F)
-        kv = transfer_lift_vector(ext, n, amb)
+        amb = linalg.combine(cand, Wb, F, 2 * n)
+        kv = ext.unrealify_vec(amb)
         if phi.polar(u, kv):
             w_K = kv
             break
@@ -198,15 +163,14 @@ def _descend_anisotropic(ext, phi, height, steps):
     steps.append({"round": "dim-2", "u": u, "v": v, "lambda": lam, "w": w_K})
 
     # orthogonal complement of span_K(u, w) inside phi
-    rows_K = [_polar_row_vec(phi, u), _polar_row_vec(phi, w_K)]
-    comp = linalg.kernel_basis([tuple(r) for r in rows_K], K, n)
+    comp = linalg.kernel_basis([phi.polar_row(u), phi.polar_row(w_K)], K, n)
     phi_comp = phi.restrict(comp)
     T_comp_i0 = witt_decompose(transfer(ext, phi_comp), height=height).witt_index
     if T_comp_i0 != i0 - 2:
         raise InternalContradiction("Witt index did not drop by two")
     psi_rest, emb_rest = _descend_anisotropic(ext, phi_comp, height, steps)
     psi = psi1.orthogonal_sum(psi_rest) if psi_rest.n else psi1
-    embedding = [u, w_K] + [_combine_K(comp, vec, K, n) for vec in emb_rest]
+    embedding = [u, w_K] + [linalg.combine(vec, comp, K, n) for vec in emb_rest]
     return psi, embedding
 
 
@@ -214,39 +178,18 @@ def _dual_vector(phi, u):
     """v with polar(u, v) = 1, chosen K-independent of u when possible."""
     K = phi.field
     n = phi.n
-    row = _polar_row_vec(phi, u)
-    v = linalg.solve([tuple(row)], (K.one(),), K)
+    row = phi.polar_row(u)
+    v = linalg.solve([row], (K.one(),), K)
     if v is None:
         raise InternalContradiction("nonsingular form with a degenerate vector")
     if n >= 2 and linalg.rank([u, v], K, n) < 2:
-        kern = linalg.kernel_basis([tuple(row)], K, n)
+        kern = linalg.kernel_basis([row], K, n)
         for y in kern:
             cand = tuple(a + b for a, b in zip(v, y))
             if linalg.rank([u, cand], K, n) == 2:
                 return cand
         raise InternalContradiction("could not find an independent dual vector")
     return v
-
-
-def _polar_row_vec(form, v):
-    f = form.field
-    B = form.polar_matrix()
-    out = []
-    for j in range(form.n):
-        acc = f.zero()
-        for i in range(form.n):
-            acc = acc + v[i] * B[i][j]
-        out.append(acc)
-    return out
-
-
-def _combine_F(basis, coeffs, F):
-    n = len(basis[0]) if basis else 0
-    out = [F.zero()] * n
-    for c, vec in zip(coeffs, basis):
-        if not F.is_zero(c):
-            out = [a + c * b for a, b in zip(out, vec)]
-    return tuple(out)
 
 
 def _verify_descent(ext, phi, result):

@@ -1,10 +1,14 @@
 """Clifford algebras, Arf triviality, and the rank-64 isomorphism check."""
 
+import types
+
 import pytest
 from conftest import seeded
 
+import albertkit
 from albertkit import (
     QQ,
+    CliffordAlgebra,
     EtaleQuadratic,
     FiniteField,
     QuadraticForm,
@@ -12,7 +16,6 @@ from albertkit import (
     albert_form,
     arf_trivial,
     build_corestriction,
-    clifford,
     clifford_iso_check,
     even_clifford_binary,
 )
@@ -26,7 +29,9 @@ F3 = FiniteField(3)
 
 
 def test_dim_one_clifford():
-    C = clifford(QuadraticForm.diagonal(QQ, [5]))
+    # the package attribute is the submodule, not a function shadowing it
+    assert isinstance(albertkit.clifford, types.ModuleType)
+    C = CliffordAlgebra(QuadraticForm.diagonal(QQ, [5]))
     e = C.generator(0)
     assert (e * e).coeff(0) == 5
     assert C.dim == 2
@@ -34,11 +39,11 @@ def test_dim_one_clifford():
 
 def test_dimension_cap():
     with pytest.raises(DimensionCap):
-        clifford(QuadraticForm.diagonal(QQ, [1] * 7))
+        CliffordAlgebra(QuadraticForm.diagonal(QQ, [1] * 7))
 
 
 def test_hyperbolic_plane_clifford_splits():
-    C = clifford(QuadraticForm.hyperbolic_plane(QQ))
+    C = CliffordAlgebra(QuadraticForm.hyperbolic_plane(QQ))
     assert C.dim == 4
     e1, e2 = C.generator(0), C.generator(1)
     z = e1 * e2
@@ -58,7 +63,7 @@ def test_associativity_exhaustive(field, entries):
         )
     else:
         form = QuadraticForm.diagonal(field, entries)
-    C = clifford(form)
+    C = CliffordAlgebra(form)
     masks = list(range(C.dim))
     for a in masks:
         for b in masks:
@@ -82,7 +87,7 @@ def test_even_part_and_center():
     form = QuadraticForm.hyperbolic_plane(QQ).orthogonal_sum(
         QuadraticForm.diagonal(QQ, [1, -1])
     )
-    C = clifford(form)
+    C = CliffordAlgebra(form)
     masks = even_part_masks(C)
     assert len(masks) == C.dim // 2
     center = center_of_span(C, masks)
@@ -130,7 +135,7 @@ def test_center_constructed_matches_generic():
                             break
                     entries.append(c)
                 form = QuadraticForm.diagonal(field, entries)
-            C = clifford(form)
+            C = CliffordAlgebra(form)
             generic = center_of_span(C, even_part_masks(C))
             assert len(generic) == 2
 

@@ -11,6 +11,7 @@ from albertkit import (
     NotEtale,
     QuadraticFieldExtension,
     RationalFunctionField,
+    SplitAlgebra,
     make_etale_quadratic,
 )
 from albertkit.errors import NoSolution
@@ -184,3 +185,21 @@ def test_context_mixing_is_hard_fault():
         F3.one() + F5.one()
     with pytest.raises(AlgebraError):
         Qt.gen() * RationalFunctionField(QQ, "s").gen()
+    K2 = QuadraticFieldExtension(QQ, 0, 2)
+    K3 = QuadraticFieldExtension(QQ, 0, 3)
+    with pytest.raises(AlgebraError):
+        K2.gen() - K3.gen()
+    with pytest.raises(AlgebraError):
+        K2.gen() / F5.one()
+    QxQ = SplitAlgebra(QQ)
+    F3xF3 = SplitAlgebra(F3)
+    with pytest.raises(AlgebraError):
+        QxQ.one() * F3xF3.one()
+    with pytest.raises(AlgebraError):
+        QxQ.one() - K2.one()
+    # the reflected operators coerce ints and keep the element's context
+    for field, x in ((F9, F9.gen()), (Qt, Qt.gen() + 1), (K2, K2.gen()), (QxQ, QxQ.pair(2, 3))):
+        assert field.coerce(1 - x) == field.one() - x  # coerce rejects a foreign context
+        assert field.coerce(1 / x) == field.one() / x
+        assert x - 1 == -(1 - x)
+        assert (1 / x) * x == field.one()

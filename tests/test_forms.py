@@ -8,6 +8,7 @@ from albertkit import (
     FiniteField,
     QuadraticForm,
     QuadraticFieldExtension,
+    RationalFunctionField,
     isometric_embedding,
     isotropic_spanning_set,
     orthogonalize,
@@ -19,6 +20,8 @@ from albertkit.isotropy import enumeration_isotropy, isotropy
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 F5 = FiniteField(5)
+F4 = FiniteField(2, 2)
+F2t = RationalFunctionField(F2, "t")
 
 
 def test_polar_examples():
@@ -33,7 +36,7 @@ def test_polar_examples():
 
 def test_polar_bilinearity_random():
     rng = seeded(5)
-    for field in (QQ, F3, F2):
+    for field in (QQ, F3, F2, F4, F2t):
         dim = 3
         rows = [
             [field.random_element(rng) if j >= i else field.zero() for j in range(dim)]
@@ -48,6 +51,10 @@ def test_polar_bilinearity_random():
             )
             lam = field.random_element(rng)
             assert phi.evaluate(tuple(lam * a for a in x)) == lam * lam * phi.evaluate(x)
+            row = phi.polar_row(x)
+            for j in range(dim):
+                e_j = tuple(field.one() if i == j else field.zero() for i in range(dim))
+                assert row[j] == phi.polar(x, e_j) == phi.polar(e_j, x)
 
 
 def test_classify_examples():

@@ -4,12 +4,14 @@ import copy
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from albertkit import (
     QQ,
+    AlgebraError,
     FiniteField,
     Instance,
     MalformedCertificate,
@@ -20,6 +22,8 @@ from albertkit import (
 )
 from albertkit.harness import FAMILIES, report_json_bytes
 from albertkit.jsonio import (
+    MAX_EXPONENT,
+    MAX_FIELD_ORDER,
     extension_to_spec,
     field_to_spec,
     parse_element,
@@ -123,6 +127,43 @@ def test_certificate_roundtrip_and_tamper():
         verify_certificate({"schema": "albertkit/1"})
     with pytest.raises(MalformedCertificate):
         verify_certificate({"not": "a report"})
+
+
+def test_hostile_exponent_is_rejected_quickly():
+    # t^N costs N multiplications; uncapped, t^100000 over F_2(t) runs for minutes
+    doc = check_equivalence(generate_instance("char2-function-field", 0)).to_json()
+    start = time.perf_counter()
+    assert verify_certificate(doc)
+    genuine = time.perf_counter() - start  # building the Albert form, about 0.5 s
+    bad = copy.deepcopy(doc)
+    bad["cond_iii_not_division"]["witness"][4] = "t^100000"
+    start = time.perf_counter()
+    assert not verify_certificate(bad)
+    assert time.perf_counter() - start < genuine + 1.0
+    bad = copy.deepcopy(doc)
+    bad["instance"]["Q"]["a"] = "t^100000+1"
+    start = time.perf_counter()
+    with pytest.raises(MalformedCertificate):
+        verify_certificate(bad)
+    assert time.perf_counter() - start < 1.0
+    F2t = parse_field("F(2)(t)")
+    assert parse_element(F2t, "t^%d" % MAX_EXPONENT).num.degree == MAX_EXPONENT
+    with pytest.raises(AlgebraError):
+        parse_element(F2t, "t^%d" % (MAX_EXPONENT + 1))
+
+
+def test_large_field_spec_is_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(AlgebraError):
+        parse_field("F(100000007)")  # prime, above MAX_FIELD_ORDER
+    with pytest.raises(AlgebraError):
+        parse_field("F(%d)" % (MAX_FIELD_ORDER + 1))
+    assert time.perf_counter() - start < 1.0
+    assert parse_field("F(65521)") == FiniteField(65521)  # largest prime below the cap
+    assert parse_field("F(27)") == FiniteField(3, 3)
+    for spec in ("F(1)", "F(6)", "F(100)"):
+        with pytest.raises(AlgebraError):
+            parse_field(spec)
 
 
 def test_unknown_fields_verify_when_witnesses_hold():
