@@ -38,7 +38,8 @@ from .jsonio import (
     parse_form,
     vector_to_json,
 )
-from .quaternion import QuaternionAlgebra, is_split
+from .quaternion import QuaternionAlgebra, find_disjoint_quadratic_subalgebra, is_split
+from .search import DEFAULT_HEIGHT
 from .transfer import descend, transfer
 
 
@@ -140,8 +141,6 @@ def _cmd_quat(args):
         _emit(args, doc, "%s [%s]" % (verdict.status, verdict.method))
         return 0 if verdict.decided else 3
     if args.cmd == "subalg":
-        from .quaternion import find_disjoint_quadratic_subalgebra
-
         try:
             x = find_disjoint_quadratic_subalgebra(
                 Q, ext, etale_required=not args.any_quadratic, height=args.height
@@ -265,7 +264,7 @@ def build_parser():
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--height", type=int, default=12, help="search height bound")
+        p.add_argument("--height", type=int, default=DEFAULT_HEIGHT, help="search height bound")
         return p
 
     p = add("isotropy", _cmd_isotropy, help="isotropy verdict for a form")

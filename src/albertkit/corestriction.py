@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import linalg
+from . import linalg, search
 from .errors import (
     AlgebraError,
     BudgetExhausted,
@@ -23,9 +23,9 @@ from .errors import (
     InvalidWitness,
     ValueNotInF,
 )
-from .fields import centered_ints
-from .forms import QuadraticForm, scalar_candidates, solve_polar_equal_one
-from .isotropy import _clear_denominators, isotropy, projective_points
+from .fields import RationalFunctionField
+from .forms import QuadraticForm, solve_polar_equal_one
+from .isotropy import _clear_denominators, char2_isotropic_stream, isotropy
 from .quaternion import QuaternionAlgebra, validate_disjoint_witness
 
 
@@ -675,7 +675,7 @@ class DivisionVerdict:
         return self.not_division is not None
 
 
-def cor_is_division(ad, height=12):
+def cor_is_division(ad, height=search.DEFAULT_HEIGHT):
     """Not division iff the Albert form is isotropic (certified both ways).
 
     The isotropic branch converts the witness into an explicit nonzero
@@ -705,26 +705,24 @@ class GeneratorWitness:
     nrd: object
 
 
-def isotropic_to_generator(ad, witness_coords, height=6, max_candidates=20000, shift_range=6):
+def isotropic_to_generator(ad, witness_coords, height=search.GENERATOR_HEIGHT):
     """Isotropic Albert vector -> quadratic etale subalgebra generator.
 
     Each isotropic vector has presentations y + c*kappa (same tensor image);
     the search walks the isotropic quadric and the kappa-line shifts until a
     representative has Trd != 0, lies outside K.1 and generates an etale
-    algebra; kappa*y is then the verified witness.
+    algebra; kappa*y is then the verified witness.  BudgetExhausted's
+    `searched` counts the isotropic candidates drawn.
     """
     ext, Q = ad.ext, ad.Q
     F = ext.base
     K = Q.domain
     kappa = K.coerce(ad.kappa)
-    checked = 0
-    shifts = [F.from_int(c) for c in centered_ints(shift_range)]
+    budget = search.Budget(search.GENERATOR_CANDIDATES)
+    shifts = [F.from_int(c) for c in search.centered_ints(search.GENERATOR_SHIFTS)]
     trd_basis = [y.trd() for y in ad.y_basis]
     char2 = F.char == 2
-    for coords in _isotropic_candidates(ad, witness_coords, height):
-        checked += 1
-        if checked > max_candidates:
-            break
+    for coords in budget.take(_isotropic_candidates(ad, witness_coords, height)):
         if char2:
             # kappa-line shifts cannot change the trace in characteristic 2,
             # so trace-zero candidates are hopeless: skip them cheaply
@@ -749,27 +747,18 @@ def isotropic_to_generator(ad, witness_coords, height=6, max_candidates=20000, s
             except InvalidWitness:
                 continue
             return GeneratorWitness(kappa_y, y, tuple(coords), data["trd"], data["nrd"])
-    raise BudgetExhausted(
-        "no suitable isotropic representative found", searched=checked
-    )
+    raise BudgetExhausted("no suitable isotropic representative found", searched=budget.spent)
 
 
 def _isotropic_candidates(ad, witness_coords, height):
     """The given witness, then structured families of further zeros."""
-    from .fields import RationalFunctionField
-    from .isotropy import char2_isotropic_stream
-
     F = ad.ext.base
     form = ad.form
     u = tuple(F.coerce(c) for c in witness_coords)
     yield u
     if isinstance(F, RationalFunctionField) and F.base.enumerable:
-        for h in (1, 2):
-            if F.base.order ** (2 * form.n) > 300000 and h == 2:
-                break
-            for vec in projective_points(F, form.n, h):
-                if F.is_zero(form.evaluate(vec)):
-                    yield vec
+        for _, vec in search.zeros(form, search.scan_heights(F, form.n)):
+            yield vec
         if F.char == 2:
             yield from char2_isotropic_stream(form)
     zeta = solve_polar_equal_one(form, u)
@@ -779,20 +768,16 @@ def _isotropic_candidates(ad, witness_coords, height):
         yield zeta
         comp = linalg.kernel_basis([form.polar_row(u), form.polar_row(zeta)], F, 6)
         pool_height = 2 if isinstance(F, RationalFunctionField) else height
-        pool = list(scalar_candidates(F, pool_height))
-        count = 0
-        for coeffs in itertools.product(pool, repeat=len(comp)):
-            count += 1
-            if count > 20000:
-                break
+        pool = list(search.scalar_candidates(F, pool_height))
+        draws = itertools.product(pool, repeat=len(comp))
+        for coeffs in search.Budget(search.COMPLEMENT_DRAWS).take(draws):
             x = linalg.combine(coeffs, comp, F, 6)
             val = form.evaluate(x)
             cand = tuple(a + u_i - val * z_i for a, u_i, z_i in zip(x, u, zeta))
             yield cand
     if F.enumerable:
-        for vec in projective_points(F, 6, 1):
-            if F.is_zero(form.evaluate(vec)):
-                yield vec
+        for _, vec in search.zeros(form, (1,)):
+            yield vec
 
 
 def generator_to_isotropic(ad, x):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .errors import AlgebraError
 
@@ -323,14 +323,6 @@ class FiniteField(Field):
     def from_int(self, n):
         return GFElem(self, (n % self.p,) + (0,) * (self.k - 1))
 
-    def from_coeffs(self, coeffs):
-        coeffs = tuple(c % self.p for c in coeffs)
-        if len(coeffs) < self.k:
-            coeffs = coeffs + (0,) * (self.k - len(coeffs))
-        if len(coeffs) != self.k:
-            raise AlgebraError("coefficient tuple too long for %s" % self.name)
-        return GFElem(self, coeffs)
-
     def coerce(self, x):
         if isinstance(x, int):
             return self.from_int(x)
@@ -625,9 +617,6 @@ class RatFuncElem(ScalarElem):
         self.field = field
         self.num = num
         self.den = den
-
-    def is_polynomial(self):
-        return self.den.degree == 0
 
     def __add__(self, other):
         other = self._check(other)
@@ -1190,34 +1179,3 @@ class QuadraticFieldExtension(Field):
 
     def __hash__(self):
         return hash(("quadext", self.base, self.alpha, self.beta))
-
-
-def centered_ints(h):
-    """0, 1, -1, 2, -2, ..., h, -h."""
-    out = [0]
-    for v in range(1, h + 1):
-        out.append(v)
-        out.append(-v)
-    return out
-
-
-def primitive_int_vectors(n, h):
-    """Primitive integer vectors of sup-norm exactly h, echelon-ordered.
-
-    Enumeration: first nonzero coordinate position ascending, leading value
-    positive, remaining coordinates in centered (0, 1, -1, ...) order; only
-    vectors new at height h are produced.
-    """
-    tail_pool = centered_ints(h)
-    for k in range(n):
-        for lead in range(1, h + 1):
-            for tail in itertools.product(tail_pool, repeat=n - k - 1):
-                vec = (0,) * k + (lead,) + tail
-                if max(abs(c) for c in vec) != h:
-                    continue
-                g = 0
-                for c in vec:
-                    g = gcd(g, abs(c))
-                if g != 1:
-                    continue
-                yield vec

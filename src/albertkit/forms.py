@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import AlgebraError, BudgetExhausted, NotIsotropic
-from .fields import centered_ints
+from .search import EMBEDDING_CANDIDATES, Budget, scalar_candidates
 
 
 class QuadraticForm:
@@ -365,65 +364,15 @@ def solve_polar_equal_one(form, v):
     return linalg.solve([form.polar_row(v)], (form.field.one(),), form.field)
 
 
-def scalar_candidates(field, height):
-    """Deterministic small-first stream of field scalars for searches.
-
-    Exhaustive for enumerable fields; height-graded otherwise.
-    """
-    if field.enumerable:
-        yield from field.elements()
-        return
-    from .fields import QuadraticFieldExtension, RationalField, RationalFunctionField
-
-    if isinstance(field, RationalField):
-        yield field.zero()
-        for h in range(1, height + 1):
-            for den in range(1, h + 1):
-                for num in centered_ints(h):
-                    fr = Fraction(num, den)
-                    if fr != 0 and max(abs(fr.numerator), fr.denominator) == h:
-                        yield fr
-        return
-    if isinstance(field, QuadraticFieldExtension):
-        yield field.zero()
-        for h in range(1, height + 1):
-            for a in centered_ints(h):
-                for b in centered_ints(h):
-                    if max(abs(a), abs(b)) == h:
-                        yield field.from_pair(a, b)
-        return
-    if isinstance(field, RationalFunctionField):
-        base = field.base
-        if base.enumerable:
-            elems = list(base.elements())
-            yield field.zero()
-            for deg in range(0, height + 1):
-                for coeffs in itertools.product(elems, repeat=deg + 1):
-                    if base.is_zero(coeffs[-1]):
-                        continue
-                    yield field.poly_elem(coeffs)
-        else:
-            yield field.zero()
-            for h in range(1, height + 1):
-                for deg in range(0, min(2, h - 1) + 1):
-                    for coeffs in itertools.product(range(-h, h + 1), repeat=deg + 1):
-                        if deg > 0 and coeffs[-1] == 0:
-                            continue
-                        if max(abs(c) for c in coeffs) != h:
-                            continue
-                        yield field.poly_elem([base.from_int(c) for c in coeffs])
-        return
-    raise AlgebraError("no scalar candidates for %s" % field.name)
-
-
-def isometric_embedding(psi, phi, height=20, max_candidates=200000):
+def isometric_embedding(psi, phi, height=20):
     """An injective U with phi(U x) = psi(x), None if proven absent.
 
     Column by column: the polar compatibility conditions against earlier
     columns are linear, so each column ranges over an affine subspace whose
     parameters are enumerated (exhaustively for enumerable fields, by
     bounded height otherwise).  BudgetExhausted distinguishes an undecided
-    search from a proven absence.
+    search from a proven absence; its `searched` counts the column vectors
+    drawn over the whole search.
     """
     f = psi.field
     if phi.field != f:
@@ -432,37 +381,21 @@ def isometric_embedding(psi, phi, height=20, max_candidates=200000):
         return None
     if phi.n > 8:
         raise AlgebraError("embedding search capped at dimension 8")
-    budget = [max_candidates]
-    ran_out = [False]
+    budget = Budget(EMBEDDING_CANDIDATES)
+    pool = list(scalar_candidates(f, height))
     psiB = psi.polar_matrix()
     cols = []
 
     def column_candidates(k):
         rows = [phi.polar_row(cols[j]) for j in range(k)]
-        if rows:
-            part = linalg.solve(rows, tuple(psiB[j][k] for j in range(k)), f)
-            if part is None:
-                return
-            kern = linalg.kernel_basis(rows, f, phi.n)
-        else:
-            part = tuple(f.zero() for _ in range(phi.n))
-            kern = [
-                tuple(f.one() if i == j else f.zero() for j in range(phi.n))
-                for i in range(phi.n)
-            ]
+        part = linalg.solve(rows, psiB[k][:k], f) if rows else (f.zero(),) * phi.n
+        if part is None:
+            return
+        kern = linalg.kernel_basis(rows, f, phi.n)
         if not kern:
             yield part
             return
-        cand = list(itertools.islice(scalar_candidates(f, height), 0, None)) if f.enumerable else None
-        if cand is not None:
-            pools = itertools.product(cand, repeat=len(kern))
-        else:
-            pools = _graded_tuples(f, len(kern), height)
-        for coeffs in pools:
-            if budget[0] <= 0:
-                ran_out[0] = True
-                return
-            budget[0] -= 1
+        for coeffs in budget.take(itertools.product(pool, repeat=len(kern))):
             yield tuple(a + b for a, b in zip(part, linalg.combine(coeffs, kern, f, phi.n)))
 
     def extend(k):
@@ -482,11 +415,10 @@ def isometric_embedding(psi, phi, height=20, max_candidates=200000):
             cols.pop()
         return False
 
-    found = extend(0)
-    if not found:
-        if f.enumerable and not ran_out[0]:
+    if not extend(0):
+        if f.enumerable and not budget.exhausted:
             return None
-        raise BudgetExhausted("embedding not found within the search budget", searched=max_candidates)
+        raise BudgetExhausted("embedding not found within the search budget", searched=budget.spent)
     for i in range(psi.n):
         if phi.evaluate(cols[i]) != psi.upper[i][i]:
             raise AlgebraError("embedding verification failed")
@@ -494,9 +426,3 @@ def isometric_embedding(psi, phi, height=20, max_candidates=200000):
             if phi.polar(cols[i], cols[j]) != psiB[i][j]:
                 raise AlgebraError("embedding verification failed")
     return list(cols)
-
-
-def _graded_tuples(field, n, height):
-    """Deterministic tuples of bounded-height scalars."""
-    atoms = list(scalar_candidates(field, height))
-    return itertools.product(atoms, repeat=n)

@@ -47,6 +47,7 @@ from .quaternion import (
     norm_form,
     validate_disjoint_witness,
 )
+from .search import DEFAULT_HEIGHT, GENERATOR_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES
 from .transfer import descend, transfer
 
 SCHEMA = "albertkit/1"
@@ -69,7 +70,7 @@ class Instance:
     q_alpha: object
     q_beta: object
     q_a: object
-    height: int = 12
+    height: int = DEFAULT_HEIGHT
 
     def to_json(self):
         return {
@@ -94,7 +95,7 @@ class Instance:
                 q_alpha=q["alpha"],
                 q_beta=q["beta"],
                 q_a=q["a"],
-                height=doc.get("height", 12),
+                height=doc.get("height", DEFAULT_HEIGHT),
             )
         except KeyError as exc:
             raise MalformedCertificate("instance missing field %s" % exc)
@@ -262,7 +263,7 @@ def check_equivalence(inst, path="albert", height=None):
     if div.not_division is True:
         cond_iii = CondVerdict("yes", div.witness_coords, div.method)
         try:
-            gen = isotropic_to_generator(ad, div.witness_coords, height=min(height, 6))
+            gen = isotropic_to_generator(ad, div.witness_coords, height=min(height, GENERATOR_HEIGHT))
             cond_ii = CondVerdict("yes", gen.kappa_y, "albert-isotropic-to-generator")
             cond_i = CondVerdict("yes", gen.kappa_y, "from-(ii)")
             derivations.append("(iii)->(ii): kappa-shifted isotropic representative")
@@ -278,7 +279,7 @@ def check_equivalence(inst, path="albert", height=None):
         cond_iii = CondVerdict("no", None, div.method)
         try:
             x = find_disjoint_quadratic_subalgebra(
-                Q, ext, etale_required=False, height=1, max_candidates=3000
+                Q, ext, etale_required=False, height=1, max_candidates=HARNESS_SUBALGEBRA_CANDIDATES
             )
             # a (i) witness converts to an isotropic vector, contradicting
             # the proven anisotropy: the equivalence would be falsified
@@ -298,7 +299,7 @@ def check_equivalence(inst, path="albert", height=None):
         cond_iii = CondVerdict("unknown", None, div.method)
         try:
             x = find_disjoint_quadratic_subalgebra(
-                Q, ext, etale_required=True, height=1, max_candidates=3000
+                Q, ext, etale_required=True, height=1, max_candidates=HARNESS_SUBALGEBRA_CANDIDATES
             )
             cond_ii = CondVerdict("yes", x, "direct-search")
             cond_i = CondVerdict("yes", x, "from-(ii)")
@@ -427,15 +428,6 @@ def verify_certificate(doc):
     except KeyError:
         raise MalformedCertificate("verdict is missing its witness")
     return True
-
-
-def run_batch(families_and_seeds, path="albert"):
-    """Deterministic batch run; reports ordered as given."""
-    reports = []
-    for family, seed in families_and_seeds:
-        inst = generate_instance(family, seed)
-        reports.append(check_equivalence(inst, path=path))
-    return reports
 
 
 def report_to_text(report):

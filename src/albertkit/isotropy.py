@@ -12,10 +12,11 @@ semi-decision by bounded search, reported as Unknown rather than guessed.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, search
 from .errors import (
     AlgebraError,
     InternalContradiction,
@@ -28,11 +29,10 @@ from .fields import (
     RatFuncElem,
     RationalField,
     RationalFunctionField,
-    primitive_int_vectors,
 )
 from .forms import QuadraticForm, orthogonalize, solve_polar_equal_one
+from .search import projective_points  # noqa: F401  (perfbench/tracer.py counts it under this name)
 
-DEFAULT_HEIGHT = 12
 ISOTROPIC = "isotropic"
 ANISOTROPIC = "anisotropic"
 UNKNOWN = "unknown"
@@ -75,89 +75,18 @@ def unknown_verdict(height):
 
 
 # ---------------------------------------------------------------------------
-# candidate enumeration
+# bounded search
 # ---------------------------------------------------------------------------
 
 
-def projective_points(field, n, h):
-    """Projective candidate vectors that are new at height h."""
-    if field.enumerable:
-        if h != 1:
-            return
-        elems = list(field.elements())
-        one = field.one()
-        zero = field.zero()
-        for k in range(n):
-            for tail in itertools.product(elems, repeat=n - k - 1):
-                yield (zero,) * k + (one,) + tail
-        return
-    if isinstance(field, RationalField):
-        for vec in primitive_int_vectors(n, h):
-            yield tuple(Fraction(c) for c in vec)
-        return
-    if isinstance(field, QuadraticFieldExtension) and isinstance(field.base, RationalField):
-        for vec in primitive_int_vectors(2 * n, h):
-            yield tuple(field.from_pair(vec[2 * i], vec[2 * i + 1]) for i in range(n))
-        return
-    if isinstance(field, RationalFunctionField):
-        base = field.base
-        if base.enumerable:
-            deg = h - 1
-            elems = list(base.elements())
-            polys = []
-            for d in range(deg + 1):
-                for coeffs in itertools.product(elems, repeat=d + 1):
-                    if d > 0 and base.is_zero(coeffs[-1]):
-                        continue
-                    polys.append(field.poly_elem(coeffs))
-            zero = field.zero()
-            for vec in itertools.product(polys + [zero], repeat=n):
-                if all(v == zero for v in vec):
-                    continue
-                if max((v.num.degree for v in vec if v != zero), default=-1) != deg:
-                    continue
-                yield vec
-            return
-        # integer-coefficient polynomials over Q(t), low degree
-        coeff_range = [Fraction(c) for c in range(-h, h + 1)]
-        maxdeg = min(2, h - 1)
-        polys = []
-        for d in range(maxdeg + 1):
-            for coeffs in itertools.product(coeff_range, repeat=d + 1):
-                if d > 0 and coeffs[-1] == 0:
-                    continue
-                if coeffs and max((abs(c) for c in coeffs), default=0) == h:
-                    polys.append(field.poly_elem(coeffs))
-        small = []
-        for d in range(maxdeg + 1):
-            for coeffs in itertools.product([Fraction(c) for c in range(-(h - 1), h)], repeat=d + 1):
-                if d > 0 and coeffs[-1] == 0:
-                    continue
-                small.append(field.poly_elem(coeffs))
-        for vec in itertools.product(polys + small, repeat=n):
-            if all(not v for v in vec):
-                continue
-            if not any(p in polys for p in vec):
-                continue
-            yield vec
-        return
-    if isinstance(field, QuadraticFieldExtension) and isinstance(field.base, RationalFunctionField):
-        for vec in projective_points(field.base, 2 * n, h):
-            yield tuple(field.from_pair(vec[2 * i], vec[2 * i + 1]) for i in range(n))
-        return
-    raise AlgebraError("no candidate enumeration for %s" % field.name)
-
-
-def bounded_search(form, height=DEFAULT_HEIGHT):
+def bounded_search(form, height=search.DEFAULT_HEIGHT):
     """Exhaustive projective search up to the height bound."""
     f = form.field
     if form.n == 0:
         return anisotropic_verdict("empty")
     hmax = 1 if f.enumerable else height
-    for h in range(1, hmax + 1):
-        for vec in projective_points(f, form.n, h):
-            if f.is_zero(form.evaluate(vec)):
-                return isotropic_verdict(form, vec, "search", h)
+    for h, vec in search.zeros(form, range(1, hmax + 1)):
+        return isotropic_verdict(form, vec, "search", h)
     if f.enumerable:
         return anisotropic_verdict("enumeration")
     return unknown_verdict(height)
@@ -313,7 +242,7 @@ def rational_diagonalization(form):
     return basis, vals
 
 
-def hasse_minkowski(form, height=DEFAULT_HEIGHT):
+def hasse_minkowski(form):
     """Complete isotropy decision for a regular quadratic form over Q.
 
     Dimension >= 5 is decided purely by the real signature; dimensions 3
@@ -376,14 +305,9 @@ def hasse_minkowski(form, height=DEFAULT_HEIGHT):
                 break
     if not isotropic:
         return anisotropic_verdict(method)
-    h = 1
-    while True:
-        for vec in projective_points(f, n, h):
-            if f.is_zero(form.evaluate(vec)):
-                return isotropic_verdict(form, vec, method + "+search", h)
-        h += 1
-        if h > 10000:
-            raise InternalContradiction("no witness found for a proven-isotropic form")
+    for h, vec in search.zeros(form, range(1, search.WITNESS_HEIGHT_CAP + 1)):
+        return isotropic_verdict(form, vec, method + "+search", h)
+    raise InternalContradiction("no witness found for a proven-isotropic form")
 
 
 def rational_invariants(form):
@@ -391,7 +315,7 @@ def rational_invariants(form):
     _, vals = rational_diagonalization(form)
     d = [squarefree_part(v) for v in vals]
     pos = sum(1 for v in vals if v > 0)
-    disc = squarefree_part(Fraction(int(_prod(d))))
+    disc = squarefree_part(Fraction(math.prod(d)))
     places = _relevant_places(d)
     hasse = {}
     for v in places:
@@ -430,13 +354,6 @@ def _hasse_at(form, place):
         for j in range(i + 1, len(d)):
             eps *= hilbert_symbol(d[i], d[j], place)
     return eps
-
-
-def _prod(xs):
-    out = 1
-    for x in xs:
-        out *= x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +418,7 @@ def _monomial_data(entry):
     return c, e_num - e_den
 
 
-def springer_reduce(form, height=DEFAULT_HEIGHT):
+def springer_reduce(form, height=search.DEFAULT_HEIGHT):
     """Springer reduction at the place t for t-monomial diagonal forms.
 
     Requires residue characteristic != 2.  Complete for this shape: both
@@ -598,7 +515,7 @@ def _clear_denominators(f, vec):
     return tuple(c * scale for c in vec)
 
 
-def char2_isotropic_stream(form, tail_height=1, max_tails=1500):
+def char2_isotropic_stream(form):
     """Isotropic vectors of a characteristic-2 form over F_q(t), streamed.
 
     The form splits into binary blocks along a symplectic basis (scaled to
@@ -630,11 +547,7 @@ def char2_isotropic_stream(form, tail_height=1, max_tails=1500):
             yield tuple(g)
         data.append((a, b, m))
     k = len(pairs)
-    tail_pool = [f.zero(), f.one()]
-    for h in range(1, tail_height + 1):
-        for coeffs in itertools.product(range(2), repeat=h + 1):
-            if coeffs[-1]:
-                tail_pool.append(f.poly_elem([base.from_int(c) for c in coeffs]))
+    tail_pool = list(search.polys(f, [base.zero(), base.one()], search.CHAR2_TAIL_HEIGHT))
     for s in range(k):
         a_s, b_s, m_s = data[s]
         if not a_s:
@@ -642,11 +555,8 @@ def char2_isotropic_stream(form, tail_height=1, max_tails=1500):
         u_s, g_s = pairs[s]
         others = [i for i in range(k) if i != s]
         other_vecs = [v for i in others for v in pairs[i]]
-        count = 0
-        for assign in itertools.product(tail_pool, repeat=2 * len(others)):
-            count += 1
-            if count > max_tails:
-                break
+        tails = itertools.product(tail_pool, repeat=2 * len(others))
+        for assign in search.Budget(search.CHAR2_TAILS).take(tails):
             c = f.zero()
             for idx, oi in enumerate(others):
                 x_v, y_v = assign[2 * idx], assign[2 * idx + 1]
@@ -670,16 +580,15 @@ def char2_isotropic_stream(form, tail_height=1, max_tails=1500):
                 yield tuple(p + x_val * q1 + q2 for p, q1, q2 in zip(vec, u_s, g_s))
 
 
-def _char2_artin_schreier_search(form, tail_height=1):
+def _char2_artin_schreier_search(form):
     """Verdict wrapper around the stream; complete for a single block."""
     from .forms import symplectic_pairs
 
-    f = form.field
     try:
         k = len(symplectic_pairs(form))
     except AlgebraError:
         return None
-    for wit in char2_isotropic_stream(form, tail_height):
+    for wit in char2_isotropic_stream(form):
         return isotropic_verdict(form, wit, "char2-artin-schreier")
     if k == 1:
         return anisotropic_verdict("char2-artin-schreier")
@@ -691,7 +600,7 @@ def _char2_artin_schreier_search(form, tail_height=1):
 # ---------------------------------------------------------------------------
 
 
-def isotropy(form, height=DEFAULT_HEIGHT):
+def isotropy(form, height=search.DEFAULT_HEIGHT):
     """Field-dispatched isotropy verdict; Unknown encodes incompleteness."""
     f = form.field
     if form.n == 0:
@@ -702,7 +611,7 @@ def isotropy(form, height=DEFAULT_HEIGHT):
     if f.enumerable:
         return bounded_search(form, 1)
     if isinstance(f, RationalField):
-        return hasse_minkowski(form, height)
+        return hasse_minkowski(form)
     if isinstance(f, QuadraticFieldExtension) and isinstance(f.base, RationalField):
         if form.n == 1:
             return anisotropic_verdict("dim1")
@@ -732,33 +641,24 @@ def isotropy(form, height=DEFAULT_HEIGHT):
                 if verdict is not None:
                     return verdict
             # cheap low-degree scans, then the Artin-Schreier sweep
-            scan_heights = (1, 2) if f.base.order ** (2 * form.n) <= 300000 else (1,)
-            for h in scan_heights:
-                for vec in projective_points(f, form.n, h):
-                    if f.is_zero(form.evaluate(vec)):
-                        return isotropic_verdict(form, vec, "search", h)
+            for h, vec in search.zeros(form, search.scan_heights(f, form.n)):
+                return isotropic_verdict(form, vec, "search", h)
             verdict = _char2_artin_schreier_search(form)
             if verdict is not None:
                 return verdict
             return unknown_verdict(2)
         if form.n >= 5 and _is_c2_function_field(f):
             # isotropy is guaranteed (C2 field); keep the fallback scan short
-            for h in (1, 2):
-                for vec in projective_points(f, form.n, h):
-                    if f.is_zero(form.evaluate(vec)):
-                        return isotropic_verdict(form, vec, "tsen-lang", h)
+            for h, vec in search.zeros(form, (1, 2)):
+                return isotropic_verdict(form, vec, "tsen-lang", h)
             return unknown_verdict(2)
-        return bounded_search(form, height)
-    if isinstance(f, QuadraticFieldExtension):
+    elif isinstance(f, QuadraticFieldExtension):
         if form.n == 1:
             return anisotropic_verdict("dim1")
         if form.n >= 5 and _is_c2_function_field(f):
-            for h in range(1, max(height, 5) + 1):
-                for vec in projective_points(f, form.n, h):
-                    if f.is_zero(form.evaluate(vec)):
-                        return isotropic_verdict(form, vec, "tsen-lang", h)
+            for h, vec in search.zeros(form, range(1, max(height, 5) + 1)):
+                return isotropic_verdict(form, vec, "tsen-lang", h)
             return unknown_verdict(height)
-        return bounded_search(form, height)
     return bounded_search(form, height)
 
 
@@ -782,7 +682,7 @@ class WittDecomposition:
         return self.radical_dim + self.hyperbolic_count
 
 
-def witt_decompose(form, height=DEFAULT_HEIGHT):
+def witt_decompose(form, height=search.DEFAULT_HEIGHT):
     """phi = rad  _|_  m x hyperbolic  _|_  anisotropic kernel, verified.
 
     Raises OracleIncomplete when the field's oracle cannot decide a step.
@@ -862,5 +762,5 @@ def _verify_witt(form, rad, pairs, kernel_basis, kernel_form):
                 raise InternalContradiction("Witt change of basis failed verification")
 
 
-def witt_index(form, height=DEFAULT_HEIGHT):
+def witt_index(form, height=search.DEFAULT_HEIGHT):
     return witt_decompose(form, height=height).witt_index

@@ -10,6 +10,7 @@ generator); split-algebra scalars are two-element lists.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from math import isqrt
 
 from .errors import AlgebraError, MalformedCertificate
@@ -17,19 +18,65 @@ from .etale import EtaleQuadratic, SplitAlgebra
 from .fields import (
     QQ,
     FiniteField,
+    QuadExtElem,
     QuadraticFieldExtension,
+    RatFuncElem,
     RationalField,
     RationalFunctionField,
 )
 from .forms import QuadraticForm
 
-# Hostile input must not stall the parser: x^N costs N multiplications, and
-# the order of a parsed F(q) bounds every enumeration over it.  Acceptance-
-# batch reports print exponents up to 5 and fields up to F(4).
+# Hostile input must not stall the parser: x^N costs N multiplications,
+# int() refuses more than 4300 digits, a product costs about the product of
+# its factors' sizes, a gcd over Q(t) grows steeply with the denominator
+# degree and the coefficient bits, and the order of a parsed F(q) bounds
+# every enumeration over it.  Acceptance-batch reports print exponents up
+# to 5, degrees up to 5, rationals of at most 11 bits and fields up to F(4).
 MAX_EXPONENT = 64
 MAX_FIELD_ORDER = 1 << 16
+MAX_DEGREE = 64
+MAX_DEN_DEGREE = 8
+MAX_BITS = 128
+MAX_DIGITS = 38  # 10^38 < 2^MAX_BITS
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[()+\-*/^])")
+
+
+def _int(tok):
+    if len(tok) > MAX_DIGITS:
+        raise AlgebraError("integer literal of %d digits exceeds %d" % (len(tok), MAX_DIGITS))
+    return int(tok)
+
+
+def _size(x):
+    """(numerator degree, denominator degree, bit length) of a parsed value."""
+    if isinstance(x, Fraction):
+        return 0, 0, max(x.numerator.bit_length(), x.denominator.bit_length())
+    if isinstance(x, RatFuncElem):
+        bits = max((_size(c)[2] for c in x.num.coeffs + x.den.coeffs), default=0)
+        return x.num.degree, x.den.degree, bits
+    if isinstance(x, QuadExtElem):
+        return tuple(map(max, _size(x.a), _size(x.b)))
+    return 0, 0, 0  # finite-field elements have a fixed size
+
+
+def _check_bound(op, x, y):
+    """Refuse x op y (op in "+-*/") when a bound on the result's size passes a cap."""
+    (nx, dx, bx), (ny, dy, by) = _size(x), _size(y)
+    if op == "/":
+        ny, dy = dy, ny
+    if op in "+-":
+        _within_caps(max(nx + dy, ny + dx), dx + dy, max(bx, by) + 1)
+    else:
+        _within_caps(nx + ny, dx + dy, bx + by)
+
+
+def _within_caps(num_degree, den_degree, bits):
+    if num_degree > MAX_DEGREE or den_degree > MAX_DEN_DEGREE or bits > MAX_BITS:
+        raise AlgebraError(
+            "expression too large: degrees %d/%d, %d bits (caps %d/%d, %d)"
+            % (num_degree, den_degree, bits, MAX_DEGREE, MAX_DEN_DEGREE, MAX_BITS)
+        )
 
 
 def _tokenize(text):
@@ -71,6 +118,7 @@ class _ExprParser:
         while self.peek() in ("+", "-"):
             op = self.take()
             rhs = self.term()
+            _check_bound(op, val, rhs)
             val = val + rhs if op == "+" else val - rhs
         return val
 
@@ -79,6 +127,7 @@ class _ExprParser:
         while self.peek() in ("*", "/"):
             op = self.take()
             rhs = self.factor()
+            _check_bound(op, val, rhs)
             val = val * rhs if op == "*" else val / rhs
         return val
 
@@ -90,13 +139,15 @@ class _ExprParser:
         val = self.atom()
         if self.peek() == "^":
             self.take()
-            e = self.take()
-            if not e or not e.isdigit():
+            tok = self.take()
+            if not tok or not tok.isdigit():
                 raise AlgebraError("exponent must be a nonnegative integer")
-            if int(e) > MAX_EXPONENT:
-                raise AlgebraError("exponent %s exceeds %d" % (e, MAX_EXPONENT))
+            e = _int(tok)
+            if e > MAX_EXPONENT:
+                raise AlgebraError("exponent %d exceeds %d" % (e, MAX_EXPONENT))
+            _within_caps(*(e * s for s in _size(val)))
             out = self.field.one()
-            for _ in range(int(e)):
+            for _ in range(e):
                 out = out * val
             val = out
         return -val if neg else val
@@ -111,7 +162,7 @@ class _ExprParser:
                 raise AlgebraError("missing closing parenthesis")
             return val
         if tok.isdigit():
-            return self.field.from_int(int(tok))
+            return self.field.from_int(_int(tok))
         if tok in self.variables:
             return self.variables[tok]
         raise AlgebraError("unknown symbol %r" % tok)
@@ -208,7 +259,7 @@ def parse_field(spec):
         return QQ
     m = _FQ.match(spec)
     if m:
-        q = int(m.group(1))
+        q = _int(m.group(1))
         p, k = _prime_power(q)
         return FiniteField(p, k)
     if spec.startswith("F(") and ":" in spec:
@@ -216,7 +267,7 @@ def parse_field(spec):
         m = _FQ.match(head)
         if not m:
             raise AlgebraError("bad finite-field spec %r" % spec)
-        q = int(m.group(1))
+        q = _int(m.group(1))
         p, k = _prime_power(q)
         reduction = _parse_monic_poly(FiniteField(p), modulus, "w", k)
         return FiniteField(p, k, reduction=tuple((-c.coeffs[0]) % p for c in reduction))

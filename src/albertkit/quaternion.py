@@ -21,8 +21,9 @@ from .errors import (
     ZeroParameter,
 )
 from .etale import SplitAlgebra
-from .forms import QuadraticForm, scalar_candidates, solve_polar_equal_one
+from .forms import QuadraticForm, solve_polar_equal_one
 from .isotropy import isotropy
+from .search import DEFAULT_HEIGHT, SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
 
 BASIS_NAMES = ("1", "e", "z", "ez")
 
@@ -276,7 +277,7 @@ class SplitVerdict:
         return self.status != "unknown"
 
 
-def is_split(Q, height=12):
+def is_split(Q, height=DEFAULT_HEIGHT):
     """Split test: the norm form is isotropic iff the algebra is split.
 
     An isotropy witness is converted to an explicit zero divisor.
@@ -330,7 +331,6 @@ def _k_independent(Q, ext, x):
     if ext.kind == "field":
         return not x.is_scalar()
     # split: componentwise independence of (1, x_i)
-    d = Q.domain
     comp1 = [c.a for c in x.coords]
     comp2 = [c.b for c in x.coords]
     base = ext.base
@@ -340,34 +340,22 @@ def _k_independent(Q, ext, x):
 
 
 def find_disjoint_quadratic_subalgebra(
-    Q, ext, etale_required=True, height=4, max_candidates=200000, albert=None
+    Q, ext, etale_required=True, height=4, max_candidates=SUBALGEBRA_CANDIDATES
 ):
     """Search for a quadratic F-subalgebra of Q linearly disjoint from K.
 
-    Tries Albert-form-derived candidates first when the Albert data is
-    supplied, then a bounded-height coordinate search.  Returns the witness
-    element or raises BudgetExhausted (a semi-decision, not a proof).
+    A bounded-height coordinate search.  Returns the witness element or
+    raises BudgetExhausted (a semi-decision, not a proof) whose `searched`
+    counts the candidates drawn, the one over the limit included.
     """
-    if albert is not None:
-        from .corestriction import cor_is_division, isotropic_to_generator
-
-        div = cor_is_division(albert, height=height)
-        if div.not_division:
-            gen = isotropic_to_generator(albert, div.witness_coords, height=height)
-            x = gen.kappa_y
-            validate_disjoint_witness(Q, ext, x, etale_required)
-            return x
-    searched = 0
-    for x in _candidate_elements(Q, ext, height):
-        searched += 1
-        if searched > max_candidates:
-            break
+    budget = Budget(max_candidates)
+    for x in budget.take(_candidate_elements(Q, ext, height)):
         try:
             validate_disjoint_witness(Q, ext, x, etale_required)
             return x
         except InvalidWitness:
             continue
-    raise BudgetExhausted("no disjoint quadratic subalgebra found", searched=searched)
+    raise BudgetExhausted("no disjoint quadratic subalgebra found", searched=budget.spent)
 
 
 def _candidate_elements(Q, ext, height):
@@ -383,7 +371,7 @@ def _candidate_elements(Q, ext, height):
             yield Q.element(coords)
 
 
-def embed_quadratic_algebra(Q, p, q, height=12, max_candidates=50000):
+def embed_quadratic_algebra(Q, p, q, height=DEFAULT_HEIGHT):
     """Find x in Q with Trd(x) = p and Nrd(x) = q (p, q in the domain field).
 
     The trace condition is linear; eliminating it leaves a three-variable
@@ -468,7 +456,6 @@ def embed_quadratic_algebra(Q, p, q, height=12, max_candidates=50000):
 def _move_off_hyperplane(psi, u):
     """From an isotropic u with last coordinate 0, reach one with y != 0."""
     d = psi.field
-    row = None
     v = solve_polar_equal_one(psi, u)
     if v is None:
         return None

@@ -1,0 +1,196 @@
+"""Candidate streams and search budgets.
+
+Every bounded search draws its candidates from a stream defined here and
+stops at a limit defined here: a "yes" verdict carries a witness that one
+of these streams produced, and an "unknown" verdict means one of these
+bounds ran out.  The streams are deterministic, so witnesses and reported
+`searched` counts are reproducible.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from math import gcd
+
+from .errors import AlgebraError
+from .fields import QuadraticFieldExtension, RationalField, RationalFunctionField
+
+DEFAULT_HEIGHT = 12  # height bound of the isotropy oracles, the harness and the CLI
+WITNESS_HEIGHT_CAP = 10000  # hasse_minkowski proves isotropy first: reaching this is a bug
+SCAN_POINTS = 300000  # F_q(t) scans go on to height 2 while q^(2n) is at most this
+# char2_isotropic_stream: degree bound of the values fixed on the other
+# blocks, and the assignments tried per block
+CHAR2_TAIL_HEIGHT = 1
+CHAR2_TAILS = 1500
+# isotropic_to_generator: search height, candidates tried, range of the
+# kappa-line shifts, and draws from the complement of the hyperbolic plane
+GENERATOR_HEIGHT = 6
+GENERATOR_CANDIDATES = 20000
+GENERATOR_SHIFTS = 6
+COMPLEMENT_DRAWS = 20000
+SUBALGEBRA_CANDIDATES = 200000  # find_disjoint_quadratic_subalgebra's default budget
+HARNESS_SUBALGEBRA_CANDIDATES = 3000  # and the harness's
+EMBEDDING_CANDIDATES = 200000  # isometric_embedding: columns tried over the whole search
+
+
+class Budget:
+    """A limit on the candidates one search draws, shared by the streams it takes.
+
+    `spent` counts every draw, the one that crosses `limit` included: a
+    search stopped by its limit has spent `limit + 1`, and one whose stream
+    ran dry first has spent the stream's length.
+    """
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.spent = 0
+
+    @property
+    def exhausted(self):
+        return self.spent > self.limit
+
+    def take(self, stream):
+        """The items of `stream`, until a draw takes `spent` past `limit`."""
+        if self.exhausted:
+            return
+        for item in stream:
+            self.spent += 1
+            if self.spent > self.limit:
+                return
+            yield item
+
+
+def centered_ints(h):
+    """0, 1, -1, 2, -2, ..., h, -h."""
+    return [0] + [s * v for v in range(1, h + 1) for s in (1, -1)]
+
+
+def primitive_int_vectors(n, h):
+    """Primitive integer vectors of sup-norm exactly h, echelon-ordered.
+
+    Enumeration: first nonzero coordinate position ascending, leading value
+    positive, remaining coordinates in centered (0, 1, -1, ...) order; only
+    vectors new at height h are produced.
+    """
+    tail_pool = centered_ints(h)
+    for k in range(n):
+        for lead in range(1, h + 1):
+            for tail in itertools.product(tail_pool, repeat=n - k - 1):
+                vec = (0,) * k + (lead,) + tail
+                if max(abs(c) for c in vec) == h and gcd(*vec) == 1:
+                    yield vec
+
+
+def polys(field, coeffs, maxdeg, height=None):
+    """Polynomials of degree <= maxdeg with coefficients from `coeffs`, each once.
+
+    Ordered by degree, then in product order (constant term first), so 0
+    comes where it falls among the constants.  With `height`, only those
+    whose largest |coefficient| is `height`.
+    """
+    for d in range(maxdeg + 1):
+        for c in itertools.product(coeffs, repeat=d + 1):
+            if (d == 0 or c[-1]) and (height is None or max(map(abs, c)) == height):
+                yield field.poly_elem(c)
+
+
+def scalar_candidates(field, height):
+    """Deterministic small-first stream of field scalars for searches.
+
+    Exhaustive for enumerable fields; height-graded otherwise, with 0 first.
+    """
+    if field.enumerable:
+        yield from field.elements()
+        return
+    if isinstance(field, RationalField):
+        yield field.zero()
+        for h in range(1, height + 1):
+            for den in range(1, h + 1):
+                for num in centered_ints(h):
+                    fr = Fraction(num, den)
+                    if fr != 0 and max(abs(fr.numerator), fr.denominator) == h:
+                        yield fr
+        return
+    if isinstance(field, QuadraticFieldExtension):
+        yield field.zero()
+        for h in range(1, height + 1):
+            for a in centered_ints(h):
+                for b in centered_ints(h):
+                    if max(abs(a), abs(b)) == h:
+                        yield field.from_pair(a, b)
+        return
+    if isinstance(field, RationalFunctionField):
+        yield field.zero()
+        if field.base.enumerable:
+            yield from (p for p in polys(field, list(field.base.elements()), height) if p)
+        else:
+            for h in range(1, height + 1):
+                yield from polys(field, range(-h, h + 1), min(2, h - 1), height=h)
+        return
+    raise AlgebraError("no scalar candidates for %s" % field.name)
+
+
+def projective_points(field, n, h):
+    """Projective candidate vectors that are new at height h."""
+    if field.enumerable:
+        if h != 1:
+            return
+        elems = list(field.elements())
+        one = field.one()
+        zero = field.zero()
+        for k in range(n):
+            for tail in itertools.product(elems, repeat=n - k - 1):
+                yield (zero,) * k + (one,) + tail
+        return
+    if isinstance(field, RationalField):
+        for vec in primitive_int_vectors(n, h):
+            yield tuple(Fraction(c) for c in vec)
+        return
+    if isinstance(field, RationalFunctionField):
+        zero = field.zero()
+        if field.base.enumerable:
+            # polynomials of degree < h; vectors reaching degree h - 1 are new
+            deg = h - 1
+            pool = list(polys(field, list(field.base.elements()), deg))
+            for vec in itertools.product(pool + [zero], repeat=n):
+                if all(v == zero for v in vec):
+                    continue
+                if max((v.num.degree for v in vec if v != zero), default=-1) != deg:
+                    continue
+                yield vec
+            return
+        # integer-coefficient polynomials over Q(t), low degree: a vector is
+        # new when some entry has coefficient height exactly h
+        maxdeg = min(2, h - 1)
+        top = list(polys(field, range(-h, h + 1), maxdeg, height=h))
+        small = list(polys(field, range(1 - h, h), maxdeg))
+        for vec in itertools.product(top + small, repeat=n):
+            if all(not v for v in vec):
+                continue
+            if not any(p in top for p in vec):
+                continue
+            yield vec
+        return
+    if isinstance(field, QuadraticFieldExtension):
+        # coordinates a + b w, with (a, b) pairs of a base candidate
+        for vec in projective_points(field.base, 2 * n, h):
+            yield tuple(field.from_pair(vec[2 * i], vec[2 * i + 1]) for i in range(n))
+        return
+    raise AlgebraError("no candidate enumeration for %s" % field.name)
+
+
+def scan_heights(field, n):
+    """Heights of the low-degree scans of an n-dimensional form over F_q(t)."""
+    return (1, 2) if field.base.order ** (2 * n) <= SCAN_POINTS else (1,)
+
+
+def zeros(form, heights):
+    """(h, v) for every projective candidate v of height h with form(v) = 0."""
+    f = form.field
+    for h in heights:
+        for vec in projective_points(f, form.n, h):
+            if f.is_zero(form.evaluate(vec)):
+                yield h, vec

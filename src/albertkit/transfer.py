@@ -15,6 +15,7 @@ from . import linalg
 from .errors import AlgebraError, InternalContradiction, SplitK
 from .forms import QuadraticForm, isotropic_spanning_set
 from .isotropy import isotropy, witt_decompose
+from .search import DEFAULT_HEIGHT
 
 
 def transfer(ext, phi):
@@ -58,7 +59,7 @@ class DescentResult:
     steps: list = dc_field(default_factory=list)
 
 
-def descend(ext, phi, height=12):
+def descend(ext, phi, height=DEFAULT_HEIGHT):
     """Extract psi over F with dim psi = i0(s_* phi) and psi_K inside phi.
 
     Follows the inductive proof: strip the anisotropic part, split a
@@ -211,7 +212,7 @@ def _verify_descent(ext, phi, result):
         raise InternalContradiction("embedding is not injective")
 
 
-def remark1_check(ext, phi, height=12):
+def remark1_check(ext, phi, height=DEFAULT_HEIGHT):
     """When s_* phi is hyperbolic, phi is defined over F: check it.
 
     Runs the descent, asserts dim psi = dim phi with a bijective embedding,

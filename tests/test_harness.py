@@ -22,6 +22,9 @@ from albertkit import (
 )
 from albertkit.harness import FAMILIES, report_json_bytes
 from albertkit.jsonio import (
+    MAX_DEGREE,
+    MAX_DEN_DEGREE,
+    MAX_DIGITS,
     MAX_EXPONENT,
     MAX_FIELD_ORDER,
     extension_to_spec,
@@ -150,6 +153,54 @@ def test_hostile_exponent_is_rejected_quickly():
     assert parse_element(F2t, "t^%d" % MAX_EXPONENT).num.degree == MAX_EXPONENT
     with pytest.raises(AlgebraError):
         parse_element(F2t, "t^%d" % (MAX_EXPONENT + 1))
+
+
+def test_hostile_nested_power_is_rejected_quickly():
+    # each exponent is capped, but a power of a power or a long product grows
+    # quadratically in cost: ((1+t)^64)^8 alone took 0.6 s over Q(t) uncapped
+    doc = check_equivalence(generate_instance("char2-function-field", 0)).to_json()
+    start = time.perf_counter()
+    assert verify_certificate(doc)
+    genuine = time.perf_counter() - start
+    for hostile in ("((1+t)^64)^64", "*".join(["(1+t)"] * 2000)):
+        bad = copy.deepcopy(doc)
+        bad["cond_iii_not_division"]["witness"][4] = hostile
+        start = time.perf_counter()
+        assert not verify_certificate(bad)
+        assert time.perf_counter() - start < genuine + 1.0
+    Qt = parse_field("Q(t)")
+    hostile = (
+        "((1+t)^64)^64",
+        "*".join(["(1+t)"] * 2000),
+        "*".join("(t/(t+%d))" % k for k in range(1, 300)),  # a gcd at every step
+        "+".join("1/(t+%d)" % k for k in range(1, 300)),
+        "((" + "9" * MAX_DIGITS + ")^8)^8",
+    )
+    start = time.perf_counter()
+    for text in hostile:
+        with pytest.raises(AlgebraError):
+            parse_element(Qt, text)
+    assert time.perf_counter() - start < genuine + 1.0
+    assert parse_element(Qt, "(1+t)^%d" % MAX_DEGREE).num.degree == MAX_DEGREE
+    with pytest.raises(AlgebraError):
+        parse_element(Qt, "(1+t)^%d*t" % MAX_DEGREE)
+    chain = "*".join("(t/(t+%d))" % k for k in range(1, MAX_DEN_DEGREE + 1))
+    assert parse_element(Qt, chain).den.degree == MAX_DEN_DEGREE
+
+
+def test_long_integer_is_rejected_quickly():
+    # int() raises ValueError above 4300 digits; it must not escape the verifier
+    doc = check_equivalence(generate_instance("split-K-over-Q", 0)).to_json()
+    for key, value in (("F", "F(" + "9" * 5000 + ")"), ("Q", dict(doc["instance"]["Q"], a="9" * 5000))):
+        bad = copy.deepcopy(doc)
+        bad["instance"][key] = value
+        start = time.perf_counter()
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+        assert time.perf_counter() - start < 1.0
+    assert parse_element(QQ, "9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+    with pytest.raises(AlgebraError):
+        parse_element(QQ, "9" * (MAX_DIGITS + 1))
 
 
 def test_large_field_spec_is_rejected_quickly():

@@ -1,0 +1,41 @@
+"""Search budgets: `searched` counts every candidate drawn."""
+
+import pytest
+
+from albertkit import QQ, BudgetExhausted, QuadraticForm
+from albertkit.forms import isometric_embedding
+from albertkit.harness import generate_instance
+from albertkit.quaternion import _candidate_elements, find_disjoint_quadratic_subalgebra
+from albertkit.search import Budget
+
+
+def test_budget_counts_the_draw_that_crosses_the_limit():
+    budget = Budget(3)
+    assert list(budget.take(iter(range(10)))) == [0, 1, 2]
+    assert budget.spent == 4 and budget.exhausted
+    assert list(budget.take(iter(range(10)))) == []  # a spent budget draws nothing more
+    assert budget.spent == 4
+    budget = Budget(5)
+    assert list(budget.take(range(2))) + list(budget.take(range(3))) == [0, 1, 0, 1, 2]
+    assert budget.spent == 5 and not budget.exhausted  # the streams ran dry exactly at the limit
+
+
+def test_subalgebra_search_reports_its_draws():
+    # Cor is a division algebra here, so no candidate is a witness
+    _, ext, Q = generate_instance("split-K-over-Qt", 17).build()
+    for n in (0, 1, 50):
+        with pytest.raises(BudgetExhausted) as exc:
+            find_disjoint_quadratic_subalgebra(Q, ext, etale_required=False, height=1, max_candidates=n)
+        assert exc.value.searched == n + 1
+    length = sum(1 for _ in _candidate_elements(Q, ext, 1))
+    with pytest.raises(BudgetExhausted) as exc:
+        find_disjoint_quadratic_subalgebra(Q, ext, etale_required=False, height=1, max_candidates=length)
+    assert exc.value.searched == length == 3**8
+
+
+def test_embedding_search_reports_its_draws():
+    # <1> does not embed in <-1> over Q; height 1 offers the columns 0, 1, -1
+    one, minus_one = QuadraticForm.diagonal(QQ, [1]), QuadraticForm.diagonal(QQ, [-1])
+    with pytest.raises(BudgetExhausted) as exc:
+        isometric_embedding(one, minus_one, height=1)
+    assert exc.value.searched == 3
