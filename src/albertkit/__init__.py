@@ -64,14 +64,12 @@ from .corestriction import (
     TensorSquareAlgebra,
     albert_form,
     build_corestriction,
-    conjugate_algebra,
     cor_is_division,
     f_map_check,
     f_matrix,
     generator_to_isotropic,
     isotropic_to_generator,
     split_projection_iso,
-    switch_map,
     tensor_product_algebra,
     v_space_basis,
     vs_space,

@@ -7,6 +7,11 @@ corestriction is its fixed F-algebra (16-dimensional).  A distinguished
 carries the quadratic form kappa * (gamma(Nrd y) - Nrd y), and the map
 xi -> [[0, kappa (sigma(x)1)(xi)], [xi, 0]] squares to that form, giving a
 checkable zero-divisor certificate whenever the form is isotropic.
+
+The tensor square (over K), the corestriction and Q1 (x) Q2 (over F) are
+all StructureAlgebra: structure constants with TensorElem elements.  The
+tensor square builds Cor, V^s and f and carries the nilpotent certificate;
+the audits of f and of the Clifford map compute in M_2(Cor) over F.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .quaternion import QuaternionAlgebra, validate_disjoint_witness
 
 
 class TensorElem:
-    """Element of (conjugate Q) tensor_K Q, 16 coordinates over K."""
+    """Element of a StructureAlgebra: 16 coordinates over its scalar ring."""
 
     __slots__ = ("algebra", "coords")
 
@@ -56,15 +61,15 @@ class TensorElem:
     def __mul__(self, other):
         other = self._check(other)
         alg = self.algebra
-        K = alg.K
-        table = alg.table
-        acc = [K.zero()] * 16
+        R = alg.ring
+        structure = alg.structure
+        acc = [R.zero()] * 16
         for i, a in enumerate(self.coords):
-            if K.is_zero(a):
+            if R.is_zero(a):
                 continue
-            row = table[i]
+            row = structure[i]
             for j, b in enumerate(other.coords):
-                if K.is_zero(b):
+                if R.is_zero(b):
                     continue
                 ab = a * b
                 for m, c in row[j]:
@@ -72,12 +77,12 @@ class TensorElem:
         return TensorElem(alg, tuple(acc))
 
     def scalar_mul(self, lam):
-        lam = self.algebra.K.coerce(lam)
+        lam = self.algebra.ring.coerce(lam)
         return TensorElem(self.algebra, tuple(lam * c for c in self.coords))
 
     def is_zero(self):
-        K = self.algebra.K
-        return all(K.is_zero(c) for c in self.coords)
+        R = self.algebra.ring
+        return all(R.is_zero(c) for c in self.coords)
 
     def __eq__(self, other):
         return (
@@ -90,50 +95,89 @@ class TensorElem:
         return hash(self.coords)
 
     def __repr__(self):
-        K = self.algebra.K
+        R = self.algebra.ring
         parts = []
         for idx, c in enumerate(self.coords):
-            if K.is_zero(c):
-                continue
-            i, j = divmod(idx, 4)
-            parts.append("(%s)g%s(x)%s" % (K.format_element(c), i, j))
+            if not R.is_zero(c):
+                parts.append("(%s)%s" % (R.format_element(c), self.algebra.basis_name(idx)))
         return " + ".join(parts) if parts else "0"
 
 
-class TensorSquareAlgebra:
+def _tensor_table(ring, table1, table2, twist=None):
+    """Structure constants of A (x) B on the basis e_{4i+j} = a_i (x) b_j.
+
+    a_i a_k = sum_m table1[i][k][m] a_m and likewise for B; `twist` maps the
+    constants of the first factor (gamma, for the conjugate factor of the
+    tensor square).  Entry [4i+j][4k+l] lists the nonzero (4m+n, c) terms.
+    """
+    table = []
+    for idx1 in range(16):
+        i, j = divmod(idx1, 4)
+        row = []
+        for idx2 in range(16):
+            k, l = divmod(idx2, 4)
+            entries = []
+            first = table1[i][k]
+            second = table2[j][l]
+            for m in range(4):
+                c1 = first[m] if twist is None else twist(first[m])
+                if ring.is_zero(c1):
+                    continue
+                for n in range(4):
+                    c2 = second[n]
+                    if not ring.is_zero(c2):
+                        entries.append((4 * m + n, c1 * c2))
+            row.append(tuple(entries))
+        table.append(tuple(row))
+    return tuple(table)
+
+
+class StructureAlgebra:
+    """A 16-dimensional algebra by sparse structure constants over `ring`.
+
+    structure[i][j] lists the (m, c) with e_i e_j = sum c e_m; elements are
+    TensorElem, whose product is the one product of every such algebra.
+    """
+
+    dim = 16
+
+    def __init__(self, ring, structure, unit_coords):
+        self.ring = ring
+        self.structure = structure
+        self.unit_coords = unit_coords
+
+    def elem(self, coords):
+        return TensorElem(self, tuple(self.ring.coerce(c) for c in coords))
+
+    def zero(self):
+        return self.elem([self.ring.zero()] * 16)
+
+    def one(self):
+        return self.elem(self.unit_coords)
+
+    def scalar(self, lam):
+        return self.one().scalar_mul(lam)
+
+    def from_base(self, c):
+        """A value of the base field F as a scalar of the ring."""
+        return self.ring.coerce(c)
+
+    def basis_name(self, idx):
+        return "e%d" % idx
+
+
+class TensorSquareAlgebra(StructureAlgebra):
     """(conjugate Q) tensor_K Q with switch map and first-factor involution."""
 
     def __init__(self, ext, Q):
         if Q.domain != ext.ring:
             raise AlgebraError("quaternion algebra is not defined over the extension")
+        K = Q.domain
+        unit = [K.zero()] * 16
+        unit[0] = K.one()
+        super().__init__(K, _tensor_table(K, Q.table, Q.table, ext.gamma), tuple(unit))
         self.ext = ext
         self.Q = Q
-        self.K = Q.domain
-        self.F = ext.base
-        q_table = Q.table  # q_i q_k = sum_m q_table[i][k][m] q_m
-        K = self.K
-        gamma = ext.gamma
-        table = []
-        for idx1 in range(16):
-            i, j = divmod(idx1, 4)
-            row = []
-            for idx2 in range(16):
-                k, l = divmod(idx2, 4)
-                entries = []
-                first = q_table[i][k]
-                second = q_table[j][l]
-                for m in range(4):
-                    gc = gamma(first[m])
-                    if K.is_zero(gc):
-                        continue
-                    for n in range(4):
-                        d = second[n]
-                        if K.is_zero(d):
-                            continue
-                        entries.append((4 * m + n, gc * d))
-                row.append(tuple(entries))
-            table.append(tuple(row))
-        self.table = tuple(table)
         # sigma on the first factor, as gamma'd coordinate rows
         sig = []
         for i in range(4):
@@ -142,20 +186,15 @@ class TensorSquareAlgebra:
             sig.append(Q.element(tuple(coords)).conjugate().coords)
         self._sigma_rows = tuple(sig)
 
-    def elem(self, coords):
-        return TensorElem(self, tuple(self.K.coerce(c) for c in coords))
+    def from_base(self, c):
+        return self.ring.from_base(c)
 
-    def zero(self):
-        return self.elem([self.K.zero()] * 16)
-
-    def one(self):
-        coords = [self.K.zero()] * 16
-        coords[0] = self.K.one()
-        return self.elem(coords)
+    def basis_name(self, idx):
+        return "g%s(x)%s" % divmod(idx, 4)
 
     def gx_tensor(self, x, y):
         """The pure tensor (conjugate x) (x) y."""
-        K = self.K
+        K = self.ring
         gamma = self.ext.gamma
         coords = [K.zero()] * 16
         for i in range(4):
@@ -169,7 +208,7 @@ class TensorSquareAlgebra:
 
     def switch(self, elem):
         """s(gamma(x) (x) y) = gamma(y) (x) x, extended gamma-semilinearly."""
-        K = self.K
+        K = self.ring
         gamma = self.ext.gamma
         coords = [K.zero()] * 16
         for idx, c in enumerate(elem.coords):
@@ -181,7 +220,7 @@ class TensorSquareAlgebra:
 
     def sigma_first(self, elem):
         """(sigma (x) id): conjugate the first tensor factor."""
-        K = self.K
+        K = self.ring
         gamma = self.ext.gamma
         coords = [K.zero()] * 16
         for idx, c in enumerate(elem.coords):
@@ -195,9 +234,6 @@ class TensorSquareAlgebra:
                     coords[4 * m + j] = coords[4 * m + j] + gamma(s) * c
         return self.elem(coords)
 
-    def scalar(self, value_in_K):
-        return self.one().scalar_mul(value_in_K)
-
     def realify(self, elem):
         return self.ext.realify_vec(elem.coords)
 
@@ -208,38 +244,6 @@ class TensorSquareAlgebra:
         """gamma(y) (x) 1 + 1 (x) y for a quaternion element y."""
         one = self.Q.one()
         return self.gx_tensor(y, one) + self.gx_tensor(one, y)
-
-
-class ConjugateAlgebra:
-    """The conjugate quaternion algebra with its twisted scalar action.
-
-    Elements are the same coordinate vectors as in Q; multiplication is
-    inherited, but scalars act through gamma: lam . x = gamma(lam) * x.
-    """
-
-    def __init__(self, ext, Q):
-        if Q.domain != ext.ring:
-            raise AlgebraError("quaternion algebra is not defined over the extension")
-        self.ext = ext
-        self.Q = Q
-
-    def mul(self, x, y):
-        return x * y
-
-    def add(self, x, y):
-        return x + y
-
-    def scalar(self, lam, x):
-        return x.scale(self.ext.gamma(lam))
-
-
-def conjugate_algebra(ext, Q):
-    return ConjugateAlgebra(ext, Q)
-
-
-def switch_map(tensor, xi):
-    """The gamma-semilinear switch on the tensor square."""
-    return tensor.switch(xi)
 
 
 def v_space_basis(ext, Q, tensor=None):
@@ -271,13 +275,9 @@ def v_space_basis(ext, Q, tensor=None):
         x2 = Q.element(tuple(vec[4:]))
         img = tensor.gx_tensor(x1, Q.one()) - tensor.gx_tensor(Q.one(), x2)
         images.append(img)
-    basis = []
-    rows_acc = []
-    for img in images:
-        cand = rows_acc + [list(img.coords)]
-        if linalg.rank(cand, K, 16) > len(rows_acc):
-            rows_acc.append(list(img.coords))
-            basis.append(img)
+    chosen = linalg.independent_indices([img.coords for img in images], K, 16)
+    basis = [images[i] for i in chosen]
+    rows_acc = [list(img.coords) for img in basis]
     if len(basis) != 6:
         raise InternalContradiction("V has K-dimension %d" % len(basis))
     for img in basis:
@@ -287,7 +287,7 @@ def v_space_basis(ext, Q, tensor=None):
     return basis
 
 
-class CorestrictionAlgebra:
+class CorestrictionAlgebra(StructureAlgebra):
     """16-dimensional F-algebra by structure constants.
 
     Built either as the switch-fixed subalgebra of the tensor square or,
@@ -295,48 +295,23 @@ class CorestrictionAlgebra:
     """
 
     def __init__(self, field, structure, unit_coords, basis=None, tensor=None, label=""):
-        self.field = field
-        self.dim = 16
-        self.structure = structure
-        self.unit_coords = unit_coords
+        super().__init__(field, structure, unit_coords)
         self.basis = basis
         self.tensor = tensor
         self.label = label
         self._basis_matrix = None
 
-    def mul_coords(self, x, y):
-        F = self.field
-        acc = [F.zero()] * 16
-        for i, a in enumerate(x):
-            if F.is_zero(a):
-                continue
-            row = self.structure[i]
-            for j, b in enumerate(y):
-                if F.is_zero(b):
-                    continue
-                ab = a * b
-                for m, c in row[j]:
-                    acc[m] = acc[m] + ab * c
-        return tuple(acc)
-
     def express(self, elem):
         """Coordinates of a tensor element in the fixed basis, or None."""
         if self.basis is None or self.tensor is None:
             raise AlgebraError("no tensor model attached")
-        F = self.field
+        F = self.ring
         if self._basis_matrix is None:
             cols = [self.tensor.realify(b) for b in self.basis]
             rows = [tuple(cols[c][r] for c in range(16)) for r in range(len(cols[0]))]
             # pick 16 independent rows once and invert that square block
-            chosen = []
-            chosen_idx = []
-            for idx, row in enumerate(rows):
-                if linalg.rank(chosen + [list(row)], F, 16) > len(chosen):
-                    chosen.append(list(row))
-                    chosen_idx.append(idx)
-                if len(chosen) == 16:
-                    break
-            inv = linalg.invert(chosen, F)
+            chosen_idx = linalg.independent_indices(rows, F, 16)
+            inv = linalg.invert([rows[i] for i in chosen_idx], F)
             self._basis_matrix = (rows, chosen_idx, inv)
         rows, chosen_idx, inv = self._basis_matrix
         target = self.tensor.realify(elem)
@@ -402,25 +377,8 @@ def tensor_product_algebra(Q1, Q2):
     if Q1.domain != Q2.domain:
         raise AlgebraError("tensor factors over different fields")
     F = Q1.domain
-    structure = []
-    for idx1 in range(16):
-        i, j = divmod(idx1, 4)
-        row = []
-        for idx2 in range(16):
-            k, l = divmod(idx2, 4)
-            entries = []
-            for m in range(4):
-                c1 = Q1.table[i][k][m]
-                if F.is_zero(c1):
-                    continue
-                for n in range(4):
-                    c2 = Q2.table[j][l][n]
-                    if not F.is_zero(c2):
-                        entries.append((4 * m + n, c1 * c2))
-            row.append(tuple(entries))
-        structure.append(tuple(row))
     unit = tuple(F.one() if i == 0 else F.zero() for i in range(16))
-    return CorestrictionAlgebra(F, tuple(structure), unit, label="tensor-product")
+    return CorestrictionAlgebra(F, _tensor_table(F, Q1.table, Q2.table), unit, label="tensor-product")
 
 
 def split_projection_iso(ext, cor, Q1, Q2):
@@ -436,18 +394,14 @@ def split_projection_iso(ext, cor, Q1, Q2):
     images = [tuple(c.b for c in b.coords) for b in cor.basis]
     if linalg.rank(list(images), F, 16) != 16:
         raise InternalContradiction("projection is not bijective")
+    units = [cor.elem(F.one() if i == r else F.zero() for i in range(16)) for r in range(16)]
     for r in range(16):
         for s in range(16):
-            prod = cor.mul_coords(_unit16(F, r), _unit16(F, s))
-            lhs = linalg.combine(prod, images, F, 16)
-            rhs = direct.mul_coords(images[r], images[s])
+            lhs = linalg.combine((units[r] * units[s]).coords, images, F, 16)
+            rhs = (direct.elem(images[r]) * direct.elem(images[s])).coords
             if lhs != rhs:
                 raise InternalContradiction("projection fails multiplicativity")
     return direct, images
-
-
-def _unit16(F, r):
-    return tuple(F.one() if i == r else F.zero() for i in range(16))
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +424,7 @@ class AlbertData:
         out = self.tensor.zero()
         for c, xi in zip(coords, self.xi_basis):
             if not F.is_zero(c):
-                out = out + xi.scalar_mul(self.tensor.K.from_base(c))
+                out = out + xi.scalar_mul(self.tensor.from_base(c))
         return out
 
     def y_from_coords(self, coords):
@@ -588,7 +542,7 @@ def albert_form(ext, Q, tensor=None):
 
 
 # ---------------------------------------------------------------------------
-# the f map into M_2 of the tensor square
+# the f map into M_2 of the tensor square and into M_2(Cor)
 # ---------------------------------------------------------------------------
 
 
@@ -600,12 +554,12 @@ def f_matrix(ad, xi):
     return ((zero, eta), (xi, zero))
 
 
-def m2_mul(tensor, A, B):
+def m2_mul(alg, A, B):
     out = []
     for i in range(2):
         row = []
         for j in range(2):
-            acc = tensor.zero()
+            acc = alg.zero()
             for k in range(2):
                 a, b = A[i][k], B[k][j]
                 if a.is_zero() or b.is_zero():
@@ -616,8 +570,8 @@ def m2_mul(tensor, A, B):
     return tuple(out)
 
 
-def m2_equals_scalar(tensor, M, value_in_F):
-    scal = tensor.scalar(tensor.K.from_base(value_in_F))
+def m2_equals_scalar(alg, M, value_in_F):
+    scal = alg.scalar(alg.from_base(value_in_F))
     return (
         (M[0][0] - scal).is_zero()
         and (M[1][1] - scal).is_zero()
@@ -626,33 +580,71 @@ def m2_equals_scalar(tensor, M, value_in_F):
     )
 
 
-def f_map_check(ad, cor=None, n_random=100, seed=20210513):
-    """Verify f(xi)^2 = phi(xi) on the basis and on random combinations.
+def nilpotent_image(ad, coords):
+    """f(xi) of the Albert vector `coords`, checked nonzero with square zero.
 
-    Also checks that both matrix entries lie in the fixed algebra when a
-    corestriction model is supplied.  Raises IdentityFails on violation.
+    This is the zero-divisor certificate of an isotropic vector; raises
+    InvalidWitness when f(xi) is zero or its square is not.
+    """
+    M = f_matrix(ad, ad.xi_from_coords(coords))
+    if M[0][1].is_zero() and M[1][0].is_zero():
+        raise InvalidWitness("nilpotent certificate is zero")
+    sq = m2_mul(ad.tensor, M, M)
+    if not all(e.is_zero() for row in sq for e in row):
+        raise InvalidWitness("certificate is not nilpotent")
+    return M
+
+
+def cor_f_basis(ad, cor):
+    """The six f(xi_i) of the V^s basis as matrices over Cor, or None.
+
+    Expressing the entries xi_i and kappa (sigma (x) id)(xi_i) in Cor's fixed
+    basis is the check that f maps V^s into M_2(Cor): None when one lies
+    outside Cor.  Every product of f images then lies in M_2(Cor) as well,
+    because build_corestriction verified that Cor is closed under products.
+    """
+    zero = cor.zero()
+    out = []
+    for xi in ad.xi_basis:
+        eta = f_matrix(ad, xi)[0][1]
+        cx, ce = cor.express(xi), cor.express(eta)
+        if cx is None or ce is None:
+            return None
+        out.append(((zero, cor.elem(ce)), (cor.elem(cx), zero)))
+    return out
+
+
+def f_map_check(ad, cor, n_random=100, seed=20210513):
+    """Verify f(xi)^2 = phi(xi) in M_2(Cor), on the basis and on random vectors.
+
+    The f(xi_i) are first expressed in Cor (see cor_f_basis), which checks
+    that f lands in M_2(Cor); f of a random vector is their F-linear
+    combination.  The identities are checked with Cor's structure constants
+    over F; Cor is a subalgebra of the tensor square with the same unit, so
+    they hold in Cor exactly when they hold there.  Raises IdentityFails on
+    violation.
     """
     import random
 
     F = ad.ext.base
-    t = ad.tensor
-    report = {"basis_checked": 0, "random_checked": 0, "entries_in_cor": cor is not None}
-    for i, xi in enumerate(ad.xi_basis):
-        M = f_matrix(ad, xi)
-        sq = m2_mul(t, M, M)
-        if not m2_equals_scalar(t, sq, ad.form.upper[i][i]):
+    report = {"basis_checked": 0, "random_checked": 0, "entries_in_cor": True}
+    fs = cor_f_basis(ad, cor)
+    if fs is None:
+        raise IdentityFails("f entry does not lie in the fixed algebra")
+    for i, M in enumerate(fs):
+        if not m2_equals_scalar(cor, m2_mul(cor, M, M), ad.form.upper[i][i]):
             raise IdentityFails("f(xi)^2 != phi(xi) on basis vector %d" % i)
-        if cor is not None:
-            if cor.express(M[0][1]) is None or cor.express(M[1][0]) is None:
-                raise IdentityFails("f entry does not lie in the fixed algebra")
         report["basis_checked"] += 1
+    etas = [M[0][1].coords for M in fs]
+    xis = [M[1][0].coords for M in fs]
+    zero = cor.zero()
     rng = random.Random(seed)
     for _ in range(n_random):
         coords = tuple(F.from_int(rng.randint(-3, 3)) for _ in range(6))
-        xi = ad.xi_from_coords(coords)
-        M = f_matrix(ad, xi)
-        sq = m2_mul(t, M, M)
-        if not m2_equals_scalar(t, sq, ad.form.evaluate(coords)):
+        eta = cor.elem(linalg.combine(coords, etas, F, 16))
+        xi = cor.elem(linalg.combine(coords, xis, F, 16))
+        M = ((zero, eta), (xi, zero))
+        if not m2_equals_scalar(cor, m2_mul(cor, M, M), ad.form.evaluate(coords)):
             raise IdentityFails("f(xi)^2 != phi(xi) on a random vector")
         report["random_checked"] += 1
     return report
@@ -683,13 +675,10 @@ def cor_is_division(ad, height=search.DEFAULT_HEIGHT):
     """
     verdict = isotropy(ad.form, height=height)
     if verdict.is_isotropic:
-        xi = ad.xi_from_coords(verdict.witness)
-        M = f_matrix(ad, xi)
-        if M[0][1].is_zero() and M[1][0].is_zero():
-            raise InternalContradiction("nilpotent certificate is zero")
-        sq = m2_mul(ad.tensor, M, M)
-        if not all(sq[i][j].is_zero() for i in range(2) for j in range(2)):
-            raise InternalContradiction("certificate is not nilpotent")
+        try:
+            M = nilpotent_image(ad, verdict.witness)
+        except InvalidWitness as exc:
+            raise InternalContradiction(str(exc))
         return DivisionVerdict(True, verdict.method, verdict.witness, M)
     if verdict.is_anisotropic:
         return DivisionVerdict(False, verdict.method)

@@ -16,13 +16,11 @@ import random
 from dataclasses import dataclass, field as dc_field
 
 from .corestriction import (
-    TensorSquareAlgebra,
     albert_form,
     cor_is_division,
-    f_matrix,
     generator_to_isotropic,
     isotropic_to_generator,
-    m2_mul,
+    nilpotent_image,
 )
 from .errors import (
     AlgebraError,
@@ -87,7 +85,7 @@ class Instance:
     def from_json(cls, doc):
         try:
             q = doc["Q"]
-            return cls(
+            inst = cls(
                 family=doc.get("family", "custom"),
                 seed=doc.get("seed", 0),
                 f_spec=doc["F"],
@@ -99,6 +97,10 @@ class Instance:
             )
         except KeyError as exc:
             raise MalformedCertificate("instance missing field %s" % exc)
+        # the height bounds the searches a "no" verdict is re-run with
+        if type(inst.height) is not int or not 1 <= inst.height <= DEFAULT_HEIGHT:
+            raise MalformedCertificate("instance height must be an integer in 1..%d" % DEFAULT_HEIGHT)
+        return inst
 
     def build(self):
         F = parse_field(self.f_spec)
@@ -253,8 +255,7 @@ def check_equivalence(inst, path="albert", height=None):
     """
     F, ext, Q = inst.build()
     height = height or inst.height
-    tensor = TensorSquareAlgebra(ext, Q)
-    ad = albert_form(ext, Q, tensor)
+    ad = albert_form(ext, Q)
     derivations = []
     gram = [[format_element(F, c) for c in row] for row in ad.form.upper]
 
@@ -390,8 +391,7 @@ def verify_certificate(doc):
     inst = Instance.from_json(doc["instance"])
     try:
         F, ext, Q = inst.build()
-        tensor = TensorSquareAlgebra(ext, Q)
-        ad = albert_form(ext, Q, tensor)
+        ad = albert_form(ext, Q)
     except AlgebraError:
         raise MalformedCertificate("instance does not build")
 
@@ -403,13 +403,7 @@ def verify_certificate(doc):
                 return False
             if not F.is_zero(ad.form.evaluate(coords)):
                 return False
-            xi = ad.xi_from_coords(coords)
-            M = f_matrix(ad, xi)
-            if M[0][1].is_zero() and M[1][0].is_zero():
-                return False
-            sq = m2_mul(tensor, M, M)
-            if not all(sq[i][j].is_zero() for i in range(2) for j in range(2)):
-                return False
+            nilpotent_image(ad, coords)
         elif ciii["status"] == "no":
             verdict = isotropy(ad.form, height=inst.height)
             if not verdict.is_anisotropic or verdict.method != ciii.get("method"):

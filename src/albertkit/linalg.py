@@ -159,29 +159,24 @@ def is_zero_vec(u, field):
     return all(field.is_zero(a) for a in u)
 
 
+def independent_indices(vectors, field, n):
+    """Indices of the greedy maximal independent subset of n-vectors, in order.
+
+    These are the pivot columns of the matrix with the vectors as columns:
+    vector k is chosen exactly when it is independent of those before it.
+    """
+    if not vectors:
+        return []
+    return _rref([[v[r] for v in vectors] for r in range(n)], field, len(vectors))[1]
+
+
 def extend_to_basis(vectors, field, n):
     """Standard basis vectors completing the given independent set."""
-    rows = [list(v) for v in vectors]
-    chosen = []
-    for j in range(n):
-        cand = [field.zero()] * n
-        cand[j] = field.one()
-        if rank(rows + [cand], field, n) > len(rows):
-            rows.append(cand)
-            chosen.append(tuple(cand))
-        if len(rows) == n:
-            break
-    return chosen
+    units = [tuple(field.one() if i == j else field.zero() for i in range(n)) for j in range(n)]
+    k = len(vectors)
+    return [units[i - k] for i in independent_indices(list(vectors) + units, field, n) if i >= k]
 
 
 def independent_subset(vectors, field, n, target=None):
     """Greedy maximal independent subset, in input order."""
-    rows = []
-    out = []
-    for v in vectors:
-        if rank(rows + [list(v)], field, n) > len(rows):
-            rows.append(list(v))
-            out.append(tuple(v))
-            if target is not None and len(out) == target:
-                break
-    return out
+    return [tuple(vectors[i]) for i in independent_indices(vectors, field, n)[:target]]

@@ -152,10 +152,11 @@ def projective_points(field, n, h):
     if isinstance(field, RationalFunctionField):
         zero = field.zero()
         if field.base.enumerable:
-            # polynomials of degree < h; vectors reaching degree h - 1 are new
+            # polynomials of degree < h (0 among them); vectors reaching
+            # degree h - 1 are new
             deg = h - 1
             pool = list(polys(field, list(field.base.elements()), deg))
-            for vec in itertools.product(pool + [zero], repeat=n):
+            for vec in itertools.product(pool, repeat=n):
                 if all(v == zero for v in vec):
                     continue
                 if max((v.num.degree for v in vec if v != zero), default=-1) != deg:

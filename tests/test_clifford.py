@@ -1,5 +1,6 @@
 """Clifford algebras, Arf triviality, and the rank-64 isomorphism check."""
 
+import dataclasses
 import types
 
 import pytest
@@ -20,7 +21,7 @@ from albertkit import (
     even_clifford_binary,
 )
 from albertkit.clifford import center_of_span, even_part_masks
-from albertkit.errors import DimensionCap
+from albertkit.errors import DimensionCap, RelationViolation
 from albertkit.forms import isometric_embedding
 from albertkit.isotropy import rationally_equivalent
 
@@ -168,3 +169,27 @@ def test_clifford_iso_rank64():
     cor2 = build_corestriction(ext2, Q2)
     rep2 = clifford_iso_check(ad2, cor2)
     assert rep2["rank"] == 64
+
+
+def test_clifford_iso_check_rejects_broken_relations():
+    ext = EtaleQuadratic(QQ, (0, 2))
+    K = ext.ring
+    Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
+    ad = albert_form(ext, Q)
+    cor = build_corestriction(ext, Q)
+    # one corrupted Gram entry breaks a square or an anticommutation relation
+    for i, j in ((0, 0), (1, 4)):
+        rows = [list(row) for row in ad.form.upper]
+        rows[i][j] = rows[i][j] + QQ.one()
+        with pytest.raises(RelationViolation):
+            clifford_iso_check(dataclasses.replace(ad, form=QuadraticForm(QQ, rows)), cor)
+    # (1, -1) xi over F x F keeps every relation of the diagonal Albert form,
+    # but the images leave the fixed algebra
+    ext2 = EtaleQuadratic(QQ, "split")
+    D = ext2.ring
+    Q2 = QuaternionAlgebra(D, D.zero(), D.from_int(-1), D.from_int(-1))
+    ad2 = albert_form(ext2, Q2)
+    twisted = ad2.xi_basis[0].scalar_mul(D.pair(1, -1))
+    bad = dataclasses.replace(ad2, xi_basis=(twisted,) + ad2.xi_basis[1:])
+    with pytest.raises(RelationViolation):
+        clifford_iso_check(bad, build_corestriction(ext2, Q2))

@@ -1,5 +1,7 @@
 """Corestriction, V^s, Albert form and the witness-converting maps."""
 
+import dataclasses
+
 import pytest
 from conftest import seeded
 
@@ -21,7 +23,7 @@ from albertkit import (
     validate_disjoint_witness,
 )
 from albertkit.corestriction import m2_mul, natural_map_bijective
-from albertkit.errors import InvalidWitness
+from albertkit.errors import IdentityFails, InvalidWitness
 from albertkit.forms import QuadraticForm, isometric_embedding
 from albertkit.linalg import solve
 
@@ -175,22 +177,52 @@ def test_split_function_field_division_instance():
 
 
 def test_conjugate_algebra_and_v_space():
-    from albertkit.corestriction import conjugate_algebra, switch_map, v_space_basis
+    from albertkit.corestriction import v_space_basis
 
-    conj = conjugate_algebra(EXT_Q2, HAMILTON_K)
-    rng = seeded(67)
-    for _ in range(100):
-        x = HAMILTON_K.random_element(rng, 3)
-        y = HAMILTON_K.random_element(rng, 3)
-        lam = K2.random_element(rng, 3)
-        assert conj.mul(x, y) == x * y
-        # twisted scalar action: lam . x = gamma(lam) x
-        assert conj.scalar(lam, x) == x.scale(EXT_Q2.gamma(lam))
     A = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
     basis = v_space_basis(EXT_Q2, HAMILTON_K, A)
     assert len(basis) == 6
     one = A.one()
-    assert (switch_map(A, one) - one).is_zero()
+    assert (A.switch(one) - one).is_zero()
+
+
+def _corrupt_gram(ad, i, j):
+    """The Albert data with the Gram entry (i, j) of its form increased by 1."""
+    F = ad.form.field
+    rows = [list(row) for row in ad.form.upper]
+    rows[i][j] = rows[i][j] + F.one()
+    return dataclasses.replace(ad, form=QuadraticForm(F, rows))
+
+
+def test_f_map_check_rejects_a_corrupted_gram_entry(hamilton_albert, hamilton_cor):
+    # a diagonal entry fails on a basis vector, an off-diagonal one on random vectors
+    for i, j in ((0, 0), (2, 2), (0, 1), (3, 5)):
+        with pytest.raises(IdentityFails):
+            f_map_check(_corrupt_gram(hamilton_albert, i, j), hamilton_cor, n_random=20)
+
+
+def test_f_map_check_rejects_xi_outside_the_fixed_space(hamilton_albert, hamilton_cor):
+    ad = hamilton_albert
+    t = ad.tensor
+    one = HAMILTON_K.one()
+    # gamma(y) (x) 1 alone, without its switch image 1 (x) y
+    half = t.gx_tensor(ad.y_basis[0], one)
+    bad = dataclasses.replace(ad, xi_basis=(half,) + ad.xi_basis[1:])
+    with pytest.raises(IdentityFails):
+        f_map_check(bad, hamilton_cor, n_random=0)
+    # over F x F, (1, -1) xi squares like xi and the Albert form is diagonal
+    # here, so f(xi)^2 = phi(xi) still holds on every vector: only the check
+    # that f lands in the fixed algebra rejects it
+    ext = EtaleQuadratic(QQ, "split")
+    D = ext.ring
+    Q = QuaternionAlgebra(D, D.zero(), D.from_int(-1), D.from_int(-1))
+    ad = albert_form(ext, Q)
+    cor = build_corestriction(ext, Q)
+    twisted = ad.xi_basis[0].scalar_mul(D.pair(1, -1))
+    assert not (ad.tensor.switch(twisted) - twisted).is_zero()
+    bad = dataclasses.replace(ad, xi_basis=(twisted,) + ad.xi_basis[1:])
+    with pytest.raises(IdentityFails, match="fixed algebra"):
+        f_map_check(bad, cor, n_random=20)
 
 
 def test_arf_scaling_invariance_on_char2_albert():

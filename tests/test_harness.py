@@ -34,6 +34,7 @@ from albertkit.jsonio import (
     parse_field,
     parse_form,
 )
+from albertkit.search import DEFAULT_HEIGHT
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -222,6 +223,24 @@ def test_unknown_fields_verify_when_witnesses_hold():
     doc = check_equivalence(inst).to_json()
     doc["cond_i"]["status"] = "unknown"
     doc["cond_ii"]["status"] = "unknown"
+    assert verify_certificate(doc)
+
+
+def test_instance_height_is_capped():
+    # a "no" verdict re-runs the isotropy oracle at the instance's height
+    inst = Instance("split-K-over-Qt", 0, "Q(t)", "split", [0, 0], ["-1", "t"], ["-1", "2"])
+    doc = check_equivalence(inst).to_json()
+    assert doc["cond_iii_not_division"]["status"] == "no"
+    for height in ("x", None, True, 0, -1, 2.0, DEFAULT_HEIGHT + 1, 10**9):
+        bad = copy.deepcopy(doc)
+        bad["instance"]["height"] = height
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+    for height in (1, DEFAULT_HEIGHT):
+        good = copy.deepcopy(doc)
+        good["instance"]["height"] = height
+        assert Instance.from_json(good["instance"]).height == height
+    del doc["instance"]["height"]
     assert verify_certificate(doc)
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from albertkit import QQ, BudgetExhausted, QuadraticForm
+from albertkit import QQ, BudgetExhausted, FiniteField, QuadraticForm, RationalFunctionField
 from albertkit.forms import isometric_embedding
 from albertkit.harness import generate_instance
 from albertkit.quaternion import _candidate_elements, find_disjoint_quadratic_subalgebra
-from albertkit.search import Budget
+from albertkit.search import Budget, projective_points
 
 
 def test_budget_counts_the_draw_that_crosses_the_limit():
@@ -39,3 +39,16 @@ def test_embedding_search_reports_its_draws():
     with pytest.raises(BudgetExhausted) as exc:
         isometric_embedding(one, minus_one, height=1)
     assert exc.value.searched == 3
+
+
+def test_function_field_points_do_not_repeat():
+    # over F_q(t) the pool of entries holds 0 once: every vector comes once
+    for base, n, h, count in (
+        (FiniteField(2), 6, 1, 2**6 - 1),
+        (FiniteField(2), 6, 2, 4**6 - 2**6),
+        (FiniteField(3), 3, 2, 9**3 - 3**3),
+        (FiniteField(2, 2), 3, 1, 4**3 - 1),
+    ):
+        field = RationalFunctionField(base, "t")
+        vecs = [tuple(field.format_element(c) for c in v) for v in projective_points(field, n, h)]
+        assert len(vecs) == len(set(vecs)) == count
