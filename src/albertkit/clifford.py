@@ -17,7 +17,7 @@ from .errors import (
     RankDeficient,
     RelationViolation,
 )
-from .fields import RationalFunctionField
+from .fields import _DEFAULT_REDUCTION, FiniteField, RationalFunctionField
 from .forms import orthogonalize, symplectic_pairs
 
 
@@ -316,30 +316,83 @@ def arf_trivial(form):
 
 
 def _rank_certified(rows, field, target):
-    """Exact rank with a specialization shortcut over function fields."""
+    """Rank of `rows` over `field`, or `target` once a cheap bound certifies it.
+
+    Over a function field F(t) the entries are specialized at points t = t0
+    where no denominator vanishes.  Specialization is a ring map, so the rank
+    at t0 never exceeds the exact rank: a rank of at least `target` at some
+    point proves the exact rank is at least `target` (callers pass the number
+    of rows, so it is then exactly `target`).  The points are those of
+    _specialization_points; exact elimination over F(t) is the last resort.
+    """
+    ncols = len(rows[0])
     if isinstance(field, RationalFunctionField):
-        base = field.base
-        candidates = list(base.elements()) if base.enumerable else [
-            base.from_int(v) for v in (2, 3, 5, 7, 11)
-        ]
-        for t0 in candidates:
-            spec = []
-            ok = True
-            for row in rows:
-                out = []
-                for c in row:
-                    denv = c.den.evaluate(t0)
-                    if base.is_zero(denv):
-                        ok = False
-                        break
-                    out.append(c.num.evaluate(t0) / denv)
-                if not ok:
-                    break
-                spec.append(tuple(out))
-            if ok and linalg.rank(spec, base, len(rows[0])) >= target:
+        for E, t0, lift in _specialization_points(field.base):
+            spec = _specialize(rows, E, t0, lift)
+            if spec is not None and linalg.rank(spec, E, ncols) >= target:
                 return target
-        # fall through to the exact elimination
-    return linalg.rank(rows, field, len(rows[0]))
+    return linalg.rank(rows, field, ncols)
+
+
+def _specialization_points(base):
+    """(field, t0, lift) for each point t = t0 to try; lift maps base into field.
+
+    Over an infinite base: t = 2, 3, 5, 7, 11.  Over a finite base: its
+    elements and then, over a prime field F_p, one point of each Frobenius
+    orbit of degree k in FiniteField(p, k), for every k with a default
+    modulus.  The entries then have coefficients in F_p, so conjugate points
+    give conjugate matrices of equal rank, and the points of a proper
+    subfield were tried before.  Over F_2 the points of F_2 and F_4 are the
+    roots of the units t, t + 1 and t^2 + t + 1 of the char-2 families, where
+    their Clifford matrices can lose rank; the points of F_8 avoid them all.
+    """
+    if not base.enumerable:
+        for v in (2, 3, 5, 7, 11):
+            yield base, base.from_int(v), base.coerce
+        return
+    for t0 in base.elements():
+        yield base, t0, base.coerce
+    if not isinstance(base, FiniteField) or base.k != 1:
+        return
+    p = base.p
+    for k in sorted(k for q, k in _DEFAULT_REDUCTION if q == p):
+        E = FiniteField(p, k)
+
+        def lift(c, E=E):
+            return E.from_int(c.coeffs[0])
+
+        seen = set()
+        for t0 in E.elements():
+            orbit = [t0]
+            while (nxt := E.frobenius(orbit[-1])) != t0:
+                orbit.append(nxt)
+            if len(orbit) == k and t0 not in seen:
+                seen.update(orbit)
+                yield E, t0, lift
+
+
+def _specialize(rows, E, t0, lift):
+    """The rational-function rows at t = t0, over E; None when a denominator vanishes."""
+
+    def value(poly):
+        out = E.zero()
+        for c in reversed(poly.coeffs):
+            out = out * t0 + lift(c)
+        return out
+
+    # one object per distinct value: a 64 x 64 matrix over a small field
+    # repeats few values, and an object per entry raised the audit's peak memory
+    spec, shared = [], {}
+    for row in rows:
+        out = []
+        for c in row:
+            den = value(c.den)
+            if E.is_zero(den):
+                return None
+            v = value(c.num) / den
+            out.append(shared.setdefault(v, v))
+        spec.append(tuple(out))
+    return spec
 
 
 def clifford_iso_check(ad, cor):

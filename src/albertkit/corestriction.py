@@ -16,6 +16,7 @@ the audits of f and of the Clifford map compute in M_2(Cor) over F.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -137,13 +138,16 @@ class StructureAlgebra:
 
     structure[i][j] lists the (m, c) with e_i e_j = sum c e_m; elements are
     TensorElem, whose product is the one product of every such algebra.
+    A structure of None leaves the table to be set later or built by a
+    subclass on first use.
     """
 
     dim = 16
 
     def __init__(self, ring, structure, unit_coords):
         self.ring = ring
-        self.structure = structure
+        if structure is not None:
+            self.structure = structure
         self.unit_coords = unit_coords
 
     def elem(self, coords):
@@ -175,7 +179,7 @@ class TensorSquareAlgebra(StructureAlgebra):
         K = Q.domain
         unit = [K.zero()] * 16
         unit[0] = K.one()
-        super().__init__(K, _tensor_table(K, Q.table, Q.table, ext.gamma), tuple(unit))
+        super().__init__(K, None, tuple(unit))
         self.ext = ext
         self.Q = Q
         # sigma on the first factor, as gamma'd coordinate rows
@@ -185,6 +189,13 @@ class TensorSquareAlgebra(StructureAlgebra):
             coords[i] = K.one()
             sig.append(Q.element(tuple(coords)).conjugate().coords)
         self._sigma_rows = tuple(sig)
+
+    @functools.cached_property
+    def structure(self):
+        """Built on the first product: the Albert data's tensor square only
+        multiplies for a nilpotent certificate, and the switch, the first
+        factor involution and the realification need no table."""
+        return _tensor_table(self.ring, self.Q.table, self.Q.table, self.ext.gamma)
 
     def from_base(self, c):
         return self.ring.from_base(c)
@@ -294,32 +305,31 @@ class CorestrictionAlgebra(StructureAlgebra):
     for split K, directly as the tensor product of the two components.
     """
 
-    def __init__(self, field, structure, unit_coords, basis=None, tensor=None, label=""):
+    def __init__(self, field, structure, unit_coords, basis=None, tensor=None, free_columns=None, label=""):
         super().__init__(field, structure, unit_coords)
         self.basis = basis
         self.tensor = tensor
+        self.free_columns = free_columns
         self.label = label
-        self._basis_matrix = None
 
     def express(self, elem):
-        """Coordinates of a tensor element in the fixed basis, or None."""
-        if self.basis is None or self.tensor is None:
+        """Coordinates of a tensor element in the fixed basis, or None.
+
+        None when the element is not switch-fixed.  The fixed space is the
+        whole kernel of the realified (switch - id), and its basis is
+        echelon-normalized: basis vector r is 1 at the r-th free column and
+        0 at the other free columns.  So a fixed element's coordinates are its
+        realified entries at the 16 free columns; nothing is solved.
+        """
+        if self.tensor is None or self.free_columns is None:
             raise AlgebraError("no tensor model attached")
-        F = self.ring
-        if self._basis_matrix is None:
-            cols = [self.tensor.realify(b) for b in self.basis]
-            rows = [tuple(cols[c][r] for c in range(16)) for r in range(len(cols[0]))]
-            # pick 16 independent rows once and invert that square block
-            chosen_idx = linalg.independent_indices(rows, F, 16)
-            inv = linalg.invert([rows[i] for i in chosen_idx], F)
-            self._basis_matrix = (rows, chosen_idx, inv)
-        rows, chosen_idx, inv = self._basis_matrix
-        target = self.tensor.realify(elem)
-        cand = linalg.mat_vec(inv, [target[i] for i in chosen_idx], F)
-        for acc, t in zip(linalg.mat_vec(rows, cand, F), target):
-            if not F.is_zero(acc - t):
-                return None
-        return cand
+        A = self.tensor
+        if elem.algebra is not A:
+            elem = A.elem(elem.coords)
+        if not (A.switch(elem) - elem).is_zero():
+            return None
+        vec = A.realify(elem)
+        return tuple(vec[c] for c in self.free_columns)
 
 
 def build_corestriction(ext, Q, check_rank=True):
@@ -338,8 +348,14 @@ def build_corestriction(ext, Q, check_rank=True):
     kernel = linalg.kernel_basis(rows, F, 32)
     if len(kernel) != 16:
         raise InternalContradiction("fixed-point space has dimension %d" % len(kernel))
+    # kernel vector r is 1 at its free column (its last nonzero entry) and
+    # 0 at the other free columns: express reads coordinates there
+    free = [max(i for i, c in enumerate(vec) if not F.is_zero(c)) for vec in kernel]
+    for r, vec in enumerate(kernel):
+        if [vec[c] for c in free] != [F.one() if s == r else F.zero() for s in range(16)]:
+            raise InternalContradiction("fixed basis is not echelon-normalized")
     basis = [A.unrealify(vec) for vec in kernel]
-    cor = CorestrictionAlgebra(F, None, None, basis=basis, tensor=A, label="fixed-points")
+    cor = CorestrictionAlgebra(F, None, None, basis=basis, tensor=A, free_columns=tuple(free), label="fixed-points")
     structure = []
     for r in range(16):
         row = []

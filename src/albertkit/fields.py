@@ -292,13 +292,14 @@ class FiniteField(Field):
         x = self.gen()
         y = x
         for _ in range(self.k - 1):
-            y = self._pow_p(y)
+            y = self.frobenius(y)
             if y == x:
                 raise AlgebraError("modulus for GF(%d^%d) is reducible" % (self.p, self.k))
-        if self._pow_p(y) != x:
+        if self.frobenius(y) != x:
             raise AlgebraError("modulus for GF(%d^%d) is reducible" % (self.p, self.k))
 
-    def _pow_p(self, a):
+    def frobenius(self, a):
+        """a^p, the Frobenius image of a."""
         out = self.one()
         base = a
         e = self.p

@@ -83,6 +83,10 @@ class Instance:
 
     @classmethod
     def from_json(cls, doc):
+        if not isinstance(doc, dict) or not isinstance(doc.get("Q"), dict):
+            raise MalformedCertificate("instance and its Q must be JSON objects")
+        if not isinstance(doc.get("F"), str) or not isinstance(doc.get("K"), str):
+            raise MalformedCertificate("instance F and K must be strings")
         try:
             q = doc["Q"]
             inst = cls(

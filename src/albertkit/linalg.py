@@ -126,16 +126,6 @@ def det(rows, field):
     return out
 
 
-def invert(rows, field):
-    """Inverse matrix, or None when singular."""
-    n = len(rows)
-    aug = [list(r) + [field.one() if i == j else field.zero() for j in range(n)] for i, r in enumerate(rows)]
-    red, pivots = _rref(aug, field, 2 * n)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [tuple(row[n:]) for row in red[:n]]
-
-
 def mat_vec(rows, vec, field):
     out = []
     for r in rows:

@@ -14,13 +14,16 @@ from albertkit import (
     FiniteField,
     QuadraticForm,
     QuaternionAlgebra,
+    RationalFunctionField,
     albert_form,
     arf_trivial,
     build_corestriction,
     clifford_iso_check,
     even_clifford_binary,
+    generate_instance,
+    linalg,
 )
-from albertkit.clifford import center_of_span, even_part_masks
+from albertkit.clifford import _rank_certified, center_of_span, even_part_masks
 from albertkit.errors import DimensionCap, RelationViolation
 from albertkit.forms import isometric_embedding
 from albertkit.isotropy import rationally_equivalent
@@ -193,3 +196,71 @@ def test_clifford_iso_check_rejects_broken_relations():
     bad = dataclasses.replace(ad2, xi_basis=(twisted,) + ad2.xi_basis[1:])
     with pytest.raises(RelationViolation):
         clifford_iso_check(bad, build_corestriction(ext2, Q2))
+
+
+def _counting_rank(monkeypatch):
+    """Record (field, rank) of every linalg.rank call from now on."""
+    calls = []
+    exact = linalg.rank
+
+    def rank(rows, field, ncols=None):
+        out = exact(rows, field, ncols)
+        calls.append((field, out))
+        return out
+
+    monkeypatch.setattr(linalg, "rank", rank)
+    return calls
+
+
+def _random_funcfield_matrix(F, rng, n, r):
+    """An n x n product of random n x r and r x n matrices, some entries with denominators."""
+    t = F.gen()
+
+    def entry():
+        num = F.poly_elem([F.base.from_int(rng.randint(0, 3)) for _ in range(3)])
+        return num / (t + F.one()) if rng.random() < 0.3 else num
+
+    left = [[entry() for _ in range(r)] for _ in range(n)]
+    right = [[entry() for _ in range(n)] for _ in range(r)]
+    return [tuple(sum((left[i][k] * right[k][j] for k in range(r)), F.zero()) for j in range(n)) for i in range(n)]
+
+
+def test_rank_certified_never_exceeds_the_exact_rank():
+    F2t = RationalFunctionField(F2)
+    t, one, zero = F2t.gen(), F2t.one(), F2t.zero()
+    # the second row is t times the first; every point of F_2, F_4, F_8 and
+    # F_16 sees rank at most 2, and the exact fallback must report 2
+    rows = [(t, t + one, one), (t * t, t * t + t, t), (one, zero, one / (t * t + t + one))]
+    assert linalg.rank(rows, F2t) == 2
+    assert _rank_certified(rows, F2t, 3) == 2
+    rng = seeded(71)
+    for F in (F2t, RationalFunctionField(F3), RationalFunctionField(QQ)):
+        for n, r in ((4, 4), (4, 3), (5, 2), (3, 1)):
+            rows = _random_funcfield_matrix(F, rng, n, r)
+            exact = linalg.rank(rows, F)
+            assert exact <= r
+            assert _rank_certified(rows, F, n) == exact
+
+
+def test_rank_certified_through_a_point_of_f8(monkeypatch):
+    # t, t + 1 and t^2 + t + 1 vanish at 0, 1 and the points of F_4
+    F2t = RationalFunctionField(F2)
+    t, one, zero = F2t.gen(), F2t.one(), F2t.zero()
+    rows = [(t, zero, zero), (zero, t + one, zero), (zero, zero, t * t + t + one)]
+    calls = _counting_rank(monkeypatch)
+    assert _rank_certified(rows, F2t, 3) == 3
+    assert [(field.order, rank) for field, rank in calls] == [(2, 2), (2, 2), (4, 2), (8, 3)]
+
+
+def test_clifford_check_makes_no_exact_funcfield_rank(monkeypatch):
+    # the four split char2-function-field instances of acceptance criterion 5
+    seeds = [s for s in range(40) if generate_instance("char2-function-field", s).k_spec == "split"][:4]
+    assert len(seeds) == 4
+    calls = _counting_rank(monkeypatch)
+    for seed in seeds:
+        _, ext, Q = generate_instance("char2-function-field", seed).build()
+        ad = albert_form(ext, Q)
+        cor = build_corestriction(ext, Q)
+        del calls[:]
+        assert clifford_iso_check(ad, cor)["rank"] == 64
+        assert calls and not any(isinstance(field, RationalFunctionField) for field, _ in calls)

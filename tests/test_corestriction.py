@@ -16,6 +16,7 @@ from albertkit import (
     build_corestriction,
     cor_is_division,
     f_map_check,
+    generate_instance,
     generator_to_isotropic,
     isotropic_to_generator,
     isotropy,
@@ -61,6 +62,70 @@ def test_fixed_points_dimension_and_rank(hamilton_cor):
     assert len(hamilton_cor.basis) == 16
     assert natural_map_bijective(EXT_Q2, hamilton_cor)
     assert hamilton_cor.unit_coords is not None
+
+
+@pytest.fixture(scope="module")
+def express_cors(hamilton_cor):
+    """(ext, cor) for Hamilton over Q(sqrt2), split K over Q and split K over F_2(t)."""
+    out = [(EXT_Q2, hamilton_cor)]
+    for family, seed in (("split-K-over-Q", 0), ("char2-function-field", 1)):
+        inst = generate_instance(family, seed)
+        assert inst.k_spec == "split"
+        _, ext, Q = inst.build()
+        out.append((ext, build_corestriction(ext, Q)))
+    return out
+
+
+def _from_fixed_coords(cor, coords):
+    A = cor.tensor
+    out = A.zero()
+    for c, b in zip(coords, cor.basis):
+        out = out + b.scalar_mul(A.from_base(c))
+    return out
+
+
+def _structure_coords(cor, r, s):
+    """The coordinates of basis[r] * basis[s] held in Cor's structure constants."""
+    dense = [cor.ring.zero()] * 16
+    for m, c in cor.structure[r][s]:
+        dense[m] = c
+    return tuple(dense)
+
+
+def test_express_reads_fixed_basis_coordinates(express_cors):
+    for ext, cor in express_cors:
+        A = cor.tensor
+        F, K = ext.base, ext.ring
+        # g0 (x) e1 alone: its switch image is g1 (x) e0
+        half = A.elem([K.one() if i == 1 else K.zero() for i in range(16)])
+        assert cor.express(half) is None
+        assert cor.express(half + A.one()) is None
+        assert cor.express(A.zero()) == (F.zero(),) * 16
+        for r, b in enumerate(cor.basis):
+            assert cor.express(b) == tuple(F.one() if i == r else F.zero() for i in range(16))
+        assert cor.unit_coords == cor.express(A.one())
+        assert isinstance(cor.unit_coords, tuple)
+        for r in range(16):
+            for s in range(16):
+                prod = cor.basis[r] * cor.basis[s]
+                coords = cor.express(prod)
+                assert (_from_fixed_coords(cor, coords) - prod).is_zero()
+                assert _structure_coords(cor, r, s) == coords
+
+
+def test_express_matches_an_independent_solve(hamilton_cor):
+    cor = hamilton_cor
+    A = cor.tensor
+    F = cor.ring
+    cols = [A.realify(b) for b in cor.basis]
+    rows = [tuple(cols[c][r] for c in range(16)) for r in range(32)]
+    for r in range(16):
+        for s in range(16):
+            assert solve(rows, A.realify(cor.basis[r] * cor.basis[s]), F) == _structure_coords(cor, r, s)
+    # an element of another tensor square of the same algebra is rebuilt first
+    other = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
+    assert cor.express(other.one()) == cor.unit_coords
+    assert cor.express(other.elem([K2.one() if i == 1 else K2.zero() for i in range(16)])) is None
 
 
 def test_vs_space_dimension(hamilton_albert):

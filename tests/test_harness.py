@@ -244,6 +244,35 @@ def test_instance_height_is_capped():
     assert verify_certificate(doc)
 
 
+def test_instance_of_the_wrong_shape_is_malformed():
+    # each of these used to escape the verifier as TypeError or AttributeError
+    doc = check_equivalence(generate_instance("char2-finite", 0)).to_json()
+    assert verify_certificate(doc)
+    edits = (
+        ("instance", []),
+        ("instance", "x"),
+        ("Q", "x"),
+        ("Q", ["1", "w", "1"]),
+        ("F", 5),
+        ("F", None),
+        ("K", 5),
+        ("K", ["split"]),
+    )
+    for key, value in edits:
+        bad = copy.deepcopy(doc)
+        if key == "instance":
+            bad["instance"] = value
+        else:
+            bad["instance"][key] = value
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+    for key in ("Q", "F", "K"):
+        bad = copy.deepcopy(doc)
+        del bad["instance"][key]
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+
+
 def test_generate_instance_families_deterministic():
     for fam in FAMILIES:
         a = generate_instance(fam, 11).to_json()
