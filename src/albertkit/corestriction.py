@@ -29,9 +29,8 @@ from .errors import (
     InvalidWitness,
     ValueNotInF,
 )
-from .fields import RationalFunctionField
 from .forms import QuadraticForm, solve_polar_equal_one
-from .isotropy import _clear_denominators, char2_isotropic_stream, isotropy
+from .isotropy import _clear_denominators, isotropy
 from .quaternion import QuaternionAlgebra, validate_disjoint_witness
 
 
@@ -710,79 +709,71 @@ class GeneratorWitness:
     nrd: object
 
 
-def isotropic_to_generator(ad, witness_coords, height=search.GENERATOR_HEIGHT):
+def isotropic_to_generator(ad, witness_coords):
     """Isotropic Albert vector -> quadratic etale subalgebra generator.
 
-    Each isotropic vector has presentations y + c*kappa (same tensor image);
-    the search walks the isotropic quadric and the kappa-line shifts until a
-    representative has Trd != 0, lies outside K.1 and generates an etale
-    algebra; kappa*y is then the verified witness.  BudgetExhausted's
-    `searched` counts the isotropic candidates drawn.
+    The vector presents y up to the kappa line, and kappa*(y + shift) is
+    the generator once validate_disjoint_witness accepts it.  Candidates
+    come from the hyperbolic pair of the witness u: zeta with
+    b(u, zeta) = 1 and q(zeta) = 0, and the basis comp of the kernel of
+    the polar rows of u and zeta, which x -> x + u - q(x)*zeta maps onto
+    the quadric.  In order: u, zeta, the image of each comp[i] with i
+    descending, then of each pairwise sum comp[i] + comp[j].
+
+    In characteristic not 2 the shift is kappa, so Trd(kappa*y) is
+    2*kappa^2 != 0 (vs_space builds y_basis from trace-zero pure
+    quaternions); a shift by c*kappa, c != 0, changes neither the
+    discriminant nor K-independence, so kappa accepts when any does.  In
+    characteristic 2 no shift changes the trace, so none is made, and the
+    list is complete: Trd is linear on V^s, which u, zeta and comp span,
+    and the comp[i] image has trace Trd(comp[i]) + Trd(u) - q(comp[i])
+    Trd(zeta), so u, zeta or some comp[i] image has Trd != 0 unless Trd
+    vanishes on V^s; Trd != 0 already makes kappa*y etale and outside
+    K.1.  A failure there is an InternalContradiction.  In characteristic
+    not 2 a candidate fails when kappa*y is not etale or not K-independent,
+    and no proof excludes that for all twelve; a used-up list raises
+    BudgetExhausted whose `searched` counts the candidates, so the verdict
+    is an honest unknown.
     """
     ext, Q = ad.ext, ad.Q
     F = ext.base
     K = Q.domain
     kappa = K.coerce(ad.kappa)
-    budget = search.Budget(search.GENERATOR_CANDIDATES)
-    shifts = [F.from_int(c) for c in search.centered_ints(search.GENERATOR_SHIFTS)]
-    trd_basis = [y.trd() for y in ad.y_basis]
     char2 = F.char == 2
-    for coords in budget.take(_isotropic_candidates(ad, witness_coords, height)):
-        if char2:
-            # kappa-line shifts cannot change the trace in characteristic 2,
-            # so trace-zero candidates are hopeless: skip them cheaply
-            trd_val = K.zero()
-            for c, tv in zip(coords, trd_basis):
-                if not F.is_zero(c):
-                    trd_val = trd_val + K.from_base(c) * tv
-            if K.is_zero(trd_val):
-                continue
+    shift = Q.element((K.zero() if char2 else kappa, K.zero(), K.zero(), K.zero()))
+    candidates = _hyperbolic_candidates(ad.form, tuple(F.coerce(c) for c in witness_coords))
+    for searched, coords in enumerate(candidates, 1):
+        y = ad.y_from_coords(coords) + shift
+        if char2 and K.is_zero(y.trd()):
+            continue  # hopeless: etale needs Trd != 0 in characteristic 2
         if not F.is_zero(ad.form.evaluate(coords)):
             raise InternalContradiction("candidate is not isotropic")
-        y0 = ad.y_from_coords(coords)
-        for c in shifts:
-            shift = Q.element((kappa * K.from_base(c), K.zero(), K.zero(), K.zero()))
-            y = y0 + shift
-            kappa_y = y.scale(kappa)
-            trd = kappa_y.trd()
-            if K.is_zero(trd):
-                continue
-            try:
-                data = validate_disjoint_witness(Q, ext, kappa_y, etale_required=True)
-            except InvalidWitness:
-                continue
-            return GeneratorWitness(kappa_y, y, tuple(coords), data["trd"], data["nrd"])
-    raise BudgetExhausted("no suitable isotropic representative found", searched=budget.spent)
+        kappa_y = y.scale(kappa)
+        try:
+            data = validate_disjoint_witness(Q, ext, kappa_y, etale_required=True)
+        except InvalidWitness:
+            continue
+        return GeneratorWitness(kappa_y, y, coords, data["trd"], data["nrd"])
+    if char2:
+        raise InternalContradiction("Trd vanishes on V^s")
+    raise BudgetExhausted("no suitable isotropic representative found", searched=searched)
 
 
-def _isotropic_candidates(ad, witness_coords, height):
-    """The given witness, then structured families of further zeros."""
-    F = ad.ext.base
-    form = ad.form
-    u = tuple(F.coerce(c) for c in witness_coords)
+def _hyperbolic_candidates(form, u):
+    """u, zeta, then the quadric images of comp[i] and of comp[i] + comp[j]."""
+    F = form.field
     yield u
-    if isinstance(F, RationalFunctionField) and F.base.enumerable:
-        for _, vec in search.zeros(form, search.scan_heights(F, form.n)):
-            yield vec
-        if F.char == 2:
-            yield from char2_isotropic_stream(form)
     zeta = solve_polar_equal_one(form, u)
-    if zeta is not None:
-        corr = form.evaluate(zeta)
-        zeta = tuple(a - corr * b for a, b in zip(zeta, u))
-        yield zeta
-        comp = linalg.kernel_basis([form.polar_row(u), form.polar_row(zeta)], F, 6)
-        pool_height = 2 if isinstance(F, RationalFunctionField) else height
-        pool = list(search.scalar_candidates(F, pool_height))
-        draws = itertools.product(pool, repeat=len(comp))
-        for coeffs in search.Budget(search.COMPLEMENT_DRAWS).take(draws):
-            x = linalg.combine(coeffs, comp, F, 6)
-            val = form.evaluate(x)
-            cand = tuple(a + u_i - val * z_i for a, u_i, z_i in zip(x, u, zeta))
-            yield cand
-    if F.enumerable:
-        for _, vec in search.zeros(form, (1,)):
-            yield vec
+    if zeta is None:
+        raise InternalContradiction("witness lies in the radical of the Albert form")
+    corr = form.evaluate(zeta)
+    zeta = tuple(a - corr * b for a, b in zip(zeta, u))
+    yield zeta
+    comp = linalg.kernel_basis([form.polar_row(u), form.polar_row(zeta)], F, 6)[::-1]
+    pairs = [tuple(a + b for a, b in zip(x, z)) for x, z in itertools.combinations(comp, 2)]
+    for x in comp + pairs:
+        val = form.evaluate(x)
+        yield tuple(a + u_i - val * z_i for a, u_i, z_i in zip(x, u, zeta))
 
 
 def generator_to_isotropic(ad, x):

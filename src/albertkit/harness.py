@@ -45,7 +45,7 @@ from .quaternion import (
     norm_form,
     validate_disjoint_witness,
 )
-from .search import DEFAULT_HEIGHT, GENERATOR_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES
+from .search import DEFAULT_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES
 from .transfer import descend, transfer
 
 SCHEMA = "albertkit/1"
@@ -250,6 +250,22 @@ def _decode_quat(ext, Q, data):
     return Q.element(tuple(parse_element(ext.ring, c) for c in data))
 
 
+def _condition(doc, key):
+    """doc[key], which must be an object whose status is yes, no or unknown."""
+    cond = doc.get(key)
+    if not isinstance(cond, dict) or cond.get("status") not in ("yes", "no", "unknown"):
+        raise MalformedCertificate("%s is not a verdict with status yes, no or unknown" % key)
+    return cond
+
+
+def _witness(cond, length):
+    """cond's witness, which must be a list of `length` entries."""
+    wit = cond["witness"]
+    if not isinstance(wit, list) or len(wit) != length:
+        raise MalformedCertificate("witness is not a list of %d entries" % length)
+    return wit
+
+
 def check_equivalence(inst, path="albert", height=None):
     """Evaluate conditions (i), (ii), (iii) with witnesses and consistency.
 
@@ -268,7 +284,7 @@ def check_equivalence(inst, path="albert", height=None):
     if div.not_division is True:
         cond_iii = CondVerdict("yes", div.witness_coords, div.method)
         try:
-            gen = isotropic_to_generator(ad, div.witness_coords, height=min(height, GENERATOR_HEIGHT))
+            gen = isotropic_to_generator(ad, div.witness_coords)
             cond_ii = CondVerdict("yes", gen.kappa_y, "albert-isotropic-to-generator")
             cond_i = CondVerdict("yes", gen.kappa_y, "from-(ii)")
             derivations.append("(iii)->(ii): kappa-shifted isotropic representative")
@@ -385,14 +401,13 @@ def verify_certificate(doc):
 
     Positive witnesses are re-evaluated (isotropy of Albert vectors,
     subalgebra conditions, nilpotency of the f image); negative verdicts
-    re-run the recorded decision method.  Returns False on any failure.
+    re-run the recorded decision method.  Returns False on any failure
+    and raises MalformedCertificate on a report of the wrong shape.
     """
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise MalformedCertificate("not an %s report" % SCHEMA)
-    for key in ("instance", "cond_i", "cond_ii", "cond_iii_not_division"):
-        if key not in doc:
-            raise MalformedCertificate("missing %s" % key)
-    inst = Instance.from_json(doc["instance"])
+    ciii, cii, ci = (_condition(doc, key) for key in ("cond_iii_not_division", "cond_ii", "cond_i"))
+    inst = Instance.from_json(doc.get("instance"))
     try:
         F, ext, Q = inst.build()
         ad = albert_form(ext, Q)
@@ -400,9 +415,8 @@ def verify_certificate(doc):
         raise MalformedCertificate("instance does not build")
 
     try:
-        ciii = doc["cond_iii_not_division"]
         if ciii["status"] == "yes":
-            coords = parse_vector(F, ciii["witness"])
+            coords = parse_vector(F, _witness(ciii, 6))
             if all(F.is_zero(c) for c in coords):
                 return False
             if not F.is_zero(ad.form.evaluate(coords)):
@@ -412,14 +426,13 @@ def verify_certificate(doc):
             verdict = isotropy(ad.form, height=inst.height)
             if not verdict.is_anisotropic or verdict.method != ciii.get("method"):
                 return False
-        for key, etale in (("cond_ii", True), ("cond_i", False)):
-            cond = doc[key]
+        for cond, etale in ((cii, True), (ci, False)):
             if cond["status"] == "yes":
-                x = _decode_quat(ext, Q, cond["witness"])
+                x = _decode_quat(ext, Q, _witness(cond, 4))
                 validate_disjoint_witness(Q, ext, x, etale_required=etale)
             elif cond["status"] == "no":
                 # negatives on (i)/(ii) are derived from the (iii) method
-                if doc["cond_iii_not_division"]["status"] != "no":
+                if ciii["status"] != "no":
                     return False
     except (InvalidWitness, AlgebraError):
         return False

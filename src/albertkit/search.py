@@ -23,12 +23,6 @@ SCAN_POINTS = 300000  # F_q(t) scans go on to height 2 while q^(2n) is at most t
 # blocks, and the assignments tried per block
 CHAR2_TAIL_HEIGHT = 1
 CHAR2_TAILS = 1500
-# isotropic_to_generator: search height, candidates tried, range of the
-# kappa-line shifts, and draws from the complement of the hyperbolic plane
-GENERATOR_HEIGHT = 6
-GENERATOR_CANDIDATES = 20000
-GENERATOR_SHIFTS = 6
-COMPLEMENT_DRAWS = 20000
 SUBALGEBRA_CANDIDATES = 200000  # find_disjoint_quadratic_subalgebra's default budget
 HARNESS_SUBALGEBRA_CANDIDATES = 3000  # and the harness's
 EMBEDDING_CANDIDATES = 200000  # isometric_embedding: columns tried over the whole search

@@ -1,6 +1,7 @@
 """Corestriction, V^s, Albert form and the witness-converting maps."""
 
 import dataclasses
+import importlib
 
 import pytest
 from conftest import seeded
@@ -14,6 +15,7 @@ from albertkit import (
     TensorSquareAlgebra,
     albert_form,
     build_corestriction,
+    check_equivalence,
     cor_is_division,
     f_map_check,
     generate_instance,
@@ -23,8 +25,9 @@ from albertkit import (
     split_projection_iso,
     validate_disjoint_witness,
 )
+from albertkit import corestriction
 from albertkit.corestriction import m2_mul, natural_map_bijective
-from albertkit.errors import IdentityFails, InvalidWitness
+from albertkit.errors import BudgetExhausted, IdentityFails, InternalContradiction, InvalidWitness
 from albertkit.forms import QuadraticForm, isometric_embedding
 from albertkit.linalg import solve
 
@@ -186,6 +189,64 @@ def test_generator_to_isotropic_roundtrip(hamilton_albert):
     validate_disjoint_witness(HAMILTON_K, EXT_Q2, gen.kappa_y, etale_required=True)
     with pytest.raises(InvalidWitness):
         generator_to_isotropic(ad, HAMILTON_K.one())
+
+
+def _albert_of(family, seed):
+    _, ext, Q = generate_instance(family, seed).build()
+    return albert_form(ext, Q)
+
+
+def test_y_basis_is_trace_zero_outside_char2(hamilton_albert):
+    # why isotropic_to_generator needs only the +kappa shift: unshifted,
+    # kappa*y has trace 0, and c*kappa for c != 0 changes neither the
+    # discriminant nor K-independence
+    for ad in (hamilton_albert, _albert_of("split-K-over-Q", 26), _albert_of("split-K-over-Qt", 3)):
+        K = ad.Q.domain
+        assert all(K.is_zero(y.trd()) for y in ad.y_basis)
+
+
+@pytest.mark.parametrize("family, seed", [("char2-function-field", 6), ("char2-function-field", 7), ("char2-finite", 0)])
+def test_char2_generator_is_built_not_searched(family, seed, monkeypatch):
+    # the witness itself has trace 0, so the generator must come from its
+    # hyperbolic pair, and no scan may run to find it
+    ad = _albert_of(family, seed)
+    K = ad.Q.domain
+    div = cor_is_division(ad)
+    assert div.not_division is True
+    assert K.is_zero(ad.y_from_coords(div.witness_coords).trd())
+
+    def scan(*args, **kwargs):
+        raise AssertionError("a candidate scan ran on the generator path")
+
+    for module in map(importlib.import_module, ("albertkit.search", "albertkit.isotropy", "albertkit.corestriction")):
+        for name in ("zeros", "char2_isotropic_stream"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, scan)
+    gen = isotropic_to_generator(ad, div.witness_coords)
+    validate_disjoint_witness(ad.Q, ad.ext, gen.kappa_y, etale_required=True)
+    assert not K.is_zero(gen.kappa_y.trd())
+
+
+def test_used_up_candidate_list(monkeypatch):
+    # no proof covers characteristic not 2, so a list that holds no generator
+    # ends in an honest unknown after its twelve candidates; in
+    # characteristic 2 the list is complete, so the same failure is a bug
+    def reject(*args, **kwargs):
+        raise InvalidWitness("rejected")
+
+    monkeypatch.setattr(corestriction, "validate_disjoint_witness", reject)
+    inst = generate_instance("split-K-over-Q", 0)
+    ad = _albert_of("split-K-over-Q", 0)
+    with pytest.raises(BudgetExhausted) as exc:
+        isotropic_to_generator(ad, cor_is_division(ad).witness_coords)
+    assert exc.value.searched == 12
+    report = check_equivalence(inst).to_json()
+    assert report["cond_iii_not_division"]["status"] == "yes"
+    assert report["cond_ii"]["status"] == report["cond_i"]["status"] == "unknown"
+    assert report["cond_ii"]["searched"] == 12
+    ad = _albert_of("char2-finite", 0)
+    with pytest.raises(InternalContradiction):
+        isotropic_to_generator(ad, cor_is_division(ad).witness_coords)
 
 
 def test_split_corestriction_is_tensor_product():

@@ -18,6 +18,7 @@ from albertkit import (
     RationalFunctionField,
     check_equivalence,
     generate_instance,
+    validate_disjoint_witness,
     verify_certificate,
 )
 from albertkit.harness import FAMILIES, report_json_bytes
@@ -271,6 +272,68 @@ def test_instance_of_the_wrong_shape_is_malformed():
         del bad["instance"][key]
         with pytest.raises(MalformedCertificate):
             verify_certificate(bad)
+
+
+def test_report_of_the_wrong_shape_is_malformed():
+    # the first four used to escape the verifier as TypeError or IndexError,
+    # the two bad statuses were accepted
+    doc = check_equivalence(generate_instance("split-K-over-Q", 0)).to_json()
+    assert verify_certificate(doc)
+    edits = (
+        ("cond_ii", None, []),
+        ("cond_iii_not_division", None, []),
+        ("cond_ii", "witness", ["1"]),
+        ("cond_ii", "witness", None),
+        ("cond_iii_not_division", "status", []),
+        ("cond_i", "status", {}),
+        ("cond_i", None, "x"),
+        ("cond_ii", "status", "maybe"),
+        ("cond_ii", "witness", "1234"),
+        ("cond_ii", "witness", ["1", "0", "0", "0", "0"]),
+        ("cond_iii_not_division", "witness", None),
+        ("cond_iii_not_division", "witness", ["1"]),
+        ("cond_iii_not_division", "witness", "100000"),
+        ("cond_iii_not_division", "witness", {"0": "1"}),
+    )
+    for key, field, value in edits:
+        bad = copy.deepcopy(doc)
+        if field is None:
+            bad[key] = value
+        else:
+            bad[key][field] = value
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+    for key in ("cond_i", "cond_ii", "cond_iii_not_division"):
+        bad = copy.deepcopy(doc)
+        del bad[key]["status"]
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+
+
+def test_accepted_cond_ii_tampers_are_genuine_witnesses():
+    # criterion 9's single-entry cond_ii tampering: the verifier accepts some
+    # of these on split-K-over-Q, and each must be a witness in its own right;
+    # "1" over an entry that already parses to 1 (such as ["1", "1"]) changes
+    # nothing, so it is not counted
+    accepted = 0
+    for seed in (0, 3, 6):
+        doc = check_equivalence(generate_instance("split-K-over-Q", seed)).to_json()
+        _, ext, Q = Instance.from_json(doc["instance"]).build()
+        K = ext.ring
+        wit = doc["cond_ii"]["witness"]
+        for pos in range(len(wit)):
+            bad = copy.deepcopy(doc)
+            bad["cond_ii"]["witness"][pos] = "1" if wit[pos] != "1" else "w"
+            if K.is_zero(parse_element(K, bad["cond_ii"]["witness"][pos]) - parse_element(K, wit[pos])):
+                continue
+            if not verify_certificate(bad):
+                continue
+            accepted += 1
+            x = Q.element(tuple(parse_element(K, c) for c in bad["cond_ii"]["witness"]))
+            data = validate_disjoint_witness(Q, ext, x, etale_required=True)
+            # x is a root of its reduced characteristic polynomial over F
+            assert (x * x - x.scale(K.from_base(data["trd"])) + Q.one().scale(K.from_base(data["nrd"]))).is_zero()
+    assert accepted >= 2
 
 
 def test_generate_instance_families_deterministic():

@@ -1,5 +1,8 @@
 """Search budgets: `searched` counts every candidate drawn."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from albertkit import QQ, BudgetExhausted, FiniteField, QuadraticForm, RationalFunctionField
@@ -7,6 +10,8 @@ from albertkit.forms import isometric_embedding
 from albertkit.harness import generate_instance
 from albertkit.quaternion import _candidate_elements, find_disjoint_quadratic_subalgebra
 from albertkit.search import Budget, projective_points
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "albertkit"
 
 
 def test_budget_counts_the_draw_that_crosses_the_limit():
@@ -52,3 +57,22 @@ def test_function_field_points_do_not_repeat():
         field = RationalFunctionField(base, "t")
         vecs = [tuple(field.format_element(c) for c in v) for v in projective_points(field, n, h)]
         assert len(vecs) == len(set(vecs)) == count
+
+
+def test_every_search_limit_is_read():
+    # a limit that no code reads is a knob for a search that no longer runs;
+    # the check reads syntax trees, so a name counts wherever it is loaded
+    tree = ast.parse((PACKAGE / "search.py").read_text())
+    constants = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        constants |= {t.id for t in targets if isinstance(t, ast.Name) and t.id.isupper()}
+    assert "DEFAULT_HEIGHT" in constants
+    read = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    assert constants <= read, "unread search.py constants: %s" % sorted(constants - read)
