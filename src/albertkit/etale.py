@@ -50,7 +50,7 @@ class SplitElem(ScalarElem):
             other = self.alg.from_int(other)
         return (
             isinstance(other, SplitElem)
-            and other.alg == self.alg
+            and (other.alg is self.alg or other.alg == self.alg)
             and other.a == self.a
             and other.b == self.b
         )
@@ -105,7 +105,7 @@ class SplitAlgebra:
     def coerce(self, x):
         if isinstance(x, int):
             return self.from_int(x)
-        if isinstance(x, SplitElem) and x.alg == self:
+        if isinstance(x, SplitElem) and (x.alg is self or x.alg == self):
             return x
         raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 

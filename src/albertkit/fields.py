@@ -166,7 +166,7 @@ class ScalarElem:
         """other as an element of this context: ints are coerced, anything else is a fault."""
         if isinstance(other, int):
             return self.field.from_int(other)
-        if isinstance(other, type(self)) and other.field == self.field:
+        if isinstance(other, type(self)) and (other.field is self.field or other.field == self.field):
             return other
         raise AlgebraError(
             "mixed contexts: %r in %s with %s %r" % (self, self.field.name, type(other).__name__, other)
@@ -202,7 +202,7 @@ _DEFAULT_REDUCTION = {
 
 
 class GFElem(ScalarElem):
-    """Element of a finite field, stored as a coefficient tuple mod p."""
+    """Element of a finite field, a coefficient tuple mod p; only FiniteField._elem builds one."""
 
     __slots__ = ("field", "coeffs")
 
@@ -213,13 +213,13 @@ class GFElem(ScalarElem):
     def __add__(self, other):
         other = self._check(other)
         p = self.field.p
-        return GFElem(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        return self.field._elem(tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self):
         p = self.field.p
-        return GFElem(self.field, tuple((-a) % p for a in self.coeffs))
+        return self.field._elem(tuple((-a) % p for a in self.coeffs))
 
     def __mul__(self, other):
         other = self._check(other)
@@ -234,7 +234,9 @@ class GFElem(ScalarElem):
     def __eq__(self, other):
         if isinstance(other, int):
             other = self.field.from_int(other)
-        return isinstance(other, GFElem) and other.field == self.field and other.coeffs == self.coeffs
+        return other is self or (
+            isinstance(other, GFElem) and other.coeffs == self.coeffs and other.field == self.field
+        )
 
     def __hash__(self):
         return hash((self.field.p, self.field.k, self.coeffs))
@@ -244,7 +246,11 @@ class GFElem(ScalarElem):
 
 
 class FiniteField(Field):
-    """GF(p^k) as a polynomial quotient ring over GF(p)."""
+    """GF(p^k) as GF(p)[x]/(x^k - r(x)), the modulus checked to be irreducible.
+
+    Elements are canonical: one GFElem per element, built on first use and kept
+    (at most `order` of them), so equal elements of one field are one object.
+    """
 
     def __init__(self, p, k=1, reduction=None):
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
@@ -264,6 +270,7 @@ class FiniteField(Field):
             if len(self.reduction) != k:
                 raise AlgebraError("reduction tuple must have length k")
         self.name = "F(%d)" % self.order
+        self._elems = {}
         # powers of x from x^k up to x^(2k-2), reduced
         self._xpowers = self._build_xpowers()
         self._validate_irreducible()
@@ -283,20 +290,20 @@ class FiniteField(Field):
         return powers
 
     def _validate_irreducible(self):
-        # the modulus is irreducible iff no element of GF(p^k) \ GF(p^j) ...
-        # cheap check for our sizes: the ring is a field iff every nonzero
-        # element is invertible, which we verify on construction lazily
-        # through a gcd-free criterion: x^(p^k) = x and x^(p^j) != x for j<k.
-        if self.k == 1:
-            return
-        x = self.gen()
-        y = x
-        for _ in range(self.k - 1):
-            y = self.frobenius(y)
-            if y == x:
-                raise AlgebraError("modulus for GF(%d^%d) is reducible" % (self.p, self.k))
-        if self.frobenius(y) != x:
-            raise AlgebraError("modulus for GF(%d^%d) is reducible" % (self.p, self.k))
+        # Ben-Or: a reducible f = x^k - r(x) has a factor of degree i <= k/2, shared with x^(p^i) - x
+        if self.k > 1:
+            fp = FiniteField(self.p)
+            f = Poly(fp, tuple(-c for c in self.reduction) + (1,))
+            x = y = self.gen()
+            for _ in range(self.k // 2):
+                y = self.frobenius(y)
+                if Poly(fp, (y - x).coeffs).gcd(f).degree > 0:
+                    raise AlgebraError("modulus for GF(%d^%d) is reducible" % (self.p, self.k))
+
+    def _elem(self, coeffs):
+        """The one element with this coefficient tuple, built on first use."""
+        e = self._elems.get(coeffs)
+        return e if e is not None else self._elems.setdefault(coeffs, GFElem(self, coeffs))
 
     def frobenius(self, a):
         """a^p, the Frobenius image of a."""
@@ -311,30 +318,30 @@ class FiniteField(Field):
         return out
 
     def zero(self):
-        return GFElem(self, (0,) * self.k)
+        return self._elem((0,) * self.k)
 
     def one(self):
-        return GFElem(self, (1,) + (0,) * (self.k - 1))
+        return self._elem((1,) + (0,) * (self.k - 1))
 
     def gen(self):
         if self.k == 1:
             return self.from_int(1)
-        return GFElem(self, (0, 1) + (0,) * (self.k - 2))
+        return self._elem((0, 1) + (0,) * (self.k - 2))
 
     def from_int(self, n):
-        return GFElem(self, (n % self.p,) + (0,) * (self.k - 1))
+        return self._elem((n % self.p,) + (0,) * (self.k - 1))
 
     def coerce(self, x):
         if isinstance(x, int):
             return self.from_int(x)
-        if isinstance(x, GFElem) and x.field == self:
+        if isinstance(x, GFElem) and (x.field is self or x.field == self):
             return x
         raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
     def _mul(self, a, b):
         p, k = self.p, self.k
         if k == 1:
-            return GFElem(self, ((a.coeffs[0] * b.coeffs[0]) % p,))
+            return self._elem(((a.coeffs[0] * b.coeffs[0]) % p,))
         conv = [0] * (2 * k - 1)
         for i, ai in enumerate(a.coeffs):
             if not ai:
@@ -349,7 +356,7 @@ class FiniteField(Field):
                 red = self._xpowers[d - k]
                 for i in range(k):
                     out[i] = (out[i] + c * red[i]) % p
-        return GFElem(self, tuple(out))
+        return self._elem(tuple(out))
 
     def inv(self, a):
         if not a:
@@ -367,7 +374,7 @@ class FiniteField(Field):
 
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.k):
-            yield GFElem(self, coeffs)
+            yield self._elem(coeffs)
 
     def element_index(self, a):
         return sum(c * self.p ** i for i, c in enumerate(a.coeffs))
@@ -410,7 +417,7 @@ class FiniteField(Field):
         return roots
 
     def random_element(self, rng, size=5):
-        return GFElem(self, tuple(rng.randrange(self.p) for _ in range(self.k)))
+        return self._elem(tuple(rng.randrange(self.p) for _ in range(self.k)))
 
     def format_element(self, x):
         if self.k == 1:
@@ -570,7 +577,8 @@ class Poly:
         return None
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and other.base == self.base and other.coeffs == self.coeffs
+        same_base = isinstance(other, Poly) and (other.base is self.base or other.base == self.base)
+        return same_base and other.coeffs == self.coeffs
 
     def __hash__(self):
         return hash((self.base, self.coeffs))
@@ -650,7 +658,7 @@ class RatFuncElem(ScalarElem):
             other = self.field.from_int(other)
         return (
             isinstance(other, RatFuncElem)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.num == self.num
             and other.den == self.den
         )
@@ -700,7 +708,7 @@ class RationalFunctionField(Field):
     def coerce(self, x):
         if isinstance(x, int):
             return self.from_int(x)
-        if isinstance(x, RatFuncElem) and x.field == self:
+        if isinstance(x, RatFuncElem) and (x.field is self or x.field == self):
             return x
         raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
@@ -978,7 +986,7 @@ class QuadExtElem(ScalarElem):
             other = self.field.from_int(other)
         return (
             isinstance(other, QuadExtElem)
-            and other.field == self.field
+            and (other.field is self.field or other.field == self.field)
             and other.a == self.a
             and other.b == self.b
         )
@@ -1037,7 +1045,7 @@ class QuadraticFieldExtension(Field):
     def coerce(self, x):
         if isinstance(x, int):
             return self.from_int(x)
-        if isinstance(x, QuadExtElem) and x.field == self:
+        if isinstance(x, QuadExtElem) and (x.field is self or x.field == self):
             return x
         raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 

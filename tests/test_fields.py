@@ -1,5 +1,7 @@
 """Field arithmetic, etale structure maps, and the linear solver contract."""
 
+import itertools
+
 import pytest
 from conftest import seeded
 
@@ -16,6 +18,7 @@ from albertkit import (
 )
 from albertkit.errors import NoSolution
 from albertkit.fields import Poly, solve_additive_poly
+from albertkit.jsonio import parse_field
 from albertkit.linalg import solve_linear
 
 
@@ -203,3 +206,57 @@ def test_context_mixing_is_hard_fault():
         assert field.coerce(1 / x) == field.one() / x
         assert x - 1 == -(1 - x)
         assert (1 / x) * x == field.one()
+
+
+def test_finite_field_elements_are_canonical():
+    F16 = FiniteField(2, 4)
+    elems = list(F16.elements())
+    assert F16.one() is F16.one() and F16.zero() is F16.from_int(2)
+    for a in elems:
+        assert -a is a and a - a is F16.zero()
+        for b in elems:
+            assert a * b is b * a and a + b is b + a
+        if a:
+            assert F16.inv(F16.inv(a)) is a
+    assert len(F16._elems) <= F16.order
+    assert set(map(id, elems)) == set(map(id, F16._elems.values()))
+
+
+def test_equal_finite_fields_still_mix():
+    A, B = FiniteField(3), FiniteField(3)
+    assert A is not B and A == B
+    a, b = A.from_int(2), B.from_int(2)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a + b == A.one() and b * a == B.one() and a - b == 0
+    assert A.coerce(b) is b and B.is_zero(a - b)
+    At, Bt = RationalFunctionField(A, "t"), RationalFunctionField(B, "t")
+    assert At.gen() + At.from_base(a) == Bt.gen() - Bt.from_base(b + b)
+    assert At.from_base(b) * Bt.from_base(a) == 1
+
+
+def test_reducible_modulus_is_refused():
+    # w^6 + w^5 + w = w (w^2 + w + 1) (w^3 + w + 1): x^(2^6) = x holds, x^(2^j) != x for j < 6
+    with pytest.raises(AlgebraError):
+        parse_field("F(64):w^6+w^5+w")
+    with pytest.raises(AlgebraError):
+        FiniteField(3, 2, reduction=(1, 0))  # x^2 - 1
+    assert parse_field("F(64):w^6+w+1").order == 64
+
+
+@pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2)])
+def test_irreducibility_check_matches_trial_division(p, k):
+    Fp = FiniteField(p)
+
+    def monic(low):
+        return Poly(Fp, tuple(low) + (1,))
+
+    small = [monic(low) for d in range(1, k // 2 + 1) for low in itertools.product(range(p), repeat=d)]
+    for reduction in itertools.product(range(p), repeat=k):
+        f = monic(tuple(-c for c in reduction))
+        irreducible = all(not f.divmod(g)[1].is_zero() for g in small)
+        try:
+            FiniteField(p, k, reduction=reduction)
+            accepted = True
+        except AlgebraError:
+            accepted = False
+        assert accepted == irreducible, (p, k, reduction)
