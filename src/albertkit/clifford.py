@@ -9,6 +9,8 @@ in characteristic 2.
 
 from __future__ import annotations
 
+import functools
+
 from . import linalg
 from .errors import (
     AlgebraError,
@@ -17,7 +19,7 @@ from .errors import (
     RankDeficient,
     RelationViolation,
 )
-from .fields import _DEFAULT_REDUCTION, FiniteField, RationalFunctionField
+from .fields import _DEFAULT_REDUCTION, FiniteField, RationalField, RationalFunctionField
 from .forms import orthogonalize, symplectic_pairs
 
 
@@ -315,48 +317,123 @@ def arf_trivial(form):
 # ---------------------------------------------------------------------------
 
 
-def _rank_certified(rows, field, target):
-    """Rank of `rows` over `field`, or `target` once a cheap bound certifies it.
+# Primes of about 1000 for reducing Q, and the point t0 taken mod each over
+# Q(t).  A reduction loses rank 64 only when p divides the determinant (or
+# t0 is one of its roots), so the first prime nearly always keeps it.
+_PRIMES = (1009, 1013, 1019, 1021, 1031)
+_QT_POINTS = (2, 3, 5, 7, 11)
 
-    Over a function field F(t) the entries are specialized at points t = t0
-    where no denominator vanishes.  Specialization is a ring map, so the rank
-    at t0 never exceeds the exact rank: a rank of at least `target` at some
-    point proves the exact rank is at least `target` (callers pass the number
-    of rows, so it is then exactly `target`).  The points are those of
-    _specialization_points; exact elimination over F(t) is the last resort.
+
+def _rank_certified(rows, field, target):
+    """Rank of `rows` over `field`, or `target` once a reduction certifies it.
+
+    Over an infinite field the entries are pushed through the ring maps of
+    _reductions: mod p over Q, t -> t0 over F(t).  A ring map never raises
+    the rank (a minor that is nonzero after the map is nonzero before it), so
+    a rank of at least `target` after one proves the exact rank is at least
+    `target` (callers pass the number of rows, so it is then exactly
+    `target`).  Exact elimination over `field` is the last resort, and the
+    only step over a finite field.
     """
     ncols = len(rows[0])
-    if isinstance(field, RationalFunctionField):
-        for E, t0, lift in _specialization_points(field.base):
-            spec = _specialize(rows, E, t0, lift)
-            if spec is not None and linalg.rank(spec, E, ncols) >= target:
+    if field.order is None:
+        for E, phi in _reductions(field):
+            reduced = [_apply(phi, row) for row in rows]
+            if None not in reduced and linalg.rank(reduced, E, ncols) >= target:
                 return target
     return linalg.rank(rows, field, ncols)
 
 
-def _specialization_points(base):
-    """(field, t0, lift) for each point t = t0 to try; lift maps base into field.
+def _reductions(field):
+    """(E, phi) for each ring map phi from `field` to a finite field E to try.
 
-    Over an infinite base: t = 2, 3, 5, 7, 11.  Over a finite base: its
-    elements and then, over a prime field F_p, one point of each Frobenius
-    orbit of degree k in FiniteField(p, k), for every k with a default
-    modulus.  The entries then have coefficients in F_p, so conjugate points
-    give conjugate matrices of equal rank, and the points of a proper
-    subfield were tried before.  Over F_2 the points of F_2 and F_4 are the
-    roots of the units t, t + 1 and t^2 + t + 1 of the char-2 families, where
-    their Clifford matrices can lose rank; the points of F_8 avoid them all.
+    phi is defined on a subring and returns None outside it, where a
+    denominator vanishes.  A finite field maps to itself by the identity, Q to
+    F_p for each p in _PRIMES, and F(t) to E by t -> t0 for the (E, lift, t0)
+    of _points.  Other fields have none.
     """
-    if not base.enumerable:
-        for v in (2, 3, 5, 7, 11):
-            yield base, base.from_int(v), base.coerce
+    if isinstance(field, FiniteField):
+        yield field, lambda x: x
+    elif isinstance(field, RationalField):
+        for p in _PRIMES:
+            E = _reduction_field(p)
+            yield E, _mod_p(E)
+    elif isinstance(field, RationalFunctionField):
+        for E, lift, t0 in _points(field.base):
+            yield E, _at_point(E, lift, t0)
+
+
+@functools.cache
+def _reduction_field(p, k=1):
+    """The one FiniteField(p, k) that reductions map into.
+
+    A field keeps every element it hands out, and each element refers back to
+    it; a field made per check would leave up to p^k elements to the cycle
+    collector each time.  The cache holds at most one field per prime of
+    _PRIMES and per default modulus.
+    """
+    return FiniteField(p, k)
+
+
+def _mod_p(E):
+    """Q -> F_p on the fractions whose denominator p does not divide."""
+    p = E.p
+
+    def phi(x):
+        den = x.denominator % p
+        return None if den == 0 else E.from_int(x.numerator * pow(den, -1, p))
+
+    return phi
+
+
+def _at_point(E, lift, t0):
+    """F(t) -> E by t -> t0, with `lift` on the coefficients."""
+
+    def value(poly):
+        out = E.zero()
+        for c in reversed(poly.coeffs):
+            c = lift(c)
+            if c is None:
+                return None
+            out = out * t0 + c
+        return out
+
+    def phi(x):
+        num, den = value(x.num), value(x.den)
+        if num is None or den is None or not den:
+            return None
+        return num / den
+
+    return phi
+
+
+def _points(base):
+    """(E, lift, t0) for each point t = t0 of F(t) to try; lift maps base into E.
+
+    Over Q: t0 in _QT_POINTS, one for each prime of _PRIMES, in F_p.  Over a
+    finite base: its elements and then, over a prime field F_p, one point of
+    each Frobenius orbit of degree k in FiniteField(p, k), for every k with a
+    default modulus.  The entries then have coefficients in F_p, so
+    conjugate points give conjugate matrices of equal rank, and the points of
+    a proper subfield were tried before.  Over F_2 the points of F_2 and F_4
+    are the roots of the units t, t + 1 and t^2 + t + 1 of the char-2
+    families, where their Clifford matrices can lose rank; the points of F_8
+    avoid them all.
+    """
+    if isinstance(base, RationalField):
+        for p, t0 in zip(_PRIMES, _QT_POINTS):
+            E = _reduction_field(p)
+            yield E, _mod_p(E), E.from_int(t0)
+        return
+    if not isinstance(base, FiniteField):
         return
     for t0 in base.elements():
-        yield base, t0, base.coerce
-    if not isinstance(base, FiniteField) or base.k != 1:
+        yield base, base.coerce, t0
+    if base.k != 1:
         return
     p = base.p
     for k in sorted(k for q, k in _DEFAULT_REDUCTION if q == p):
-        E = FiniteField(p, k)
+        E = _reduction_field(p, k)
 
         def lift(c, E=E):
             return E.from_int(c.coeffs[0])
@@ -368,43 +445,84 @@ def _specialization_points(base):
                 orbit.append(nxt)
             if len(orbit) == k and t0 not in seen:
                 seen.update(orbit)
-                yield E, t0, lift
+                yield E, lift, t0
 
 
-def _specialize(rows, E, t0, lift):
-    """The rational-function rows at t = t0, over E; None when a denominator vanishes."""
+def _apply(phi, values):
+    """The tuple of phi's values, or None when phi is undefined at one of them."""
+    out = tuple(map(phi, values))
+    return None if any(v is None for v in out) else out
 
-    def value(poly):
-        out = E.zero()
-        for c in reversed(poly.coeffs):
-            out = out * t0 + lift(c)
-        return out
 
-    # one object per distinct value: a 64 x 64 matrix over a small field
-    # repeats few values, and an object per entry raised the audit's peak memory
-    spec, shared = [], {}
-    for row in rows:
-        out = []
-        for c in row:
-            den = value(c.den)
-            if E.is_zero(den):
+def _reduced_rows(cor, fs, E, phi):
+    """The monomial rows (see _monomial_rows) of Cor reduced by phi, or None.
+
+    Cor_E has phi of Cor's structure constants and unit, and the reduced
+    f(xi_i) have phi of their coordinates as entries.  None when phi is
+    undefined at one of them.
+    """
+    from .corestriction import StructureAlgebra, TensorElem
+
+    structure = []
+    for row in cor.structure:
+        out_row = []
+        for entry in row:
+            values = _apply(phi, [c for _, c in entry])
+            if values is None:
                 return None
-            v = value(c.num) / den
-            out.append(shared.setdefault(v, v))
-        spec.append(tuple(out))
-    return spec
+            out_row.append(tuple((m, v) for (m, _), v in zip(entry, values) if v))
+        structure.append(tuple(out_row))
+    unit = _apply(phi, cor.unit_coords)
+    if unit is None:
+        return None
+    cor_E = StructureAlgebra(E, tuple(structure), unit)
+    fs_E = []
+    for M in fs:
+        entries = [_apply(phi, e.coords) for row in M for e in row]
+        if None in entries:
+            return None
+        a, b, c, d = (TensorElem(cor_E, coords) for coords in entries)
+        fs_E.append(((a, b), (c, d)))
+    return _monomial_rows(cor_E, fs_E)
+
+
+def _monomial_rows(alg, fs):
+    """The 64 coordinates over `alg` of each monomial image, in increasing mask order.
+
+    The image of e_S is the product of the f(xi_i), i in S, in increasing
+    order: e_mask = e_i * e_rest with i below every index of rest.
+    """
+    from .corestriction import m2_mul
+
+    one, zero = alg.one(), alg.zero()
+    images = [((one, zero), (zero, one))]
+    for mask in range(1, 64):
+        low = mask & -mask
+        rest = mask ^ low
+        i = low.bit_length() - 1
+        images.append(fs[i] if rest == 0 else m2_mul(alg, fs[i], images[rest]))
+    return [tuple(c for row in M for entry in row for c in entry.coords) for M in images]
 
 
 def clifford_iso_check(ad, cor):
     """Dimension-count bijectivity of the induced Clifford map onto M_2(Cor).
 
-    Expresses the f(xi_i) in Cor (the check that f lands in M_2(Cor)),
-    verifies the defining relations there, extends xi -> f(xi)
-    multiplicatively to the 64 monomials by Cor products, checks the even
-    part lands block-diagonally, and certifies that the 64 images have rank
-    64 in the 64-dimensional F-space M_2(Cor), i.e. the map is bijective.
-    Products of elements of Cor stay in Cor (build_corestriction verified
-    closure), so no image needs its own membership check.
+    Over F and exactly: expresses the f(xi_i) in Cor (the check that f lands
+    in M_2(Cor)), checks that each has zero diagonal, so that the even
+    monomials land block-diagonally, and verifies the defining relations.
+    The map xi -> f(xi) then extends multiplicatively to the 64 monomials,
+    and the images have rank 64 in the 64-dimensional F-space M_2(Cor) when
+    the map is bijective.  That rank is certified in Cor reduced at a point:
+    Cor's structure constants, its unit and the f(xi_i) are pushed through a
+    ring map phi of _reductions (mod p over Q and Q(t), a point of F_{2^k}
+    over F_2(t), the identity over a finite F), and the 64 images are built
+    in M_2(Cor_E).  They are phi of the images over F, and a ring map never
+    raises the rank, so rank 64 at one point proves rank 64 over F.  Only
+    when every point fails are the images built over F and their rank taken
+    by _rank_certified, whose reductions of the images can succeed where phi
+    of Cor's data was undefined.  Products of elements of Cor stay in Cor
+    (build_corestriction verified closure), so no image needs its own
+    membership check.
     """
     from .corestriction import cor_f_basis, m2_equals_scalar, m2_mul
 
@@ -413,8 +531,9 @@ def clifford_iso_check(ad, cor):
     fs = cor_f_basis(ad, cor)
     if fs is None:
         raise RelationViolation("image entry leaves the fixed algebra")
+    if not all(M[0][0].is_zero() and M[1][1].is_zero() for M in fs):
+        raise RelationViolation("f(xi_i) has a nonzero diagonal entry")
     B = ad.form.polar_matrix()
-    ident = ((cor.one(), cor.zero()), (cor.zero(), cor.one()))
     # defining relations
     for i in range(n):
         sq = m2_mul(cor, fs[i], fs[i])
@@ -424,24 +543,11 @@ def clifford_iso_check(ad, cor):
             anti = _m2_add(m2_mul(cor, fs[i], fs[j]), m2_mul(cor, fs[j], fs[i]))
             if not m2_equals_scalar(cor, anti, B[i][j]):
                 raise RelationViolation("anticommutation relation fails")
-    # monomial images, increasing mask order
-    images = {0: ident}
-    for mask in range(1, 64):
-        low = mask & -mask
-        rest = mask ^ low
-        i = low.bit_length() - 1
-        if rest == 0:
-            images[mask] = fs[i]
-        else:
-            # e_mask = e_i * e_rest with i below every index of rest
-            images[mask] = m2_mul(cor, fs[i], images[rest])
-    rows = []
-    for mask in range(64):
-        M = images[mask]
-        rows.append(tuple(c for r in range(2) for entry in M[r] for c in entry.coords))
-        if bin(mask).count("1") % 2 == 0 and not (M[0][1].is_zero() and M[1][0].is_zero()):
-            raise RelationViolation("even monomial image is not block-diagonal")
-    rank = _rank_certified(rows, F, 64)
+    for E, phi in _reductions(F):
+        rows = _reduced_rows(cor, fs, E, phi)
+        if rows is not None and linalg.rank(rows, E, 64) == 64:
+            return {"rank": 64, "monomials": 64}
+    rank = _rank_certified(_monomial_rows(cor, fs), F, 64)
     if rank != 64:
         raise RankDeficient("Clifford image has rank %d" % rank)
     return {"rank": rank, "monomials": 64}

@@ -108,9 +108,11 @@ def _tensor_table(ring, table1, table2, twist=None):
 
     a_i a_k = sum_m table1[i][k][m] a_m and likewise for B; `twist` maps the
     constants of the first factor (gamma, for the conjugate factor of the
-    tensor square).  Entry [4i+j][4k+l] lists the nonzero (4m+n, c) terms.
+    tensor square).  Entry [4i+j][4k+l] lists the nonzero (4m+n, c) terms,
+    with one object per distinct c.
     """
     table = []
+    shared = {}
     for idx1 in range(16):
         i, j = divmod(idx1, 4)
         row = []
@@ -126,7 +128,8 @@ def _tensor_table(ring, table1, table2, twist=None):
                 for n in range(4):
                     c2 = second[n]
                     if not ring.is_zero(c2):
-                        entries.append((4 * m + n, c1 * c2))
+                        c = c1 * c2
+                        entries.append((4 * m + n, shared.setdefault(c, c)))
             row.append(tuple(entries))
         table.append(tuple(row))
     return tuple(table)
@@ -355,6 +358,9 @@ def build_corestriction(ext, Q, check_rank=True):
             raise InternalContradiction("fixed basis is not echelon-normalized")
     basis = [A.unrealify(vec) for vec in kernel]
     cor = CorestrictionAlgebra(F, None, None, basis=basis, tensor=A, free_columns=tuple(free), label="fixed-points")
+    # one object per distinct constant: the 256 products repeat a few dozen
+    # values, and Cor's table is carried through both audits
+    shared = {}
     structure = []
     for r in range(16):
         row = []
@@ -363,9 +369,12 @@ def build_corestriction(ext, Q, check_rank=True):
             coords = cor.express(prod)
             if coords is None:
                 raise InternalContradiction("fixed space is not closed under product")
-            row.append(tuple((m, c) for m, c in enumerate(coords) if not F.is_zero(c)))
+            row.append(tuple((m, shared.setdefault(c, c)) for m, c in enumerate(coords) if not F.is_zero(c)))
         structure.append(tuple(row))
     cor.structure = tuple(structure)
+    # the 256 basis products are read: nothing multiplies in A again, and
+    # its table over K would otherwise ride along with Cor through the audits
+    del A.structure
     unit = cor.express(A.one())
     if unit is None:
         raise InternalContradiction("unit is not a fixed point")

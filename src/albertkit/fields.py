@@ -305,17 +305,19 @@ class FiniteField(Field):
         e = self._elems.get(coeffs)
         return e if e is not None else self._elems.setdefault(coeffs, GFElem(self, coeffs))
 
-    def frobenius(self, a):
-        """a^p, the Frobenius image of a."""
+    def _pow(self, a, e):
+        """a^e by square and multiply, for e >= 0."""
         out = self.one()
-        base = a
-        e = self.p
         while e:
             if e & 1:
-                out = out * base
-            base = base * base
+                out = out * a
+            a = a * a
             e >>= 1
         return out
+
+    def frobenius(self, a):
+        """a^p, the Frobenius image of a."""
+        return self._pow(a, self.p)
 
     def zero(self):
         return self._elem((0,) * self.k)
@@ -361,16 +363,7 @@ class FiniteField(Field):
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero in %s" % self.name)
-        # a^(q-2)
-        out = self.one()
-        base = a
-        e = self.order - 2
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out
+        return self._pow(a, self.order - 2)
 
     def elements(self):
         for coeffs in itertools.product(range(self.p), repeat=self.k):
@@ -385,17 +378,14 @@ class FiniteField(Field):
             return True
         if self.p == 2:
             return True
-        e = (self.order - 1) // 2
-        out = self.one()
-        base = x
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base
-            e >>= 1
-        return out == self.one()
+        return self._pow(x, (self.order - 1) // 2) is self.one()
 
     def sqrt(self, x):
+        """A square root of x: of the two, the one first in `elements` order.
+
+        Squaring is bijective in characteristic 2; otherwise Tonelli-Shanks,
+        with the first non-square of `elements` as the 2-Sylow generator.
+        """
         x = self.coerce(x)
         if self.p == 2:
             # squaring is bijective: sqrt = x^(q/2)
@@ -405,16 +395,60 @@ class FiniteField(Field):
             if not (out * out == x):
                 raise ValueError("no square root of %r" % x)
             return out
-        for a in self.elements():
-            if a * a == x:
-                return a
-        raise ValueError("%r is not a square in %s" % (x, self.name))
+        if not x:
+            return x
+        if not self.is_square(x):
+            raise ValueError("%r is not a square in %s" % (x, self.name))
+        s, m = 0, self.order - 1
+        while m % 2 == 0:
+            s, m = s + 1, m // 2
+        z = next(a for a in self.elements() if a and not self.is_square(a))
+        one = self.one()
+        c, t, r = self._pow(z, m), self._pow(x, m), self._pow(x, (m + 1) // 2)
+        # invariant: r^2 = t x, and t has order dividing 2^(s-1)
+        while t is not one:
+            i, t2 = 1, t * t
+            while t2 is not one:
+                i, t2 = i + 1, t2 * t2
+            b = self._pow(c, 1 << (s - i - 1))
+            s, c = i, b * b
+            t, r = t * c, r * b
+        return min(r, -r, key=lambda a: a.coeffs)
 
     def monic_quadratic_roots(self, b, c):
+        """The roots of X^2 + b X + c, in `element_index` order.
+
+        Odd characteristic: the quadratic formula with `sqrt`.  In
+        characteristic 2, X = bY turns it into Y^2 + Y = c/b^2, whose
+        F_2-linear left side is solved as a k x k system over F_2.
+        """
         b, c = self.coerce(b), self.coerce(c)
-        roots = [a for a in self.elements() if a * a + b * a + c == self.zero()]
-        roots.sort(key=self.element_index)
-        return roots
+        if self.p != 2:
+            try:
+                r = self.sqrt(b * b - 4 * c)
+            except ValueError:
+                return []
+            half = self.inv(self.from_int(2))
+            roots = {(-b + r) * half, (-b - r) * half}
+        elif not b:
+            roots = {self.sqrt(c)}
+        else:
+            roots = {b * y for y in self._artin_schreier_roots(c / (b * b))}
+        return sorted(roots, key=self.element_index)
+
+    def _artin_schreier_roots(self, d):
+        """The solutions of Y^2 + Y = d in characteristic 2: none or a pair y, y + 1."""
+        from . import linalg
+
+        two = FiniteField(2)
+        units = [self._elem(tuple(int(i == j) for i in range(self.k))) for j in range(self.k)]
+        images = [u * u + u for u in units]
+        rows = [tuple(two.from_int(v.coeffs[i]) for v in images) for i in range(self.k)]
+        sol = linalg.solve(rows, [two.from_int(a) for a in d.coeffs], two)
+        if sol is None:
+            return []
+        y = self._elem(tuple(a.coeffs[0] for a in sol))
+        return [y, y + self.one()]
 
     def random_element(self, rng, size=5):
         return self._elem(tuple(rng.randrange(self.p) for _ in range(self.k)))
@@ -1121,11 +1155,12 @@ class QuadraticFieldExtension(Field):
         return out
 
     def monic_quadratic_roots(self, b, c):
+        """The roots of X^2 + b X + c; over a finite base in `element_index` order.
+
+        The quadratic formula outside characteristic 2; there a finite field
+        is enumerated.
+        """
         b, c = self.coerce(b), self.coerce(c)
-        if self.order is not None:
-            roots = [a for a in self.elements() if a * a + b * a + c == self.zero()]
-            roots.sort(key=self.element_index)
-            return roots
         if self.char != 2:
             disc = b * b - 4 * c
             roots = []
@@ -1133,8 +1168,13 @@ class QuadraticFieldExtension(Field):
                 for cand in ((-b + r) / 2, (-b - r) / 2):
                     if cand not in roots:
                         roots.append(cand)
-            return roots
-        raise AlgebraError("quadratic roots unsupported over %s" % self.name)
+        elif self.order is not None:
+            roots = [a for a in self.elements() if a * a + b * a + c == self.zero()]
+        else:
+            raise AlgebraError("quadratic roots unsupported over %s" % self.name)
+        if self.order is not None:
+            roots.sort(key=self.element_index)
+        return roots
 
     def random_element(self, rng, size=5):
         return QuadExtElem(self, self.base.random_element(rng, size), self.base.random_element(rng, size))

@@ -257,6 +257,32 @@ def test_criterion_5_corestriction(corestriction_instances):
     _line(5, "corestriction", "50 instances; 20 split-path isomorphisms found")
 
 
+def test_criterion_5_clifford_rank_is_certified_at_a_point(corestriction_instances, monkeypatch):
+    # the rank-64 check runs in Cor reduced at a point: no 64-row elimination
+    # over Q, Q(t) or F_2(t), no images built over F for the fallback, and
+    # the same report as the exact check
+    import albertkit.clifford as clifford_module
+    import albertkit.linalg as linalg_module
+
+    exact = linalg_module.rank
+    fields = []
+
+    def counting_rank(rows, field, ncols=None):
+        if len(rows) == 64:
+            fields.append(field)
+        return exact(rows, field, ncols)
+
+    def no_fallback(rows, field, target):
+        raise AssertionError("the exact fallback ran")
+
+    monkeypatch.setattr(linalg_module, "rank", counting_rank)
+    monkeypatch.setattr(clifford_module, "_rank_certified", no_fallback)
+    for inst, F, ext, Q, cor in corestriction_instances:
+        del fields[:]
+        assert clifford_iso_check(albert_form(ext, Q), cor) == {"rank": 64, "monomials": 64}
+        assert fields and all(field.order is not None for field in fields), (inst.family, inst.seed)
+
+
 def _component_algebras(ext, Q):
     F = ext.base
     a1 = Q.alpha.a, Q.beta.a, Q.a.a

@@ -2,6 +2,7 @@
 
 import dataclasses
 import types
+from fractions import Fraction
 
 import pytest
 from conftest import seeded
@@ -23,8 +24,18 @@ from albertkit import (
     generate_instance,
     linalg,
 )
-from albertkit.clifford import _rank_certified, center_of_span, even_part_masks
-from albertkit.errors import DimensionCap, RelationViolation
+from albertkit.clifford import (
+    _PRIMES,
+    _apply,
+    _monomial_rows,
+    _rank_certified,
+    _reduced_rows,
+    _reductions,
+    center_of_span,
+    even_part_masks,
+)
+from albertkit.corestriction import cor_f_basis
+from albertkit.errors import DimensionCap, RankDeficient, RelationViolation
 from albertkit.forms import isometric_embedding
 from albertkit.isotropy import rationally_equivalent
 
@@ -264,3 +275,72 @@ def test_clifford_check_makes_no_exact_funcfield_rank(monkeypatch):
         del calls[:]
         assert clifford_iso_check(ad, cor)["rank"] == 64
         assert calls and not any(isinstance(field, RationalFunctionField) for field, _ in calls)
+
+
+@pytest.mark.parametrize(
+    "family,seed",
+    [("split-K-over-Q", 0), ("quad-K-over-Q", 0), ("split-K-over-Qt", 0), ("char2-finite", 0), ("char2-function-field", 1)],
+)
+def test_reduced_images_are_the_images_reduced(family, seed):
+    _, ext, Q = generate_instance(family, seed).build()
+    ad = albert_form(ext, Q)
+    cor = build_corestriction(ext, Q)
+    fs = cor_f_basis(ad, cor)
+    exact = _monomial_rows(cor, fs)
+    E, phi = next(_reductions(ext.base))
+    reduced = _reduced_rows(cor, fs, E, phi)
+    assert reduced is not None
+    assert [_apply(phi, row) for row in exact] == reduced
+
+
+def test_rank_deficient_generator_reaches_the_exact_fallback(monkeypatch):
+    # xi_1 := xi_0, with the (singular) form of the new list, keeps every
+    # relation; the images have rank < 64 at every reduction and exactly
+    ext = EtaleQuadratic(QQ, (0, 2))
+    K = ext.ring
+    ad = albert_form(ext, QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1)))
+    cor = build_corestriction(ext, ad.Q)
+    U = [list(row) for row in ad.form.upper]
+    U[0][1] = 2 * U[0][0]
+    U[1] = [QQ.zero(), U[0][0]] + U[0][2:]
+    bad = dataclasses.replace(ad, xi_basis=(ad.xi_basis[0],) + ad.xi_basis[:1] + ad.xi_basis[2:], form=QuadraticForm(QQ, U))
+    calls = _counting_rank(monkeypatch)
+    with pytest.raises(RankDeficient):
+        clifford_iso_check(bad, cor)
+    exact = [rank for field, rank in calls if field == QQ]
+    assert len(exact) == 1 and exact[0] < 64
+    reduced = [rank for field, rank in calls if field != QQ]
+    assert len(reduced) >= len(_PRIMES) and max(reduced) < 64
+
+
+def test_reduction_is_undefined_where_a_denominator_vanishes():
+    E, phi = next(_reductions(QQ))
+    p = E.p
+    assert phi(Fraction(1, p)) is None and phi(Fraction(5, 3 * p)) is None
+    assert phi(Fraction(p, 3)) is E.zero() and phi(Fraction(3, 2)) * E.from_int(2) is E.from_int(3)
+    Qt = RationalFunctionField(QQ)
+    t, one = Qt.gen(), Qt.one()
+    E, phi = next(_reductions(Qt))
+    assert phi(t / Qt.from_int(p)) is None
+    t0 = phi(t)
+    assert phi(one / (t - Qt.from_int(t0.coeffs[0]))) is None
+    assert phi(one / (t - Qt.from_int(t0.coeffs[0] + p))) is None  # t0 mod p is a root
+    assert phi((t * t + one) / (t + one)) == (t0 * t0 + 1) / (t0 + 1)
+
+
+def test_rank_certified_never_exceeds_the_exact_rank_over_q():
+    # det = product of the first k primes: rank 2 is lost at those and kept at the next
+    for k in range(len(_PRIMES) + 1):
+        d = 1
+        for p in _PRIMES[:k]:
+            d *= p
+        rows = [(Fraction(d), Fraction(1, 7)), (Fraction(0), Fraction(1))]
+        assert _rank_certified(rows, QQ, 2) == 2
+    rng = seeded(73)
+    for n, r in ((4, 4), (4, 3), (5, 2), (3, 1), (6, 5)):
+        left = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, _PRIMES[0]))) for _ in range(r)] for _ in range(n)]
+        right = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(r)]
+        rows = [tuple(sum(left[i][k] * right[k][j] for k in range(r)) for j in range(n)) for i in range(n)]
+        exact = linalg.rank(rows, QQ)
+        assert exact <= r
+        assert _rank_certified(rows, QQ, n) == exact

@@ -1,8 +1,10 @@
-"""Property tests of finite-field and F_2(t) arithmetic against integer reference arithmetic.
+"""Property tests of the scalar types' arithmetic against plain reference arithmetic.
 
-The reference works on coefficient tuples with plain integers mod p: schoolbook
-products reduced by the modulus x^k - r(x) for F(p^k), and cross-multiplied
-numerator/denominator pairs for F(2)(t).  It shares no code with albertkit.
+The reference works on coefficient tuples with plain integers mod p or
+Fractions: schoolbook products reduced by the modulus x^k - r(x) for F(p^k),
+cross-multiplied numerator/denominator pairs for F(2)(t), F(3)(t) and Q(t),
+the product rule of w^2 = alpha w + beta for Q(sqrt 2) and F_2[w]/(w^2+w+1),
+and componentwise pairs for F x F.  It shares no code with albertkit.
 """
 
 import pytest
@@ -11,7 +13,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from albertkit import FiniteField, RationalFunctionField  # noqa: E402
+from albertkit import (  # noqa: E402
+    QQ,
+    FiniteField,
+    QuadraticFieldExtension,
+    RationalFunctionField,
+    SplitAlgebra,
+)
 
 FIELDS = [FiniteField(2), FiniteField(2, 2), FiniteField(3, 2), FiniteField(65521)]
 F2t = RationalFunctionField(FiniteField(2), "t")
@@ -130,3 +138,138 @@ def test_f2t_axioms_match_reference(pa, pb, pc):
     if a:
         assert a * (1 / a) == F2t.one()
         assert b / a * a == b
+
+
+# -- Q(t), F_3(t), Q(sqrt 2), F_2[w]/(w^2+w+1) and F x F -------------------------
+
+
+def mod(x, p):
+    """x mod p, or x itself over Q (p is None)."""
+    return x if p is None else x % p
+
+
+def poly_mul(a, b, p):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = mod(out[i + j] + x * y, p)
+    return out
+
+
+def poly_add(a, b, p):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return [mod(x + y, p) for x, y in zip(a, b)]
+
+
+RATFUNC_FIELDS = {None: RationalFunctionField(QQ, "t"), 3: RationalFunctionField(FiniteField(3), "t")}
+
+
+def ratfunc_pairs(p):
+    coeff = st.integers(-3, 3) if p is None else st.integers(0, p - 1)
+    polys = st.lists(coeff, max_size=4)
+    return st.tuples(polys, polys.filter(lambda c: any(mod(x, p) for x in c)))
+
+
+def ratfunc_elem(p, pair):
+    F = RATFUNC_FIELDS[p]
+    num, den = (F.poly_elem([F.base.from_int(c) for c in poly]) for poly in pair)
+    return num / den
+
+
+def coefficient_values(poly, p):
+    return [c if p is None else c.coeffs[0] for c in poly.coeffs]
+
+
+def same_fraction(x, pair, p):
+    """x = num/den, checked as num(x) * den == num * den(x)."""
+    num, den = pair
+    xn, xd = coefficient_values(x.num, p), coefficient_values(x.den, p)
+    return not any(poly_add(poly_mul(xn, den, p), poly_mul([-c for c in num], xd, p), p))
+
+
+@PROPERTY
+@given(st.sampled_from([None, 3]).flatmap(lambda p: st.tuples(st.just(p), *[ratfunc_pairs(p)] * 3)))
+def test_rational_function_field_axioms_match_reference(case):
+    p, pa, pb, pc = case
+    F = RATFUNC_FIELDS[p]
+    a, b, c = (ratfunc_elem(p, pair) for pair in (pa, pb, pc))
+    assert same_fraction(a, pa, p)
+    prod = (poly_mul(pa[0], pb[0], p), poly_mul(pa[1], pb[1], p))
+    assert same_fraction(a * b, prod, p)
+    total = (poly_add(poly_mul(pa[0], pb[1], p), poly_mul(pb[0], pa[1], p), p), prod[1])
+    assert same_fraction(a + b, total, p)
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == F.zero() and not (a - a) and a + (-a) == 0
+    if a:
+        assert a * (1 / a) == F.one()
+        assert b / a * a == b
+
+
+# (field, alpha, beta, p): w^2 = alpha w + beta over Q (p None) or F_p
+QUADRATIC_EXTENSIONS = [
+    (QuadraticFieldExtension(QQ, 0, 2), 0, 2, None),
+    (QuadraticFieldExtension(FiniteField(2), 1, 1), 1, 1, 2),
+]
+SPLIT = SplitAlgebra(QQ)
+
+
+def base_values(p):
+    return st.fractions(min_value=-4, max_value=4, max_denominator=5) if p is None else st.integers(0, p - 1)
+
+
+def pairs(p):
+    return st.tuples(base_values(p), base_values(p))
+
+
+def ref_ext_mul(x, y, alpha, beta, p):
+    (a1, b1), (a2, b2) = x, y
+    bb = b1 * b2
+    return (mod(a1 * a2 + beta * bb, p), mod(a1 * b2 + a2 * b1 + alpha * bb, p))
+
+
+def ext_elem(field, pair, p):
+    lift = QQ.coerce if p is None else field.base.from_int
+    return field.from_pair(lift(pair[0]), lift(pair[1]))
+
+
+def ext_pair(x, p):
+    return (x.a, x.b) if p is None else (x.a.coeffs[0], x.b.coeffs[0])
+
+
+@PROPERTY
+@given(st.sampled_from(QUADRATIC_EXTENSIONS).flatmap(lambda case: st.tuples(st.just(case), *[pairs(case[3])] * 3)))
+def test_quadratic_extension_axioms_match_reference(case):
+    (K, alpha, beta, p), pa, pb, pc = case
+    a, b, c = (ext_elem(K, pair, p) for pair in (pa, pb, pc))
+    assert ext_pair(a, p) == tuple(mod(x, p) for x in pa)
+    assert ext_pair(a * b, p) == ref_ext_mul(pa, pb, alpha, beta, p)
+    assert ext_pair(a + b, p) == (mod(pa[0] + pb[0], p), mod(pa[1] + pb[1], p))
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == K.zero() and not (a - a) and a + (-a) == 0
+    if a:
+        inv = K.inv(a)
+        assert ref_ext_mul(pa, ext_pair(inv, p), alpha, beta, p) == (1, 0)
+        assert b / a * a == b
+
+
+@PROPERTY
+@given(pairs(None), pairs(None), pairs(None))
+def test_split_algebra_axioms_match_reference(pa, pb, pc):
+    a, b, c = (SPLIT.pair(*pair) for pair in (pa, pb, pc))
+    assert (a * b).a == pa[0] * pb[0] and (a * b).b == pa[1] * pb[1]
+    assert (a + b).a == pa[0] + pb[0] and (a + b).b == pa[1] + pb[1]
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a - a == SPLIT.zero() and not (a - a) and a + (-a) == 0
+    if SPLIT.is_invertible(a):
+        assert a * (SPLIT.one() / a) == SPLIT.one()
+        assert b / a * a == b
+    else:
+        with pytest.raises(ZeroDivisionError):
+            b / a

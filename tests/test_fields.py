@@ -260,3 +260,43 @@ def test_irreducibility_check_matches_trial_division(p, k):
         except AlgebraError:
             accepted = False
         assert accepted == irreducible, (p, k, reduction)
+
+
+def _enumerated_roots(field, b, c):
+    return sorted((a for a in field.elements() if a * a + b * a + c == field.zero()), key=field.element_index)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3)])
+def test_quadratic_roots_match_enumeration(p, k):
+    field = FiniteField(p, k)
+    elems = list(field.elements())
+    for b in elems:
+        for c in elems:
+            assert field.monic_quadratic_roots(b, c) == _enumerated_roots(field, b, c)
+    for x in elems:
+        roots = [a for a in elems if a * a == x]
+        if roots:
+            assert field.sqrt(x) is roots[0]  # the first root in enumeration order, as before
+        else:
+            with pytest.raises(ValueError):
+                field.sqrt(x)
+
+
+@pytest.mark.parametrize("base,alpha,beta", [(F3, 0, -1), (F5, 0, 2), (F3, 1, 1), (F2, 1, 1)])
+def test_extension_quadratic_roots_match_enumeration(base, alpha, beta):
+    field = QuadraticFieldExtension(base, alpha, beta)
+    elems = list(field.elements())
+    for b in elems:
+        for c in elems:
+            assert field.monic_quadratic_roots(b, c) == _enumerated_roots(field, b, c)
+
+
+def test_quadratic_roots_do_not_enumerate_a_large_field():
+    import time
+
+    field = FiniteField(65521)
+    start = time.perf_counter()
+    roots = field.monic_quadratic_roots(0, 1)
+    assert time.perf_counter() - start < 0.05
+    assert [r * r for r in roots] == [field.from_int(-1)] * 2
+    assert len(field._elems) < 1000  # enumerating would keep all 65521

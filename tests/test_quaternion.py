@@ -9,6 +9,7 @@ from albertkit import (
     FiniteField,
     QuadraticFieldExtension,
     QuaternionAlgebra,
+    RationalFunctionField,
     embed_quadratic_algebra,
     find_disjoint_quadratic_subalgebra,
     is_split,
@@ -190,3 +191,43 @@ def test_make_quaternion_from_etale():
     zd = Qs.element((QQ.one(), QQ.zero(), QQ.zero(), QQ.zero()))
     idem = Qs.element((QQ.zero(), QQ.one(), QQ.zero(), QQ.zero()))
     assert idem * idem == idem  # e^2 = e since x^2 - x splits
+
+
+def test_associativity_is_an_identity_over_z():
+    # Each coordinate of _mul_coords is a polynomial with integer
+    # coefficients in (alpha, beta, a) and the input coordinates, and one
+    # product raises its degree in (alpha, beta, a) by at most (2, 1, 1):
+    # _eiota adds one alpha, _emul one alpha or beta, the slot one a.  So
+    # each coordinate of the associator of three basis elements has degree at
+    # most (4, 2, 2), and of one * b - b at most (2, 1, 1).  A polynomial of
+    # degree at most d_i in each variable that vanishes on S_1 x S_2 x S_3
+    # with |S_i| > d_i is zero (Alon, Combinatorial Nullstellensatz, Lemma
+    # 2.1).  On this grid every algebra is valid (alpha^2 + 4 beta > 0 and
+    # a != 0), so the unit law and associativity hold over Z, hence over
+    # every commutative ring, and the constructor need not check them.
+    for alpha in range(1, 6):
+        for beta in range(1, 4):
+            for a in range(1, 4):
+                QuaternionAlgebra(QQ, alpha, beta, a)._check_associative()
+
+
+@pytest.mark.parametrize(
+    "algebra",
+    [
+        # the four algebras of acceptance criterion 1
+        QuaternionAlgebra(F5, 0, 2, 3),
+        QuaternionAlgebra(F4, F4.one(), F4.gen(), F4.gen()),
+        HAMILTON,
+        HAMILTON_K,
+    ],
+)
+def test_criterion_1_algebras_are_associative(algebra):
+    algebra._check_associative()
+
+
+def test_split_and_function_field_algebras_are_associative():
+    D = EtaleQuadratic(QQ, "split").ring
+    QuaternionAlgebra(D, D.pair(0, 1), D.pair(-1, 2), D.pair(-1, 3))._check_associative()
+    F2t = RationalFunctionField(F2)
+    t = F2t.gen()
+    QuaternionAlgebra(F2t, F2t.one(), t, t * t + F2t.one())._check_associative()
