@@ -25,8 +25,9 @@ def _is_int_square(n):
 class Field:
     """Abstract exact field.
 
-    Subclasses provide element construction, square roots, quadratic root
-    finding and (for enumerable fields) canonical element enumeration.
+    Subclasses provide element construction, `sqrt_or_none`, the
+    characteristic-2 `_artin_schreier_roots`, the `_root_key` that orders
+    quadratic roots and (for enumerable fields) canonical element enumeration.
     """
 
     char = 0
@@ -61,15 +62,49 @@ class Field:
 
     # -- roots ---------------------------------------------------------------
     def is_square(self, x):
+        return self.sqrt_or_none(self.coerce(x)) is not None
+
+    def sqrt_or_none(self, x):
+        """A square root of the element x, or None when x is not a square."""
         raise NotImplementedError
 
     def sqrt(self, x):
         """A square root of x; raises ValueError when x is not a square."""
+        r = self.sqrt_or_none(self.coerce(x))
+        if r is None:
+            raise ValueError("%r is not a square in %s" % (x, self.name))
+        return r
+
+    def _artin_schreier_roots(self, d):
+        """The solutions of Y^2 + Y = d in characteristic 2: none or a pair y, y + 1."""
+        raise NotImplementedError
+
+    def _root_key(self, x):
+        """Sort key of `monic_quadratic_roots`."""
         raise NotImplementedError
 
     def monic_quadratic_roots(self, b, c):
-        """All roots in the field of X^2 + b X + c, deterministically ordered."""
-        raise NotImplementedError
+        """All roots in the field of X^2 + b X + c, distinct and sorted by `_root_key`.
+
+        The only quadratic solver.  Odd characteristic: the quadratic formula
+        with `sqrt_or_none`.  Characteristic 2: X = bY turns the equation into
+        Y^2 + Y = c/b^2, solved by the field's `_artin_schreier_roots`; for
+        b = 0 the one root is the square root of c.
+        """
+        b, c = self.coerce(b), self.coerce(c)
+        if self.char != 2:
+            r = self.sqrt_or_none(b * b - 4 * c)
+            roots = [] if r is None else [(-b + r) / 2, (-b - r) / 2]
+        elif not b:
+            r = self.sqrt_or_none(c)
+            roots = [] if r is None else [r]
+        else:
+            roots = [b * y for y in self._artin_schreier_roots(c / (b * b))]
+        uniq = []
+        for r in roots:
+            if r not in uniq:
+                uniq.append(r)
+        return sorted(uniq, key=self._root_key)
 
     # -- enumeration / sampling ----------------------------------------------
     def elements(self):
@@ -118,20 +153,11 @@ class RationalField(Field):
         x = self.coerce(x)
         return x >= 0 and _is_int_square(x.numerator) and _is_int_square(x.denominator)
 
-    def sqrt(self, x):
-        x = self.coerce(x)
-        if not self.is_square(x):
-            raise ValueError("%s is not a square in Q" % x)
-        return Fraction(isqrt(x.numerator), isqrt(x.denominator))
+    def sqrt_or_none(self, x):
+        return Fraction(isqrt(x.numerator), isqrt(x.denominator)) if self.is_square(x) else None
 
-    def monic_quadratic_roots(self, b, c):
-        b, c = self.coerce(b), self.coerce(c)
-        disc = b * b - 4 * c
-        if not self.is_square(disc):
-            return []
-        r = self.sqrt(disc)
-        roots = sorted({(-b + r) / 2, (-b - r) / 2})
-        return roots
+    def _root_key(self, x):
+        return x
 
     def random_element(self, rng, size=5):
         num = rng.randint(-size, size)
@@ -292,7 +318,7 @@ class FiniteField(Field):
     def _validate_irreducible(self):
         # Ben-Or: a reducible f = x^k - r(x) has a factor of degree i <= k/2, shared with x^(p^i) - x
         if self.k > 1:
-            fp = FiniteField(self.p)
+            fp = _F2 if self.p == 2 else FiniteField(self.p)
             f = Poly(fp, tuple(-c for c in self.reduction) + (1,))
             x = y = self.gen()
             for _ in range(self.k // 2):
@@ -372,6 +398,8 @@ class FiniteField(Field):
     def element_index(self, a):
         return sum(c * self.p ** i for i, c in enumerate(a.coeffs))
 
+    _root_key = element_index
+
     def is_square(self, x):
         x = self.coerce(x)
         if not x:
@@ -380,25 +408,21 @@ class FiniteField(Field):
             return True
         return self._pow(x, (self.order - 1) // 2) is self.one()
 
-    def sqrt(self, x):
-        """A square root of x: of the two, the one first in `elements` order.
+    def sqrt_or_none(self, x):
+        """A square root of x, or None: of the two roots, the one first in `elements` order.
 
         Squaring is bijective in characteristic 2; otherwise Tonelli-Shanks,
         with the first non-square of `elements` as the 2-Sylow generator.
         """
-        x = self.coerce(x)
         if self.p == 2:
             # squaring is bijective: sqrt = x^(q/2)
-            out = x
             for _ in range(self.k - 1):
-                out = out * out
-            if not (out * out == x):
-                raise ValueError("no square root of %r" % x)
-            return out
+                x = x * x
+            return x
         if not x:
             return x
         if not self.is_square(x):
-            raise ValueError("%r is not a square in %s" % (x, self.name))
+            return None
         s, m = 0, self.order - 1
         while m % 2 == 0:
             s, m = s + 1, m // 2
@@ -415,36 +439,14 @@ class FiniteField(Field):
             t, r = t * c, r * b
         return min(r, -r, key=lambda a: a.coeffs)
 
-    def monic_quadratic_roots(self, b, c):
-        """The roots of X^2 + b X + c, in `element_index` order.
-
-        Odd characteristic: the quadratic formula with `sqrt`.  In
-        characteristic 2, X = bY turns it into Y^2 + Y = c/b^2, whose
-        F_2-linear left side is solved as a k x k system over F_2.
-        """
-        b, c = self.coerce(b), self.coerce(c)
-        if self.p != 2:
-            try:
-                r = self.sqrt(b * b - 4 * c)
-            except ValueError:
-                return []
-            half = self.inv(self.from_int(2))
-            roots = {(-b + r) * half, (-b - r) * half}
-        elif not b:
-            roots = {self.sqrt(c)}
-        else:
-            roots = {b * y for y in self._artin_schreier_roots(c / (b * b))}
-        return sorted(roots, key=self.element_index)
-
     def _artin_schreier_roots(self, d):
-        """The solutions of Y^2 + Y = d in characteristic 2: none or a pair y, y + 1."""
+        """Y^2 + Y = d: its F_2-linear left side solved as a k x k system over F_2."""
         from . import linalg
 
-        two = FiniteField(2)
         units = [self._elem(tuple(int(i == j) for i in range(self.k))) for j in range(self.k)]
         images = [u * u + u for u in units]
-        rows = [tuple(two.from_int(v.coeffs[i]) for v in images) for i in range(self.k)]
-        sol = linalg.solve(rows, [two.from_int(a) for a in d.coeffs], two)
+        rows = [tuple(_F2.from_int(v.coeffs[i]) for v in images) for i in range(self.k)]
+        sol = linalg.solve(rows, [_F2.from_int(a) for a in d.coeffs], _F2)
         if sol is None:
             return []
         y = self._elem(tuple(a.coeffs[0] for a in sol))
@@ -478,6 +480,8 @@ class FiniteField(Field):
     def __hash__(self):
         return hash(("GF", self.p, self.k, self.reduction))
 
+
+_F2 = FiniteField(2)  # the prime field that characteristic-2 linear algebra runs over
 
 # ---------------------------------------------------------------------------
 # polynomials and rational function fields
@@ -746,12 +750,6 @@ class RationalFunctionField(Field):
             return x
         raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
-    def is_square(self, x):
-        x = self.coerce(x)
-        if not x:
-            return True
-        return self.sqrt_or_none(x) is not None
-
     def sqrt_or_none(self, x):
         ns = x.num.sqrt()
         if ns is None:
@@ -761,36 +759,19 @@ class RationalFunctionField(Field):
             return None
         return RatFuncElem(self, ns, ds)
 
-    def sqrt(self, x):
-        x = self.coerce(x)
-        r = self.sqrt_or_none(x)
-        if r is None:
-            raise ValueError("%r is not a square in %s" % (x, self.name))
-        return r
+    def _artin_schreier_roots(self, d):
+        """Y^2 + Y = d over base(t), through `solve_additive_poly`.
 
-    def monic_quadratic_roots(self, b, c):
-        b, c = self.coerce(b), self.coerce(c)
-        if self.char != 2:
-            disc = b * b - 4 * c
-            r = self.sqrt_or_none(disc)
-            if r is None:
-                return []
-            two = self.from_int(2)
-            roots = [(-b + r) / two, (-b - r) / two]
-        else:
-            if not b:
-                r = self.sqrt_or_none(c)
-                return [r] if r is not None else []
-            # X = bY reduces to the additive equation Y^2 + Y = c / b^2
-            rhs = c / (b * b)
-            ys = _artin_schreier_roots(self, rhs)
-            roots = [b * y for y in ys]
-        uniq = []
-        for r in roots:
-            if r not in uniq:
-                uniq.append(r)
-        uniq.sort(key=lambda e: (e.num.degree, e.den.degree, repr(e)))
-        return uniq
+        A root u/v in lowest terms, v monic, has v^2 = den(d), since
+        u^2 + uv is prime to v^2; then u^2 + v u = num(d) over base[t].
+        """
+        v = d.den.sqrt()
+        if v is None:
+            return []
+        return [RatFuncElem(self, u, v) for u in solve_additive_poly(self.base, v, d.num)]
+
+    def _root_key(self, x):
+        return (x.num.degree, x.den.degree, repr(x))
 
     def random_element(self, rng, size=5):
         deg = rng.randint(0, 2)
@@ -814,165 +795,42 @@ class RationalFunctionField(Field):
         return hash(("ratfunc", self.base, self.var))
 
 
-def _artin_schreier_roots(field, c):
-    """Solutions y in base(t) of y^2 + y = c, characteristic 2.
-
-    Any solution has denominator v with v^2 = den(c) up to the monic
-    normalization; the numerator then solves the additive polynomial
-    equation u^2 + v u = num(c), a GF(2)-linear system in the coefficients.
-    A polynomial right-hand side admits only polynomial solutions, found by
-    stripping square leading terms (linear time, used as the fast path).
-    """
-    base = field.base
-    if not c:
-        return [field.zero(), field.one()]
-    v = c.den.sqrt()
-    if v is None:
-        return []
-    if c.den.degree == 0:
-        return _artin_schreier_poly_roots(field, c.num)
-    f = c.num
-    # degree bound for u
-    m = max(f.degree, v.degree, 1) + 1
-    two = FiniteField(2)
-    # GF(2)-linear unknowns: coefficients of u over the GF(2)-basis of base
-    k = getattr(base, "k", 1)
-    ncols = (m + 1) * k
-    target_len = max(f.degree, 2 * m, v.degree + m) + 1
-
-    def apply_map(u_poly):
-        val = u_poly * u_poly + v * u_poly
-        return val
-
-    def poly_to_bits(p):
-        bits = []
-        for i in range(target_len):
-            cc = p.coeffs[i].coeffs if i <= p.degree else (0,) * k
-            for j in range(k):
-                bits.append(two.from_int(cc[j]))
-        return bits
-
-    # columns: image of each basis monomial b_j * x^i
-    basis_elems = []
-    if k == 1:
-        gf_basis = [base.one()]
-    else:
-        gf_basis = []
-        acc = base.one()
-        g = base.gen()
-        for _ in range(k):
-            gf_basis.append(acc)
-            acc = acc * g
-    cols = []
-    for i in range(m + 1):
-        for bj in gf_basis:
-            mono = Poly(base, (base.zero(),) * i + (bj,))
-            basis_elems.append(mono)
-            cols.append(poly_to_bits(apply_map(mono)))
-    rhs = poly_to_bits(f)
-
-    # solve the GF(2) system with plain elimination
-    from . import linalg
-
-    rows = [tuple(col[r] for col in cols) for r in range(target_len)]
-    sol = linalg.solve(rows, rhs, two)
-    if sol is None:
-        return []
-    u = Poly(base, ())
-    for coeff, mono in zip(sol, basis_elems):
-        if coeff == two.one():
-            u = u + mono
-    y = RatFuncElem(field, u, v)
-    if not (y * y + y == c):
-        return []
-    return [y, y + field.one()]
-
-
 def solve_additive_poly(base, m, N):
     """Polynomial solutions W of W^2 + m W = N over base[t], char 2.
 
-    Degree descent on the top term with at most two branches when the two
-    images 2w and w + deg m collide; returns all solutions (0, 1 or 2).
+    Degree descent on the top term b t^w of W, no field enumerated: b is a
+    square root of lead(N) when 2w > w + deg m, a quotient lead(N)/lead(m)
+    when 2w < w + deg m, and when the two meet, a root of b^2 + lead(m) b =
+    lead(N) from `base.monic_quadratic_roots`.  Returns all solutions,
+    distinct: none, or W and W + m (one when m = 0).
     """
     zero = Poly(base, ())
-    if N.is_zero():
-        return [zero, m]
-    dm = m.degree
+    dm = m.degree  # -1 for m = 0: only the square-root step applies
     sols = []
     stack = [(N, zero)]
     while stack:
         rem, w_acc = stack.pop()
         if rem.is_zero():
-            if all((w_acc.coeffs != s.coeffs) for s in sols):
-                sols.append(w_acc)
+            for w in (w_acc, w_acc + m):  # with W, W + m solves it too
+                if w not in sols:
+                    sols.append(w)
             continue
         dN = rem.degree
         lead = rem.coeffs[-1]
         branches = []
-        if m.is_zero():
-            if dN % 2 == 0 and base.is_square(lead):
-                branches.append((dN // 2, base.sqrt(lead)))
-        else:
-            if dN % 2 == 0:
-                w = dN // 2
-                if w > dm and base.is_square(lead):
-                    branches.append((w, base.sqrt(lead)))
-            w = dN - dm
-            if 0 <= w < dm:
-                branches.append((w, lead / m.coeffs[-1]))
-            if dN == 2 * dm:
-                lm = m.coeffs[-1]
-                for b in base.elements():
-                    if b * b + lm * b == lead:
-                        if not base.is_zero(b):
-                            branches.append((dm, b))
+        if dN % 2 == 0 and dN // 2 > dm and base.is_square(lead):
+            branches.append((dN // 2, base.sqrt(lead)))
+        if 0 <= dN - dm < dm:
+            branches.append((dN - dm, lead / m.coeffs[-1]))
+        if dN == 2 * dm:
+            branches.extend((dm, b) for b in base.monic_quadratic_roots(m.coeffs[-1], lead))
         for w, b in branches:
             mono = Poly(base, (base.zero(),) * w + (b,))
             new_rem = rem + mono * mono + m * mono  # char 2
             if not new_rem.is_zero() and new_rem.degree >= dN:
                 continue
             stack.append((new_rem, w_acc + mono))
-    out = []
-    for s in sols:
-        if (s * s + m * s + N).is_zero():
-            out.append(s)
-            other = s + m
-            if ((other * other + m * other + N)).is_zero() and all(
-                other.coeffs != t.coeffs for t in out
-            ):
-                out.append(other)
-    return out
-
-
-def _artin_schreier_poly_roots(field, p):
-    """Polynomial roots of y^2 + y = p for a polynomial p, characteristic 2.
-
-    Repeatedly subtract (b x^d)^2 + b x^d with b = sqrt(lead); an odd
-    intermediate degree proves unsolvability.
-    """
-    base = field.base
-    u = Poly(base, ())
-    while p.degree > 0:
-        d = p.degree
-        if d % 2:
-            return []
-        lead = p.coeffs[-1]
-        if not base.is_square(lead):
-            return []
-        b = base.sqrt(lead)
-        mono = Poly(base, (base.zero(),) * (d // 2) + (b,))
-        u = u + mono
-        p = p + mono * mono + mono  # char 2: subtraction = addition
-    c0 = p.coeffs[0] if p.coeffs else base.zero()
-    root0 = None
-    for cand in base.elements():
-        if cand * cand + cand == c0:
-            root0 = cand
-            break
-    if root0 is None:
-        return []
-    y = RatFuncElem(field, u + Poly(base, (root0,)), Poly(base, (base.one(),)), reduce=False)
-    return [y, y + field.one()]
+    return sols
 
 
 # ---------------------------------------------------------------------------
@@ -1112,33 +970,24 @@ class QuadraticFieldExtension(Field):
     def element_index(self, x):
         return self.base.element_index(x.a) + self.base.order * self.base.element_index(x.b)
 
-    def is_square(self, x):
-        return len(self._sqrts(x)) > 0
+    def _root_key(self, x):
+        # a constant key over an infinite base keeps the formula's order
+        return self.element_index(x) if self.order is not None else 0
 
-    def sqrt(self, x):
-        roots = self._sqrts(x)
-        if not roots:
-            raise ValueError("%r is not a square in %s" % (x, self.name))
-        return roots[0]
-
-    def _sqrts(self, x):
-        x = self.coerce(x)
+    def sqrt_or_none(self, x):
         base = self.base
-        out = []
         if self.char == 2:
             # (s + t w)^2 = s^2 + beta t^2 + alpha t^2 w
             if base.is_zero(self.alpha):
                 raise AlgebraError("inseparable quadratic extension")
             t2 = x.b / self.alpha
             if base.is_square(t2):
-                t = base.sqrt(t2)
                 s2 = x.a + self.beta * t2
                 if base.is_square(s2):
-                    out.append(QuadExtElem(self, base.sqrt(s2), t))
-            return out
-        if base.is_zero(x.b):
-            if base.is_square(x.a):
-                out.append(self.from_base(base.sqrt(x.a)))
+                    return QuadExtElem(self, base.sqrt(s2), base.sqrt(t2))
+            return None
+        if base.is_zero(x.b) and base.is_square(x.a):
+            return self.from_base(base.sqrt(x.a))
         # t != 0 branch: with T = t^2,
         #   (alpha^2+4beta) T^2 - (2 alpha b + 4 a) T + b^2 = 0
         D = self.alpha * self.alpha + 4 * self.beta
@@ -1151,30 +1000,23 @@ class QuadraticFieldExtension(Field):
             s = (x.b - self.alpha * T) / (2 * t)
             cand = QuadExtElem(self, s, t)
             if cand * cand == x:
-                out.append(cand)
-        return out
+                return cand
+        return None
 
-    def monic_quadratic_roots(self, b, c):
-        """The roots of X^2 + b X + c; over a finite base in `element_index` order.
+    def _artin_schreier_roots(self, d):
+        """Y^2 + Y = d as two quadratics over the base, Y = s + t w.
 
-        The quadratic formula outside characteristic 2; there a finite field
-        is enumerated.
+        Y^2 + Y = (s^2 + s + beta t^2) + (alpha t^2 + t) w, so t solves
+        t^2 + t/alpha = d_b/alpha and then s solves s^2 + s = d_a + beta t^2.
         """
-        b, c = self.coerce(b), self.coerce(c)
-        if self.char != 2:
-            disc = b * b - 4 * c
-            roots = []
-            for r in self._sqrts(disc):
-                for cand in ((-b + r) / 2, (-b - r) / 2):
-                    if cand not in roots:
-                        roots.append(cand)
-        elif self.order is not None:
-            roots = [a for a in self.elements() if a * a + b * a + c == self.zero()]
-        else:
-            raise AlgebraError("quadratic roots unsupported over %s" % self.name)
-        if self.order is not None:
-            roots.sort(key=self.element_index)
-        return roots
+        base = self.base
+        if base.is_zero(self.alpha):
+            raise AlgebraError("inseparable quadratic extension")
+        return [
+            QuadExtElem(self, s, t)
+            for t in base.monic_quadratic_roots(1 / self.alpha, d.b / self.alpha)
+            for s in base.monic_quadratic_roots(1, self.beta * t * t + d.a)
+        ]
 
     def random_element(self, rng, size=5):
         return QuadExtElem(self, self.base.random_element(rng, size), self.base.random_element(rng, size))

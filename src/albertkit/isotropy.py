@@ -520,11 +520,11 @@ def char2_isotropic_stream(form):
 
     The form splits into binary blocks along a symplectic basis (scaled to
     polynomial values); fixing small polynomial values on all but one block
-    leaves an additive polynomial equation W^2 + m W = N, solved exactly,
-    so witnesses of any degree are found.  Yields nothing when the polar
-    form is degenerate.
+    leaves the equation W^2 + m W = N, whose roots come from the one solver
+    `f.monic_quadratic_roots` (exact, through `solve_additive_poly`), so
+    witnesses of any degree are found.  Yields nothing when the polar form
+    is degenerate.
     """
-    from .fields import solve_additive_poly
     from .forms import symplectic_pairs
 
     f = form.field
@@ -564,18 +564,7 @@ def char2_isotropic_stream(form):
                 c = c + a_o * x_v * x_v + m_o * x_v * y_v + b_o * y_v * y_v
             vec = linalg.combine(assign, other_vecs, f, form.n)
             # a X^2 + m X + (b + c) = 0 with W = a X:  W^2 + m W = a(b + c)
-            N = a_s * (b_s + c)
-            if N.den.degree == 0 and m_s.den.degree == 0:
-                w_roots = [
-                    RatFuncElem(f, r, f.one().den, reduce=False)
-                    for r in solve_additive_poly(base, m_s.num, N.num)
-                ]
-            else:
-                from .fields import _artin_schreier_roots
-
-                rhs = N / (m_s * m_s)
-                w_roots = [u * m_s for u in _artin_schreier_roots(f, rhs)]
-            for w_val in w_roots:
+            for w_val in f.monic_quadratic_roots(m_s, a_s * (b_s + c)):
                 x_val = w_val / a_s
                 yield tuple(p + x_val * q1 + q2 for p, q1, q2 in zip(vec, u_s, g_s))
 

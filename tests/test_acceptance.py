@@ -40,6 +40,7 @@ from albertkit.isotropy import (
     squarefree_part,
     structured_finite_isotropy,
 )
+from albertkit.jsonio import parse_element
 from albertkit.linalg import det, rank, solve
 
 F2 = FiniteField(2)
@@ -401,32 +402,28 @@ def test_criterion_9_certificates(harness_reports):
     docs = [rep.to_json() for rep in reports]
     for doc in docs:
         assert verify_certificate(doc)
-    # 100 single-coordinate tamperings that invalidate a witness are rejected
+    # 100 single-coordinate tamperings that invalidate a witness are rejected;
+    # each writes the first of "1", "-2", "0" that differs from the entry it
+    # overwrites as an element, so every counted attempt changes the witness
     rejected = 0
     attempts = 0
     cheap = [d for d in docs if d["instance"]["family"] in ("split-K-over-Q", "char2-finite")]
     for doc in cheap:
         if rejected >= 100:
             break
-        wit = doc["cond_iii_not_division"].get("witness")
-        if wit:
+        F, ext, _ = Instance.from_json(doc["instance"]).build()
+        for key, ring in (("cond_iii_not_division", F), ("cond_ii", ext.ring)):
+            wit = doc[key].get("witness") or ()
             for pos in range(len(wit)):
+                if rejected >= 100:
+                    break
+                old = parse_element(ring, wit[pos])
                 bad = copy.deepcopy(doc)
-                bad["cond_iii_not_division"]["witness"][pos] = "1" if wit[pos] != "1" else "-2"
+                bad[key]["witness"][pos] = next(
+                    v for v in ("1", "-2", "0") if not ring.is_zero(parse_element(ring, v) - old)
+                )
                 attempts += 1
                 if not verify_certificate(bad):
                     rejected += 1
-                if rejected >= 100:
-                    break
-        wit2 = doc["cond_ii"].get("witness")
-        if wit2 and rejected < 100:
-            for pos in range(len(wit2)):
-                bad = copy.deepcopy(doc)
-                bad["cond_ii"]["witness"][pos] = "1" if wit2[pos] != "1" else "w"
-                attempts += 1
-                if not verify_certificate(bad):
-                    rejected += 1
-                if rejected >= 100:
-                    break
     assert rejected >= 100
     _line(9, "certificates", "all 200 accepted; %d/%d tamperings rejected" % (rejected, attempts))

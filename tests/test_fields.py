@@ -1,6 +1,7 @@
 """Field arithmetic, etale structure maps, and the linear solver contract."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from conftest import seeded
@@ -17,7 +18,7 @@ from albertkit import (
     make_etale_quadratic,
 )
 from albertkit.errors import NoSolution
-from albertkit.fields import Poly, solve_additive_poly
+from albertkit.fields import Poly, RatFuncElem, solve_additive_poly
 from albertkit.jsonio import parse_field
 from albertkit.linalg import solve_linear
 
@@ -300,3 +301,183 @@ def test_quadratic_roots_do_not_enumerate_a_large_field():
     assert time.perf_counter() - start < 0.05
     assert [r * r for r in roots] == [field.from_int(-1)] * 2
     assert len(field._elems) < 1000  # enumerating would keep all 65521
+
+
+
+F4t = RationalFunctionField(F4, "t")
+
+
+def _polys(base, maxdeg, monic=False):
+    """Every polynomial over a finite base of degree <= maxdeg; monic ones only if asked."""
+    elems = list(base.elements())
+    if not monic:
+        return [Poly(base, c) for c in itertools.product(elems, repeat=maxdeg + 1)]
+    return [Poly(base, c + (base.one(),)) for d in range(maxdeg + 1) for c in itertools.product(elems, repeat=d)]
+
+
+def _artin_schreier_table(field):
+    """d -> its roots y, by brute force over y = u/v with deg u <= 2 and v monic of degree <= 1.
+
+    Y^2 + Y = d needs den(d) = v^2 for a root u/v in lowest terms, and then
+    u^2 + v u = num(d) bounds deg u by 2 when num(d) has degree <= 4 and
+    den(d) degree <= 2: the table holds every root of every such d.
+    """
+    table = {}
+    for u in _polys(field.base, 2):
+        for v in _polys(field.base, 1, monic=True):
+            y = RatFuncElem(field, u, v)
+            table.setdefault(y * y + y, set()).add(y)
+    return table
+
+
+@pytest.mark.parametrize("field", [F2t, F4t], ids=["F2t", "F4t"])
+def test_char2_function_field_roots_match_brute_force(field, monkeypatch):
+    base, table = field.base, _artin_schreier_table(field)
+    squares = [v * v for v in _polys(base, 1, monic=True)]
+    # every numerator of degree <= 4 over the square denominators, the only ones with roots;
+    # over F_4 the other monic denominators of degree <= 2 get the numerators of degree <= 2
+    cases = [(num, den) for den in squares for num in _polys(base, 4)]
+    cases += [
+        (num, den)
+        for den in _polys(base, 2, monic=True)
+        if den not in squares
+        for num in _polys(base, 4 if base.order == 2 else 2)
+    ]
+    solved = []
+    monic_quadratic_roots = FiniteField.monic_quadratic_roots
+
+    def counted(self, b, c):
+        solved.append((b, c))  # only solve_additive_poly's dN == 2 dm branch calls it on the base
+        return monic_quadratic_roots(self, b, c)
+
+    monkeypatch.setattr(FiniteField, "monic_quadratic_roots", counted)
+    kinds = set()
+    for num, den in cases:
+        d = RatFuncElem(field, num, den)
+        roots = field.monic_quadratic_roots(1, d)  # X^2 + X + d: Y^2 + Y = d in characteristic 2
+        assert roots == sorted(table.get(d, ()), key=field._root_key), d
+        kinds.add((d.den.degree > 0, len(roots)))
+    # rational and polynomial d, each with and without roots, and the dN == 2 dm branch
+    assert kinds == {(False, 0), (False, 2), (True, 0), (True, 2)}
+    assert solved
+    # b = 0 (r = s) and c = 0 (r = 0): X^2 + (r + s) X + r s has the roots r and s
+    t = field.gen()
+    values = [field.zero(), field.one(), t, t / (t * t + 1), (t * t + t + 1) / (t + 1), 1 / (t * t * t)]
+    for r in values:
+        for s in values:
+            assert field.monic_quadratic_roots(r + s, r * s) == sorted({r, s}, key=field._root_key)
+
+
+def test_char2_function_field_roots_enumerate_no_field(monkeypatch):
+    def refuse(self):
+        raise AssertionError("%s enumerated" % self.name)
+
+    monkeypatch.setattr(FiniteField, "elements", refuse)
+    for field in (F2t, F4t):
+        t = field.gen()
+        for r, s in ((t, t + 1), (t / (t + 1), t * t), (t * t + t, 1 / (t * t + t + 1)), (t + 1, t + 1)):
+            assert field.monic_quadratic_roots(r + s, r * s) == sorted({r, s}, key=field._root_key)
+        assert field.monic_quadratic_roots(1, t) == []
+    u = F4.gen()
+    # W^2 + m W = N from a chosen W: the top term of W by square root, by quotient and, where
+    # 2 deg W = deg m + deg W, as a root of a quadratic over F_4
+    for m, W in (((u, 1), (0, 1, u)), ((1,), (u, 1)), ((1, 1), (1, u)), ((), (0, u)), ((0, 0, 1), (1,))):
+        m, W = Poly(F4, m), Poly(F4, W)
+        roots = solve_additive_poly(F4, m, W * W + m * W)
+        assert sorted(map(repr, roots)) == sorted({repr(W), repr(W + m)})
+
+
+def test_char2_extension_of_function_field_roots():
+    # Y^2 + Y = d splits into two quadratics over F_2(t): any base in characteristic 2 works
+    K = QuadraticFieldExtension(F2t, 1, F2t.gen())
+    t, w = K.from_base(F2t.gen()), K.gen()
+    values = [K.zero(), K.one(), w, t + w, w * w * w, K.from_base(1 / (F2t.gen() + 1)) * w]
+    for r in values:
+        for s in values:
+            roots = K.monic_quadratic_roots(r + s, r * s)
+            assert len(roots) == len({r, s}) and all(x == r or x == s for x in roots)
+    inseparable = QuadraticFieldExtension(F2t, 0, F2t.gen())
+    with pytest.raises(AlgebraError):
+        inseparable.monic_quadratic_roots(1, inseparable.gen())
+
+
+def test_char2_finite_field_roots_build_no_field(monkeypatch):
+    F16 = FiniteField(2, 4)
+    built = []
+    init = FiniteField.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "__init__", counted)
+    for field in (F4, F16):
+        elems = list(field.elements())
+        for i in range(100):
+            b, c = elems[1 + i % (len(elems) - 1)], elems[i % len(elems)]  # b != 0: Y^2 + Y = c/b^2
+            assert field.monic_quadratic_roots(b, c) == _enumerated_roots(field, b, c)
+    assert built == []
+    FiniteField(2, 3)
+    assert built == [(2, 3)]  # the irreducibility check runs over the one shared F(2)
+
+
+# recorded before the solver was made one; each string is one case's roots, in order
+GOLDEN_ROOTS = {
+    "Q": (
+        "0", "", "", "", "-1 0", "", "-2 1", "", "0 2", "1", "", "", "-1/3 0", "", "", "", "0", "0 1",
+        "-2 0", "0 1/3", "1", "-2 1", "1/3 1", "-2", "-2 1/3", "1/3",
+    ),
+    "Q(t)": (
+        "0", "", "", "", "0 -1", "", "", "", "0 -1*t", "", "", "", "0 (-1*t-1)/(t-1)", "", "", "", "0",
+        "0 1", "0 t", "0 (t+1)/(t-1)", "1", "1 t", "1 (t+1)/(t-1)", "t", "t (t+1)/(t-1)",
+        "(t+1)/(t-1)",
+    ),
+    "F(9)": (
+        "0", "u 2*u", "1+u 2+2*u", "", "0 2", "1", "", "", "0 2*u", "1+u 2+u", "", "2 1+2*u",
+        "0 1+2*u", "", "2+u", "u 1+u", "0", "0 1", "0 u", "0 2+u", "1", "1 u", "1 2+u", "u", "u 2+u",
+        "2+u",
+    ),
+    "F(8)": (
+        "0", "1", "u+u^2", "u", "0 1", "", "u^2 1+u^2", "u+u^2 1+u+u^2", "0 u", "", "", "", "0 u^2",
+        "", "1+u 1+u+u^2", "", "0", "0 1", "0 u", "0 u^2", "1", "1 u", "1 u^2", "u", "u u^2", "u^2",
+    ),
+    "F(2)(t)": (
+        "0", "1", "", "", "0 1", "", "", "", "0 t", "", "", "", "0 (t)/(t^2+t+1)", "", "", "", "0",
+        "0 1", "0 t", "0 (t)/(t^2+t+1)", "1", "1 t", "1 (t)/(t^2+t+1)", "t", "t (t)/(t^2+t+1)",
+        "(t)/(t^2+t+1)",
+    ),
+    "Q(sqrt2)": (
+        "0", "", "", "", "0 -1", "", "", "", "0 -1*w", "", "", "", "0 -1/2-1*w", "", "", "", "0",
+        "1 0", "w 0", "1/2+w 0", "1", "w 1", "1/2+w 1", "w", "1/2+w w", "1/2+w",
+    ),
+    "F(4)[w]": (
+        "0", "1", "1+u+w", "u+1+u*w", "0 1", "u 1+u", "u+u*w 1+u+u*w", "", "0 w", "", "",
+        "1+u+u*w 1+u+1+u*w", "0 u*w", "", "1+w 1+1+u*w", "", "0", "0 1", "0 w", "0 u*w", "1", "1 w",
+        "1 u*w", "w", "w u*w", "u*w",
+    ),
+}
+
+
+def _golden_grid():
+    F4w = QuadraticFieldExtension(F4, 1, F4.gen())
+    Q2 = QuadraticFieldExtension(QQ, 0, 2)
+    F8, t, s = FiniteField(2, 3), Qt.gen(), F2t.gen()
+    return {
+        "Q": [QQ.zero(), QQ.one(), QQ.from_int(-2), Fraction(1, 3)],
+        "Q(t)": [Qt.zero(), Qt.one(), t, (t + 1) / (t - 1)],
+        "F(9)": [F9.zero(), F9.one(), F9.gen(), F9.gen() + 2],
+        "F(8)": [F8.zero(), F8.one(), F8.gen(), F8.gen() * F8.gen()],
+        "F(2)(t)": [F2t.zero(), F2t.one(), s, s / (s * s + s + 1)],
+        "Q(sqrt2)": [Q2.zero(), Q2.one(), Q2.gen(), Q2.gen() + Q2.from_base(Fraction(1, 2))],
+        "F(4)[w]": [F4w.zero(), F4w.one(), F4w.gen(), F4w.gen() * F4w.from_base(F4.gen())],
+    }
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_ROOTS))
+def test_quadratic_roots_match_golden_lists(name):
+    values = _golden_grid()[name]
+    field = QQ if name == "Q" else values[1].field
+    cases = [(b, c) for b in values for c in values]
+    cases += [(-(r + q), r * q) for i, r in enumerate(values) for q in values[i:]]
+    got = tuple(" ".join(str(r) for r in field.monic_quadratic_roots(b, c)) for b, c in cases)
+    assert got == GOLDEN_ROOTS[name]
