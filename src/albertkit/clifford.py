@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 
 from . import linalg
+from .corestriction import StructureAlgebra, TensorElem, cor_f_basis, m2_equals_scalar, m2_mul
 from .errors import (
     AlgebraError,
     DimensionCap,
@@ -461,8 +462,6 @@ def _reduced_rows(cor, fs, E, phi):
     f(xi_i) have phi of their coordinates as entries.  None when phi is
     undefined at one of them.
     """
-    from .corestriction import StructureAlgebra, TensorElem
-
     structure = []
     for row in cor.structure:
         out_row = []
@@ -492,8 +491,6 @@ def _monomial_rows(alg, fs):
     The image of e_S is the product of the f(xi_i), i in S, in increasing
     order: e_mask = e_i * e_rest with i below every index of rest.
     """
-    from .corestriction import m2_mul
-
     one, zero = alg.one(), alg.zero()
     images = [((one, zero), (zero, one))]
     for mask in range(1, 64):
@@ -524,8 +521,6 @@ def clifford_iso_check(ad, cor):
     (build_corestriction verified closure), so no image needs its own
     membership check.
     """
-    from .corestriction import cor_f_basis, m2_equals_scalar, m2_mul
-
     F = ad.ext.base
     n = 6
     fs = cor_f_basis(ad, cor)

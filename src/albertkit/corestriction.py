@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import random
 from dataclasses import dataclass
 
 from . import linalg, search
@@ -29,7 +30,7 @@ from .errors import (
     InvalidWitness,
     ValueNotInF,
 )
-from .forms import QuadraticForm, solve_polar_equal_one
+from .forms import QuadraticForm, hyperbolic_split, line_point
 from .isotropy import _clear_denominators, isotropy
 from .quaternion import QuaternionAlgebra, validate_disjoint_witness
 
@@ -334,7 +335,7 @@ class CorestrictionAlgebra(StructureAlgebra):
         return tuple(vec[c] for c in self.free_columns)
 
 
-def build_corestriction(ext, Q, check_rank=True):
+def build_corestriction(ext, Q):
     """Fixed points of the switch map, with structure constants over F."""
     A = TensorSquareAlgebra(ext, Q)
     F = ext.base
@@ -379,7 +380,7 @@ def build_corestriction(ext, Q, check_rank=True):
     if unit is None:
         raise InternalContradiction("unit is not a fixed point")
     cor.unit_coords = unit
-    if check_rank and not natural_map_bijective(ext, cor):
+    if not natural_map_bijective(ext, cor):
         raise InternalContradiction("Cor (x) K -> tensor square is not bijective")
     return cor
 
@@ -464,15 +465,14 @@ def trace_condition_value(ext, y):
     return ext.trace(y.trd())
 
 
-def vs_space(ext, Q, tensor=None):
+def vs_space(ext, Q):
     """The y-space with T(Trd(y)) = 0 and its image basis inside V^s.
 
     The kernel of the trace functional is 7-dimensional; the tensor map
     y -> gamma(y) (x) 1 + 1 (x) y collapses the kappa-line, leaving the
     6-dimensional s-invariant space.
     """
-    if tensor is None:
-        tensor = TensorSquareAlgebra(ext, Q)
+    tensor = TensorSquareAlgebra(ext, Q)
     F = ext.base
     K = Q.domain
     if F.char != 2:
@@ -538,9 +538,9 @@ def _char2_complement(ext, Q):
     return [Q.element(ext.unrealify_vec(v)) for v in out]
 
 
-def albert_form(ext, Q, tensor=None):
+def albert_form(ext, Q):
     """The 6-dimensional Albert form on V^s over F, with its basis data."""
-    ys, xis, tensor = vs_space(ext, Q, tensor)
+    ys, xis, tensor = vs_space(ext, Q)
     F = ext.base
     K = Q.domain
     kappa = ext.kappa()
@@ -648,8 +648,6 @@ def f_map_check(ad, cor, n_random=100, seed=20210513):
     they hold in Cor exactly when they hold there.  Raises IdentityFails on
     violation.
     """
-    import random
-
     F = ad.ext.base
     report = {"basis_checked": 0, "random_checked": 0, "entries_in_cor": True}
     fs = cor_f_basis(ad, cor)
@@ -723,11 +721,12 @@ def isotropic_to_generator(ad, witness_coords):
 
     The vector presents y up to the kappa line, and kappa*(y + shift) is
     the generator once validate_disjoint_witness accepts it.  Candidates
-    come from the hyperbolic pair of the witness u: zeta with
-    b(u, zeta) = 1 and q(zeta) = 0, and the basis comp of the kernel of
-    the polar rows of u and zeta, which x -> x + u - q(x)*zeta maps onto
-    the quadric.  In order: u, zeta, the image of each comp[i] with i
-    descending, then of each pairwise sum comp[i] + comp[j].
+    come from forms.hyperbolic_split of the witness u: zeta with
+    b(u, zeta) = 1 and q(zeta) = 0, and the basis comp of the orthogonal
+    complement of (u, zeta), which x -> line_point(q, zeta, x + u) =
+    x + u - q(x)*zeta maps onto the quadric.  In order: u, zeta, the image
+    of each comp[i] with i descending, then of each pairwise sum
+    comp[i] + comp[j].
 
     In characteristic not 2 the shift is kappa, so Trd(kappa*y) is
     2*kappa^2 != 0 (vs_space builds y_basis from trace-zero pure
@@ -770,19 +769,16 @@ def isotropic_to_generator(ad, witness_coords):
 
 def _hyperbolic_candidates(form, u):
     """u, zeta, then the quadric images of comp[i] and of comp[i] + comp[j]."""
-    F = form.field
     yield u
-    zeta = solve_polar_equal_one(form, u)
-    if zeta is None:
+    split = hyperbolic_split(form, u)
+    if split is None:
         raise InternalContradiction("witness lies in the radical of the Albert form")
-    corr = form.evaluate(zeta)
-    zeta = tuple(a - corr * b for a, b in zip(zeta, u))
+    zeta, comp = split
     yield zeta
-    comp = linalg.kernel_basis([form.polar_row(u), form.polar_row(zeta)], F, 6)[::-1]
+    comp = comp[::-1]
     pairs = [tuple(a + b for a, b in zip(x, z)) for x, z in itertools.combinations(comp, 2)]
     for x in comp + pairs:
-        val = form.evaluate(x)
-        yield tuple(a + u_i - val * z_i for a, u_i, z_i in zip(x, u, zeta))
+        yield line_point(form, zeta, tuple(a + b for a, b in zip(x, u)))
 
 
 def generator_to_isotropic(ad, x):

@@ -12,6 +12,7 @@ import itertools
 from fractions import Fraction
 from math import isqrt
 
+from . import linalg
 from .errors import AlgebraError
 
 
@@ -441,8 +442,6 @@ class FiniteField(Field):
 
     def _artin_schreier_roots(self, d):
         """Y^2 + Y = d: its F_2-linear left side solved as a k x k system over F_2."""
-        from . import linalg
-
         units = [self._elem(tuple(int(i == j) for i in range(self.k))) for j in range(self.k)]
         images = [u * u + u for u in units]
         rows = [tuple(_F2.from_int(v.coeffs[i]) for v in images) for i in range(self.k)]
@@ -823,7 +822,8 @@ def solve_additive_poly(base, m, N):
         if 0 <= dN - dm < dm:
             branches.append((dN - dm, lead / m.coeffs[-1]))
         if dN == 2 * dm:
-            branches.extend((dm, b) for b in base.monic_quadratic_roots(m.coeffs[-1], lead))
+            # one root suffices: the other, b + lead(m), only re-derives W + m, added with W
+            branches.extend((dm, b) for b in base.monic_quadratic_roots(m.coeffs[-1], lead)[:1])
         for w, b in branches:
             mono = Poly(base, (base.zero(),) * w + (b,))
             new_rem = rem + mono * mono + m * mono  # char 2

@@ -99,6 +99,10 @@ class QuadraticForm:
         """B v for the (symmetric) polar matrix B: polar(v, x) = sum_j row[j] x_j."""
         return linalg.mat_vec(self.polar_matrix(), v, self.field)
 
+    def orthogonal_complement(self, vectors):
+        """Echelon basis of the vectors polar-orthogonal to every given vector."""
+        return linalg.kernel_basis([self.polar_row(v) for v in vectors], self.field, self.n)
+
     def polar(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise AlgebraError("dimension mismatch in polar form")
@@ -308,60 +312,76 @@ def symplectic_pairs(form):
     return out
 
 
-def isotropic_spanning_set(form, witness, verify=True):
+def isotropic_spanning_set(form, witness):
     """A basis of isotropic vectors for a regular isotropic form.
 
-    Constructive version of the spanning lemma: given one isotropic v,
-    every x with polar(v, x) != 0 is corrected to x - phi(x)/polar(v,x) * v,
-    and x orthogonal to v is first shifted by w where polar(v, w) = 1.
+    Constructive version of the spanning lemma: with the hyperbolic split
+    (zeta, comp) of the isotropic v, each unit vector x goes to its line
+    point x - phi(x)/polar(v, x) * v, and an x orthogonal to v is first
+    shifted by zeta.  The result is checked isotropic and a basis.
     """
     f = form.field
     n = form.n
     v = tuple(f.coerce(c) for c in witness)
     if linalg.is_zero_vec(v, f) or not f.is_zero(form.evaluate(v)):
         raise NotIsotropic("witness is not a nonzero isotropic vector")
-    cls = form.classify()
-    if not cls.regular:
+    if not form.classify().regular:
         raise AlgebraError("spanning lemma needs a regular form")
     # v is not in rad(polar): otherwise it would lie in rad(phi) = 0
-    w = solve_polar_equal_one(form, v)
-    if w is None:
+    split = hyperbolic_split(form, v)
+    if split is None:
         raise AlgebraError("no dual vector found for the witness")
-
-    def correct(x):
-        p = form.polar(v, x)
-        if f.is_zero(p):
-            return None
-        c = form.evaluate(x) / p
-        return tuple(a - c * b for a, b in zip(x, v))
-
-    candidates = [v]
-    wfixed = correct(w)
-    if wfixed is not None:
-        candidates.append(wfixed)
+    zeta = split[0]
+    candidates = [v, zeta]
     for i in range(n):
         x = tuple(f.one() if j == i else f.zero() for j in range(n))
-        fixed = correct(x)
+        fixed = line_point(form, v, x)
         if fixed is None:
-            shifted = tuple(a + b for a, b in zip(x, w))
-            fixed = correct(shifted)
-        if fixed is not None and not linalg.is_zero_vec(fixed, f):
+            fixed = line_point(form, v, tuple(a + b for a, b in zip(x, zeta)))
+        if not linalg.is_zero_vec(fixed, f):
             candidates.append(fixed)
     basis = linalg.independent_subset(candidates, f, n, target=n)
     if len(basis) != n:
         raise AlgebraError("isotropic vectors failed to span (implementation bug)")
-    if verify:
-        for b in basis:
-            if not f.is_zero(form.evaluate(b)):
-                raise AlgebraError("constructed vector is not isotropic")
-        if f.is_zero(linalg.det([list(b) for b in basis], f)):
-            raise AlgebraError("constructed set is not a basis")
+    for b in basis:
+        if not f.is_zero(form.evaluate(b)):
+            raise AlgebraError("constructed vector is not isotropic")
+    if f.is_zero(linalg.det([list(b) for b in basis], f)):
+        raise AlgebraError("constructed set is not a basis")
     return basis
 
 
 def solve_polar_equal_one(form, v):
     """Solve polar(v, x) = 1 for x, or None."""
     return linalg.solve([form.polar_row(v)], (form.field.one(),), form.field)
+
+
+def line_point(form, u, x):
+    """x - (phi(x)/polar(u, x)) * u, or None when polar(u, x) = 0.
+
+    For isotropic u, phi(x + s u) = phi(x) + s polar(u, x), so this is the
+    second point where the line through u in direction x meets the quadric.
+    """
+    f = form.field
+    p = form.polar(u, x)
+    if f.is_zero(p):
+        return None
+    c = form.evaluate(x) / p
+    return tuple(a - c * b for a, b in zip(x, u))
+
+
+def hyperbolic_split(form, u):
+    """(zeta, comp) splitting a hyperbolic plane off the isotropic u.
+
+    zeta is isotropic with polar(u, zeta) = 1, so (u, zeta) is a
+    hyperbolic pair, and comp is the echelon basis of the orthogonal
+    complement of span(u, zeta).  None when u lies in the polar radical.
+    """
+    w = solve_polar_equal_one(form, u)
+    if w is None:
+        return None
+    zeta = line_point(form, u, w)
+    return zeta, form.orthogonal_complement([u, zeta])
 
 
 def isometric_embedding(psi, phi, height=20):
@@ -391,7 +411,7 @@ def isometric_embedding(psi, phi, height=20):
         part = linalg.solve(rows, psiB[k][:k], f) if rows else (f.zero(),) * phi.n
         if part is None:
             return
-        kern = linalg.kernel_basis(rows, f, phi.n)
+        kern = phi.orthogonal_complement(cols[:k])
         if not kern:
             yield part
             return

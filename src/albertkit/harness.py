@@ -15,6 +15,7 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 
+from .clifford import even_clifford_binary
 from .corestriction import (
     albert_form,
     cor_is_division,
@@ -41,6 +42,7 @@ from .jsonio import (
 )
 from .quaternion import (
     QuaternionAlgebra,
+    embed_quadratic_algebra,
     find_disjoint_quadratic_subalgebra,
     norm_form,
     validate_disjoint_witness,
@@ -353,9 +355,6 @@ def check_equivalence(inst, path="albert", height=None):
 
 def _transfer_cross_check(inst, ext, Q, cond_iii, derivations, height):
     """Optional route through the transfer of the norm form."""
-    from .clifford import even_clifford_binary
-    from .quaternion import embed_quadratic_algebra
-
     try:
         nq = norm_form(Q)
         T = transfer(ext, nq)

@@ -30,7 +30,7 @@ from .fields import (
     RationalField,
     RationalFunctionField,
 )
-from .forms import QuadraticForm, orthogonalize, solve_polar_equal_one
+from .forms import QuadraticForm, hyperbolic_split, orthogonalize, symplectic_pairs
 from .search import projective_points  # noqa: F401  (perfbench/tracer.py counts it under this name)
 
 ISOTROPIC = "isotropic"
@@ -122,16 +122,13 @@ def structured_finite_isotropy(form):
     # regular binary forms
     if f.char != 2:
         basis = orthogonalize(form)
-        d0, d1 = form.evaluate(basis[0]), form.evaluate(basis[1])
-        return ISOTROPIC if f.is_square(-d1 / d0) else ANISOTROPIC
+        return _square_test(form, basis, [form.evaluate(v) for v in basis]).status
     B = form.polar_matrix()
     if f.is_zero(B[0][1]):
         # totally singular regular binary form over a perfect field has a
         # nonzero radical vector, handled above; reaching here means regular
         # with zero polar and no radical zero, impossible over perfect fields
         raise InternalContradiction("unexpected singular binary form")
-    from .forms import symplectic_pairs
-
     (u, g), = symplectic_pairs(form)
     a, b = form.evaluate(u), form.evaluate(g)
     if f.is_zero(a) or f.is_zero(b):
@@ -235,11 +232,21 @@ def _relevant_places(ds):
     return ["inf"] + sorted(p for p in places if p != "inf")
 
 
-def rational_diagonalization(form):
-    """Orthogonal basis and (nonzero) diagonal values for a regular Q-form."""
-    basis = orthogonalize(form)
-    vals = [form.evaluate(v) for v in basis]
-    return basis, vals
+def _hasse(d, place):
+    """The Hasse invariant prod_{i<j} (d_i, d_j)_v of <d_1, ..., d_n> at v."""
+    return math.prod(hilbert_symbol(a, b, place) for a, b in itertools.combinations(d, 2))
+
+
+def _square_test(form, basis, vals):
+    """Binary regular form with values d0, d1 on an orthogonal basis.
+
+    Isotropic iff -d1/d0 is a square; with r^2 = -d1/d0 the witness is
+    r b_0 + b_1.
+    """
+    r = form.field.sqrt_or_none(-vals[1] / vals[0])
+    if r is None:
+        return anisotropic_verdict("square-test")
+    return isotropic_verdict(form, tuple(r * a + b for a, b in zip(basis[0], basis[1])), "square-test")
 
 
 def hasse_minkowski(form):
@@ -256,53 +263,30 @@ def hasse_minkowski(form):
     n = form.n
     if n == 0:
         return anisotropic_verdict("empty")
-    basis, vals = rational_diagonalization(form)
+    basis = orthogonalize(form)
+    vals = [form.evaluate(v) for v in basis]
     if any(v == 0 for v in vals):
         raise AlgebraError("hasse_minkowski expects a regular form")
-    d = [squarefree_part(v) for v in vals]
     if n == 1:
         return anisotropic_verdict("dim1")
-    isotropic = None
-    method = None
     if n == 2:
-        isotropic = squarefree_part(Fraction(-d[0] * d[1])) == 1
-        method = "square-test"
-        if isotropic:
-            r = QQ.sqrt(-Fraction(vals[1], vals[0]))
-            vec = tuple(r * a + b for a, b in zip(basis[0], basis[1]))
-            return isotropic_verdict(form, vec, "square-test")
-        return anisotropic_verdict(method)
+        return _square_test(form, basis, vals)
+    d = [squarefree_part(v) for v in vals]
+    dd = math.prod(d)
     if n >= 5:
         pos = sum(1 for v in vals if v > 0)
-        neg = n - pos
-        isotropic = pos > 0 and neg > 0
+        isotropic = 0 < pos < n
         method = "signature"
     elif n == 3:
-        dd = d[0] * d[1] * d[2]
         method = "hasse-minkowski"
-        isotropic = True
-        for v in _relevant_places(d):
-            eps = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    eps *= hilbert_symbol(d[i], d[j], v)
-            if hilbert_symbol(-1, -dd, v) != eps:
-                isotropic = False
-                break
-    else:  # n == 4
-        dd = d[0] * d[1] * d[2] * d[3]
+        isotropic = all(_hasse(d, v) == hilbert_symbol(-1, -dd, v) for v in _relevant_places(d))
+    else:  # n == 4: only places where the discriminant is a square can fail
         method = "hasse-minkowski"
-        isotropic = True
-        for v in _relevant_places(d):
-            if not _is_square_in_Qv(dd, v):
-                continue
-            eps = 1
-            for i in range(4):
-                for j in range(i + 1, 4):
-                    eps *= hilbert_symbol(d[i], d[j], v)
-            if eps != hilbert_symbol(-1, -1, v):
-                isotropic = False
-                break
+        isotropic = all(
+            _hasse(d, v) == hilbert_symbol(-1, -1, v)
+            for v in _relevant_places(d)
+            if _is_square_in_Qv(dd, v)
+        )
     if not isotropic:
         return anisotropic_verdict(method)
     for h, vec in search.zeros(form, range(1, search.WITNESS_HEIGHT_CAP + 1)):
@@ -312,48 +296,24 @@ def hasse_minkowski(form):
 
 def rational_invariants(form):
     """(dim, signature, disc square class, hasse symbols) over Q."""
-    _, vals = rational_diagonalization(form)
+    vals = [form.evaluate(v) for v in orthogonalize(form)]
     d = [squarefree_part(v) for v in vals]
     pos = sum(1 for v in vals if v > 0)
     disc = squarefree_part(Fraction(math.prod(d)))
-    places = _relevant_places(d)
-    hasse = {}
-    for v in places:
-        eps = 1
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                eps *= hilbert_symbol(d[i], d[j], v)
-        hasse[str(v)] = eps
+    hasse = {str(v): _hasse(d, v) for v in _relevant_places(d)}
     return {"dim": form.n, "positive": pos, "disc": disc, "hasse": hasse}
 
 
 def rationally_equivalent(f1, f2):
-    """Exact equivalence test for regular forms over Q via invariants."""
+    """Exact equivalence test for regular forms over Q via invariants.
+
+    A place listed for one form only reads 1 for the other: it is an odd
+    prime dividing none of that form's d_i, where every (d_i, d_j) is 1.
+    """
     a, b = rational_invariants(f1), rational_invariants(f2)
     if a["dim"] != b["dim"] or a["positive"] != b["positive"] or a["disc"] != b["disc"]:
         return False
-    places = set(a["hasse"]) | set(b["hasse"])
-    for v in places:
-        pv = v if v == "inf" else int(v)
-        ea = a["hasse"].get(v)
-        if ea is None:
-            ea = _hasse_at(f1, pv)
-        eb = b["hasse"].get(v)
-        if eb is None:
-            eb = _hasse_at(f2, pv)
-        if ea != eb:
-            return False
-    return True
-
-
-def _hasse_at(form, place):
-    _, vals = rational_diagonalization(form)
-    d = [squarefree_part(v) for v in vals]
-    eps = 1
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            eps *= hilbert_symbol(d[i], d[j], place)
-    return eps
+    return all(a["hasse"].get(v, 1) == b["hasse"].get(v, 1) for v in set(a["hasse"]) | set(b["hasse"]))
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +485,6 @@ def char2_isotropic_stream(form):
     witnesses of any degree are found.  Yields nothing when the polar form
     is degenerate.
     """
-    from .forms import symplectic_pairs
-
     f = form.field
     base = f.base
     try:
@@ -571,8 +529,6 @@ def char2_isotropic_stream(form):
 
 def _char2_artin_schreier_search(form):
     """Verdict wrapper around the stream; complete for a single block."""
-    from .forms import symplectic_pairs
-
     try:
         k = len(symplectic_pairs(form))
     except AlgebraError:
@@ -601,22 +557,20 @@ def isotropy(form, height=search.DEFAULT_HEIGHT):
         return bounded_search(form, 1)
     if isinstance(f, RationalField):
         return hasse_minkowski(form)
-    if isinstance(f, QuadraticFieldExtension) and isinstance(f.base, RationalField):
+    if isinstance(f, QuadraticFieldExtension):
         if form.n == 1:
             return anisotropic_verdict("dim1")
-        if form.n == 2:
-            basis = orthogonalize(form)
-            d0, d1 = form.evaluate(basis[0]), form.evaluate(basis[1])
-            ratio = -d1 / d0
-            if f.is_square(ratio):
-                r = f.sqrt(ratio)
-                vec = tuple(r * a + b for a, b in zip(basis[0], basis[1]))
-                return isotropic_verdict(form, vec, "square-test")
-            return anisotropic_verdict("square-test")
-        if definiteness_certificate(form):
-            return anisotropic_verdict("definiteness")
-        return bounded_search(form, height)
-    if isinstance(f, RationalFunctionField):
+        if isinstance(f.base, RationalField):
+            if form.n == 2:
+                basis = orthogonalize(form)
+                return _square_test(form, basis, [form.evaluate(v) for v in basis])
+            if definiteness_certificate(form):
+                return anisotropic_verdict("definiteness")
+        elif form.n >= 5 and _is_c2_function_field(f):
+            for h, vec in search.zeros(form, range(1, max(height, 5) + 1)):
+                return isotropic_verdict(form, vec, "tsen-lang", h)
+            return unknown_verdict(height)
+    elif isinstance(f, RationalFunctionField):
         const = _constant_reduction(form)
         if const is not None:
             return const
@@ -641,13 +595,6 @@ def isotropy(form, height=search.DEFAULT_HEIGHT):
             for h, vec in search.zeros(form, (1, 2)):
                 return isotropic_verdict(form, vec, "tsen-lang", h)
             return unknown_verdict(2)
-    elif isinstance(f, QuadraticFieldExtension):
-        if form.n == 1:
-            return anisotropic_verdict("dim1")
-        if form.n >= 5 and _is_c2_function_field(f):
-            for h, vec in search.zeros(form, range(1, max(height, 5) + 1)):
-                return isotropic_verdict(form, vec, "tsen-lang", h)
-            return unknown_verdict(height)
     return bounded_search(form, height)
 
 
@@ -693,25 +640,15 @@ def witt_decompose(form, height=search.DEFAULT_HEIGHT):
             raise OracleIncomplete("isotropy undecided during Witt decomposition")
         if verdict.is_anisotropic:
             break
-        u_local = verdict.witness
-        w_local = solve_polar_equal_one(sub, u_local)
-        if w_local is None:
+        split = hyperbolic_split(sub, verdict.witness)
+        if split is None:
             raise InternalContradiction("isotropic vector with no dual in a regular form")
-        cw = sub.evaluate(w_local)
-        v_local = tuple(a - cw * b for a, b in zip(w_local, u_local))
-        u = linalg.combine(u_local, work, f, n)
-        v = linalg.combine(v_local, work, f, n)
-        pairs.append((u, v))
-        rows = [sub.polar_row(u_local), sub.polar_row(v_local)]
-        kern = linalg.kernel_basis(rows, f, len(work))
+        v_local, kern = split
+        pairs.append((linalg.combine(verdict.witness, work, f, n), linalg.combine(v_local, work, f, n)))
         work = [linalg.combine(k, work, f, n) for k in kern]
     kernel_form = form.restrict(work)
-    basis = list(rad)
-    for u, v in pairs:
-        basis.append(u)
-        basis.append(v)
-    basis.extend(work)
-    _verify_witt(form, rad, pairs, work, kernel_form)
+    basis = list(rad) + [v for p in pairs for v in p] + work
+    _verify_witt(form, basis, len(rad), len(pairs), kernel_form)
     return WittDecomposition(
         radical_dim=len(rad),
         hyperbolic_count=len(pairs),
@@ -723,32 +660,15 @@ def witt_decompose(form, height=search.DEFAULT_HEIGHT):
     )
 
 
-def _verify_witt(form, rad, pairs, kernel_basis, kernel_form):
+def _verify_witt(form, basis, r, m, kernel_form):
+    """The Witt basis restricts the form to zero_form(r) _|_ H^m _|_ kernel."""
     f = form.field
-    total = list(rad) + [v for p in pairs for v in p] + list(kernel_basis)
-    if len(total) != form.n:
-        raise InternalContradiction("Witt basis has wrong size")
-    tf = form.restrict(total)
-    r = len(rad)
-    m = len(pairs)
-    for i in range(form.n):
-        for j in range(i, form.n):
-            val = tf.upper[i][j]
-            expected = None
-            if i < r or (j < r):
-                expected = f.zero()
-            elif i < r + 2 * m and j < r + 2 * m:
-                bi, bj = i - r, j - r
-                if bi // 2 == bj // 2:
-                    expected = f.one() if (bi % 2 == 0 and bj == bi + 1) else f.zero()
-                else:
-                    expected = f.zero()
-            elif i < r + 2 * m:
-                expected = f.zero()
-            else:
-                expected = kernel_form.upper[i - r - 2 * m][j - r - 2 * m]
-            if val != expected:
-                raise InternalContradiction("Witt change of basis failed verification")
+    expected = QuadraticForm.zero_form(f, r)
+    for _ in range(m):
+        expected = expected.orthogonal_sum(QuadraticForm.hyperbolic_plane(f))
+    expected = expected.orthogonal_sum(kernel_form)
+    if len(basis) != form.n or form.restrict(basis).upper != expected.upper:
+        raise InternalContradiction("Witt change of basis failed verification")
 
 
 def witt_index(form, height=search.DEFAULT_HEIGHT):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import (
     AlgebraError,
     BudgetExhausted,
@@ -20,8 +19,8 @@ from .errors import (
     NotEtale,
     ZeroParameter,
 )
-from .etale import SplitAlgebra
-from .forms import QuadraticForm, solve_polar_equal_one
+from .etale import EtaleQuadratic, SplitAlgebra
+from .forms import QuadraticForm, hyperbolic_split, line_point
 from .isotropy import isotropy
 from .search import DEFAULT_HEIGHT, SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
 
@@ -250,8 +249,6 @@ def make_quaternion(E, a):
     E is an EtaleQuadratic over the scalar domain; the split case embeds as
     alpha = 1, beta = 0 (E = D x D presented by the polynomial x^2 - x).
     """
-    from .etale import EtaleQuadratic
-
     if isinstance(E, EtaleQuadratic):
         if E.kind == "field":
             return QuaternionAlgebra(E.base, E.alpha, E.beta, a)
@@ -462,19 +459,18 @@ def embed_quadratic_algebra(Q, p, q, height=DEFAULT_HEIGHT):
 
 
 def _move_off_hyperplane(psi, u):
-    """From an isotropic u with last coordinate 0, reach one with y != 0."""
-    d = psi.field
-    v = solve_polar_equal_one(psi, u)
-    if v is None:
+    """From an isotropic u with last coordinate 0, reach one with y != 0.
+
+    Each x = zeta + k, for zeta of the hyperbolic split and k orthogonal
+    to u, has polar(u, x) = 1; its line point x - q(x) u is isotropic with
+    the same last coordinate as x.
+    """
+    split = hyperbolic_split(psi, u)
+    if split is None:
         return None
-    # candidates v' = v + k with polar(u, v') = 1 and y(v') != 0
-    kern = linalg.kernel_basis([psi.polar_row(u)], d, psi.n)
-    candidates = [v] + [tuple(a + b for a, b in zip(v, k)) for k in kern]
-    for cand in candidates:
-        if d.is_zero(cand[3]):
-            continue
-        s = -psi.evaluate(cand)
-        vec = tuple(s * a + b for a, b in zip(u, cand))
-        if d.is_zero(psi.evaluate(vec)) and not d.is_zero(vec[3]):
-            return vec
+    zeta = split[0]
+    for k in [(psi.field.zero(),) * psi.n] + psi.orthogonal_complement([u]):
+        x = tuple(a + b for a, b in zip(zeta, k))
+        if not psi.field.is_zero(x[3]):
+            return line_point(psi, u, x)
     return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .errors import AlgebraError, InternalContradiction, SplitK
-from .forms import QuadraticForm, isotropic_spanning_set
+from .forms import QuadraticForm, isotropic_spanning_set, solve_polar_equal_one
 from .isotropy import isotropy, witt_decompose
 from .search import DEFAULT_HEIGHT
 
@@ -136,7 +136,7 @@ def _descend_anisotropic(ext, phi, height, steps):
     lamv_push = ext.realify_vec(lam_v)
     if T.polar(u_push, lamv_push) != F.one() or not F.is_zero(T.evaluate(u_push)):
         raise InternalContradiction("U block is not hyperbolic for the transfer")
-    Wb = linalg.kernel_basis([T.polar_row(u_push), T.polar_row(lamv_push)], F, 2 * n)
+    Wb = T.orthogonal_complement([u_push, lamv_push])
     T_W = T.restrict(Wb)
     verdict = isotropy(T_W, height=height)
     if not verdict.is_isotropic:
@@ -164,7 +164,7 @@ def _descend_anisotropic(ext, phi, height, steps):
     steps.append({"round": "dim-2", "u": u, "v": v, "lambda": lam, "w": w_K})
 
     # orthogonal complement of span_K(u, w) inside phi
-    comp = linalg.kernel_basis([phi.polar_row(u), phi.polar_row(w_K)], K, n)
+    comp = phi.orthogonal_complement([u, w_K])
     phi_comp = phi.restrict(comp)
     T_comp_i0 = witt_decompose(transfer(ext, phi_comp), height=height).witt_index
     if T_comp_i0 != i0 - 2:
@@ -179,13 +179,11 @@ def _dual_vector(phi, u):
     """v with polar(u, v) = 1, chosen K-independent of u when possible."""
     K = phi.field
     n = phi.n
-    row = phi.polar_row(u)
-    v = linalg.solve([row], (K.one(),), K)
+    v = solve_polar_equal_one(phi, u)
     if v is None:
         raise InternalContradiction("nonsingular form with a degenerate vector")
     if n >= 2 and linalg.rank([u, v], K, n) < 2:
-        kern = linalg.kernel_basis([row], K, n)
-        for y in kern:
+        for y in phi.orthogonal_complement([u]):
             cand = tuple(a + b for a, b in zip(v, y))
             if linalg.rank([u, cand], K, n) == 2:
                 return cand

@@ -5,6 +5,7 @@ All arithmetic is exact, so every tolerance is equality.  Run with
 """
 
 import copy
+import hashlib
 import itertools
 import time
 
@@ -40,6 +41,7 @@ from albertkit.isotropy import (
     squarefree_part,
     structured_finite_isotropy,
 )
+from albertkit.harness import report_json_bytes
 from albertkit.jsonio import parse_element
 from albertkit.linalg import det, rank, solve
 
@@ -364,6 +366,16 @@ def test_criterion_7_main_theorem(harness_reports):
     assert rep.cond_iii_not_division.method == "springer"
     assert elapsed < 300.0
     _line(7, "main theorem", "200 instances, exit code 0, %.1fs" % elapsed)
+
+
+# sha256 over the report_json_bytes of the BATCH reports, in BATCH order
+BATCH_REPORT_DIGEST = "2bce5d9f2e612f13bfd3bfe711ae8ccd791c0a8208235c0e9fb107d716240fdf"
+
+
+def test_criterion_7_report_bytes_unchanged(harness_reports):
+    reports, _ = harness_reports
+    digest = hashlib.sha256(b"".join(report_json_bytes(rep) for rep in reports)).hexdigest()
+    assert digest == BATCH_REPORT_DIGEST
 
 
 # -- 8. oracle cross-validation --------------------------------------------------

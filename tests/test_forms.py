@@ -15,7 +15,9 @@ from albertkit import (
     symplectic_pairs,
 )
 from albertkit.errors import AlgebraError
+from albertkit.forms import hyperbolic_split, line_point
 from albertkit.isotropy import enumeration_isotropy, isotropy
+from albertkit.linalg import rank
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -135,6 +137,54 @@ def test_isotropic_spanning_examples():
     wit = enumeration_isotropy(f5).witness
     basis = isotropic_spanning_set(f5, wit)
     assert len(basis) == 2
+
+
+def _split_fields():
+    return (
+        QQ,
+        F5,
+        F4,
+        RationalFunctionField(QQ, "t"),
+        F2t,
+        QuadraticFieldExtension(QQ, 0, 2),
+    )
+
+
+@pytest.mark.parametrize("field", _split_fields(), ids=["Q", "F5", "F4", "Qt", "F2t", "Qsqrt2"])
+def test_hyperbolic_split_line_point_and_complement(field):
+    rng = seeded(31)
+    zero, one = field.zero(), field.one()
+    n = 4
+    for _ in range(3):
+        # H _|_ psi in a lower-unitriangular basis: e_0 stays isotropic
+        phi = QuadraticForm.hyperbolic_plane(field).orthogonal_sum(random_nonsingular_form(field, 2, rng, size=3))
+        P = [
+            tuple(one if j == i else field.random_element(rng, 3) if j < i else zero for j in range(n))
+            for i in range(n)
+        ]
+        form = phi.restrict(P)
+        u = tuple(one if j == 0 else zero for j in range(n))
+        zeta, comp = hyperbolic_split(form, u)
+        assert field.is_zero(form.evaluate(zeta))
+        assert form.polar(u, zeta) == one
+        assert len(comp) == n - 2 and rank([u, zeta] + list(comp), field, n) == n
+        for c in comp:
+            assert field.is_zero(form.polar(u, c)) and field.is_zero(form.polar(zeta, c))
+        assert comp == form.orthogonal_complement([u, zeta])
+        # u is isotropic, so its own complement (dimension n - 1) contains it
+        perp = form.orthogonal_complement([u])
+        assert len(perp) == n - 1 and rank(perp + [u], field, n) == n - 1
+        # the line through u and x meets the quadric again at line_point
+        x = tuple(field.random_element(rng, 3) for _ in range(n))
+        x = tuple(a + b for a, b in zip(x, zeta)) if field.is_zero(form.polar(u, x)) else x
+        p = line_point(form, u, x)
+        assert field.is_zero(form.evaluate(p))
+        assert rank([tuple(a - b for a, b in zip(p, x)), u], field, n) == 1
+        assert line_point(form, u, comp[0]) is None
+        assert line_point(form, u, u) is None
+        # a vector of the polar radical has no hyperbolic partner
+        degenerate = form.orthogonal_sum(QuadraticForm.zero_form(field, 1))
+        assert hyperbolic_split(degenerate, (zero,) * n + (one,)) is None
 
 
 def test_orthogonalize_and_symplectic():

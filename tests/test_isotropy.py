@@ -19,7 +19,7 @@ from albertkit import (
     witt_index,
 )
 from albertkit.errors import NotApplicable
-from albertkit.isotropy import _factor_int, squarefree_part
+from albertkit.isotropy import _factor_int, rationally_equivalent, squarefree_part
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -61,6 +61,15 @@ def test_hasse_minkowski_examples():
     assert isotropy(QuadraticForm.diagonal(QQ, [1, 1, -2])).is_isotropic
     assert isotropy(QuadraticForm.diagonal(QQ, [1, 3, -2, -6])).is_anisotropic
     assert isotropy(QuadraticForm.diagonal(QQ, [1, 1, -2, -7])).is_isotropic
+
+
+def test_rationally_equivalent_with_a_place_listed_for_one_form_only():
+    # 5 (resp. 3) is a relevant place of <5,5> (resp. <3,3>) only; it reads 1 for <1,1>
+    one_one = QuadraticForm.diagonal(QQ, [1, 1])
+    assert rationally_equivalent(one_one, QuadraticForm.diagonal(QQ, [5, 5]))
+    assert rationally_equivalent(QuadraticForm.diagonal(QQ, [5, 5]), one_one)
+    assert not rationally_equivalent(one_one, QuadraticForm.diagonal(QQ, [3, 3]))
+    assert not rationally_equivalent(QuadraticForm.diagonal(QQ, [3, 3]), one_one)
 
 
 def test_bounded_search_examples():
