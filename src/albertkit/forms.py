@@ -315,10 +315,10 @@ def symplectic_pairs(form):
 def isotropic_spanning_set(form, witness):
     """A basis of isotropic vectors for a regular isotropic form.
 
-    Constructive version of the spanning lemma: with the hyperbolic split
-    (zeta, comp) of the isotropic v, each unit vector x goes to its line
-    point x - phi(x)/polar(v, x) * v, and an x orthogonal to v is first
-    shifted by zeta.  The result is checked isotropic and a basis.
+    Constructive version of the spanning lemma: each unit vector x goes to
+    its line point x - phi(x)/polar(v, x) * v through the isotropic v, and
+    an x orthogonal to v is first shifted by the hyperbolic partner zeta of
+    v.  The result is checked isotropic and a basis.
     """
     f = form.field
     n = form.n
@@ -360,7 +360,8 @@ def line_point(form, u, x):
     """x - (phi(x)/polar(u, x)) * u, or None when polar(u, x) = 0.
 
     For isotropic u, phi(x + s u) = phi(x) + s polar(u, x), so this is the
-    second point where the line through u in direction x meets the quadric.
+    second point, besides u, where the projective line through u and x
+    meets the quadric.
     """
     f = form.field
     p = form.polar(u, x)
