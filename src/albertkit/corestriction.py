@@ -8,15 +8,18 @@ carries the quadratic form kappa * (gamma(Nrd y) - Nrd y), and the map
 xi -> [[0, kappa (sigma(x)1)(xi)], [xi, 0]] squares to that form, giving a
 checkable zero-divisor certificate whenever the form is isotropic.
 
-The tensor square (over K), the corestriction and Q1 (x) Q2 (over F) are
-all StructureAlgebra: structure constants with TensorElem elements.  The
-tensor square builds Cor, V^s and f and carries the nilpotent certificate;
-the audits of f and of the Clifford map compute in M_2(Cor) over F.
+All three algebras have TensorElem elements.  The tensor square (over K)
+and Q1 (x) Q2 (over F) are TensorProductAlgebra: they multiply through
+the 4x4 basis products of their quaternion factors and build no 16x16
+table.  The corestriction is a StructureAlgebra over F, whose structure
+constants are data for the Clifford rank and for `cor build --structure`.
+The tensor square builds Cor, V^s and f and carries the nilpotent
+certificate; the audits of f and of the Clifford map compute in M_2(Cor)
+over F.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -30,13 +33,13 @@ from .errors import (
     InvalidWitness,
     ValueNotInF,
 )
-from .forms import QuadraticForm, hyperbolic_split, line_point
+from .forms import QuadraticForm, hyperbolic_partner, line_point
 from .isotropy import _clear_denominators, isotropy
 from .quaternion import QuaternionAlgebra, validate_disjoint_witness
 
 
 class TensorElem:
-    """Element of a StructureAlgebra: 16 coordinates over its scalar ring."""
+    """Element of an Algebra16: 16 coordinates over its scalar ring."""
 
     __slots__ = ("algebra", "coords")
 
@@ -61,21 +64,7 @@ class TensorElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        alg = self.algebra
-        R = alg.ring
-        structure = alg.structure
-        acc = [R.zero()] * 16
-        for i, a in enumerate(self.coords):
-            if R.is_zero(a):
-                continue
-            row = structure[i]
-            for j, b in enumerate(other.coords):
-                if R.is_zero(b):
-                    continue
-                ab = a * b
-                for m, c in row[j]:
-                    acc[m] = acc[m] + ab * c
-        return TensorElem(alg, tuple(acc))
+        return TensorElem(self.algebra, self.algebra.product(self.coords, other.coords))
 
     def scalar_mul(self, lam):
         lam = self.algebra.ring.coerce(lam)
@@ -104,53 +93,14 @@ class TensorElem:
         return " + ".join(parts) if parts else "0"
 
 
-def _tensor_table(ring, table1, table2, twist=None):
-    """Structure constants of A (x) B on the basis e_{4i+j} = a_i (x) b_j.
-
-    a_i a_k = sum_m table1[i][k][m] a_m and likewise for B; `twist` maps the
-    constants of the first factor (gamma, for the conjugate factor of the
-    tensor square).  Entry [4i+j][4k+l] lists the nonzero (4m+n, c) terms,
-    with one object per distinct c.
-    """
-    table = []
-    shared = {}
-    for idx1 in range(16):
-        i, j = divmod(idx1, 4)
-        row = []
-        for idx2 in range(16):
-            k, l = divmod(idx2, 4)
-            entries = []
-            first = table1[i][k]
-            second = table2[j][l]
-            for m in range(4):
-                c1 = first[m] if twist is None else twist(first[m])
-                if ring.is_zero(c1):
-                    continue
-                for n in range(4):
-                    c2 = second[n]
-                    if not ring.is_zero(c2):
-                        c = c1 * c2
-                        entries.append((4 * m + n, shared.setdefault(c, c)))
-            row.append(tuple(entries))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-class StructureAlgebra:
-    """A 16-dimensional algebra by sparse structure constants over `ring`.
-
-    structure[i][j] lists the (m, c) with e_i e_j = sum c e_m; elements are
-    TensorElem, whose product is the one product of every such algebra.
-    A structure of None leaves the table to be set later or built by a
-    subclass on first use.
-    """
+class Algebra16:
+    """A 16-dimensional algebra over `ring` with TensorElem elements, whose
+    product each subclass defines on coordinate tuples."""
 
     dim = 16
 
-    def __init__(self, ring, structure, unit_coords):
+    def __init__(self, ring, unit_coords):
         self.ring = ring
-        if structure is not None:
-            self.structure = structure
         self.unit_coords = unit_coords
 
     def elem(self, coords):
@@ -173,16 +123,76 @@ class StructureAlgebra:
         return "e%d" % idx
 
 
-class TensorSquareAlgebra(StructureAlgebra):
+class StructureAlgebra(Algebra16):
+    """An algebra by sparse structure constants, for Cor and clifford's Cor_E,
+    whose tables are data: structure[i][j] lists the (m, c) with
+    e_i e_j = sum c e_m.  Cor sets its table after construction."""
+
+    def __init__(self, ring, structure, unit_coords):
+        super().__init__(ring, unit_coords)
+        self.structure = structure
+
+    def product(self, x, y):
+        R = self.ring
+        acc = [R.zero()] * 16
+        for i, a in enumerate(x):
+            if R.is_zero(a):
+                continue
+            row = self.structure[i]
+            for j, b in enumerate(y):
+                if R.is_zero(b):
+                    continue
+                ab = a * b
+                for m, c in row[j]:
+                    acc[m] = acc[m] + ab * c
+        return tuple(acc)
+
+
+class TensorProductAlgebra(Algebra16):
+    """Q1 (x) Q2 over `ring` on the basis e_{4i+j} = q_i (x) q_j, with no 16x16 table.
+
+    (q_i (x) q_j)(q_k (x) q_l) = sum over m, n of twist(T1[i][k][m])
+    T2[j][l][n] q_m (x) q_n, for T1 and T2 the 4x4 basis products of the
+    factors; `twist` is gamma on the conjugate factor of the tensor square.
+    """
+
+    label = "tensor-product"
+
+    def __init__(self, ring, Q1, Q2, twist=None):
+        super().__init__(ring, (ring.one(),) + (ring.zero(),) * 15)
+        # the nonzero (m, c) of each basis product of each factor
+        self._tables = tuple(
+            [[[(m, f(c)) for m, c in enumerate(cs) if not ring.is_zero(c)] for cs in row] for row in Q.table]
+            for Q, f in ((Q1, twist or (lambda c: c)), (Q2, lambda c: c))
+        )
+
+    def product(self, x, y):
+        R = self.ring
+        t1, t2 = self._tables
+        acc = [R.zero()] * 16
+        ys = [(divmod(idx, 4), b) for idx, b in enumerate(y) if not R.is_zero(b)]
+        for idx, a in enumerate(x):
+            if R.is_zero(a):
+                continue
+            i, j = divmod(idx, 4)
+            for (k, l), b in ys:
+                ab = a * b
+                second = t2[j][l]
+                for m, c1 in t1[i][k]:
+                    abc = ab * c1
+                    for n, c2 in second:
+                        acc[4 * m + n] = acc[4 * m + n] + abc * c2
+        return tuple(acc)
+
+
+class TensorSquareAlgebra(TensorProductAlgebra):
     """(conjugate Q) tensor_K Q with switch map and first-factor involution."""
 
     def __init__(self, ext, Q):
         if Q.domain != ext.ring:
             raise AlgebraError("quaternion algebra is not defined over the extension")
         K = Q.domain
-        unit = [K.zero()] * 16
-        unit[0] = K.one()
-        super().__init__(K, None, tuple(unit))
+        super().__init__(K, Q, Q, ext.gamma)
         self.ext = ext
         self.Q = Q
         # sigma on the first factor, as gamma'd coordinate rows
@@ -192,13 +202,6 @@ class TensorSquareAlgebra(StructureAlgebra):
             coords[i] = K.one()
             sig.append(Q.element(tuple(coords)).conjugate().coords)
         self._sigma_rows = tuple(sig)
-
-    @functools.cached_property
-    def structure(self):
-        """Built on the first product: the Albert data's tensor square only
-        multiplies for a nilpotent certificate, and the switch, the first
-        factor involution and the realification need no table."""
-        return _tensor_table(self.ring, self.Q.table, self.Q.table, self.ext.gamma)
 
     def from_base(self, c):
         return self.ring.from_base(c)
@@ -260,7 +263,7 @@ class TensorSquareAlgebra(StructureAlgebra):
         return self.gx_tensor(y, one) + self.gx_tensor(one, y)
 
 
-def v_space_basis(ext, Q, tensor=None):
+def v_space_basis(ext, Q):
     """Read-only K-basis of V = {gamma(x1) (x) 1 - 1 (x) x2 : traces match}.
 
     The trace-compatibility condition gamma(Trd x1) = Trd x2 cuts a
@@ -270,11 +273,9 @@ def v_space_basis(ext, Q, tensor=None):
     """
     if ext.kind != "field":
         raise AlgebraError("V is only presented over a field extension")
-    if tensor is None:
-        tensor = TensorSquareAlgebra(ext, Q)
+    tensor = TensorSquareAlgebra(ext, Q)
     K = Q.domain
     # pairs (x1, x2) in Q x Q: 8 K-coordinates; one K-linear condition
-    rows = []
     cond = []
     for r in range(8):
         coords = [K.zero()] * 8
@@ -283,12 +284,8 @@ def v_space_basis(ext, Q, tensor=None):
         x2 = Q.element(tuple(coords[4:]))
         cond.append(ext.gamma(x1.trd()) - x2.trd())
     kernel = linalg.kernel_basis([tuple(cond)], K, 8)
-    images = []
-    for vec in kernel:
-        x1 = Q.element(tuple(vec[:4]))
-        x2 = Q.element(tuple(vec[4:]))
-        img = tensor.gx_tensor(x1, Q.one()) - tensor.gx_tensor(Q.one(), x2)
-        images.append(img)
+    one = Q.one()
+    images = [tensor.gx_tensor(Q.element(vec[:4]), one) - tensor.gx_tensor(one, Q.element(vec[4:])) for vec in kernel]
     chosen = linalg.independent_indices([img.coords for img in images], K, 16)
     basis = [images[i] for i in chosen]
     rows_acc = [list(img.coords) for img in basis]
@@ -302,18 +299,16 @@ def v_space_basis(ext, Q, tensor=None):
 
 
 class CorestrictionAlgebra(StructureAlgebra):
-    """16-dimensional F-algebra by structure constants.
+    """The switch-fixed F-subalgebra of the tensor square, by structure
+    constants; build_corestriction sets them and the unit by `express`."""
 
-    Built either as the switch-fixed subalgebra of the tensor square or,
-    for split K, directly as the tensor product of the two components.
-    """
+    label = "fixed-points"
 
-    def __init__(self, field, structure, unit_coords, basis=None, tensor=None, free_columns=None, label=""):
-        super().__init__(field, structure, unit_coords)
+    def __init__(self, field, basis, tensor, free_columns):
+        super().__init__(field, None, None)
         self.basis = basis
         self.tensor = tensor
         self.free_columns = free_columns
-        self.label = label
 
     def express(self, elem):
         """Coordinates of a tensor element in the fixed basis, or None.
@@ -324,8 +319,6 @@ class CorestrictionAlgebra(StructureAlgebra):
         0 at the other free columns.  So a fixed element's coordinates are its
         realified entries at the 16 free columns; nothing is solved.
         """
-        if self.tensor is None or self.free_columns is None:
-            raise AlgebraError("no tensor model attached")
         A = self.tensor
         if elem.algebra is not A:
             elem = A.elem(elem.coords)
@@ -358,7 +351,7 @@ def build_corestriction(ext, Q):
         if [vec[c] for c in free] != [F.one() if s == r else F.zero() for s in range(16)]:
             raise InternalContradiction("fixed basis is not echelon-normalized")
     basis = [A.unrealify(vec) for vec in kernel]
-    cor = CorestrictionAlgebra(F, None, None, basis=basis, tensor=A, free_columns=tuple(free), label="fixed-points")
+    cor = CorestrictionAlgebra(F, basis, A, tuple(free))
     # one object per distinct constant: the 256 products repeat a few dozen
     # values, and Cor's table is carried through both audits
     shared = {}
@@ -373,9 +366,6 @@ def build_corestriction(ext, Q):
             row.append(tuple((m, shared.setdefault(c, c)) for m, c in enumerate(coords) if not F.is_zero(c)))
         structure.append(tuple(row))
     cor.structure = tuple(structure)
-    # the 256 basis products are read: nothing multiplies in A again, and
-    # its table over K would otherwise ride along with Cor through the audits
-    del A.structure
     unit = cor.express(A.one())
     if unit is None:
         raise InternalContradiction("unit is not a fixed point")
@@ -398,12 +388,10 @@ def natural_map_bijective(ext, cor):
 
 
 def tensor_product_algebra(Q1, Q2):
-    """Q1 (x)_F Q2 by structure constants, basis q_i (x) q_j."""
+    """Q1 (x)_F Q2 on the basis q_i (x) q_j."""
     if Q1.domain != Q2.domain:
         raise AlgebraError("tensor factors over different fields")
-    F = Q1.domain
-    unit = tuple(F.one() if i == 0 else F.zero() for i in range(16))
-    return CorestrictionAlgebra(F, _tensor_table(F, Q1.table, Q2.table), unit, label="tensor-product")
+    return TensorProductAlgebra(Q1.domain, Q1, Q2)
 
 
 def split_projection_iso(ext, cor, Q1, Q2):
@@ -721,12 +709,12 @@ def isotropic_to_generator(ad, witness_coords):
 
     The vector presents y up to the kappa line, and kappa*(y + shift) is
     the generator once validate_disjoint_witness accepts it.  Candidates
-    come from forms.hyperbolic_split of the witness u: zeta with
-    b(u, zeta) = 1 and q(zeta) = 0, and the basis comp of the orthogonal
-    complement of (u, zeta), which x -> line_point(q, zeta, x + u) =
-    x + u - q(x)*zeta maps onto the quadric.  In order: u, zeta, the image
-    of each comp[i] with i descending, then of each pairwise sum
-    comp[i] + comp[j].
+    come from the witness u: its hyperbolic partner zeta (b(u, zeta) = 1
+    and q(zeta) = 0), and the basis comp of the orthogonal complement of
+    (u, zeta), built only when u and zeta fail, which
+    x -> line_point(q, zeta, x + u) = x + u - q(x)*zeta maps onto the
+    quadric.  In order: u, zeta, the image of each comp[i] with i
+    descending, then of each pairwise sum comp[i] + comp[j].
 
     In characteristic not 2 the shift is kappa, so Trd(kappa*y) is
     2*kappa^2 != 0 (vs_space builds y_basis from trace-zero pure
@@ -770,12 +758,11 @@ def isotropic_to_generator(ad, witness_coords):
 def _hyperbolic_candidates(form, u):
     """u, zeta, then the quadric images of comp[i] and of comp[i] + comp[j]."""
     yield u
-    split = hyperbolic_split(form, u)
-    if split is None:
+    zeta = hyperbolic_partner(form, u)
+    if zeta is None:
         raise InternalContradiction("witness lies in the radical of the Albert form")
-    zeta, comp = split
     yield zeta
-    comp = comp[::-1]
+    comp = form.orthogonal_complement([u, zeta])[::-1]
     pairs = [tuple(a + b for a, b in zip(x, z)) for x, z in itertools.combinations(comp, 2)]
     for x in comp + pairs:
         yield line_point(form, zeta, tuple(a + b for a, b in zip(x, u)))

@@ -901,16 +901,19 @@ class QuadraticFieldExtension(Field):
         self.var = var
         self.char = base.char
         self.order = None if base.order is None else base.order ** 2
-        self.name = "%s[%s]/(%s^2-%s*%s-%s)" % (
-            base.name,
-            var,
-            var,
-            base.format_element(self.alpha),
-            var,
-            base.format_element(self.beta),
-        )
+        terms = ["%s^2" % var]
+        for c, mono in ((-self.alpha, var), (-self.beta, "")):
+            if base.is_zero(c):
+                continue
+            s = base.format_element(c)
+            if mono:
+                bracket = "+" in s[1:] or "-" in s[1:]
+                s = {"1": "", "-1": "-"}.get(s, ("(%s)*" if bracket else "%s*") % s) + mono
+            terms.append(s if s.startswith("-") else "+" + s)
+        modulus = "".join(terms)
+        self.name = "%s[%s]/(%s)" % (base.name, var, modulus)
         if base.monic_quadratic_roots(-self.alpha, -self.beta):
-            raise AlgebraError("x^2-%s*x-%s splits over %s: not a field" % (self.alpha, self.beta, base.name))
+            raise AlgebraError("%s splits over %s: not a field" % (modulus, base.name))
 
     @property
     def is_perfect(self):

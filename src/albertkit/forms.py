@@ -328,10 +328,9 @@ def isotropic_spanning_set(form, witness):
     if not form.classify().regular:
         raise AlgebraError("spanning lemma needs a regular form")
     # v is not in rad(polar): otherwise it would lie in rad(phi) = 0
-    split = hyperbolic_split(form, v)
-    if split is None:
+    zeta = hyperbolic_partner(form, v)
+    if zeta is None:
         raise AlgebraError("no dual vector found for the witness")
-    zeta = split[0]
     candidates = [v, zeta]
     for i in range(n):
         x = tuple(f.one() if j == i else f.zero() for j in range(n))
@@ -371,17 +370,23 @@ def line_point(form, u, x):
     return tuple(a - c * b for a, b in zip(x, u))
 
 
+def hyperbolic_partner(form, u):
+    """zeta isotropic with polar(u, zeta) = 1 for the isotropic u, so that
+    (u, zeta) is a hyperbolic pair; None when u lies in the polar radical."""
+    w = solve_polar_equal_one(form, u)
+    return None if w is None else line_point(form, u, w)
+
+
 def hyperbolic_split(form, u):
     """(zeta, comp) splitting a hyperbolic plane off the isotropic u.
 
-    zeta is isotropic with polar(u, zeta) = 1, so (u, zeta) is a
-    hyperbolic pair, and comp is the echelon basis of the orthogonal
-    complement of span(u, zeta).  None when u lies in the polar radical.
+    zeta is the hyperbolic partner of u and comp is the echelon basis of
+    the orthogonal complement of span(u, zeta).  None when u lies in the
+    polar radical.
     """
-    w = solve_polar_equal_one(form, u)
-    if w is None:
+    zeta = hyperbolic_partner(form, u)
+    if zeta is None:
         return None
-    zeta = line_point(form, u, w)
     return zeta, form.orthogonal_complement([u, zeta])
 
 

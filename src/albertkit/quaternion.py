@@ -8,6 +8,7 @@ basis (1, e, z, ez) with e^2 = alpha e + beta, z^2 = a and z l = iota(l) z.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ from .errors import (
     ZeroParameter,
 )
 from .etale import EtaleQuadratic, SplitAlgebra
-from .forms import QuadraticForm, hyperbolic_split, line_point
+from .forms import QuadraticForm, hyperbolic_partner, line_point
 from .isotropy import isotropy
 from .search import DEFAULT_HEIGHT, SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
 
@@ -50,7 +51,6 @@ class QuaternionAlgebra:
                 raise NotEtale("alpha must be invertible in characteristic 2")
         elif not self._invertible(disc):
             raise NotEtale("alpha^2 + 4 beta must be invertible")
-        self.table = self._build_table()
 
     def _invertible(self, x):
         if isinstance(self.domain, SplitAlgebra):
@@ -86,20 +86,19 @@ class QuaternionAlgebra:
             self.element((z, z, z, o)),
         ]
 
-    def _build_table(self):
-        table = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                coords = [self.domain.zero()] * 4
-                coords[i] = self.domain.one()
-                x = QuatElem(self, tuple(coords))
-                coords = [self.domain.zero()] * 4
-                coords[j] = self.domain.one()
-                y = QuatElem(self, tuple(coords))
-                row.append(self._mul_coords(x.coords, y.coords))
-            table.append(tuple(row))
-        return tuple(table)
+    @functools.cached_property
+    def table(self):
+        """table[i][j]: the coordinates of b_i b_j, built on first use (by a
+        tensor product).  Closed form of _mul_coords on the basis, from
+        e^2 = alpha e + beta, z^2 = a and z e = (alpha - e) z."""
+        o, n = self.domain.one(), self.domain.zero()
+        alpha, beta, a = self.alpha, self.beta, self.a
+        return (
+            ((o, n, n, n), (n, o, n, n), (n, n, o, n), (n, n, n, o)),
+            ((n, o, n, n), (beta, alpha, n, n), (n, n, n, o), (n, n, beta, alpha)),
+            ((n, n, o, n), (n, n, alpha, -o), (a, n, n, n), (a * alpha, -a, n, n)),
+            ((n, n, n, o), (n, n, -beta, n), (n, a, n, n), (-(beta * a), n, n, n)),
+        )
 
     def _mul_coords(self, xc, yc):
         l1, l2 = (xc[0], xc[1]), (xc[2], xc[3])
@@ -461,14 +460,13 @@ def embed_quadratic_algebra(Q, p, q, height=DEFAULT_HEIGHT):
 def _move_off_hyperplane(psi, u):
     """From an isotropic u with last coordinate 0, reach one with y != 0.
 
-    Each x = zeta + k, for zeta of the hyperbolic split and k orthogonal
+    Each x = zeta + k, for zeta the hyperbolic partner of u and k orthogonal
     to u, has polar(u, x) = 1; its line point x - q(x) u is isotropic with
     the same last coordinate as x.
     """
-    split = hyperbolic_split(psi, u)
-    if split is None:
+    zeta = hyperbolic_partner(psi, u)
+    if zeta is None:
         return None
-    zeta = split[0]
     for k in [(psi.field.zero(),) * psi.n] + psi.orthogonal_complement([u]):
         x = tuple(a + b for a, b in zip(zeta, k))
         if not psi.field.is_zero(x[3]):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import itertools
 
 import pytest
 from conftest import seeded
@@ -23,6 +24,7 @@ from albertkit import (
     isotropic_to_generator,
     isotropy,
     split_projection_iso,
+    tensor_product_algebra,
     validate_disjoint_witness,
 )
 from albertkit import corestriction
@@ -58,6 +60,53 @@ def test_switch_properties():
         lam = K2.random_element(rng, 3)
         assert (A.switch(e.scalar_mul(lam)) - A.switch(e).scalar_mul(EXT_Q2.gamma(lam))).is_zero()
         assert (A.switch(e * f) - A.switch(e) * A.switch(f)).is_zero()
+
+
+def _tensor_case(name):
+    """(ext, Q, Q2): K and two quaternion algebras over it whose constants
+    gamma moves, so a missing or misplaced twist shows."""
+    F2t = RationalFunctionField(FiniteField(2), "t")
+    base, presentation, c, d = {
+        "Q(sqrt2)": (QQ, (0, 2), 1, -3),
+        "QxQ": (QQ, "split", 1, -3),
+        "F4/F2": (FiniteField(2), (1, 1), 1, 0),
+        "F2(t)xF2(t)": (F2t, "split", F2t.gen(), F2t.gen()),
+        "F2(t)[w]": (F2t, (1, F2t.gen()), F2t.gen(), F2t.gen()),
+    }[name]
+    ext = EtaleQuadratic(base, presentation)
+    K = ext.ring
+    alpha = K.one() if base.char == 2 else K.zero()
+    beta, a = ext.w + ext.from_base(c), ext.w + ext.from_base(d)
+    return ext, QuaternionAlgebra(K, alpha, beta, a), QuaternionAlgebra(K, alpha, a, beta * a)
+
+
+@pytest.mark.parametrize("name", ["Q(sqrt2)", "QxQ", "F4/F2", "F2(t)xF2(t)", "F2(t)[w]"])
+def test_tensor_products_multiply_factorwise(name):
+    # (gamma(x1) (x) y1)(gamma(x2) (x) y2) = gamma(x1 x2) (x) y1 y2 in the
+    # tensor square, and (x1 (x) y1)(x2 (x) y2) = x1 x2 (x) y1 y2 in Q (x) Q2
+    ext, Q, Q2 = _tensor_case(name)
+    square = TensorSquareAlgebra(ext, Q)
+    direct = tensor_product_algebra(Q, Q2)
+
+    def pure(x, y):
+        return direct.elem([a * b for a in x.coords for b in y.coords])
+
+    for alg, tensor, P in ((square, square.gx_tensor, Q), (direct, pure, Q2)):
+        basis, basis2 = Q.basis(), P.basis()
+        for i, j, k, l in itertools.product(range(4), repeat=4):
+            e_ij, e_kl = tensor(basis[i], basis2[j]), tensor(basis[k], basis2[l])
+            assert e_ij * e_kl == tensor(basis[i] * basis[k], basis2[j] * basis2[l])
+        rng = seeded(61)
+        for _ in range(4):
+            xs = [Q.random_element(rng, 3) for _ in range(4)]
+            ys = [P.random_element(rng, 3) for _ in range(4)]
+            pures = [tensor(x, y) for x, y in zip(xs, ys)]
+            assert pures[0] * pures[1] == tensor(xs[0] * xs[1], ys[0] * ys[1])
+            expected = alg.zero()
+            for s, t in itertools.product((0, 1), (2, 3)):
+                expected = expected + tensor(xs[s] * xs[t], ys[s] * ys[t])
+            assert (pures[0] + pures[1]) * (pures[2] + pures[3]) == expected
+            assert alg.one() * pures[0] == pures[0] * alg.one() == pures[0]
 
 
 def test_fixed_points_dimension_and_rank(hamilton_cor):
@@ -306,7 +355,7 @@ def test_conjugate_algebra_and_v_space():
     from albertkit.corestriction import v_space_basis
 
     A = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
-    basis = v_space_basis(EXT_Q2, HAMILTON_K, A)
+    basis = v_space_basis(EXT_Q2, HAMILTON_K)
     assert len(basis) == 6
     one = A.one()
     assert (A.switch(one) - one).is_zero()

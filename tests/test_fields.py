@@ -64,6 +64,22 @@ def test_rational_function_field_exact():
     assert y * y == t * t + 2 * t + 1
 
 
+def test_quadratic_extension_name_drops_zero_and_unit_coefficients():
+    F4 = FiniteField(2, 2)
+    F2t = RationalFunctionField(FiniteField(2), "t")
+    t = F2t.gen()
+    assert QuadraticFieldExtension(QQ, 0, 2).name == "Q[w]/(w^2-2)"
+    assert QuadraticFieldExtension(QQ, 1, 1).name == "Q[w]/(w^2-w-1)"
+    assert QuadraticFieldExtension(QQ, -1, 3).name == "Q[w]/(w^2+w-3)"
+    assert QuadraticFieldExtension(QQ, 2, -3).name == "Q[w]/(w^2-2*w+3)"
+    assert QuadraticFieldExtension(FiniteField(5), 0, 2).name == "F(5)[w]/(w^2+3)"
+    assert QuadraticFieldExtension(F4, 1, F4.gen()).name == "F(4)[w]/(w^2+w+u)"
+    assert QuadraticFieldExtension(F2t, 1, t).name == "F(2)(t)[w]/(w^2+w+t)"
+    # a coefficient of more than one term is bracketed
+    with pytest.raises(AlgebraError, match=r"w\^2\+\(t\+1\)\*w\+t splits"):
+        QuadraticFieldExtension(F2t, t + 1, t)
+
+
 def test_quadratic_extension_inverse_and_sqrt():
     K = QuadraticFieldExtension(QQ, 0, 2)
     w = K.gen()

@@ -15,7 +15,7 @@ from albertkit import (
     symplectic_pairs,
 )
 from albertkit.errors import AlgebraError
-from albertkit.forms import hyperbolic_split, line_point
+from albertkit.forms import hyperbolic_partner, hyperbolic_split, line_point
 from albertkit.isotropy import enumeration_isotropy, isotropy
 from albertkit.linalg import rank
 
@@ -165,6 +165,7 @@ def test_hyperbolic_split_line_point_and_complement(field):
         form = phi.restrict(P)
         u = tuple(one if j == 0 else zero for j in range(n))
         zeta, comp = hyperbolic_split(form, u)
+        assert hyperbolic_partner(form, u) == zeta
         assert field.is_zero(form.evaluate(zeta))
         assert form.polar(u, zeta) == one
         assert len(comp) == n - 2 and rank([u, zeta] + list(comp), field, n) == n
@@ -185,6 +186,7 @@ def test_hyperbolic_split_line_point_and_complement(field):
         # a vector of the polar radical has no hyperbolic partner
         degenerate = form.orthogonal_sum(QuadraticForm.zero_form(field, 1))
         assert hyperbolic_split(degenerate, (zero,) * n + (one,)) is None
+        assert hyperbolic_partner(degenerate, (zero,) * n + (one,)) is None
 
 
 def test_orthogonalize_and_symplectic():

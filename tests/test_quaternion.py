@@ -211,6 +211,24 @@ def test_associativity_is_an_identity_over_z():
                 QuaternionAlgebra(QQ, alpha, beta, a)._check_associative()
 
 
+def test_basis_table_matches_the_product_formula():
+    # Each entry of table and of _mul_coords on basis vectors is a polynomial
+    # over Z in (alpha, beta, a) of degree at most (2, 1, 1) (see above), so
+    # agreement on this grid is agreement over every commutative ring.
+    D = EtaleQuadratic(QQ, "split").ring
+    F2t = RationalFunctionField(F2)
+    t = F2t.gen()
+    algebras = [QuaternionAlgebra(QQ, alpha, beta, a) for alpha in range(1, 6) for beta in range(1, 4) for a in range(1, 4)]
+    algebras += [
+        QuaternionAlgebra(D, D.pair(0, 1), D.pair(-1, 2), D.pair(-1, 3)),
+        QuaternionAlgebra(F2t, F2t.one(), t, t * t + F2t.one()),
+        HAMILTON_K,
+    ]
+    for Q in algebras:
+        basis = [b.coords for b in Q.basis()]
+        assert Q.table == tuple(tuple(Q._mul_coords(x, y) for y in basis) for x in basis)
+
+
 @pytest.mark.parametrize(
     "algebra",
     [
