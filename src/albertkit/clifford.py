@@ -20,6 +20,7 @@ from .errors import (
     RankDeficient,
     RelationViolation,
 )
+from .f2poly import F2Poly
 from .fields import _DEFAULT_REDUCTION, FiniteField, RationalField, RationalFunctionField
 from .forms import orthogonalize, symplectic_pairs
 
@@ -392,6 +393,11 @@ def _at_point(E, lift, t0):
 
     def value(poly):
         out = E.zero()
+        if isinstance(poly, F2Poly):  # Horner's rule over the bits, top first
+            one = lift(poly.base.one())
+            for bit in bin(poly.bits)[2:]:
+                out = out * t0 + one if bit == "1" else out * t0
+            return out
         for c in reversed(poly.coeffs):
             c = lift(c)
             if c is None:

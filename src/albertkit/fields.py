@@ -3,7 +3,8 @@
 Every element operation is exact; there is no floating point anywhere.
 Elements are immutable and carry their field context where the context is
 not implied by the Python type (Fraction is used raw for Q).  Mixing
-elements of different contexts raises AlgebraError.
+elements of different contexts raises AlgebraError.  Polynomials over F_2
+are packed into one int (`f2poly.F2Poly`); every other base is dense.
 """
 
 from __future__ import annotations
@@ -488,11 +489,18 @@ _F2 = FiniteField(2)  # the prime field that characteristic-2 linear algebra run
 
 
 class Poly:
-    """Dense univariate polynomial over a base field, little-endian coeffs."""
+    """Dense univariate polynomial over a base field, little-endian coeffs.
+
+    Over a field of order 2 the constructor makes an `f2poly.F2Poly` instead.
+    """
 
     __slots__ = ("base", "coeffs")
 
     def __init__(self, base, coeffs):
+        if base.order == 2:
+            self.__class__ = F2Poly  # same slots: a __new__ would cost every dense Poly a call
+            F2Poly.__init__(self, base, coeffs)
+            return
         while coeffs and base.is_zero(coeffs[-1]):
             coeffs = coeffs[:-1]
         self.base = base
@@ -815,15 +823,15 @@ def solve_additive_poly(base, m, N):
                     sols.append(w)
             continue
         dN = rem.degree
-        lead = rem.coeffs[-1]
+        lead = rem.lead()
         branches = []
         if dN % 2 == 0 and dN // 2 > dm and base.is_square(lead):
             branches.append((dN // 2, base.sqrt(lead)))
         if 0 <= dN - dm < dm:
-            branches.append((dN - dm, lead / m.coeffs[-1]))
+            branches.append((dN - dm, lead / m.lead()))
         if dN == 2 * dm:
             # one root suffices: the other, b + lead(m), only re-derives W + m, added with W
-            branches.extend((dm, b) for b in base.monic_quadratic_roots(m.coeffs[-1], lead)[:1])
+            branches.extend((dm, b) for b in base.monic_quadratic_roots(m.lead(), lead)[:1])
         for w, b in branches:
             mono = Poly(base, (base.zero(),) * w + (b,))
             new_rem = rem + mono * mono + m * mono  # char 2
@@ -1073,3 +1081,6 @@ class QuadraticFieldExtension(Field):
 
     def __hash__(self):
         return hash(("quadext", self.base, self.alpha, self.beta))
+
+
+from .f2poly import F2Poly  # noqa: E402  (a Poly subclass: imported once Poly exists)

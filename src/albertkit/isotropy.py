@@ -366,16 +366,16 @@ def definiteness_certificate(form):
 
 
 def _monomial_data(entry):
-    """(coefficient, exponent) when a function-field entry is c * t^e."""
+    """(coefficient, exponent) when a function-field entry is c * t^e.
+
+    Only `springer_reduce` calls it, in residue characteristic != 2, so the
+    polynomials are dense (packed ones are over F_2).
+    """
     num, den = entry.num, entry.den
-    if sum(1 for c in num.coeffs if not num.base.is_zero(c)) != 1:
-        return None
-    if sum(1 for c in den.coeffs if not den.base.is_zero(c)) != 1:
-        return None
-    e_num = num.degree
-    e_den = den.degree
-    c = num.coeffs[e_num] / den.coeffs[e_den]
-    return c, e_num - e_den
+    for poly in (num, den):
+        if poly.is_zero() or any(not poly.base.is_zero(c) for c in poly.coeffs[:-1]):
+            return None
+    return num.lead() / den.lead(), num.degree - den.degree
 
 
 def springer_reduce(form, height=search.DEFAULT_HEIGHT):
@@ -439,7 +439,7 @@ def _constant_reduction(form):
         for c in row:
             if c.den.degree != 0 or c.num.degree > 0:
                 return None
-            out.append(c.num.coeffs[0] if c.num.coeffs else base.zero())
+            out.append(base.zero() if c.num.is_zero() else c.num.lead())
         rows.append(out)
     const_form = QuadraticForm(base, rows)
     verdict = isotropy(const_form)

@@ -9,12 +9,14 @@ generator); split-algebra scalars are two-element lists.
 
 from __future__ import annotations
 
+import functools
 import re
 from fractions import Fraction
 from math import isqrt
 
 from .errors import AlgebraError, MalformedCertificate
 from .etale import EtaleQuadratic, SplitAlgebra
+from .f2poly import F2Poly
 from .fields import (
     QQ,
     FiniteField,
@@ -53,6 +55,8 @@ def _size(x):
     if isinstance(x, Fraction):
         return 0, 0, max(x.numerator.bit_length(), x.denominator.bit_length())
     if isinstance(x, RatFuncElem):
+        if x.field.base.order is not None:
+            return x.num.degree, x.den.degree, 0
         bits = max((_size(c)[2] for c in x.num.coeffs + x.den.coeffs), default=0)
         return x.num.degree, x.den.degree, bits
     if isinstance(x, QuadExtElem):
@@ -261,7 +265,7 @@ def parse_field(spec):
     if m:
         q = _int(m.group(1))
         p, k = _prime_power(q)
-        return FiniteField(p, k)
+        return _finite_field(p, k)
     if spec.startswith("F(") and ":" in spec:
         head, modulus = spec.split(":", 1)
         m = _FQ.match(head)
@@ -269,9 +273,24 @@ def parse_field(spec):
             raise AlgebraError("bad finite-field spec %r" % spec)
         q = _int(m.group(1))
         p, k = _prime_power(q)
-        reduction = _parse_monic_poly(FiniteField(p), modulus, "w", k)
-        return FiniteField(p, k, reduction=tuple((-c.coeffs[0]) % p for c in reduction))
+        poly = _parse_monic_poly(_finite_field(p, 1), modulus, "w", k)
+        if isinstance(poly, F2Poly):
+            low = [poly.bits >> i & 1 for i in range(k)]
+        else:
+            low = [c.coeffs[0] for c in poly.coeffs[:k]]
+        return _finite_field(p, k, tuple(-c % p for c in low))
     raise AlgebraError("unknown field spec %r" % spec)
+
+
+@functools.lru_cache(maxsize=8)
+def _finite_field(p, k, reduction=None):
+    """The FiniteField that parsing hands out for a spec, one per spec.
+
+    A field and the elements it interns refer to each other, so a field
+    built per parse is freed only by the cycle collector, with every element
+    it handed out; the cache keeps the last 8 specs instead.
+    """
+    return FiniteField(p, k, reduction)
 
 
 def _prime_power(q):
@@ -289,7 +308,7 @@ def _prime_power(q):
 
 
 def _parse_monic_poly(base, text, var, degree):
-    """Parse a monic degree-d polynomial in var; return the low coefficients."""
+    """Parse a monic degree-d polynomial in var."""
     ring = RationalFunctionField(base, var)
     val = parse_element(ring, text)
     if val.den.degree != 0:
@@ -297,16 +316,16 @@ def _parse_monic_poly(base, text, var, degree):
     poly = val.num
     if poly.degree != degree:
         raise AlgebraError("modulus must have degree %d" % degree)
-    if poly.coeffs[-1] != base.one():
+    if poly.lead() != base.one():
         raise AlgebraError("modulus must be monic")
-    return list(poly.coeffs[:-1])
+    return poly
 
 
 def parse_extension(base, spec):
     """Extension spec 'split' or a monic quadratic in x -> EtaleQuadratic."""
     if spec == "split":
         return EtaleQuadratic(base, "split")
-    coeffs = _parse_monic_poly(base, spec, "x", 2)
+    coeffs = _parse_monic_poly(base, spec, "x", 2).coeffs
     # x^2 + c1 x + c0 = x^2 - alpha x - beta
     return EtaleQuadratic(base, (-coeffs[1], -coeffs[0]))
 

@@ -4,13 +4,14 @@ The reference works on coefficient tuples with plain integers mod p or
 Fractions: schoolbook products reduced by the modulus x^k - r(x) for F(p^k),
 cross-multiplied numerator/denominator pairs for F(2)(t), F(3)(t) and Q(t),
 the product rule of w^2 = alpha w + beta for Q(sqrt 2) and F_2[w]/(w^2+w+1),
-and componentwise pairs for F x F.  It shares no code with albertkit.
+and componentwise pairs for F x F; XOR long division and plain coefficient
+lists for the packed polynomials over F_2.  It shares no code with albertkit.
 """
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from albertkit import (  # noqa: E402
@@ -20,6 +21,7 @@ from albertkit import (  # noqa: E402
     RationalFunctionField,
     SplitAlgebra,
 )
+from albertkit.fields import Poly  # noqa: E402
 
 FIELDS = [FiniteField(2), FiniteField(2, 2), FiniteField(3, 2), FiniteField(65521)]
 F2t = RationalFunctionField(FiniteField(2), "t")
@@ -138,6 +140,74 @@ def test_f2t_axioms_match_reference(pa, pb, pc):
     if a:
         assert a * (1 / a) == F2t.one()
         assert b / a * a == b
+
+
+def trimmed(c):
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    return c
+
+
+def ref_divmod2(a, b):
+    """Quotient and remainder over F_2 by schoolbook long division on coefficient lists."""
+    a, b = trimmed(a), trimmed(b)
+    q, r = [0] * max(0, len(a) - len(b) + 1), list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        if r[i + len(b) - 1]:
+            q[i] = 1
+            for j, y in enumerate(b):
+                r[i + j] = (r[i + j] + y) % 2
+    return trimmed(q), trimmed(r)
+
+
+def ref_gcd2(a, b):
+    while trimmed(b):
+        a, b = b, ref_divmod2(a, b)[1]
+    return trimmed(a)
+
+
+def ref_sqrt2(c):
+    """The square root over F_2 (squaring is additive there), or None."""
+    c = trimmed(c)
+    return None if any(c[1::2]) else c[::2]
+
+
+def ref_format2(c, var):
+    terms = ["1" if i == 0 else var if i == 1 else "%s^%d" % (var, i) for i in range(len(c) - 1, -1, -1) if c[i]]
+    return "+".join(terms) or "0"
+
+
+def f2_values(poly):
+    return [c.coeffs[0] for c in poly.coeffs]
+
+
+F2 = FIELDS[0]
+f2_long_polys = st.lists(st.integers(0, 1), max_size=100)
+WORD = [1] + [0] * 63 + [1]  # t^64 + 1
+
+
+@PROPERTY
+@given(f2_long_polys, f2_long_polys)
+@example(WORD, WORD)
+@example([1] * 90, [0, 1] * 40)
+@example([0, 0, 1] * 30, [1, 1] + [0] * 60 + [1])
+def test_packed_f2_polynomials_match_reference(ca, cb):
+    a, b = Poly(F2, ca), Poly(F2, cb)
+    assert f2_values(a) == trimmed(ca) and a.bits == sum(c << i for i, c in enumerate(ca))
+    assert f2_values(a * b) == trimmed(ref_polymul(ca, cb, 2))
+    assert f2_values(a + b) == trimmed(ref_polyadd(ca, cb, 2)) == f2_values(a - b)
+    if any(cb):
+        q, r = a.divmod(b)
+        assert (f2_values(q), f2_values(r)) == ref_divmod2(ca, cb)
+    assert f2_values(a.gcd(b)) == ref_gcd2(ca, cb)
+    root = a.sqrt()
+    assert (None if root is None else f2_values(root)) == ref_sqrt2(ca)
+    assert f2_values((a * a).sqrt()) == trimmed(ca)
+    assert a.format("t") == ref_format2(trimmed(ca), "t")
+    assert (a == b) == (trimmed(ca) == trimmed(cb))
+    same = Poly(F2, list(ca) + [0, 0])
+    assert same == a and hash(same) == hash(a) and len({a, same, b}) == 1 + (a != b)
 
 
 # -- Q(t), F_3(t), Q(sqrt 2), F_2[w]/(w^2+w+1) and F x F -------------------------

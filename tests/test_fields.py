@@ -18,7 +18,8 @@ from albertkit import (
     make_etale_quadratic,
 )
 from albertkit.errors import NoSolution
-from albertkit.fields import Poly, RatFuncElem, solve_additive_poly
+from albertkit.f2poly import F2Poly
+from albertkit.fields import GFElem, Poly, RatFuncElem, solve_additive_poly
 from albertkit.jsonio import parse_field
 from albertkit.linalg import solve_linear
 
@@ -113,6 +114,37 @@ def test_solve_additive_poly():
     sols = solve_additive_poly(F2, m, N)
     for W in sols:
         assert (W * W + m * W + N).is_zero()
+
+
+def test_polynomials_over_f2_are_packed():
+    assert isinstance(Poly(F2, (1, 0, 1)), F2Poly) and Poly(F2, (1, 0, 1)).bits == 0b101
+    assert isinstance(F2t.gen().num, F2Poly) and isinstance(F2t.one().den, F2Poly)
+    for base in (F3, F4, QQ):
+        assert type(Poly(base, (1, 0, 1))) is Poly
+        assert type(RationalFunctionField(base, "t").gen().num) is Poly
+
+
+def test_f2_function_field_arithmetic_runs_on_packed_bits(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("F(2) scalar arithmetic in F(2)(t)")
+
+    t = F2t.gen()
+    big = (t * t * t + t + 1) * (t * t + 1)
+    for _ in range(4):
+        big = big * big + t  # a polynomial of degree 80: past one machine word
+    values = [t, t + 1, (t * t * t + t + 1) / (t * t + 1), 1 / (t * t + t + 1), big]
+    monkeypatch.setattr(FiniteField, "_mul", refuse)
+    monkeypatch.setattr(GFElem, "__add__", refuse)
+    for a in values:
+        for b in values[:4]:
+            assert (a + b) - b == a and (a * b) / b == a and (a / b) * b == a
+            assert a * a + b * b == (a + b) * (a + b)
+    assert big.num.gcd(big.num * (t * t + t + 1).num) == big.num
+    # for a polynomial d the descent of Y^2 + Y = d takes square roots of leading terms only
+    for y in (t, t * t + t + 1, t * t * t * t * t + t * t, big):
+        assert set(F2t._artin_schreier_roots(y * y + y)) == {y, y + 1}
+    for d in (t, t * t, (t * t * t * t + t) / (t * t)):
+        assert F2t._artin_schreier_roots(d) == []
 
 
 def test_make_etale_examples():

@@ -1,6 +1,7 @@
 """Equivalence harness, certificates, JSON round trips and the CLI."""
 
 import copy
+import gc
 import json
 import subprocess
 import sys
@@ -115,6 +116,23 @@ def test_reports_deterministic():
         b1 = report_json_bytes(check_equivalence(inst))
         b2 = report_json_bytes(check_equivalence(generate_instance(fam, 3)))
         assert b1 == b2
+
+
+def test_check_equivalence_leaves_no_finite_field_to_the_cycle_collector():
+    # a field and its interned elements refer to each other: a field built per
+    # instance would be freed only by the cycle collector, with its elements
+    items = [generate_instance("char2-finite", 0), generate_instance("char2-function-field", 1)]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for inst in items:
+            assert check_equivalence(inst).consistent
+        gc.collect()
+        unreachable = [obj for obj in gc.garbage if isinstance(obj, FiniteField)]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert unreachable == []
 
 
 def test_certificate_roundtrip_and_tamper():
