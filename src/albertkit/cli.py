@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: isotropy, transfer, descend, quat, cor, clifford, check,
-gen, verify.  Every subcommand accepts --json for machine output; `check`
-exits 0 when all reports are consistent, 2 on an inconsistency (the
-equivalence would be falsified) and 3 when Unknown verdicts remain.
+gen, verify.  Every subcommand but verify accepts --json for machine
+output, and the four that search (isotropy, descend, quat, cor) take
+--height; `check` exits 0 when all reports are consistent, 2 on an
+inconsistency (the equivalence would be falsified) and 3 when Unknown
+verdicts remain.
 """
 
 from __future__ import annotations
@@ -260,31 +262,35 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="albertkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kwargs):
+    def add(name, fn, flags=("json",), **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--height", type=int, default=DEFAULT_HEIGHT, help="search height bound")
+        if "json" in flags:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
+        if "height" in flags:
+            p.add_argument("--height", type=int, default=DEFAULT_HEIGHT, help="search height bound")
         return p
 
-    p = add("isotropy", _cmd_isotropy, help="isotropy verdict for a form")
+    searching = ("json", "height")
+
+    p = add("isotropy", _cmd_isotropy, searching, help="isotropy verdict for a form")
     p.add_argument("--form", required=True)
 
     p = add("transfer", _cmd_transfer, help="transfer a form along K/F")
     p.add_argument("--ext", required=True)
     p.add_argument("--form", required=True)
 
-    p = add("descend", _cmd_descend, help="descend a form along K/F")
+    p = add("descend", _cmd_descend, searching, help="descend a form along K/F")
     p.add_argument("--ext", required=True)
     p.add_argument("--form", required=True)
 
-    p = add("quat", _cmd_quat, help="quaternion algebra operations")
+    p = add("quat", _cmd_quat, searching, help="quaternion algebra operations")
     p.add_argument("--spec", required=True)
     p.add_argument("--cmd", required=True, choices=("nrd", "split", "subalg"))
     p.add_argument("--x", help="element coordinates (JSON list)")
     p.add_argument("--any-quadratic", action="store_true", help="condition (i) instead of (ii)")
 
-    p = add("cor", _cmd_cor, help="corestriction and Albert form")
+    p = add("cor", _cmd_cor, searching, help="corestriction and Albert form")
     p.add_argument("--instance", required=True)
     p.add_argument("--cmd", required=True, choices=("build", "albert", "fcheck", "division"))
     p.add_argument("--structure", action="store_true", help="emit structure constants")
@@ -300,13 +306,13 @@ def build_parser():
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, default=1)
-    p.add_argument("--path", choices=("albert", "transfer", "both"), default="albert")
+    p.add_argument("--path", choices=("albert", "both"), default="albert")
 
     p = add("gen", _cmd_gen, help="generate an instance")
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
 
-    p = add("verify", _cmd_verify, help="re-verify a certificate report")
+    p = add("verify", _cmd_verify, (), help="re-verify a certificate report")
     p.add_argument("--report", required=True)
     return parser
 

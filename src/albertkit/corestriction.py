@@ -1,12 +1,12 @@
 """Corestriction of a quaternion algebra and its explicit Albert form.
 
 The conjugate algebra is tensored with the original over K; the switch
-map is the gamma-semilinear involution exchanging the factors, and the
-corestriction is its fixed F-algebra (16-dimensional).  A distinguished
-6-dimensional subspace V^s = { gamma(y) (x) 1 + 1 (x) y : trace condition }
-carries the quadratic form kappa * (gamma(Nrd y) - Nrd y), and the map
-xi -> [[0, kappa (sigma(x)1)(xi)], [xi, 0]] squares to that form, giving a
-checkable zero-divisor certificate whenever the form is isotropic.
+map s(gamma(x) (x) y) = gamma(y) (x) x exchanges the factors, and the
+corestriction is its fixed F-algebra, on the basis e_rr and c e_rs +
+gamma(c) e_sr (c = 1, w; r > s).  V^s = { gamma(y) (x) 1 + 1 (x) y :
+T(Trd y) = 0 }, on six written-down y, carries the form kappa * (gamma(Nrd
+y) - Nrd y), and xi -> [[0, kappa (sigma(x)1)(xi)], [xi, 0]] squares to it:
+a checkable zero-divisor certificate whenever the form is isotropic.
 
 All three algebras have TensorElem elements.  The tensor square (over K)
 and Q1 (x) Q2 (over F) are TensorProductAlgebra: they multiply through
@@ -254,9 +254,6 @@ class TensorSquareAlgebra(TensorProductAlgebra):
     def realify(self, elem):
         return self.ext.realify_vec(elem.coords)
 
-    def unrealify(self, vec):
-        return self.elem(self.ext.unrealify_vec(vec))
-
     def xi_of(self, y):
         """gamma(y) (x) 1 + 1 (x) y for a quaternion element y."""
         one = self.Q.one()
@@ -298,60 +295,56 @@ def v_space_basis(ext, Q):
     return basis
 
 
+# (4r + s, 4s + r) for r >= s, in the order of Cor's fixed basis
+_FIXED = tuple((4 * r + s, 4 * s + r) for r in range(4) for s in range(r + 1))
+
+
 class CorestrictionAlgebra(StructureAlgebra):
     """The switch-fixed F-subalgebra of the tensor square, by structure
     constants; build_corestriction sets them and the unit by `express`."""
 
     label = "fixed-points"
 
-    def __init__(self, field, basis, tensor, free_columns):
+    def __init__(self, field, basis, tensor):
         super().__init__(field, None, None)
         self.basis = basis
         self.tensor = tensor
-        self.free_columns = free_columns
 
     def express(self, elem):
         """Coordinates of a tensor element in the fixed basis, or None.
 
-        None when the element is not switch-fixed.  The fixed space is the
-        whole kernel of the realified (switch - id), and its basis is
-        echelon-normalized: basis vector r is 1 at the r-th free column and
-        0 at the other free columns.  So a fixed element's coordinates are its
-        realified entries at the 16 free columns; nothing is solved.
+        None when the element is not switch-fixed.  A fixed x has x_sr =
+        gamma(x_rs), so its coordinates are read off its K-entries: the
+        F-part of x_rr, and both coordinates of x_rs = a + b w for r > s.
         """
         A = self.tensor
         if elem.algebra is not A:
             elem = A.elem(elem.coords)
         if not (A.switch(elem) - elem).is_zero():
             return None
-        vec = A.realify(elem)
-        return tuple(vec[c] for c in self.free_columns)
+        out = []
+        for p, q in _FIXED:
+            a, b = A.ext.coords(elem.coords[p])
+            out += (a,) if p == q else (a, b)
+        return tuple(out)
 
 
 def build_corestriction(ext, Q):
-    """Fixed points of the switch map, with structure constants over F."""
+    """Fixed points of the switch map, with structure constants over F.
+
+    s(c e_rs) = gamma(c) e_sr for e_rs = gamma(q_r) (x) q_s, so the fixed
+    basis is e_rr and c e_rs + gamma(c) e_sr for c = 1, w and r > s, taken
+    at 4r + s in increasing order; nothing is solved.
+    """
     A = TensorSquareAlgebra(ext, Q)
-    F = ext.base
-    # realified matrix of (switch - id) on the 32-dimensional F-space
-    cols = []
-    for r in range(32):
-        vec = [F.zero()] * 32
-        vec[r] = F.one()
-        elem = A.unrealify(vec)
-        diff = A.switch(elem) - elem
-        cols.append(A.realify(diff))
-    rows = [tuple(cols[c][r] for c in range(32)) for r in range(32)]
-    kernel = linalg.kernel_basis(rows, F, 32)
-    if len(kernel) != 16:
-        raise InternalContradiction("fixed-point space has dimension %d" % len(kernel))
-    # kernel vector r is 1 at its free column (its last nonzero entry) and
-    # 0 at the other free columns: express reads coordinates there
-    free = [max(i for i, c in enumerate(vec) if not F.is_zero(c)) for vec in kernel]
-    for r, vec in enumerate(kernel):
-        if [vec[c] for c in free] != [F.one() if s == r else F.zero() for s in range(16)]:
-            raise InternalContradiction("fixed basis is not echelon-normalized")
-    basis = [A.unrealify(vec) for vec in kernel]
-    cor = CorestrictionAlgebra(F, basis, A, tuple(free))
+    F, K = ext.base, ext.ring
+    basis = []
+    for p, q in _FIXED:
+        for c in (K.one(),) if p == q else (K.one(), ext.w):
+            coords = [K.zero()] * 16
+            coords[p], coords[q] = c, ext.gamma(c)
+            basis.append(A.elem(coords))
+    cor = CorestrictionAlgebra(F, basis, A)
     # one object per distinct constant: the 256 products repeat a few dozen
     # values, and Cor's table is carried through both audits
     shared = {}
@@ -449,25 +442,20 @@ class AlbertData:
         return y
 
 
-def trace_condition_value(ext, y):
-    return ext.trace(y.trd())
-
-
 def vs_space(ext, Q):
-    """The y-space with T(Trd(y)) = 0 and its image basis inside V^s.
+    """Six y with T(Trd(y)) = 0 and their images xi, a basis of V^s.
 
-    The kernel of the trace functional is 7-dimensional; the tensor map
-    y -> gamma(y) (x) 1 + 1 (x) y collapses the kappa-line, leaving the
-    6-dimensional s-invariant space.
+    The tensor map y -> gamma(y) (x) 1 + 1 (x) y collapses the kappa line of
+    the 7-dimensional space of such y.  In characteristic 2, kappa = 1 and
+    Trd(y) = alpha y_1: the y are w, y1* e, z, w z, ez and w ez.
     """
     tensor = TensorSquareAlgebra(ext, Q)
     F = ext.base
     K = Q.domain
+    z = Q.element((K.zero(), K.zero(), K.one(), K.zero()))
     if F.char != 2:
         # canonical trace-zero pure part: e0 = e - alpha/2, z, e0*z
-        half_alpha = Q.alpha * _inv2(K)
-        e0 = Q.element((-half_alpha, K.one(), K.zero(), K.zero()))
-        z = Q.element((K.zero(), K.zero(), K.one(), K.zero()))
+        e0 = Q.element((-Q.alpha / K.from_int(2), K.one(), K.zero(), K.zero()))
         e0z = e0 * z
         if ext.kind == "field":
             w = ext.w
@@ -486,9 +474,16 @@ def vs_space(ext, Q):
                 e0z.scale(eps2),
             ]
     else:
-        ys = _char2_complement(ext, Q)
+        # y1* solves T(alpha y1*) = 0 with polynomial coordinates; 1 when T(alpha) = 0
+        t_alpha = ext.trace(Q.alpha)
+        y1 = K.one()
+        if not F.is_zero(t_alpha):
+            y1 = ext.from_pair(*_clear_denominators(F, (-ext.trace(Q.alpha * ext.w) / t_alpha, F.one())))
+        ez = Q.element((K.zero(), K.zero(), K.zero(), K.one()))
+        y1e = Q.element((K.zero(), y1, K.zero(), K.zero()))
+        ys = [Q.one().scale(ext.w), y1e, z, z.scale(ext.w), ez, ez.scale(ext.w)]
     for y in ys:
-        if not F.is_zero(trace_condition_value(ext, y)):
+        if not F.is_zero(ext.trace(y.trd())):
             raise InternalContradiction("basis element violates the trace condition")
     xis = [tensor.xi_of(y) for y in ys]
     rows = [tensor.realify(xi) for xi in xis]
@@ -498,32 +493,6 @@ def vs_space(ext, Q):
         if not (tensor.switch(xi) - xi).is_zero():
             raise InternalContradiction("xi is not switch-invariant")
     return tuple(ys), tuple(xis), tensor
-
-
-def _inv2(K):
-    return K.one() / K.from_int(2)
-
-
-def _char2_complement(ext, Q):
-    """Six quaternion elements spanning Y modulo kappa in characteristic 2."""
-    F = ext.base
-    K = Q.domain
-    rows = []
-    for r in range(8):
-        vec = [F.zero()] * 8
-        vec[r] = F.one()
-        y = Q.element(ext.unrealify_vec(vec))
-        rows.append((trace_condition_value(ext, y),))
-    functional = tuple(r[0] for r in rows)
-    Y = linalg.kernel_basis([functional], F, 8)
-    if len(Y) != 7:
-        raise InternalContradiction("trace-condition space has dimension %d" % len(Y))
-    kappa_vec = ext.realify_vec(Q.element((ext.kappa(), K.zero(), K.zero(), K.zero())).coords)
-    chosen = linalg.independent_subset([kappa_vec] + list(Y), F, 8, target=7)
-    if len(chosen) != 7 or chosen[0] != kappa_vec:
-        raise InternalContradiction("kappa line is not inside the trace-condition space")
-    out = [_clear_denominators(F, v) for v in chosen[1:]]
-    return [Q.element(ext.unrealify_vec(v)) for v in out]
 
 
 def albert_form(ext, Q):
@@ -778,7 +747,7 @@ def generator_to_isotropic(ad, x):
     F = ext.base
     validate_disjoint_witness(Q, ext, x, etale_required=False)
     kx = x.scale(Q.domain.coerce(ad.kappa))
-    if not F.is_zero(trace_condition_value(ext, kx)):
+    if not F.is_zero(ext.trace(kx.trd())):
         raise InvalidWitness("kappa*x violates the trace condition")
     xi = ad.tensor.xi_of(kx)
     coords = _express_in_xi_basis(ad, xi)

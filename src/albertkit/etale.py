@@ -165,10 +165,6 @@ class EtaleQuadratic:
                 self.beta = beta
 
     @property
-    def is_field(self):
-        return self.kind == "field"
-
-    @property
     def w(self):
         """Generator with s(w) = 1: the extension generator, or (0,1)."""
         if self.kind == "field":

@@ -268,7 +268,7 @@ def _witness(cond, length):
     return wit
 
 
-def check_equivalence(inst, path="albert", height=None):
+def check_equivalence(inst, path="albert"):
     """Evaluate conditions (i), (ii), (iii) with witnesses and consistency.
 
     The default route runs through the Albert form of the corestriction;
@@ -276,12 +276,11 @@ def check_equivalence(inst, path="albert", height=None):
     is a field and the oracles over K are strong enough.
     """
     F, ext, Q = inst.build()
-    height = height or inst.height
     ad = albert_form(ext, Q)
     derivations = []
     gram = [[format_element(F, c) for c in row] for row in ad.form.upper]
 
-    div = cor_is_division(ad, height=height)
+    div = cor_is_division(ad, height=inst.height)
     falsified = False
     if div.not_division is True:
         cond_iii = CondVerdict("yes", div.witness_coords, div.method)
@@ -333,8 +332,8 @@ def check_equivalence(inst, path="albert", height=None):
             cond_i = CondVerdict("unknown", None, "search-budget", exc.searched)
             cond_ii = CondVerdict("unknown", None, "search-budget", exc.searched)
 
-    if path in ("transfer", "both") and ext.kind == "field":
-        _transfer_cross_check(inst, ext, Q, cond_iii, derivations, height)
+    if path == "both" and ext.kind == "field":
+        _transfer_cross_check(inst, ext, Q, cond_iii, derivations, inst.height)
 
     statuses = {cond_i.status, cond_ii.status, cond_iii.status}
     if "unknown" in statuses:

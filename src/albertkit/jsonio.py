@@ -32,9 +32,12 @@ from .forms import QuadraticForm
 # int() refuses more than 4300 digits, a product costs about the product of
 # its factors' sizes, a gcd over Q(t) grows steeply with the denominator
 # degree and the coefficient bits, and the order of a parsed F(q) bounds
-# every enumeration over it.  Acceptance-batch reports print exponents up
-# to 5, degrees up to 5, rationals of at most 11 bits and fields up to F(4).
+# every enumeration over it; each parenthesis level is a recursion of the
+# parser.  Acceptance-batch reports print exponents up to 5, degrees up to
+# 5, rationals of at most 11 bits, fields up to F(4) and one parenthesis
+# level.
 MAX_EXPONENT = 64
+MAX_NESTING = 16
 MAX_FIELD_ORDER = 1 << 16
 MAX_DEGREE = 64
 MAX_DEN_DEGREE = 8
@@ -102,6 +105,7 @@ class _ExprParser:
         self.pos = 0
         self.field = field
         self.variables = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -132,6 +136,8 @@ class _ExprParser:
             op = self.take()
             rhs = self.factor()
             _check_bound(op, val, rhs)
+            if op == "/" and self.field.is_zero(rhs):
+                raise AlgebraError("division by zero")
             val = val * rhs if op == "*" else val / rhs
         return val
 
@@ -161,9 +167,13 @@ class _ExprParser:
         if tok is None:
             raise AlgebraError("unexpected end of expression")
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise AlgebraError("parentheses nest deeper than %d" % MAX_NESTING)
             val = self.expr()
             if self.take() != ")":
                 raise AlgebraError("missing closing parenthesis")
+            self.depth -= 1
             return val
         if tok.isdigit():
             return self.field.from_int(_int(tok))

@@ -24,7 +24,7 @@ def transfer(ext, phi):
     Vectors move between phi's space and the transfer's with
     ext.unrealify_vec and ext.realify_vec.
     """
-    if not ext.is_field:
+    if ext.kind != "field":
         raise SplitK("transfer is not defined over the split algebra")
     K = ext.ring
     if phi.field != K:
@@ -66,7 +66,7 @@ def descend(ext, phi, height=DEFAULT_HEIGHT):
     two-dimensional F-rational subform per round using an isotropic vector
     of the transfer, and recurse on the orthogonal complement.
     """
-    if not ext.is_field:
+    if ext.kind != "field":
         raise SplitK("descent needs a quadratic field extension")
     K = ext.ring
     F = ext.base

@@ -31,7 +31,9 @@ from albertkit import corestriction
 from albertkit.corestriction import m2_mul, natural_map_bijective
 from albertkit.errors import BudgetExhausted, IdentityFails, InternalContradiction, InvalidWitness
 from albertkit.forms import QuadraticForm, isometric_embedding
-from albertkit.linalg import solve
+from albertkit.harness import FAMILIES
+from albertkit.isotropy import _clear_denominators
+from albertkit.linalg import independent_subset, kernel_basis, solve
 
 EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
 K2 = EXT_Q2.ring
@@ -178,6 +180,65 @@ def test_express_matches_an_independent_solve(hamilton_cor):
     other = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
     assert cor.express(other.one()) == cor.unit_coords
     assert cor.express(other.elem([K2.one() if i == 1 else K2.zero() for i in range(16)])) is None
+
+
+def _unit_vectors(F, n):
+    return [tuple(F.one() if i == r else F.zero() for i in range(n)) for r in range(n)]
+
+
+def _reference_fixed_basis(ext, A):
+    """The echelon kernel of the realified (switch - id), and its free columns."""
+    F = ext.base
+    cols = []
+    for vec in _unit_vectors(F, 32):
+        elem = A.elem(ext.unrealify_vec(vec))
+        cols.append(A.realify(A.switch(elem) - elem))
+    kernel = kernel_basis([tuple(col[r] for col in cols) for r in range(32)], F, 32)
+    free = [max(i for i, c in enumerate(vec) if not F.is_zero(c)) for vec in kernel]
+    return [A.elem(ext.unrealify_vec(vec)) for vec in kernel], free
+
+
+def _reference_char2_ys(ext, Q):
+    """The kernel of y -> T(Trd y) in F-coordinates, less the kappa line."""
+    F, K = ext.base, Q.domain
+    functional = [ext.trace(Q.element(ext.unrealify_vec(vec)).trd()) for vec in _unit_vectors(F, 8)]
+    Y = kernel_basis([tuple(functional)], F, 8)
+    kappa_vec = ext.realify_vec(Q.element((ext.kappa(), K.zero(), K.zero(), K.zero())).coords)
+    chosen = independent_subset([kappa_vec] + Y, F, 8, target=7)
+    assert len(Y) == 7 and chosen[0] == kappa_vec
+    return [Q.element(ext.unrealify_vec(_clear_denominators(F, v))) for v in chosen[1:]]
+
+
+def _cor_audit_kinds():
+    """One instance of each cor-audit kind: the five families, with
+    char2-function-field once over split and once over field K."""
+    out = [generate_instance(family, 0).build() for family in FAMILIES[:4]]
+    for kind in ("split", "field"):
+        built = (generate_instance("char2-function-field", seed).build() for seed in itertools.count())
+        out.append(next(b for b in built if b[1].kind == kind))
+    return out
+
+
+def test_written_down_bases_match_the_eliminations():
+    # Cor's fixed basis and the characteristic-2 y of V^s are written down;
+    # the eliminations that used to build them are the reference
+    cases = _cor_audit_kinds() + [generate_instance(f, seed).build() for f in FAMILIES for seed in (1, 7, 19)]
+    assert sorted({(F.char == 2, ext.kind) for F, ext, _ in cases}) == [
+        (False, "field"), (False, "split"), (True, "field"), (True, "split")
+    ]
+    for _, ext, Q in cases:
+        cor = build_corestriction(ext, Q)
+        A = cor.tensor
+        basis, free = _reference_fixed_basis(ext, A)
+        assert basis == cor.basis
+        for elem in [A.one()] + [cor.basis[r] * cor.basis[(5 * r + 3) % 16] for r in range(16)]:
+            vec = A.realify(elem)
+            assert cor.express(elem) == tuple(vec[c] for c in free)
+    pool = [generate_instance(f, seed).build() for f in ("char2-finite", "char2-function-field") for seed in range(0, 60, 3)]
+    for F, ext, Q in cases + pool:
+        if F.char == 2:
+            ys = corestriction.vs_space(ext, Q)[0]
+            assert [y.coords for y in ys] == [y.coords for y in _reference_char2_ys(ext, Q)]
 
 
 def test_vs_space_dimension(hamilton_albert):

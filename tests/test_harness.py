@@ -22,6 +22,7 @@ from albertkit import (
     validate_disjoint_witness,
     verify_certificate,
 )
+from albertkit.cli import build_parser
 from albertkit.harness import FAMILIES, report_json_bytes
 from albertkit.jsonio import (
     MAX_DEGREE,
@@ -29,6 +30,7 @@ from albertkit.jsonio import (
     MAX_DIGITS,
     MAX_EXPONENT,
     MAX_FIELD_ORDER,
+    MAX_NESTING,
     extension_to_spec,
     field_to_spec,
     parse_element,
@@ -206,6 +208,31 @@ def test_hostile_nested_power_is_rejected_quickly():
         parse_element(Qt, "(1+t)^%d*t" % MAX_DEGREE)
     chain = "*".join("(t/(t+%d))" % k for k in range(1, MAX_DEN_DEGREE + 1))
     assert parse_element(Qt, chain).den.degree == MAX_DEN_DEGREE
+
+
+def test_zero_division_and_deep_nesting_are_refused():
+    # each used to escape the verifier as ZeroDivisionError or RecursionError
+    hostile = ("1/0", "0/0", "1/(1-1)", "t/(t-t)", "w/0", "(" * 250 + "1" + ")" * 250)
+    for family in FAMILIES:
+        doc = check_equivalence(generate_instance(family, 0)).to_json()
+        F, ext, _ = Instance.from_json(doc["instance"]).build()
+        for text in hostile:
+            for field in (F, ext.ring):
+                with pytest.raises(AlgebraError):
+                    parse_element(field, text)
+            for key in ("cond_iii_not_division", "cond_ii"):
+                assert doc[key]["status"] == "yes"
+                bad = copy.deepcopy(doc)
+                bad[key]["witness"][0] = text
+                assert verify_certificate(bad) is False
+            bad = copy.deepcopy(doc)
+            bad["instance"]["Q"]["a"] = text
+            with pytest.raises(MalformedCertificate):
+                verify_certificate(bad)
+    Qt = parse_field("Q(t)")
+    assert parse_element(Qt, "(" * MAX_NESTING + "t" + ")" * MAX_NESTING) == Qt.gen()
+    with pytest.raises(AlgebraError):
+        parse_element(Qt, "(" * (MAX_NESTING + 1) + "t" + ")" * (MAX_NESTING + 1))
 
 
 def test_long_integer_is_rejected_quickly():
@@ -406,3 +433,23 @@ def test_cli_quat_and_clifford(tmp_path):
     form_path.write_text(json.dumps({"field": "Q", "diag": [1, -1]}))
     out = _run_cli("clifford", "--form", str(form_path), "--cmd", "arf", "--json")
     assert out.returncode == 0 and json.loads(out.stdout)["trivial"] is True
+
+
+def test_cli_registers_only_the_options_a_subcommand_reads():
+    parser = build_parser()
+    for argv in (
+        ["isotropy", "--form", "f.json", "--height", "2"],
+        ["descend", "--ext", "e.json", "--form", "f.json", "--height", "2"],
+        ["quat", "--spec", "q.json", "--cmd", "split", "--height", "2"],
+        ["cor", "--instance", "i.json", "--cmd", "division", "--height", "2"],
+        ["check", "--family", "char2-finite", "--path", "both", "--json"],
+    ):
+        parser.parse_args(argv)
+    for argv in (
+        ["check", "--family", "char2-finite", "--height", "3"],
+        ["check", "--family", "char2-finite", "--path", "transfer"],
+        ["gen", "--family", "char2-finite", "--height", "3"],
+        ["verify", "--report", "r.json", "--json"],
+    ):
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
