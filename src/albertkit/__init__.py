@@ -17,7 +17,6 @@ from .errors import (
     InternalContradiction,
     InvalidWitness,
     MalformedCertificate,
-    NoSolution,
     NotEtale,
     OracleIncomplete,
     SplitK,

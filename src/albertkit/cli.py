@@ -4,8 +4,8 @@ Subcommands: isotropy, transfer, descend, quat, cor, clifford, check,
 gen, verify.  Every subcommand but verify accepts --json for machine
 output, and the four that search (isotropy, descend, quat, cor) take
 --height; `check` exits 0 when all reports are consistent, 2 on an
-inconsistency (the equivalence would be falsified) and 3 when Unknown
-verdicts remain.
+inconsistency (the equivalence would be falsified), 3 when Unknown
+verdicts remain and 1 on a malformed instance.
 """
 
 from __future__ import annotations
@@ -217,14 +217,18 @@ def _cmd_clifford(args):
 
 def _cmd_check(args):
     insts = []
-    if args.instance:
-        insts.append(Instance.from_json(_load_json(args.instance)))
-    if args.family:
-        for seed in range(args.seed, args.seed + args.count):
-            insts.append(generate_instance(args.family, seed))
-    if not insts:
-        raise SystemExit("check needs --instance or --family")
-    reports = [check_equivalence(inst, path=args.path) for inst in insts]
+    try:
+        if args.instance:
+            insts.append(Instance.from_json(_load_json(args.instance)))
+        if args.family:
+            for seed in range(args.seed, args.seed + args.count):
+                insts.append(generate_instance(args.family, seed))
+        if not insts:
+            raise SystemExit("check needs --instance or --family")
+        reports = [check_equivalence(inst, path=args.path) for inst in insts]
+    except MalformedCertificate as exc:
+        print("malformed: %s" % exc)
+        return 1
     if args.json:
         print(json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2))
     else:

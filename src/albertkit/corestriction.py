@@ -400,7 +400,7 @@ def split_projection_iso(ext, cor, Q1, Q2):
     images = [tuple(c.b for c in b.coords) for b in cor.basis]
     if linalg.rank(list(images), F, 16) != 16:
         raise InternalContradiction("projection is not bijective")
-    units = [cor.elem(F.one() if i == r else F.zero() for i in range(16)) for r in range(16)]
+    units = [cor.elem(e) for e in linalg.units(F, 16)]
     for r in range(16):
         for s in range(16):
             lhs = linalg.combine((units[r] * units[s]).coords, images, F, 16)
@@ -499,7 +499,6 @@ def albert_form(ext, Q):
     """The 6-dimensional Albert form on V^s over F, with its basis data."""
     ys, xis, tensor = vs_space(ext, Q)
     F = ext.base
-    K = Q.domain
     kappa = ext.kappa()
 
     def value(n_value):
@@ -509,14 +508,7 @@ def albert_form(ext, Q):
             raise ValueNotInF("Albert form value does not descend to F")
         return val
 
-    rows = [[F.zero()] * 6 for _ in range(6)]
-    nrds = [y.nrd() for y in ys]
-    for i in range(6):
-        rows[i][i] = value(nrds[i])
-        for j in range(i + 1, 6):
-            cross = (ys[i] + ys[j]).nrd() - nrds[i] - nrds[j]
-            rows[i][j] = value(cross)
-    form = QuadraticForm(F, rows)
+    form = QuadraticForm.from_map(F, lambda c: value(Q.element(c).nrd()), [y.coords for y in ys])
     if not form.classify().nonsingular:
         raise InternalContradiction("Albert form is singular")
     return AlbertData(ext, Q, tensor, ys, xis, form, kappa)
@@ -740,26 +732,25 @@ def _hyperbolic_candidates(form, u):
 def generator_to_isotropic(ad, x):
     """Condition-(i) witness x -> isotropic vector of the Albert form.
 
-    Validates the witness, forms kappa*x, expresses its tensor image in
-    the V^s basis, and asserts the Albert form vanishes there.
+    Validates the witness, forms kappa*x, solves for its coordinates over
+    y_basis and the kappa line (an 8x7 system over F), and asserts the
+    Albert form vanishes at the first six.
     """
     ext, Q = ad.ext, ad.Q
     F = ext.base
     validate_disjoint_witness(Q, ext, x, etale_required=False)
-    kx = x.scale(Q.domain.coerce(ad.kappa))
+    kappa = Q.domain.coerce(ad.kappa)
+    kx = x.scale(kappa)
     if not F.is_zero(ext.trace(kx.trd())):
         raise InvalidWitness("kappa*x violates the trace condition")
-    xi = ad.tensor.xi_of(kx)
-    coords = _express_in_xi_basis(ad, xi)
+    # the tensor map kills exactly the kappa line of the trace-condition
+    # space, so kappa*x's first six coordinates over (y_basis, kappa)
+    # are its image's coordinates over xi_basis
+    cols = [ext.realify_vec(y.coords) for y in ad.y_basis + (Q.one().scale(kappa),)]
+    coords = linalg.solve(list(zip(*cols)), ext.realify_vec(kx.coords), F)
     if coords is None:
         raise InternalContradiction("kappa*x image is outside V^s")
+    coords = coords[:6]
     if not F.is_zero(ad.form.evaluate(coords)):
         raise InvalidWitness("image of kappa*x is not isotropic")
-    return tuple(coords)
-
-
-def _express_in_xi_basis(ad, xi):
-    F = ad.ext.base
-    cols = [ad.tensor.realify(b) for b in ad.xi_basis]
-    rows = [tuple(cols[c][r] for c in range(6)) for r in range(32)]
-    return linalg.solve(rows, ad.tensor.realify(xi), F)
+    return coords

@@ -17,10 +17,6 @@ class SplitK(AlgebraError):
     """Operation requires a quadratic field extension, got a split algebra."""
 
 
-class NoSolution(AlgebraError):
-    """A linear system is inconsistent."""
-
-
 class NoSolutionProven(AlgebraError):
     """An exhaustive search proved that no solution exists."""
 

@@ -57,6 +57,23 @@ class QuadraticForm:
         return cls.binary(field, 0, 0)
 
     @classmethod
+    def from_map(cls, field, q, vectors):
+        """The form x -> q(sum x_i v_i) of a quadratic map q on coordinate tuples v_i.
+
+        q(v_i) goes on the diagonal and q(v_i + v_j) - q(v_i) - q(v_j)
+        above it.
+        """
+        m = len(vectors)
+        z = field.zero()
+        diag = [q(v) for v in vectors]
+        rows = [[z] * m for _ in range(m)]
+        for i, v in enumerate(vectors):
+            rows[i][i] = diag[i]
+            for j in range(i + 1, m):
+                rows[i][j] = q(tuple(a + b for a, b in zip(v, vectors[j]))) - diag[i] - diag[j]
+        return cls(field, rows)
+
+    @classmethod
     def zero_form(cls, field, n):
         z = field.zero()
         return cls(field, [[z] * n for _ in range(n)])
@@ -144,14 +161,7 @@ class QuadraticForm:
         vecs = [tuple(f.coerce(c) for c in v) for v in vectors]
         if vecs and linalg.rank(vecs, f, self.n) != len(vecs):
             raise AlgebraError("restriction basis is dependent")
-        m = len(vecs)
-        z = f.zero()
-        rows = [[z] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = self.evaluate(vecs[i])
-            for j in range(i + 1, m):
-                rows[i][j] = self.polar(vecs[i], vecs[j])
-        return QuadraticForm(f, rows)
+        return QuadraticForm.from_map(f, self.evaluate, vecs)
 
     def base_change(self, target, embed=None):
         """The same coefficients read in a bigger field."""
@@ -245,9 +255,8 @@ def orthogonalize(form):
     if f.char == 2:
         raise AlgebraError("no orthogonal bases in characteristic 2")
     n = form.n
-    basis = [tuple(f.one() if i == j else f.zero() for j in range(n)) for i in range(n)]
     out = []
-    remaining = basis
+    remaining = linalg.units(f, n)
     while remaining:
         pick = None
         for v in remaining:
@@ -287,9 +296,8 @@ def symplectic_pairs(form):
     if f.char != 2:
         raise AlgebraError("symplectic reduction is a characteristic-2 tool")
     n = form.n
-    basis = [tuple(f.one() if i == j else f.zero() for j in range(n)) for i in range(n)]
     out = []
-    remaining = basis
+    remaining = linalg.units(f, n)
     while remaining:
         u = remaining[0]
         g = None
@@ -332,8 +340,7 @@ def isotropic_spanning_set(form, witness):
     if zeta is None:
         raise AlgebraError("no dual vector found for the witness")
     candidates = [v, zeta]
-    for i in range(n):
-        x = tuple(f.one() if j == i else f.zero() for j in range(n))
+    for x in linalg.units(f, n):
         fixed = line_point(form, v, x)
         if fixed is None:
             fixed = line_point(form, v, tuple(a + b for a, b in zip(x, zeta)))
@@ -445,10 +452,6 @@ def isometric_embedding(psi, phi, height=20):
         if f.enumerable and not budget.exhausted:
             return None
         raise BudgetExhausted("embedding not found within the search budget", searched=budget.spent)
-    for i in range(psi.n):
-        if phi.evaluate(cols[i]) != psi.upper[i][i]:
-            raise AlgebraError("embedding verification failed")
-        for j in range(i + 1, psi.n):
-            if phi.polar(cols[i], cols[j]) != psiB[i][j]:
-                raise AlgebraError("embedding verification failed")
+    if phi.restrict(cols) != psi:
+        raise AlgebraError("embedding verification failed")
     return list(cols)

@@ -11,10 +11,12 @@ re-verified from scratch without trusting any method tag.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass, field as dc_field
 
+from . import linalg
 from .clifford import even_clifford_binary
 from .corestriction import (
     albert_form,
@@ -106,6 +108,8 @@ class Instance:
         # the height bounds the searches a "no" verdict is re-run with
         if type(inst.height) is not int or not 1 <= inst.height <= DEFAULT_HEIGHT:
             raise MalformedCertificate("instance height must be an integer in 1..%d" % DEFAULT_HEIGHT)
+        if type(inst.seed) is not int or not isinstance(inst.family, str):
+            raise MalformedCertificate("instance seed must be an integer and its family a string")
         return inst
 
     def build(self):
@@ -378,14 +382,10 @@ def _transfer_cross_check(inst, ext, Q, cond_iii, derivations, height):
 
 def _nonsingular_pair_block(psi):
     """A nonsingular 2-dimensional coordinate subform of a block form."""
-    F = psi.field
-    for i in range(psi.n):
-        for j in range(i + 1, psi.n):
-            vi = tuple(F.one() if k == i else F.zero() for k in range(psi.n))
-            vj = tuple(F.one() if k == j else F.zero() for k in range(psi.n))
-            block = psi.restrict([vi, vj])
-            if block.classify().nonsingular:
-                return block
+    for pair in itertools.combinations(linalg.units(psi.field, psi.n), 2):
+        block = psi.restrict(pair)
+        if block.classify().nonsingular:
+            return block
     raise AlgebraError("no nonsingular pair block found")
 
 

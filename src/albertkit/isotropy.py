@@ -631,7 +631,7 @@ def witt_decompose(form, height=search.DEFAULT_HEIGHT):
         rad_rows = [tuple(v) for v in rad]
         work = linalg.extend_to_basis(rad_rows, f, n)
     else:
-        work = [tuple(f.one() if i == j else f.zero() for j in range(n)) for i in range(n)]
+        work = linalg.units(f, n)
     pairs = []
     while work:
         sub = form.restrict(work)

@@ -6,8 +6,6 @@ echelon-normalized so all outputs are deterministic.
 
 from __future__ import annotations
 
-from .errors import NoSolution
-
 
 def _rref(rows, field, ncols):
     """Reduced row echelon form; returns (rows, pivot column list)."""
@@ -83,25 +81,6 @@ def solve(rows, rhs, field):
     return tuple(sol)
 
 
-def solve_linear(rows, field, mode="kernel", rhs=None, ncols=None):
-    """Spec-level entry point: kernel basis or a single solution.
-
-    mode "kernel" returns the echelon-normalized kernel basis; mode
-    "solve" returns one exact solution of rows*x = rhs and raises
-    NoSolution when the system is inconsistent.
-    """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    if mode == "kernel":
-        return kernel_basis(rows, field, ncols)
-    if mode == "solve":
-        sol = solve(rows, rhs, field)
-        if sol is None:
-            raise NoSolution("inconsistent linear system")
-        return sol
-    raise ValueError("unknown mode %r" % mode)
-
-
 def det(rows, field):
     n = len(rows)
     rows = [list(r) for r in rows]
@@ -160,11 +139,17 @@ def independent_indices(vectors, field, n):
     return _rref([[v[r] for v in vectors] for r in range(n)], field, len(vectors))[1]
 
 
+def units(field, n):
+    """The n standard basis vectors of field^n."""
+    zero, one = field.zero(), field.one()
+    return [tuple(one if i == j else zero for i in range(n)) for j in range(n)]
+
+
 def extend_to_basis(vectors, field, n):
     """Standard basis vectors completing the given independent set."""
-    units = [tuple(field.one() if i == j else field.zero() for i in range(n)) for j in range(n)]
+    e = units(field, n)
     k = len(vectors)
-    return [units[i - k] for i in independent_indices(list(vectors) + units, field, n) if i >= k]
+    return [e[i - k] for i in independent_indices(list(vectors) + e, field, n) if i >= k]
 
 
 def independent_subset(vectors, field, n, target=None):

@@ -12,6 +12,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from . import linalg
 from .errors import (
     AlgebraError,
     BudgetExhausted,
@@ -410,7 +411,6 @@ def embed_quadratic_algebra(Q, p, q, height=DEFAULT_HEIGHT):
     # homogenize: Nrd(coords(v)) - q = Psi(v, y) at y = 1
     # build the 4-variable quadratic form in (v1, v2, v3, y)
     zero = d.zero()
-    one = d.one()
 
     def nrd_of(vals, y):
         c = [zero] * 4
@@ -423,22 +423,7 @@ def embed_quadratic_algebra(Q, p, q, height=DEFAULT_HEIGHT):
         x = Q.element(tuple(c))
         return x.nrd() - q * y * y
 
-    # extract the Gram of the 4-variable quadratic (v1, v2, v3, y)
-    dim = 4
-
-    def unit(i):
-        return tuple(one if j == i else zero for j in range(dim))
-
-    rows = [[zero] * dim for _ in range(dim)]
-    for i in range(dim):
-        vi = unit(i)
-        rows[i][i] = nrd_of(vi[:3], vi[3])
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            vi, vj = unit(i), unit(j)
-            s = tuple(a + b for a, b in zip(vi, vj))
-            rows[i][j] = nrd_of(s[:3], s[3]) - rows[i][i] - rows[j][j]
-    psi = QuadraticForm(d, rows)
+    psi = QuadraticForm.from_map(d, lambda v: nrd_of(v[:3], v[3]), linalg.units(d, 4))
     verdict = isotropy(psi, height=height)
     if verdict.is_anisotropic:
         raise NoSolutionProven("no element with the requested trace and norm")

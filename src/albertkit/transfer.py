@@ -30,25 +30,8 @@ def transfer(ext, phi):
     if phi.field != K:
         raise AlgebraError("form is not defined over the extension field")
     F = ext.base
-    n = phi.n
-    w = ext.w
-    zero_K = K.zero()
-
-    def lift(i):
-        j, odd = divmod(i, 2)
-        vec = [zero_K] * n
-        vec[j] = w if odd else K.one()
-        return tuple(vec)
-
-    N = 2 * n
-    rows = [[F.zero()] * N for _ in range(N)]
-    lifts = [lift(i) for i in range(N)]
-    for i in range(N):
-        rows[i][i] = ext.s(phi.evaluate(lifts[i]))
-        for j in range(i + 1, N):
-            rows[i][j] = ext.s(phi.polar(lifts[i], lifts[j]))
-    out = QuadraticForm(F, rows)
-    return out
+    lifts = [ext.unrealify_vec(e) for e in linalg.units(F, 2 * phi.n)]
+    return QuadraticForm.from_map(F, lambda v: ext.s(phi.evaluate(v)), lifts)
 
 
 @dataclass
@@ -193,21 +176,16 @@ def _dual_vector(phi, u):
 
 def _verify_descent(ext, phi, result):
     K = ext.ring
-    F = ext.base
     psi = result.psi
     emb = result.embedding
     if psi.n != result.i0:
         raise InternalContradiction("dim psi != Witt index of the transfer")
     if not psi.classify().nondegenerate:
         raise InternalContradiction("descent produced a degenerate form")
-    for i in range(psi.n):
-        if phi.evaluate(emb[i]) != K.from_base(psi.upper[i][i]):
-            raise InternalContradiction("embedding fails on a basis vector")
-        for j in range(i + 1, psi.n):
-            if phi.polar(emb[i], emb[j]) != K.from_base(psi.polar_matrix()[i][j]):
-                raise InternalContradiction("embedding fails on a polar pair")
     if psi.n and linalg.rank(list(emb), K, phi.n) != psi.n:
         raise InternalContradiction("embedding is not injective")
+    if phi.restrict(emb) != psi.base_change(K):
+        raise InternalContradiction("embedding is not an isometry")
 
 
 def remark1_check(ext, phi, height=DEFAULT_HEIGHT):

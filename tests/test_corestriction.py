@@ -33,7 +33,7 @@ from albertkit.errors import BudgetExhausted, IdentityFails, InternalContradicti
 from albertkit.forms import QuadraticForm, isometric_embedding
 from albertkit.harness import FAMILIES
 from albertkit.isotropy import _clear_denominators
-from albertkit.linalg import independent_subset, kernel_basis, solve
+from albertkit.linalg import independent_subset, kernel_basis, solve, units
 
 EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
 K2 = EXT_Q2.ring
@@ -182,15 +182,11 @@ def test_express_matches_an_independent_solve(hamilton_cor):
     assert cor.express(other.elem([K2.one() if i == 1 else K2.zero() for i in range(16)])) is None
 
 
-def _unit_vectors(F, n):
-    return [tuple(F.one() if i == r else F.zero() for i in range(n)) for r in range(n)]
-
-
 def _reference_fixed_basis(ext, A):
     """The echelon kernel of the realified (switch - id), and its free columns."""
     F = ext.base
     cols = []
-    for vec in _unit_vectors(F, 32):
+    for vec in units(F, 32):
         elem = A.elem(ext.unrealify_vec(vec))
         cols.append(A.realify(A.switch(elem) - elem))
     kernel = kernel_basis([tuple(col[r] for col in cols) for r in range(32)], F, 32)
@@ -201,7 +197,7 @@ def _reference_fixed_basis(ext, A):
 def _reference_char2_ys(ext, Q):
     """The kernel of y -> T(Trd y) in F-coordinates, less the kappa line."""
     F, K = ext.base, Q.domain
-    functional = [ext.trace(Q.element(ext.unrealify_vec(vec)).trd()) for vec in _unit_vectors(F, 8)]
+    functional = [ext.trace(Q.element(ext.unrealify_vec(vec)).trd()) for vec in units(F, 8)]
     Y = kernel_basis([tuple(functional)], F, 8)
     kappa_vec = ext.realify_vec(Q.element((ext.kappa(), K.zero(), K.zero(), K.zero())).coords)
     chosen = independent_subset([kappa_vec] + Y, F, 8, target=7)
@@ -304,6 +300,30 @@ def test_generator_to_isotropic_roundtrip(hamilton_albert):
 def _albert_of(family, seed):
     _, ext, Q = generate_instance(family, seed).build()
     return albert_form(ext, Q)
+
+
+def _reference_xi_coords(ad, x):
+    """kappa*x's tensor image solved for in the realified xi basis (32 x 6)."""
+    xi = ad.tensor.xi_of(x.scale(ad.Q.domain.coerce(ad.kappa)))
+    cols = [ad.tensor.realify(b) for b in ad.xi_basis]
+    return solve([tuple(col[r] for col in cols) for r in range(32)], ad.tensor.realify(xi), ad.ext.base)
+
+
+def test_generator_to_isotropic_matches_the_realified_xi_solve(hamilton_albert):
+    # the coordinates come from an 8 x 7 solve over y_basis and the kappa
+    # line; the 32 x 6 solve in the xi basis is the reference
+    i_elem = HAMILTON_K.element((K2.zero(), K2.one(), K2.zero(), K2.zero()))
+    assert generator_to_isotropic(hamilton_albert, i_elem) == _reference_xi_coords(hamilton_albert, i_elem)
+    families = set()
+    for family in FAMILIES:
+        for seed in range(0, 20, 4):
+            ad = _albert_of(family, seed)
+            div = cor_is_division(ad)
+            if div.not_division is True:
+                x = isotropic_to_generator(ad, div.witness_coords).kappa_y
+                assert generator_to_isotropic(ad, x) == _reference_xi_coords(ad, x)
+                families.add(family)
+    assert families == set(FAMILIES)
 
 
 def test_y_basis_is_trace_zero_outside_char2(hamilton_albert):

@@ -17,11 +17,10 @@ from albertkit import (
     SplitAlgebra,
     make_etale_quadratic,
 )
-from albertkit.errors import NoSolution
 from albertkit.f2poly import F2Poly
 from albertkit.fields import GFElem, Poly, RatFuncElem, solve_additive_poly
 from albertkit.jsonio import parse_field
-from albertkit.linalg import solve_linear
+from albertkit.linalg import kernel_basis, solve, units
 
 
 F2 = FiniteField(2)
@@ -222,14 +221,13 @@ def test_kappa():
 
 def test_solve_linear_contract():
     ident = [(QQ.one(), QQ.zero()), (QQ.zero(), QQ.one())]
-    assert solve_linear(ident, QQ, mode="kernel") == []
+    assert kernel_basis(ident, QQ, 2) == []
     zero2 = [(F2.zero(), F2.zero()), (F2.zero(), F2.zero())]
-    assert len(solve_linear(zero2, F2, mode="kernel", ncols=2)) == 2
+    assert kernel_basis(zero2, F2, 2) == units(F2, 2)
     rows = [(QQ.one(), QQ.one()), (QQ.zero(), QQ.zero())]
-    sol = solve_linear(rows, QQ, mode="solve", rhs=(QQ.one(), QQ.zero()))
+    sol = solve(rows, (QQ.one(), QQ.zero()), QQ)
     assert sol[0] + sol[1] == 1
-    with pytest.raises(NoSolution):
-        solve_linear(rows, QQ, mode="solve", rhs=(QQ.zero(), QQ.one()))
+    assert solve(rows, (QQ.zero(), QQ.one()), QQ) is None
 
 
 def test_context_mixing_is_hard_fault():

@@ -5,19 +5,27 @@ from conftest import random_nonsingular_form, seeded
 
 from albertkit import (
     QQ,
+    EtaleQuadratic,
     FiniteField,
     QuadraticForm,
     QuadraticFieldExtension,
+    QuaternionAlgebra,
     RationalFunctionField,
+    albert_form,
+    embed_quadratic_algebra,
     isometric_embedding,
     isotropic_spanning_set,
     orthogonalize,
     symplectic_pairs,
+    transfer,
+    vs_space,
 )
-from albertkit.errors import AlgebraError
+from albertkit import quaternion
+from albertkit.errors import AlgebraError, NoSolutionProven
 from albertkit.forms import hyperbolic_partner, hyperbolic_split, line_point
+from albertkit.harness import FAMILIES, generate_instance
 from albertkit.isotropy import enumeration_isotropy, isotropy
-from albertkit.linalg import rank
+from albertkit.linalg import combine, rank, units
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -207,3 +215,145 @@ def test_orthogonalize_and_symplectic():
                 for v in pairs[j]:
                     assert F2.is_zero(phi.polar(u, v))
                     assert F2.is_zero(phi.polar(g, v))
+
+
+# -- QuadraticForm.from_map against the Gram loops it replaced ----------------
+
+
+def _restrict_reference(form, vectors):
+    """phi(v_i) on the diagonal and polar(v_i, v_j) above it."""
+    f = form.field
+    m = len(vectors)
+    rows = [[f.zero()] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = form.evaluate(vectors[i])
+        for j in range(i + 1, m):
+            rows[i][j] = form.polar(vectors[i], vectors[j])
+    return QuadraticForm(f, rows)
+
+
+def _transfer_reference(ext, phi):
+    """s(phi) and s(polar) on the lifts (b_0, w b_0, b_1, w b_1, ...)."""
+    K, F = ext.ring, ext.base
+
+    def lift(i):
+        j, odd = divmod(i, 2)
+        vec = [K.zero()] * phi.n
+        vec[j] = ext.w if odd else K.one()
+        return tuple(vec)
+
+    N = 2 * phi.n
+    lifts = [lift(i) for i in range(N)]
+    rows = [[F.zero()] * N for _ in range(N)]
+    for i in range(N):
+        rows[i][i] = ext.s(phi.evaluate(lifts[i]))
+        for j in range(i + 1, N):
+            rows[i][j] = ext.s(phi.polar(lifts[i], lifts[j]))
+    return QuadraticForm(F, rows)
+
+
+def _nrd_polarisation(field, value, elems):
+    """value(Nrd y_i) on the diagonal, value(Nrd(y_i + y_j) - Nrd y_i - Nrd y_j) above it."""
+    m = len(elems)
+    nrds = [y.nrd() for y in elems]
+    rows = [[field.zero()] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = value(nrds[i])
+        for j in range(i + 1, m):
+            rows[i][j] = value((elems[i] + elems[j]).nrd() - nrds[i] - nrds[j])
+    return QuadraticForm(field, rows)
+
+
+def _albert_reference(ext, Q):
+    kappa = ext.kappa()
+    ys = vs_space(ext, Q)[0]
+    return _nrd_polarisation(ext.base, lambda n: ext.in_base(kappa * (ext.gamma(n) - n)), ys)
+
+
+def _embed_reference(Q, p, q):
+    """The Gram loop of Nrd(x(v)) - q y^2 on (v1, v2, v3, y), x(v) of trace p y."""
+    d = Q.domain
+
+    def nrd_of(v):
+        vals, y = v[:3], v[3]
+        if d.char == 2:
+            c = (vals[0], p / Q.alpha * y, vals[1], vals[2])
+        else:
+            c = ((p * y - Q.alpha * vals[0]) / 2,) + tuple(vals)
+        return Q.element(c).nrd() - q * y * y
+
+    e = units(d, 4)
+    rows = [[d.zero()] * 4 for _ in range(4)]
+    for i in range(4):
+        rows[i][i] = nrd_of(e[i])
+    for i in range(4):
+        for j in range(i + 1, 4):
+            rows[i][j] = nrd_of(tuple(a + b for a, b in zip(e[i], e[j]))) - rows[i][i] - rows[j][j]
+    return QuadraticForm(d, rows)
+
+
+def test_from_map_is_the_form_of_the_map():
+    rng = seeded(61)
+    for field in (QQ, F3, F2, F4, F2t, RationalFunctionField(QQ, "t")):
+        phi = random_nonsingular_form(field, 4, rng, size=3)
+        vecs = [tuple(field.random_element(rng, 3) for _ in range(4)) for _ in range(3)]
+        form = QuadraticForm.from_map(field, phi.evaluate, vecs)
+        assert form == _restrict_reference(phi, vecs)
+        x = tuple(field.random_element(rng, 3) for _ in range(3))
+        assert form.evaluate(x) == phi.evaluate(combine(x, vecs, field, 4))
+    assert QuadraticForm.from_map(QQ, lambda v: v[0], []) == QuadraticForm.zero_form(QQ, 0)
+
+
+def test_restrict_matches_the_evaluate_polar_loop():
+    rng = seeded(67)
+    for field in _split_fields() + (F2, F3):
+        for dim in (2, 4):
+            phi = random_nonsingular_form(field, dim, rng, size=3)
+            for k in range(1, dim + 1):
+                vecs = [tuple(field.random_element(rng, 3) for _ in range(dim)) for _ in range(k)]
+                if rank(vecs, field, dim) == k:
+                    assert phi.restrict(vecs) == _restrict_reference(phi, vecs)
+
+
+@pytest.mark.parametrize(
+    "ext",
+    [EtaleQuadratic(QQ, (0, 2)), EtaleQuadratic(F2, (1, 1)), EtaleQuadratic(F3, (0, -1)), EtaleQuadratic(F2t, (1, F2t.gen()))],
+    ids=["Qsqrt2", "F4", "F9", "F2t"],
+)
+def test_transfer_matches_the_lift_loop(ext):
+    rng = seeded(71)
+    for dim in (2, 4):
+        phi = random_nonsingular_form(ext.ring, dim, rng, size=2)
+        assert transfer(ext, phi) == _transfer_reference(ext, phi)
+
+
+def test_albert_form_matches_the_nrd_polarisation():
+    cases = [generate_instance(family, seed).build() for family in FAMILIES for seed in (0, 3, 8, 13)]
+    assert {F.char == 2 for F, _, _ in cases} == {False, True}
+    for _, ext, Q in cases:
+        assert albert_form(ext, Q).form == _albert_reference(ext, Q)
+
+
+def test_embed_quadratic_algebra_form_matches_the_nrd_polarisation(monkeypatch):
+    seen = []
+
+    def spy(form, height):
+        seen.append(form)
+        return isotropy(form, height=height)
+
+    monkeypatch.setattr(quaternion, "isotropy", spy)
+    K4 = EtaleQuadratic(F2, (1, 1)).ring
+    cases = [
+        (QuaternionAlgebra(QQ, 0, -1, -1), 0, 1),
+        (QuaternionAlgebra(QQ, 0, -1, -1), 0, -1),
+        (QuaternionAlgebra(F5, 0, 2, 3), 1, 0),
+        (QuaternionAlgebra(F4, F4.one(), F4.gen(), F4.one()), F4.one(), F4.gen()),
+        (QuaternionAlgebra(K4, K4.one(), K4.gen(), K4.one()), K4.one(), K4.one()),
+    ]
+    for Q, p, q in cases:
+        try:
+            embed_quadratic_algebra(Q, p, q)
+        except NoSolutionProven:
+            pass
+        p, q = Q.domain.coerce(p), Q.domain.coerce(q)
+        assert seen.pop() == _embed_reference(Q, p, q)

@@ -319,6 +319,31 @@ def test_instance_of_the_wrong_shape_is_malformed():
             verify_certificate(bad)
 
 
+def test_instance_seed_and_family_are_typed():
+    # a string seed used to pass from_json and crash report_to_text
+    doc = check_equivalence(generate_instance("char2-finite", 0)).to_json()
+    for key, value in (("seed", "abc"), ("seed", True), ("seed", 1.5), ("seed", None), ("family", 5), ("family", None)):
+        bad = copy.deepcopy(doc)
+        bad["instance"][key] = value
+        with pytest.raises(MalformedCertificate):
+            Instance.from_json(bad["instance"])
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+    inst = Instance.from_json(doc["instance"])
+    assert (inst.family, inst.seed) == ("char2-finite", 0)
+
+
+def test_cli_check_reports_a_malformed_instance(tmp_path):
+    # these used to escape `check` as a TypeError and a MalformedCertificate traceback
+    path = tmp_path / "inst.json"
+    good = generate_instance("char2-finite", 0).to_json()
+    no_field = {key: value for key, value in good.items() if key != "F"}
+    for doc in (dict(good, seed="abc"), no_field):
+        path.write_text(json.dumps(doc))
+        out = _run_cli("check", "--instance", str(path))
+        assert out.returncode == 1 and out.stdout.startswith("malformed: ") and not out.stderr
+
+
 def test_report_of_the_wrong_shape_is_malformed():
     # the first four used to escape the verifier as TypeError or IndexError,
     # the two bad statuses were accepted
