@@ -11,9 +11,9 @@ from albertkit import (
     QuadraticForm,
     RationalFunctionField,
     hilbert_symbol,
-    isotropy,
     witt_decompose,
 )
+from albertkit.isotropy import isotropy
 
 
 def show(label, form):

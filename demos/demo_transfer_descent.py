@@ -16,9 +16,8 @@ from albertkit import (
     descend,
     norm_form,
     remark1_check,
-    transfer,
-    witt_decompose,
 )
+from albertkit.transfer import transfer
 
 ext = EtaleQuadratic(QQ, (0, 2))  # K = Q(sqrt 2)
 K = ext.ring

@@ -42,15 +42,13 @@ from .isotropy import (
     bounded_search,
     hasse_minkowski,
     hilbert_symbol,
-    isotropy,
     springer_reduce,
     witt_decompose,
     witt_index,
 )
-from .transfer import DescentResult, descend, remark1_check, transfer
+from .transfer import DescentResult, descend, remark1_check
 from .quaternion import (
     QuaternionAlgebra,
-    embed_quadratic_algebra,
     find_disjoint_quadratic_subalgebra,
     is_split,
     make_quaternion,
@@ -77,7 +75,6 @@ from .clifford import (
     CliffordAlgebra,
     arf_trivial,
     clifford_iso_check,
-    even_clifford_binary,
 )
 from .harness import (
     FAMILIES,

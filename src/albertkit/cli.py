@@ -4,8 +4,9 @@ Subcommands: isotropy, transfer, descend, quat, cor, clifford, check,
 gen, verify.  Every subcommand but verify accepts --json for machine
 output, and the four that search (isotropy, descend, quat, cor) take
 --height; `check` exits 0 when all reports are consistent, 2 on an
-inconsistency (the equivalence would be falsified), 3 when Unknown
-verdicts remain and 1 on a malformed instance.
+inconsistency (the equivalence would be falsified) and 3 when Unknown
+verdicts remain.  Every subcommand prints "malformed: ..." and exits 1
+on a malformed input file.
 """
 
 from __future__ import annotations
@@ -35,8 +36,7 @@ from .jsonio import (
     form_to_json,
     format_element,
     parse_element,
-    parse_extension,
-    parse_field,
+    parse_extension_doc,
     parse_form,
     vector_to_json,
 )
@@ -47,7 +47,10 @@ from .transfer import descend, transfer
 
 def _load_json(path):
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise MalformedCertificate("%s is not JSON: %s" % (path, exc))
 
 
 def _emit(args, doc, text):
@@ -74,14 +77,8 @@ def _cmd_isotropy(args):
     return 0 if verdict.decided else 3
 
 
-def _build_ext(path):
-    doc = _load_json(path)
-    base = parse_field(doc["base"])
-    return parse_extension(base, doc["ext"])
-
-
 def _cmd_transfer(args):
-    ext = _build_ext(args.ext)
+    ext = parse_extension_doc(_load_json(args.ext))
     form = parse_form(_load_json(args.form), field=ext.ring)
     out = transfer(ext, form)
     _emit(args, form_to_json(out), repr(out))
@@ -89,7 +86,7 @@ def _cmd_transfer(args):
 
 
 def _cmd_descend(args):
-    ext = _build_ext(args.ext)
+    ext = parse_extension_doc(_load_json(args.ext))
     form = parse_form(_load_json(args.form), field=ext.ring)
     res = descend(ext, form, height=args.height)
     steps = []
@@ -112,13 +109,14 @@ def _cmd_descend(args):
 
 
 def _build_quat(doc):
-    if isinstance(doc.get("ext"), dict):
-        base = parse_field(doc["ext"]["base"])
-        ext = parse_extension(base, doc["ext"]["ext"])
-    else:
-        base = parse_field(doc["base"])
-        ext = parse_extension(base, doc["ext"])
-    spec = doc.get("Q") or {"alpha": doc["E"]["alpha"], "beta": doc["E"]["beta"], "a": doc["a"]}
+    if not isinstance(doc, dict):
+        raise MalformedCertificate("a quaternion spec must be a JSON object")
+    ext = parse_extension_doc(doc["ext"] if isinstance(doc.get("ext"), dict) else doc)
+    spec = doc.get("Q")
+    if spec is None and isinstance(doc.get("E"), dict):
+        spec = dict(doc["E"], a=doc.get("a"))
+    if not isinstance(spec, dict) or any(spec.get(key) is None for key in ("alpha", "beta", "a")):
+        raise MalformedCertificate("a quaternion spec needs alpha, beta and a, in 'Q' or in 'E' and 'a'")
     domain = ext.ring
     return ext, QuaternionAlgebra(
         domain,
@@ -217,18 +215,14 @@ def _cmd_clifford(args):
 
 def _cmd_check(args):
     insts = []
-    try:
-        if args.instance:
-            insts.append(Instance.from_json(_load_json(args.instance)))
-        if args.family:
-            for seed in range(args.seed, args.seed + args.count):
-                insts.append(generate_instance(args.family, seed))
-        if not insts:
-            raise SystemExit("check needs --instance or --family")
-        reports = [check_equivalence(inst, path=args.path) for inst in insts]
-    except MalformedCertificate as exc:
-        print("malformed: %s" % exc)
-        return 1
+    if args.instance:
+        insts.append(Instance.from_json(_load_json(args.instance)))
+    if args.family:
+        for seed in range(args.seed, args.seed + args.count):
+            insts.append(generate_instance(args.family, seed))
+    if not insts:
+        raise SystemExit("check needs --instance or --family")
+    reports = [check_equivalence(inst, path=args.path) for inst in insts]
     if args.json:
         print(json.dumps([r.to_json() for r in reports], sort_keys=True, indent=2))
     else:
@@ -252,11 +246,7 @@ def _cmd_verify(args):
     reports = doc if isinstance(doc, list) else [doc]
     ok = True
     for rep in reports:
-        try:
-            good = verify_certificate(rep)
-        except MalformedCertificate as exc:
-            print("malformed: %s" % exc)
-            return 1
+        good = verify_certificate(rep)
         print("certificate %s" % ("OK" if good else "REJECTED"))
         ok = ok and good
     return 0 if ok else 1
@@ -324,7 +314,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except MalformedCertificate as exc:
+        print("malformed: %s" % exc)
+        return 1
 
 
 if __name__ == "__main__":

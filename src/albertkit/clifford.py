@@ -263,25 +263,6 @@ def _central_even_element(C):
     return omega
 
 
-def even_clifford_binary(form):
-    """(trace, norm) of zeta = e1 e2 inside C_0 of a binary nonsingular form.
-
-    The even Clifford algebra of a binary form is the quadratic etale
-    algebra F[X]/(X^2 - trace*X + norm).
-    """
-    if form.n != 2:
-        raise AlgebraError("binary form expected")
-    f = form.field
-    C = CliffordAlgebra(form)
-    zeta = CliffordElem(C, {0b11: f.one()})
-    z2 = zeta * zeta
-    p = z2.coeff(0b11)
-    q = -z2.coeff(0)
-    if not (z2 - zeta * p + C.one() * q).is_zero():
-        raise InternalContradiction("zeta^2 is not in span(1, zeta)")
-    return p, q
-
-
 def arf_trivial(form):
     """Whether the discriminant/Arf invariant of a nonsingular form is trivial.
 

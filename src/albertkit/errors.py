@@ -17,10 +17,6 @@ class SplitK(AlgebraError):
     """Operation requires a quadratic field extension, got a split algebra."""
 
 
-class NoSolutionProven(AlgebraError):
-    """An exhaustive search proved that no solution exists."""
-
-
 class BudgetExhausted(Exception):
     """A bounded search ran out of budget without a decision.
 

@@ -11,13 +11,10 @@ re-verified from scratch without trusting any method tag.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import random
 from dataclasses import dataclass, field as dc_field
 
-from . import linalg
-from .clifford import even_clifford_binary
 from .corestriction import (
     albert_form,
     cor_is_division,
@@ -44,13 +41,12 @@ from .jsonio import (
 )
 from .quaternion import (
     QuaternionAlgebra,
-    embed_quadratic_algebra,
     find_disjoint_quadratic_subalgebra,
     norm_form,
     validate_disjoint_witness,
 )
 from .search import DEFAULT_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES
-from .transfer import descend, transfer
+from .transfer import isotropic_plane_partner, transfer
 
 SCHEMA = "albertkit/1"
 
@@ -276,8 +272,8 @@ def check_equivalence(inst, path="albert"):
     """Evaluate conditions (i), (ii), (iii) with witnesses and consistency.
 
     The default route runs through the Albert form of the corestriction;
-    `path="both"` adds the transfer/descent cross-check when the extension
-    is a field and the oracles over K are strong enough.
+    `path="both"` adds, when the extension is a field, the cross-check
+    through the transfer of the norm form, which needs isotropy over F only.
     """
     F, ext, Q = inst.build()
     ad = albert_form(ext, Q)
@@ -337,7 +333,7 @@ def check_equivalence(inst, path="albert"):
             cond_ii = CondVerdict("unknown", None, "search-budget", exc.searched)
 
     if path == "both" and ext.kind == "field":
-        _transfer_cross_check(inst, ext, Q, cond_iii, derivations, inst.height)
+        _transfer_cross_check(ad, cond_iii, derivations, inst.height)
 
     statuses = {cond_i.status, cond_ii.status, cond_iii.status}
     if "unknown" in statuses:
@@ -356,37 +352,36 @@ def check_equivalence(inst, path="albert"):
     )
 
 
-def _transfer_cross_check(inst, ext, Q, cond_iii, derivations, height):
-    """Optional route through the transfer of the norm form."""
+def _transfer_cross_check(ad, cond_iii, derivations, height):
+    """Optional route through the transfer T = s_* n_Q of the norm form.
+
+    When i0(T) >= 2, the first isotropic vector u of T's Witt decomposition
+    and its partner w span a totally isotropic plane of T with
+    polar(u, w) != 0.  Then x = conj(u) w has Trd(x) = polar(u, w) and
+    Nrd(x) = n_Q(u) n_Q(w) in F and is not in K, a (i) witness, which
+    generator_to_isotropic checks against the Albert form.
+    """
+    ext, Q = ad.ext, ad.Q
     try:
         nq = norm_form(Q)
         T = transfer(ext, nq)
-        i0 = witt_decompose(T, height=height).witt_index
+        wd = witt_decompose(T, height=height)
+        i0 = wd.witt_index
         agrees = (i0 >= 2) == (cond_iii.status == "yes")
         derivations.append(
             "transfer path: i0(s_* n_Q) = %d, %s (iii)" % (i0, "agrees with" if agrees else "CONTRADICTS")
         )
         if not agrees:
             raise AlgebraError("transfer cross-check contradicts the Albert route")
-        if i0 >= 2 and cond_iii.status == "yes":
-            res = descend(ext, nq, height=height)
-            psi1 = _nonsingular_pair_block(res.psi)
-            p, q = even_clifford_binary(psi1)
-            K = ext.ring
-            x = embed_quadratic_algebra(Q, K.from_base(p), K.from_base(q), height=height)
-            validate_disjoint_witness(Q, ext, x, etale_required=False)
-            derivations.append("transfer path: embedded the even Clifford algebra of a 2-dim descent block")
+        if i0 >= 2:
+            u = ext.unrealify_vec(wd.pairs[0][0])
+            _, w = isotropic_plane_partner(ext, nq, T, u, height)
+            generator_to_isotropic(ad, Q.element(u).conjugate() * Q.element(w))
+            derivations.append(
+                "transfer path: conj(u) w from an isotropic plane of s_* n_Q converts to an isotropic Albert vector"
+            )
     except (BudgetExhausted, OracleIncomplete) as exc:
         derivations.append("transfer path skipped: %s" % exc)
-
-
-def _nonsingular_pair_block(psi):
-    """A nonsingular 2-dimensional coordinate subform of a block form."""
-    for pair in itertools.combinations(linalg.units(psi.field, psi.n), 2):
-        block = psi.restrict(pair)
-        if block.classify().nonsingular:
-            return block
-    raise AlgebraError("no nonsingular pair block found")
 
 
 # ---------------------------------------------------------------------------

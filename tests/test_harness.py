@@ -2,7 +2,9 @@
 
 import copy
 import gc
+import importlib
 import json
+import pkgutil
 import subprocess
 import sys
 import time
@@ -10,19 +12,23 @@ from pathlib import Path
 
 import pytest
 
+import albertkit
 from albertkit import (
     QQ,
     AlgebraError,
     FiniteField,
     Instance,
     MalformedCertificate,
+    QuadraticFieldExtension,
     RationalFunctionField,
     check_equivalence,
     generate_instance,
+    norm_form,
     validate_disjoint_witness,
     verify_certificate,
+    witt_decompose,
 )
-from albertkit.cli import build_parser
+from albertkit.cli import build_parser, main
 from albertkit.harness import FAMILIES, report_json_bytes
 from albertkit.jsonio import (
     MAX_DEGREE,
@@ -39,6 +45,7 @@ from albertkit.jsonio import (
     parse_form,
 )
 from albertkit.search import DEFAULT_HEIGHT
+from albertkit.transfer import transfer
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -94,6 +101,41 @@ def test_named_instance_hamilton():
     doc = rep.to_json()
     assert doc["cond_ii"]["witness"] == ["2", "w", "0", "0"]
     assert any("transfer path" in d for d in rep.derivations)
+
+
+TRANSFER_WITNESS_LINE = (
+    "transfer path: conj(u) w from an isotropic plane of s_* n_Q converts to an isotropic Albert vector"
+)
+
+
+@pytest.mark.parametrize(
+    "family, seed",
+    [("quad-K-over-Q", 3), ("quad-K-over-Q", 5), ("char2-finite", 0), ("char2-function-field", 18)],
+)
+def test_transfer_path_decides_over_F_only(family, seed, monkeypatch):
+    # the transfer route needs isotropy over F only: an isotropy call on a
+    # form over K fails the test at once
+    isotropy_module = importlib.import_module("albertkit.isotropy")
+    real = isotropy_module.isotropy
+
+    def spy(form, height=DEFAULT_HEIGHT):
+        if isinstance(form.field, QuadraticFieldExtension):
+            raise AssertionError("isotropy called over %s" % form.field.name)
+        return real(form, height=height)
+
+    for name in ("albertkit.isotropy", "albertkit.transfer"):
+        monkeypatch.setattr(importlib.import_module(name), "isotropy", spy)
+    inst = generate_instance(family, seed)
+    rep = check_equivalence(inst, path="both")
+    assert rep.consistent and rep.cond_i.status == "yes"
+    assert rep.derivations[-1] == TRANSFER_WITNESS_LINE
+    assert not any("skipped" in d for d in rep.derivations)
+    if family == "char2-function-field":
+        # the first isotropic vector u of s_* n_Q has n_Q(u) = 0 here
+        _, ext, Q = inst.build()
+        nq = norm_form(Q)
+        u = ext.unrealify_vec(witt_decompose(transfer(ext, nq)).pairs[0][0])
+        assert ext.ring.is_zero(nq.evaluate(u))
 
 
 def test_named_instance_split_hamilton_pair():
@@ -342,6 +384,55 @@ def test_cli_check_reports_a_malformed_instance(tmp_path):
         path.write_text(json.dumps(doc))
         out = _run_cli("check", "--instance", str(path))
         assert out.returncode == 1 and out.stdout.startswith("malformed: ") and not out.stderr
+
+
+def test_cli_reports_a_malformed_input_file(tmp_path, capsys):
+    # each of these used to escape the subcommand as a traceback
+    def write(name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        return str(path)
+
+    ext = write("ext.json", json.dumps({"base": "Q", "ext": "x^2-2"}))
+    form = write("form.json", json.dumps({"field": "Q", "diag": [1, 1]}))
+    bad = [
+        write(name, text)
+        for name, text in (
+            ("list.json", "[1, 2]"),
+            ("upper.json", json.dumps({"field": "Q", "upper": 5})),
+            ("diag.json", json.dumps({"field": "Q", "diag": 5})),
+            ("field.json", json.dumps({"field": 7, "diag": [1]})),
+            ("no-ext.json", json.dumps({"base": "Q"})),
+            ("not-json.txt", "not json {"),
+        )
+    ]
+    for path in bad:
+        for argv in (
+            ["isotropy", "--form", path],
+            ["transfer", "--ext", path, "--form", form],
+            ["descend", "--ext", path, "--form", form],
+            ["quat", "--spec", path, "--cmd", "split"],
+            ["clifford", "--form", path, "--cmd", "arf"],
+            ["cor", "--instance", path, "--cmd", "albert"],
+            ["check", "--instance", path],
+            ["verify", "--report", path],
+        ):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().out.startswith("malformed: "), argv
+    for path in bad[:3] + bad[-1:]:
+        for argv in (["transfer", "--ext", ext, "--form", path], ["descend", "--ext", ext, "--form", path]):
+            assert main(argv) == 1, argv
+            assert capsys.readouterr().out.startswith("malformed: "), argv
+
+
+def test_package_attributes_are_its_submodules():
+    # no re-exported function may shadow a module, so that
+    # `import albertkit.transfer as m` gives the module
+    names = [info.name for info in pkgutil.iter_modules(albertkit.__path__)]
+    assert {"isotropy", "transfer", "clifford"} <= set(names)
+    for name in names:
+        module = importlib.import_module("albertkit." + name)
+        assert getattr(albertkit, name) is module, name
 
 
 def test_report_of_the_wrong_shape_is_malformed():

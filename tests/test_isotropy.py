@@ -13,13 +13,12 @@ from albertkit import (
     bounded_search,
     hasse_minkowski,
     hilbert_symbol,
-    isotropy,
     springer_reduce,
     witt_decompose,
     witt_index,
 )
 from albertkit.errors import NotApplicable
-from albertkit.isotropy import _factor_int, rationally_equivalent, squarefree_part
+from albertkit.isotropy import _factor_int, isotropy, rationally_equivalent, squarefree_part
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)

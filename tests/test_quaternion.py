@@ -10,14 +10,13 @@ from albertkit import (
     QuadraticFieldExtension,
     QuaternionAlgebra,
     RationalFunctionField,
-    embed_quadratic_algebra,
     find_disjoint_quadratic_subalgebra,
     is_split,
     make_quaternion,
     norm_form,
     validate_disjoint_witness,
 )
-from albertkit.errors import InvalidWitness, NoSolutionProven, NotEtale, ZeroParameter
+from albertkit.errors import InvalidWitness, NotEtale, ZeroParameter
 
 F2 = FiniteField(2)
 F4 = FiniteField(2, 2)
@@ -126,28 +125,6 @@ def test_char2_etale_flag():
     validate_disjoint_witness(Q, ext, z, etale_required=False)
     with pytest.raises(InvalidWitness):
         validate_disjoint_witness(Q, ext, z, etale_required=True)
-
-
-def test_embed_quadratic_algebra():
-    x = embed_quadratic_algebra(HAMILTON, 0, 1)
-    assert x.trd() == 0 and x.nrd() == 1
-    with pytest.raises(NoSolutionProven):
-        embed_quadratic_algebra(HAMILTON, 0, -1)
-    # a split algebra contains an idempotent: trace 1, norm 0
-    Qs = QuaternionAlgebra(F5, 0, 2, 3)
-    e = embed_quadratic_algebra(Qs, 1, 0)
-    assert e * e == e
-
-
-def test_embed_quadratic_algebra_char2():
-    Q = QuaternionAlgebra(F4, F4.one(), F4.gen(), F4.one())
-    x = embed_quadratic_algebra(Q, F4.one(), F4.gen())
-    assert x.trd() == F4.one() and x.nrd() == F4.gen()
-    ext = EtaleQuadratic(F2, (1, 1))
-    K4 = ext.ring
-    Q2 = QuaternionAlgebra(K4, K4.one(), K4.gen(), K4.one())
-    x2 = embed_quadratic_algebra(Q2, K4.one(), K4.one())
-    assert x2.trd() == K4.one() and x2.nrd() == K4.one()
 
 
 def test_split_verdict_agrees_with_element_search():

@@ -13,10 +13,10 @@ from albertkit import (
     descend,
     norm_form,
     remark1_check,
-    transfer,
     witt_decompose,
 )
 from albertkit.errors import AlgebraError
+from albertkit.transfer import transfer
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
