@@ -33,6 +33,7 @@ from .harness import (
 )
 from .isotropy import isotropy
 from .jsonio import (
+    _as_malformed,
     form_to_json,
     format_element,
     parse_element,
@@ -118,12 +119,13 @@ def _build_quat(doc):
     if not isinstance(spec, dict) or any(spec.get(key) is None for key in ("alpha", "beta", "a")):
         raise MalformedCertificate("a quaternion spec needs alpha, beta and a, in 'Q' or in 'E' and 'a'")
     domain = ext.ring
-    return ext, QuaternionAlgebra(
-        domain,
-        parse_element(domain, spec["alpha"]),
-        parse_element(domain, spec["beta"]),
-        parse_element(domain, spec["a"]),
-    )
+    with _as_malformed("quaternion spec"):
+        return ext, QuaternionAlgebra(
+            domain,
+            parse_element(domain, spec["alpha"]),
+            parse_element(domain, spec["beta"]),
+            parse_element(domain, spec["a"]),
+        )
 
 
 def _cmd_quat(args):

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .isotropy import isotropy, witt_decompose
 from .jsonio import (
+    _as_malformed,
     format_element,
     parse_element,
     parse_extension,
@@ -109,14 +110,14 @@ class Instance:
         return inst
 
     def build(self):
-        F = parse_field(self.f_spec)
-        ext = parse_extension(F, self.k_spec)
-        domain = ext.ring
-        alpha = parse_element(domain, self.q_alpha)
-        beta = parse_element(domain, self.q_beta)
-        a = parse_element(domain, self.q_a)
-        Q = QuaternionAlgebra(domain, alpha, beta, a)
-        return F, ext, Q
+        with _as_malformed("instance"):
+            F = parse_field(self.f_spec)
+            ext = parse_extension(F, self.k_spec)
+            domain = ext.ring
+            alpha = parse_element(domain, self.q_alpha)
+            beta = parse_element(domain, self.q_beta)
+            a = parse_element(domain, self.q_a)
+            return F, ext, QuaternionAlgebra(domain, alpha, beta, a)
 
 
 def _rng_for(family, seed):
@@ -375,7 +376,7 @@ def _transfer_cross_check(ad, cond_iii, derivations, height):
             raise AlgebraError("transfer cross-check contradicts the Albert route")
         if i0 >= 2:
             u = ext.unrealify_vec(wd.pairs[0][0])
-            _, w = isotropic_plane_partner(ext, nq, T, u, height)
+            _, w = isotropic_plane_partner(ext, nq, T, wd)
             generator_to_isotropic(ad, Q.element(u).conjugate() * Q.element(w))
             derivations.append(
                 "transfer path: conj(u) w from an isotropic plane of s_* n_Q converts to an isotropic Albert vector"
@@ -401,11 +402,9 @@ def verify_certificate(doc):
         raise MalformedCertificate("not an %s report" % SCHEMA)
     ciii, cii, ci = (_condition(doc, key) for key in ("cond_iii_not_division", "cond_ii", "cond_i"))
     inst = Instance.from_json(doc.get("instance"))
-    try:
+    with _as_malformed("instance"):
         F, ext, Q = inst.build()
         ad = albert_form(ext, Q)
-    except AlgebraError:
-        raise MalformedCertificate("instance does not build")
 
     try:
         if ciii["status"] == "yes":

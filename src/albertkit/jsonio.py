@@ -9,12 +9,13 @@ generator); split-algebra scalars are two-element lists.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import re
 from fractions import Fraction
 from math import isqrt
 
-from .errors import AlgebraError, MalformedCertificate
+from .errors import AlgebraError, InternalContradiction, MalformedCertificate
 from .etale import EtaleQuadratic, SplitAlgebra
 from .f2poly import F2Poly
 from .fields import (
@@ -84,6 +85,17 @@ def _within_caps(num_degree, den_degree, bits):
             "expression too large: degrees %d/%d, %d bits (caps %d/%d, %d)"
             % (num_degree, den_degree, bits, MAX_DEGREE, MAX_DEN_DEGREE, MAX_BITS)
         )
+
+
+@contextlib.contextmanager
+def _as_malformed(what):
+    """Report an AlgebraError, but not an InternalContradiction, as malformed `what`."""
+    try:
+        yield
+    except InternalContradiction:
+        raise
+    except AlgebraError as exc:
+        raise MalformedCertificate("%s: %s" % (what, exc)) from exc
 
 
 def _tokenize(text):
@@ -344,7 +356,8 @@ def parse_extension_doc(doc):
     """{"base": field spec, "ext": extension spec} -> EtaleQuadratic."""
     if not isinstance(doc, dict) or not all(isinstance(doc.get(key), str) for key in ("base", "ext")):
         raise MalformedCertificate("an extension needs the string specs 'base' and 'ext'")
-    return parse_extension(parse_field(doc["base"]), doc["ext"])
+    with _as_malformed("extension"):
+        return parse_extension(parse_field(doc["base"]), doc["ext"])
 
 
 def extension_to_spec(ext):
@@ -376,8 +389,8 @@ def parse_form(doc, field=None):
     if "diag" in doc:
         if not isinstance(doc["diag"], list):
             raise MalformedCertificate("form literal's 'diag' must be a list")
-        entries = [parse_element(field, e) for e in doc["diag"]]
-        return QuadraticForm.diagonal(field, entries)
+        with _as_malformed("form"):
+            return QuadraticForm.diagonal(field, [parse_element(field, e) for e in doc["diag"]])
     n = doc.get("dim")
     upper = doc.get("upper")
     if upper is None:
@@ -386,17 +399,18 @@ def parse_form(doc, field=None):
         raise MalformedCertificate("form literal's 'upper' must be a list of rows")
     if n is not None and n != len(upper):
         raise MalformedCertificate("dim does not match the matrix size")
-    rows = [[parse_element(field, e) for e in row] for row in upper]
-    return QuadraticForm(field, rows)
+    with _as_malformed("form"):
+        return QuadraticForm(field, [[parse_element(field, e) for e in row] for row in upper])
 
 
 def parse_form_field(spec):
     """Field of a form: base spec string or {"base":…, "ext":…}."""
     if isinstance(spec, str):
-        return parse_field(spec)
+        with _as_malformed("form field"):
+            return parse_field(spec)
     ext = parse_extension_doc(spec)
     if ext.kind != "field":
-        raise AlgebraError("forms over the split algebra are not supported")
+        raise MalformedCertificate("forms over the split algebra are not supported")
     return ext.ring
 
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from . import linalg
-from .errors import AlgebraError, InternalContradiction, OracleIncomplete, SplitK
+from .errors import AlgebraError, InternalContradiction, SplitK
 from .forms import QuadraticForm, isotropic_spanning_set, solve_polar_equal_one
-from .isotropy import isotropy, witt_decompose
+from .isotropy import witt_decompose
 from .search import DEFAULT_HEIGHT
 
 
@@ -55,50 +55,47 @@ def descend(ext, phi, height=DEFAULT_HEIGHT):
     F = ext.base
     if phi.field != K:
         raise AlgebraError("form is not defined over the extension field")
-    cls = phi.classify()
-    if not cls.nonsingular:
+    if not phi.classify().nonsingular:
         raise AlgebraError("descent requires a nonsingular form")
     steps = []
 
-    # anisotropic part of phi over K
+    # anisotropic part of phi over K; each hyperbolic plane over K
+    # transfers to two hyperbolic planes over F
     wd_K = witt_decompose(phi, height=height)
-    aniso_basis = list(wd_K.kernel_basis)
-    phi_an = wd_K.kernel
+    i0 = witt_decompose(transfer(ext, phi), height=height).witt_index
+    an_i0 = i0 - 2 * len(wd_K.pairs)
 
-    psi_an, emb_an_local = _descend_anisotropic(ext, phi_an, height, steps)
+    psi, emb_an_local = _descend_anisotropic(ext, wd_K.kernel, height, steps, an_i0)
     # map the embedding back into phi's ambient coordinates
-    embedding = [linalg.combine(v, aniso_basis, K, phi.n) for v in emb_an_local]
-    psi = psi_an
+    embedding = [linalg.combine(v, wd_K.kernel_basis, K, phi.n) for v in emb_an_local]
     for (u, v) in wd_K.pairs:
-        block = QuadraticForm.hyperbolic_plane(F)
-        psi = psi.orthogonal_sum(block) if psi.n else block
-        embedding.append(u)
-        embedding.append(v)
+        psi = psi.orthogonal_sum(QuadraticForm.hyperbolic_plane(F))
+        embedding += [u, v]
         steps.append({"round": "hyperbolic-plane", "u": u, "v": v})
 
-    i0 = witt_decompose(transfer(ext, phi), height=height).witt_index
     result = DescentResult(psi=psi, embedding=tuple(embedding), i0=i0, steps=steps)
     _verify_descent(ext, phi, result)
     return result
 
 
-def _descend_anisotropic(ext, phi, height, steps):
+def _descend_anisotropic(ext, phi, height, steps, expected_i0):
     """Descent for an anisotropic nonsingular form; returns (psi, embedding).
 
-    The embedding vectors live in phi's own coordinate space.
+    Each round decomposes the transfer of its form once and checks its Witt
+    index against expected_i0, the index the previous round left.  The
+    embedding vectors live in phi's own coordinate space.
     """
     K = ext.ring
     F = ext.base
     n = phi.n
-    if n == 0:
-        return QuadraticForm.zero_form(F, 0), []
     T = transfer(ext, phi)
     wd = witt_decompose(T, height=height)
     i0 = wd.witt_index
+    if i0 != expected_i0:
+        raise InternalContradiction("Witt index did not drop by two per split plane")
     if i0 == 0:
         return QuadraticForm.zero_form(F, 0), []
-    u_F = wd.pairs[0][0]
-    u = ext.unrealify_vec(u_F)
+    u = ext.unrealify_vec(wd.pairs[0][0])
     cu = phi.evaluate(u)
     cu_F = ext.in_base(cu)
     if cu_F is None:
@@ -106,11 +103,10 @@ def _descend_anisotropic(ext, phi, height, steps):
     if F.is_zero(cu_F):
         raise InternalContradiction("anisotropic form vanished on a nonzero vector")
     if i0 == 1:
-        psi = QuadraticForm.diagonal(F, [cu_F])
         steps.append({"round": "dim-1", "u": u})
-        return psi, [u]
+        return QuadraticForm.diagonal(F, [cu_F]), [u]
 
-    v, w_K = isotropic_plane_partner(ext, phi, T, u, height)
+    v, w_K = isotropic_plane_partner(ext, phi, T, wd)
     mu = phi.polar(u, w_K)
     mu_F = ext.in_base(mu)
     cw_F = ext.in_base(phi.evaluate(w_K))
@@ -125,42 +121,38 @@ def _descend_anisotropic(ext, phi, height, steps):
 
     # orthogonal complement of span_K(u, w) inside phi
     comp = phi.orthogonal_complement([u, w_K])
-    phi_comp = phi.restrict(comp)
-    T_comp_i0 = witt_decompose(transfer(ext, phi_comp), height=height).witt_index
-    if T_comp_i0 != i0 - 2:
-        raise InternalContradiction("Witt index did not drop by two")
-    psi_rest, emb_rest = _descend_anisotropic(ext, phi_comp, height, steps)
-    psi = psi1.orthogonal_sum(psi_rest) if psi_rest.n else psi1
+    psi_rest, emb_rest = _descend_anisotropic(ext, phi.restrict(comp), height, steps, i0 - 2)
     embedding = [u, w_K] + [linalg.combine(vec, comp, K, n) for vec in emb_rest]
-    return psi, embedding
+    return psi1.orthogonal_sum(psi_rest), embedding
 
 
-def isotropic_plane_partner(ext, phi, T, u, height=DEFAULT_HEIGHT):
-    """(v, w) for a K-vector u of phi whose push is isotropic in T = s_* phi.
+def isotropic_plane_partner(ext, phi, T, wd):
+    """(v, w) for the first isotropic vector u of wd, T = s_* phi = H^m _|_ kernel.
 
-    v is a dual vector of u, so u and w*v span a hyperbolic plane of T
-    (w the generator of K).  w is an isotropic vector of that plane's
-    T-orthogonal complement with polar(u, w) != 0: u and w span a totally
-    isotropic plane of T, so phi(u), phi(w) and polar(u, w) lie in F.  The
-    complement is not the realified polar complement of u, because v is
-    K-independent of u; so one vector of its isotropic spanning set pairs
-    with u.  Needs i0(T) >= 2; raises OracleIncomplete when the isotropy
-    of the complement is undecided.
+    wd is T's Witt decomposition with m >= 2, and u its first isotropic
+    vector as a K-vector of phi.  v is a dual vector of u, so u and w*v span
+    a hyperbolic plane of T (w the generator of K), whose T-orthogonal
+    complement W holds the answer.  With z = w*v - T(w*v) u, the map
+    y -> y - b_T(y, z) u sends vectors T-orthogonal to u into W and keeps T,
+    so the images of wd's later pairs and kernel are a basis of W on which
+    T is H^(m-1) _|_ kernel, isotropic in its first vector.  w is an
+    isotropic vector of W with polar(u, w) != 0: u and w span a totally
+    isotropic plane of T, so phi(u), phi(w) and polar(u, w) lie in F.  W is
+    not the realified polar complement of u, because v is K-independent of
+    u; so one vector of its isotropic spanning set pairs with u.
     """
     F = ext.base
+    u_push = wd.pairs[0][0]
+    u = ext.unrealify_vec(u_push)
     v = _dual_vector(phi, u)
-    u_push = ext.realify_vec(u)
     lamv_push = ext.realify_vec(tuple(ext.w * c for c in v))
     if T.polar(u_push, lamv_push) != F.one() or not F.is_zero(T.evaluate(u_push)):
         raise InternalContradiction("U block is not hyperbolic for the transfer")
-    Wb = T.orthogonal_complement([u_push, lamv_push])
-    T_W = T.restrict(Wb)
-    verdict = isotropy(T_W, height=height)
-    if verdict.is_anisotropic:
-        raise InternalContradiction("restricted transfer must be isotropic when i0 >= 2")
-    if not verdict.is_isotropic:
-        raise OracleIncomplete("isotropy of the restricted transfer undecided")
-    for cand in isotropic_spanning_set(T_W, verdict.witness):
+    t = T.evaluate(lamv_push)
+    z = tuple(a - t * b for a, b in zip(lamv_push, u_push))
+    later = [y for pair in wd.pairs[1:] for y in pair] + list(wd.kernel_basis)
+    Wb = [tuple(a - T.polar(y, z) * b for a, b in zip(y, u_push)) for y in later]
+    for cand in isotropic_spanning_set(T.restrict(Wb), linalg.units(F, len(Wb))[0]):
         w = ext.unrealify_vec(linalg.combine(cand, Wb, F, T.n))
         if phi.polar(u, w):
             return v, w
@@ -200,19 +192,10 @@ def _verify_descent(ext, phi, result):
 def remark1_check(ext, phi, height=DEFAULT_HEIGHT):
     """When s_* phi is hyperbolic, phi is defined over F: check it.
 
-    Runs the descent, asserts dim psi = dim phi with a bijective embedding,
-    and returns whether phi is isometric to psi_K via that embedding.
+    Runs the descent, whose own checks give dim psi = i0 with an injective
+    isometric embedding of psi_K into phi; i0 = dim phi makes that
+    embedding bijective, an isometry of phi with psi_K.
     """
-    T = transfer(ext, phi)
-    wd = witt_decompose(T, height=height)
-    if wd.witt_index * 2 != T.n:
+    if descend(ext, phi, height=height).i0 != phi.n:
         raise AlgebraError("transfer is not hyperbolic")
-    res = descend(ext, phi, height=height)
-    if res.psi.n != phi.n:
-        return False
-    K = ext.ring
-    if linalg.rank(list(res.embedding), K, phi.n) != phi.n:
-        return False
-    # embedding Gram identity was already verified; bijectivity makes it
-    # an isometry of phi with psi_K
     return True

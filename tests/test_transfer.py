@@ -1,8 +1,12 @@
 """Transfer and constructive descent along quadratic extensions."""
 
+from collections import Counter
+
 import pytest
 from conftest import random_nonsingular_form, seeded
 
+import albertkit.isotropy
+import albertkit.transfer
 from albertkit import (
     QQ,
     EtaleQuadratic,
@@ -11,16 +15,21 @@ from albertkit import (
     QuaternionAlgebra,
     SplitK,
     descend,
+    generate_instance,
+    isotropic_spanning_set,
     norm_form,
     remark1_check,
     witt_decompose,
 )
 from albertkit.errors import AlgebraError
-from albertkit.transfer import transfer
+from albertkit.isotropy import isotropy
+from albertkit.linalg import combine, rank
+from albertkit.transfer import isotropic_plane_partner, transfer
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
 EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
+EXT_Q3 = EtaleQuadratic(QQ, (0, 3))
 EXT_F4 = EtaleQuadratic(F2, (1, 1))
 EXT_F9 = EtaleQuadratic(F3, (0, -1))
 
@@ -124,3 +133,95 @@ def test_hyperbolic_part_glued():
     res = descend(EXT_Q2, phi)
     i0 = witt_decompose(transfer(EXT_Q2, phi)).witt_index
     assert res.psi.n == i0 and i0 >= 2
+
+
+def _block_step_cases():
+    """(ext, phi): forms as in the descent acceptance suite, and n_Q."""
+    rng = seeded(41)
+    for ext in (EXT_Q2, EXT_Q3, EXT_F9, EXT_F4):
+        K = ext.ring
+        for _ in range(12):
+            if ext.base.order is None:
+                # totally positive entries keep the Witt machinery over K certified
+                entries = []
+                while len(entries) < rng.choice([1, 2, 3]):
+                    a, b = rng.randint(1, 4), rng.randint(-1, 1)
+                    if QQ.coerce(a * a) > K.beta * b * b:
+                        entries.append(K.from_pair(a, b))
+                phi = QuadraticForm.diagonal(K, entries)
+                if rng.random() < 0.5:
+                    phi = phi.orthogonal_sum(QuadraticForm.hyperbolic_plane(K))
+            else:
+                phi = random_nonsingular_form(K, rng.choice([2, 4]), rng, size=2)
+            yield ext, phi
+    for family, seeds in (("quad-K-over-Q", range(8)), ("char2-finite", range(6)), ("char2-function-field", [18])):
+        for seed in seeds:
+            _, ext, Q = generate_instance(family, seed).build()
+            yield ext, norm_form(Q)
+
+
+def test_block_step_writes_W_down():
+    # W, the T-complement of the hyperbolic plane (u, w v), used to be solved
+    # for and searched for an isotropic vector; both stay here as the reference
+    seen = Counter()
+    for ext, phi in _block_step_cases():
+        F = ext.base
+        T = transfer(ext, phi)
+        wd = witt_decompose(T)
+        if wd.witt_index < 2:
+            continue
+        seen[ext.ring.name] += 1
+        v, w = isotropic_plane_partner(ext, phi, T, wd)
+        u_push = wd.pairs[0][0]
+        u = ext.unrealify_vec(u_push)
+        lamv = ext.realify_vec(tuple(ext.w * c for c in v))
+        W_ref = T.orthogonal_complement([u_push, lamv])
+        verdict = isotropy(T.restrict(W_ref))
+        assert verdict.is_isotropic
+        ref_set = isotropic_spanning_set(T.restrict(W_ref), verdict.witness)
+        assert any(phi.polar(u, ext.unrealify_vec(combine(c, W_ref, F, T.n))) for c in ref_set)
+        # written down: y -> y - b_T(y, z) u on the later pairs and the kernel
+        t = T.evaluate(lamv)
+        z = tuple(a - t * b for a, b in zip(lamv, u_push))
+        later = [y for pair in wd.pairs[1:] for y in pair] + list(wd.kernel_basis)
+        Wb = [tuple(a - T.polar(y, z) * b for a, b in zip(y, u_push)) for y in later]
+        assert rank(Wb, F, T.n) == len(Wb) == len(W_ref) == rank(Wb + W_ref, F, T.n)
+        assert T.restrict(Wb) == T.restrict(later)
+        w_push = ext.realify_vec(w)
+        assert rank(Wb + [w_push], F, T.n) == len(Wb)
+        assert F.is_zero(T.evaluate(w_push))
+        assert F.is_zero(T.polar(u_push, w_push)) and F.is_zero(T.polar(lamv, w_push))
+        mu = ext.in_base(phi.polar(u, w))
+        assert mu is not None and not F.is_zero(mu)
+    assert all(seen[ext.ring.name] for ext in (EXT_Q2, EXT_Q3, EXT_F9, EXT_F4))
+    assert sum(seen.values()) >= 45
+
+
+def test_block_step_does_not_search(monkeypatch):
+    # every Witt decomposition is computed once with the real oracle and then
+    # served from memory; the block step must find W's isotropic vector with
+    # isotropy switched off
+    K = EXT_Q2.ring
+    nq = norm_form(QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1)))
+    real = albertkit.isotropy.witt_decompose
+    held = {}
+
+    def recorded(form, height=None):
+        if form not in held:
+            held[form] = real(form) if height is None else real(form, height=height)
+        return held[form]
+
+    monkeypatch.setattr(albertkit.transfer, "witt_decompose", recorded)
+    T = transfer(EXT_Q2, nq)
+    wd = recorded(T)
+    expected = descend(EXT_Q2, nq)
+    assert wd.witt_index == 4 and [step["round"] for step in expected.steps] == ["dim-2", "dim-2"]
+
+    def no_search(form, height=None):
+        raise AssertionError("isotropy searched over %s" % form.field.name)
+
+    monkeypatch.setattr(albertkit.isotropy, "isotropy", no_search)
+    v, w = isotropic_plane_partner(EXT_Q2, nq, T, wd)
+    assert v == expected.steps[0]["v"] and w == expected.steps[0]["w"]
+    res = descend(EXT_Q2, nq)
+    assert res.psi == expected.psi and res.embedding == expected.embedding
