@@ -206,9 +206,9 @@ def test_block_step_does_not_search(monkeypatch):
     real = albertkit.isotropy.witt_decompose
     held = {}
 
-    def recorded(form, height=None):
+    def recorded(form, **kwargs):
         if form not in held:
-            held[form] = real(form) if height is None else real(form, height=height)
+            held[form] = real(form, **kwargs)
         return held[form]
 
     monkeypatch.setattr(albertkit.transfer, "witt_decompose", recorded)
@@ -217,7 +217,7 @@ def test_block_step_does_not_search(monkeypatch):
     expected = descend(EXT_Q2, nq)
     assert wd.witt_index == 4 and [step["round"] for step in expected.steps] == ["dim-2", "dim-2"]
 
-    def no_search(form, height=None):
+    def no_search(form, **kwargs):
         raise AssertionError("isotropy searched over %s" % form.field.name)
 
     monkeypatch.setattr(albertkit.isotropy, "isotropy", no_search)
