@@ -39,6 +39,7 @@ from .jsonio import (
     parse_element,
     parse_extension_doc,
     parse_form,
+    parse_vector,
     vector_to_json,
 )
 from .quaternion import QuaternionAlgebra, find_disjoint_quadratic_subalgebra, is_split
@@ -131,7 +132,14 @@ def _build_quat(doc):
 def _cmd_quat(args):
     ext, Q = _build_quat(_load_json(args.spec))
     if args.cmd == "nrd":
-        x = Q.element(tuple(parse_element(Q.domain, c) for c in json.loads(args.x)))
+        try:
+            coords = json.loads(args.x or "null")
+        except ValueError as exc:
+            raise MalformedCertificate("--x is not JSON: %s" % exc)
+        if not isinstance(coords, list) or len(coords) != 4:
+            raise MalformedCertificate("nrd needs --x, a JSON list of 4 coordinates")
+        with _as_malformed("--x"):
+            x = Q.element(parse_vector(Q.domain, coords))
         val = x.nrd()
         _emit(args, {"nrd": format_element(Q.domain, val)}, "Nrd = %s" % Q.domain.format_element(val))
         return 0

@@ -307,24 +307,19 @@ _PRIMES = (1009, 1013, 1019, 1021, 1031)
 _QT_POINTS = (2, 3, 5, 7, 11)
 
 
-def _rank_certified(rows, field, target):
-    """Rank of `rows` over `field`, or `target` once a reduction certifies it.
+def _rank_certified(cor, fs, field):
+    """Rank over `field` of the 64 monomial images of the f(xi_i) in M_2(Cor).
 
-    Over an infinite field the entries are pushed through the ring maps of
-    _reductions: mod p over Q, t -> t0 over F(t).  A ring map never raises
-    the rank (a minor that is nonzero after the map is nonzero before it), so
-    a rank of at least `target` after one proves the exact rank is at least
-    `target` (callers pass the number of rows, so it is then exactly
-    `target`).  Exact elimination over `field` is the last resort, and the
-    only step over a finite field.
+    The images built in M_2(Cor_E) by each ring map phi of _reductions (see
+    _reduced_rows) are phi of those over F, and a ring map never raises the
+    rank (a minor that is nonzero after it is nonzero before), so rank 64 at
+    one map proves rank 64.  Exact elimination over F is the last resort.
     """
-    ncols = len(rows[0])
-    if field.order is None:
-        for E, phi in _reductions(field):
-            reduced = [_apply(phi, row) for row in rows]
-            if None not in reduced and linalg.rank(reduced, E, ncols) >= target:
-                return target
-    return linalg.rank(rows, field, ncols)
+    for E, phi in _reductions(field):
+        rows = _reduced_rows(cor, fs, E, phi)
+        if rows is not None and linalg.rank(rows, E, 64) == 64:
+            return 64
+    return linalg.rank(_monomial_rows(cor, fs), field, 64)
 
 
 def _reductions(field):
@@ -496,17 +491,10 @@ def clifford_iso_check(ad, cor):
     monomials land block-diagonally, and verifies the defining relations.
     The map xi -> f(xi) then extends multiplicatively to the 64 monomials,
     and the images have rank 64 in the 64-dimensional F-space M_2(Cor) when
-    the map is bijective.  That rank is certified in Cor reduced at a point:
-    Cor's structure constants, its unit and the f(xi_i) are pushed through a
-    ring map phi of _reductions (mod p over Q and Q(t), a point of F_{2^k}
-    over F_2(t), the identity over a finite F), and the 64 images are built
-    in M_2(Cor_E).  They are phi of the images over F, and a ring map never
-    raises the rank, so rank 64 at one point proves rank 64 over F.  Only
-    when every point fails are the images built over F and their rank taken
-    by _rank_certified, whose reductions of the images can succeed where phi
-    of Cor's data was undefined.  Products of elements of Cor stay in Cor
-    (build_corestriction verified closure), so no image needs its own
-    membership check.
+    the map is bijective.  _rank_certified takes that rank in Cor reduced
+    at a point, with exact elimination over F as the last resort.  Products
+    of elements of Cor stay in Cor (build_corestriction verified closure),
+    so no image needs its own membership check.
     """
     F = ad.ext.base
     n = 6
@@ -525,11 +513,7 @@ def clifford_iso_check(ad, cor):
             anti = _m2_add(m2_mul(cor, fs[i], fs[j]), m2_mul(cor, fs[j], fs[i]))
             if not m2_equals_scalar(cor, anti, B[i][j]):
                 raise RelationViolation("anticommutation relation fails")
-    for E, phi in _reductions(F):
-        rows = _reduced_rows(cor, fs, E, phi)
-        if rows is not None and linalg.rank(rows, E, 64) == 64:
-            return {"rank": 64, "monomials": 64}
-    rank = _rank_certified(_monomial_rows(cor, fs), F, 64)
+    rank = _rank_certified(cor, fs, F)
     if rank != 64:
         raise RankDeficient("Clifford image has rank %d" % rank)
     return {"rank": rank, "monomials": 64}

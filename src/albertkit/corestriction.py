@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from . import linalg, search
 from .errors import (
     AlgebraError,
-    BudgetExhausted,
     IdentityFails,
     InternalContradiction,
     InvalidWitness,
@@ -669,28 +668,28 @@ def isotropic_to_generator(ad, witness_coords):
     """Isotropic Albert vector -> quadratic etale subalgebra generator.
 
     The vector presents y up to the kappa line, and kappa*(y + shift) is
-    the generator once validate_disjoint_witness accepts it.  Candidates
-    come from the witness u: its hyperbolic partner zeta (b(u, zeta) = 1
-    and q(zeta) = 0), and the basis comp of the orthogonal complement of
-    (u, zeta), built only when u and zeta fail, which
-    x -> line_point(q, zeta, x + u) = x + u - q(x)*zeta maps onto the
-    quadric.  In order: u, zeta, the image of each comp[i] with i
-    descending, then of each pairwise sum comp[i] + comp[j].
+    the generator once validate_disjoint_witness accepts it.  The
+    candidates of _hyperbolic_candidates provably hold one, so using them
+    up is an InternalContradiction.
 
-    In characteristic not 2 the shift is kappa, so Trd(kappa*y) is
-    2*kappa^2 != 0 (vs_space builds y_basis from trace-zero pure
-    quaternions); a shift by c*kappa, c != 0, changes neither the
-    discriminant nor K-independence, so kappa accepts when any does.  In
-    characteristic 2 no shift changes the trace, so none is made, and the
-    list is complete: Trd is linear on V^s, which u, zeta and comp span,
-    and the comp[i] image has trace Trd(comp[i]) + Trd(u) - q(comp[i])
-    Trd(zeta), so u, zeta or some comp[i] image has Trd != 0 unless Trd
-    vanishes on V^s; Trd != 0 already makes kappa*y etale and outside
-    K.1.  A failure there is an InternalContradiction.  In characteristic
-    not 2 a candidate fails when kappa*y is not etale or not K-independent,
-    and no proof excludes that for all twelve; a used-up list raises
-    BudgetExhausted whose `searched` counts the candidates, so the verdict
-    is an honest unknown.
+    Characteristic 2: no shift changes the trace, so none is made, and
+    Trd != 0 already makes kappa*y etale and outside K.1.  Trd is linear
+    on V^s, which u, zeta and comp span, and the image of comp[i] has trace
+    Trd(comp[i]) + Trd(u) - q(comp[i]) Trd(zeta), so u, zeta or a comp[i]
+    image has Trd != 0 unless Trd vanishes on V^s.
+
+    Other characteristics: the y are pure and the shift is kappa, so
+    kappa*(y + kappa) has discriminant -4*kappa^2*Nrd(y) and qualifies
+    exactly when Nrd(y) != 0 (for split K, Nrd(y) lies in F on the
+    quadric, so both components are then nonzero).  P(x) = Nrd(y(x + u -
+    q(x)*zeta)) has degree <= 4 in x, and it is not the zero polynomial:
+    the good points form a nonempty open set of the irreducible quadric
+    q = 0 in P^5 (over the algebraic closure K splits; take y = (y1, y1)
+    with Nrd(y1) != 0), and x -> x + u - q(x)*zeta maps F^4 onto its
+    chart b(zeta, .) = 1.  So P is nonzero somewhere on S^4 when |S| = 5
+    (Alon, "Combinatorial Nullstellensatz", CPC 8 (1999), Lemma 2.1).
+    Over a finite F, which may have fewer values, the theorem gives an
+    etale generator, and generator_to_isotropic turns it into a good zero.
     """
     ext, Q = ad.ext, ad.Q
     F = ext.base
@@ -698,8 +697,7 @@ def isotropic_to_generator(ad, witness_coords):
     kappa = K.coerce(ad.kappa)
     char2 = F.char == 2
     shift = Q.element((K.zero() if char2 else kappa, K.zero(), K.zero(), K.zero()))
-    candidates = _hyperbolic_candidates(ad.form, tuple(F.coerce(c) for c in witness_coords))
-    for searched, coords in enumerate(candidates, 1):
+    for coords in _hyperbolic_candidates(ad.form, tuple(F.coerce(c) for c in witness_coords)):
         y = ad.y_from_coords(coords) + shift
         if char2 and K.is_zero(y.trd()):
             continue  # hopeless: etale needs Trd != 0 in characteristic 2
@@ -711,22 +709,38 @@ def isotropic_to_generator(ad, witness_coords):
         except InvalidWitness:
             continue
         return GeneratorWitness(kappa_y, y, coords, data["trd"], data["nrd"])
-    if char2:
-        raise InternalContradiction("Trd vanishes on V^s")
-    raise BudgetExhausted("no suitable isotropic representative found", searched=searched)
+    raise InternalContradiction("no candidate is a generator")
 
 
 def _hyperbolic_candidates(form, u):
-    """u, zeta, then the quadric images of comp[i] and of comp[i] + comp[j]."""
+    """u, zeta, the quadric images x + u - q(x)*zeta of a grid, then the zeros.
+
+    zeta is u's hyperbolic partner (b(u, zeta) = 1, q(zeta) = 0) and x =
+    sum c_i comp[i] on the complement of (u, zeta), for the nonzero c in
+    S^4, S the first five values of scalar_candidates (0, 1, -1, 2, -2
+    over Q): the unit vectors, their pairwise sums, then the rest in
+    product order.  Over a finite field every zero of the form follows.
+    """
     yield u
     zeta = hyperbolic_partner(form, u)
     if zeta is None:
         raise InternalContradiction("witness lies in the radical of the Albert form")
     yield zeta
+    F = form.field
     comp = form.orthogonal_complement([u, zeta])[::-1]
-    pairs = [tuple(a + b for a, b in zip(x, z)) for x, z in itertools.combinations(comp, 2)]
-    for x in comp + pairs:
-        yield line_point(form, zeta, tuple(a + b for a, b in zip(x, u)))
+
+    def image(c):
+        x = linalg.combine(c, comp, F, 6)
+        return line_point(form, zeta, tuple(a + b for a, b in zip(x, u)))
+
+    first = linalg.units(F, 4)
+    first += [tuple(a + b for a, b in zip(x, z)) for x, z in itertools.combinations(first, 2)]
+    yield from map(image, first)
+    values = list(itertools.islice(search.scalar_candidates(F, 2), 5))
+    grid = itertools.product(values, repeat=4)
+    yield from (image(c) for c in grid if c not in first and not linalg.is_zero_vec(c, F))
+    if F.enumerable:
+        yield from (v for _, v in search.zeros(form, (1,)))
 
 
 def generator_to_isotropic(ad, x):

@@ -285,19 +285,15 @@ def check_equivalence(inst, path="albert"):
     falsified = False
     if div.not_division is True:
         cond_iii = CondVerdict("yes", div.witness_coords, div.method)
-        try:
-            gen = isotropic_to_generator(ad, div.witness_coords)
-            cond_ii = CondVerdict("yes", gen.kappa_y, "albert-isotropic-to-generator")
-            cond_i = CondVerdict("yes", gen.kappa_y, "from-(ii)")
-            derivations.append("(iii)->(ii): kappa-shifted isotropic representative")
-            back = generator_to_isotropic(ad, gen.kappa_y)
-            if F.is_zero(ad.form.evaluate(back)):
-                derivations.append("(ii)->(iii): round trip verified")
-            else:
-                falsified = True
-        except BudgetExhausted as exc:
-            cond_ii = CondVerdict("unknown", None, "generator-search-budget", exc.searched)
-            cond_i = CondVerdict("unknown", None, "generator-search-budget", exc.searched)
+        gen = isotropic_to_generator(ad, div.witness_coords)
+        cond_ii = CondVerdict("yes", gen.kappa_y, "albert-isotropic-to-generator")
+        cond_i = CondVerdict("yes", gen.kappa_y, "from-(ii)")
+        derivations.append("(iii)->(ii): kappa-shifted isotropic representative")
+        back = generator_to_isotropic(ad, gen.kappa_y)
+        if F.is_zero(ad.form.evaluate(back)):
+            derivations.append("(ii)->(iii): round trip verified")
+        else:
+            falsified = True
     elif div.not_division is False:
         cond_iii = CondVerdict("no", None, div.method)
         try:
@@ -381,7 +377,7 @@ def _transfer_cross_check(ad, cond_iii, derivations, height):
             derivations.append(
                 "transfer path: conj(u) w from an isotropic plane of s_* n_Q converts to an isotropic Albert vector"
             )
-    except (BudgetExhausted, OracleIncomplete) as exc:
+    except OracleIncomplete as exc:
         derivations.append("transfer path skipped: %s" % exc)
 
 

@@ -579,17 +579,13 @@ def isotropy(form, height=search.DEFAULT_HEIGHT):
         except NotApplicable:
             pass
         if f.char == 2 and f.base.enumerable:
-            if form.n == 2:
-                verdict = _char2_artin_schreier_search(form)
-                if verdict is not None:
-                    return verdict
-            # cheap low-degree scans, then the Artin-Schreier sweep
-            for h, vec in search.zeros(form, search.scan_heights(f, form.n)):
-                return isotropic_verdict(form, vec, "search", h)
+            # cheap low-degree scans, then the Artin-Schreier sweep, which
+            # alone decides a binary form
+            if form.n != 2:
+                for h, vec in search.zeros(form, search.scan_heights(f, form.n)):
+                    return isotropic_verdict(form, vec, "search", h)
             verdict = _char2_artin_schreier_search(form)
-            if verdict is not None:
-                return verdict
-            return unknown_verdict(2)
+            return unknown_verdict(2) if verdict is None else verdict
         if form.n >= 5 and _is_c2_function_field(f):
             # isotropy is guaranteed (C2 field); keep the fallback scan short
             for h, vec in search.zeros(form, (1, 2)):

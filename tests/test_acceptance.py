@@ -275,11 +275,15 @@ def test_criterion_5_clifford_rank_is_certified_at_a_point(corestriction_instanc
             fields.append(field)
         return exact(rows, field, ncols)
 
-    def no_fallback(rows, field, target):
-        raise AssertionError("the exact fallback ran")
+    monomial_rows = clifford_module._monomial_rows
+
+    def reduced_only(alg, fs):
+        if alg.ring.order is None:
+            raise AssertionError("the exact fallback built the images over F")
+        return monomial_rows(alg, fs)
 
     monkeypatch.setattr(linalg_module, "rank", counting_rank)
-    monkeypatch.setattr(clifford_module, "_rank_certified", no_fallback)
+    monkeypatch.setattr(clifford_module, "_monomial_rows", reduced_only)
     for inst, F, ext, Q, cor in corestriction_instances:
         del fields[:]
         assert clifford_iso_check(albert_form(ext, Q), cor) == {"rank": 64, "monomials": 64}

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import itertools
+import math
 
 import pytest
 from conftest import seeded
@@ -11,6 +12,7 @@ from albertkit import (
     QQ,
     EtaleQuadratic,
     FiniteField,
+    Instance,
     QuaternionAlgebra,
     RationalFunctionField,
     TensorSquareAlgebra,
@@ -25,14 +27,15 @@ from albertkit import (
     split_projection_iso,
     tensor_product_algebra,
     validate_disjoint_witness,
+    verify_certificate,
 )
 from albertkit import corestriction
 from albertkit.corestriction import m2_mul, natural_map_bijective
-from albertkit.errors import BudgetExhausted, IdentityFails, InternalContradiction, InvalidWitness
-from albertkit.forms import QuadraticForm, isometric_embedding
+from albertkit.errors import IdentityFails, InternalContradiction, InvalidWitness
+from albertkit.forms import QuadraticForm, hyperbolic_partner, isometric_embedding, line_point
 from albertkit.harness import FAMILIES
 from albertkit.isotropy import _clear_denominators, isotropy
-from albertkit.linalg import independent_subset, kernel_basis, solve, units
+from albertkit.linalg import combine, independent_subset, kernel_basis, solve, units
 
 EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
 K2 = EXT_Q2.ring
@@ -356,26 +359,78 @@ def test_char2_generator_is_built_not_searched(family, seed, monkeypatch):
     assert not K.is_zero(gen.kappa_y.trd())
 
 
-def test_used_up_candidate_list(monkeypatch):
-    # no proof covers characteristic not 2, so a list that holds no generator
-    # ends in an honest unknown after its twelve candidates; in
-    # characteristic 2 the list is complete, so the same failure is a bug
-    def reject(*args, **kwargs):
-        raise InvalidWitness("rejected")
+def _refuse_first(monkeypatch, n):
+    """Make the generator path's validation refuse its first n candidates; returns the calls."""
+    calls = []
+    validate = corestriction.validate_disjoint_witness
 
-    monkeypatch.setattr(corestriction, "validate_disjoint_witness", reject)
-    inst = generate_instance("split-K-over-Q", 0)
-    ad = _albert_of("split-K-over-Q", 0)
-    with pytest.raises(BudgetExhausted) as exc:
-        isotropic_to_generator(ad, cor_is_division(ad).witness_coords)
-    assert exc.value.searched == 12
-    report = check_equivalence(inst).to_json()
-    assert report["cond_iii_not_division"]["status"] == "yes"
-    assert report["cond_ii"]["status"] == report["cond_i"]["status"] == "unknown"
-    assert report["cond_ii"]["searched"] == 12
-    ad = _albert_of("char2-finite", 0)
-    with pytest.raises(InternalContradiction):
-        isotropic_to_generator(ad, cor_is_division(ad).witness_coords)
+    def refuse(*args, **kwargs):
+        calls.append(args[2])
+        if len(calls) <= n:
+            raise InvalidWitness("refused")
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(corestriction, "validate_disjoint_witness", refuse)
+    return calls
+
+
+def test_used_up_candidate_list(monkeypatch):
+    # the stream provably holds a generator in every characteristic, so
+    # using it up is a bug, not an unknown
+    _refuse_first(monkeypatch, float("inf"))
+    for family in ("split-K-over-Q", "char2-finite"):
+        ad = _albert_of(family, 0)
+        with pytest.raises(InternalContradiction):
+            isotropic_to_generator(ad, cor_is_division(ad).witness_coords)
+
+
+@pytest.mark.parametrize("family", ["split-K-over-Q", "quad-K-over-Q"])
+def test_generator_found_past_the_first_twelve_candidates(family, monkeypatch):
+    # u, zeta and the ten unit and pairwise-sum images are refused; the rest
+    # of the grid still holds a generator
+    calls = _refuse_first(monkeypatch, 12)
+    report = check_equivalence(generate_instance(family, 0))
+    assert len(calls) > 13
+    assert report.cond_ii.status == "yes" and report.cond_ii.method == "albert-isotropic-to-generator"
+    assert report.consistent
+    assert verify_certificate(report.to_json())
+
+
+@pytest.mark.parametrize(
+    "family, seed", [("split-K-over-Q", 0), ("split-K-over-Q", 5), ("quad-K-over-Q", 0), ("split-K-over-Qt", 0)]
+)
+def test_failure_polynomial_has_degree_at_most_four(family, seed):
+    # P(s*x) = Nrd(y(s x + u - q(s x) zeta)) has degree <= 4 in s, so its
+    # fifth difference over s = 0..5 vanishes
+    ad = _albert_of(family, seed)
+    F, K = ad.ext.base, ad.Q.domain
+    u = cor_is_division(ad).witness_coords
+    zeta = hyperbolic_partner(ad.form, u)
+    comp = ad.form.orthogonal_complement([u, zeta])
+    rng = seeded(131)
+    for _ in range(3):
+        x = combine([F.from_int(rng.randint(-3, 3)) for _ in comp], comp, F, 6)
+        values = []
+        for s in range(6):
+            point = line_point(ad.form, zeta, tuple(F.from_int(s) * a + b for a, b in zip(x, u)))
+            values.append(ad.y_from_coords(point).nrd())
+        diff = sum((K.from_int((-1) ** k * math.comb(5, k)) * v for k, v in enumerate(values)), K.zero())
+        assert K.is_zero(diff)
+        assert not all(K.is_zero(v) for v in values[1:])
+
+
+def test_grid_of_f3_gives_way_to_the_zeros(monkeypatch):
+    # F_3 has three values, so its grid of 3^4 points is not provably
+    # complete; with u, zeta and the 80 nonzero grid points refused, a zero
+    # of the form from the finite-field tail is the generator
+    _, ext, Q = Instance("custom", 0, "F(3)", "x^2+1", "0", "1+w", "w").build()
+    ad = albert_form(ext, Q)
+    witness = cor_is_division(ad).witness_coords
+    calls = _refuse_first(monkeypatch, 2 + 80)
+    gen = isotropic_to_generator(ad, witness)
+    assert len(calls) > 82
+    assert ext.base.is_zero(ad.form.evaluate(gen.coords))
+    validate_disjoint_witness(Q, ext, gen.kappa_y, etale_required=True)
 
 
 def test_split_corestriction_is_tensor_product():

@@ -30,6 +30,7 @@ from albertkit import (
 )
 from albertkit.cli import build_parser, main
 from albertkit.harness import FAMILIES, report_json_bytes
+from albertkit.isotropy import anisotropic_verdict, unknown_verdict
 from albertkit.jsonio import (
     MAX_DEGREE,
     MAX_DEN_DEGREE,
@@ -136,6 +137,43 @@ def test_transfer_path_decides_over_F_only(family, seed, monkeypatch):
         nq = norm_form(Q)
         u = ext.unrealify_vec(witt_decompose(transfer(ext, nq)).pairs[0][0])
         assert ext.ring.is_zero(nq.evaluate(u))
+
+
+def _albert_verdict(monkeypatch, verdict):
+    """Make cor_is_division read `verdict` for every Albert form."""
+    monkeypatch.setattr(importlib.import_module("albertkit.corestriction"), "isotropy", lambda form, height: verdict)
+
+
+@pytest.mark.parametrize("family", ["quad-K-over-Q", "char2-finite"])
+def test_undecided_albert_form_takes_a_direct_generator(family, monkeypatch):
+    _albert_verdict(monkeypatch, unknown_verdict(DEFAULT_HEIGHT))
+    rep = check_equivalence(generate_instance(family, 0))
+    assert (rep.cond_iii_not_division.status, rep.cond_iii_not_division.method) == ("yes", "from-(ii)-converter")
+    assert (rep.cond_ii.status, rep.cond_ii.method) == ("yes", "direct-search")
+    assert (rep.cond_i.status, rep.cond_i.method) == ("yes", "from-(ii)")
+    assert rep.consistent
+    assert verify_certificate(rep.to_json())
+
+
+def test_undecided_albert_form_without_a_direct_generator(monkeypatch):
+    _albert_verdict(monkeypatch, unknown_verdict(DEFAULT_HEIGHT))
+    rep = check_equivalence(generate_instance("split-K-over-Q", 0))
+    for cond in (rep.cond_i, rep.cond_ii):
+        assert (cond.status, cond.method, cond.searched) == ("unknown", "search-budget", 3001)
+    assert rep.cond_iii_not_division.status == "unknown" and rep.consistent
+
+
+def test_forged_anisotropy_is_caught(monkeypatch):
+    # a (i) witness that converts to an isotropic Albert vector falsifies
+    # the "no", the verifier re-runs the real oracle, and `check` exits 2
+    _albert_verdict(monkeypatch, anisotropic_verdict("forged"))
+    rep = check_equivalence(generate_instance("quad-K-over-Q", 0))
+    assert rep.cond_iii_not_division.status == "no"
+    assert (rep.cond_i.status, rep.cond_i.method) == ("yes", "direct-search")
+    assert (rep.cond_ii.status, rep.cond_ii.method) == ("unknown", "not-attempted")
+    assert rep.consistent is False
+    assert verify_certificate(rep.to_json()) is False
+    assert main(["check", "--family", "quad-K-over-Q", "--seed", "0"]) == 2
 
 
 def test_named_instance_split_hamilton_pair():
@@ -434,6 +472,14 @@ def test_cli_reports_a_malformed_input_file(tmp_path, capsys):
         for argv in (["transfer", "--ext", ext, "--form", path], ["descend", "--ext", ext, "--form", path]):
             assert main(argv) == 1, argv
             assert capsys.readouterr().out.startswith("malformed: "), argv
+    # quat --cmd nrd reads its element from --x
+    quat = write("quat.json", json.dumps({"base": "Q", "ext": "x^2-2", "Q": {"alpha": "0", "beta": "-1", "a": "-1"}}))
+    for x in ([], ["--x", "not json {"], ["--x", '"1"'], ["--x", '["1", "0", "0"]'], ["--x", '["1/0", "0", "0", "0"]']):
+        argv = ["quat", "--spec", quat, "--cmd", "nrd"] + x
+        assert main(argv) == 1, argv
+        assert capsys.readouterr().out.startswith("malformed: "), argv
+    assert main(["quat", "--spec", quat, "--cmd", "nrd", "--x", '["1", "1", "0", "0"]']) == 0
+    assert capsys.readouterr().out == "Nrd = 2\n"
 
 
 def test_package_attributes_are_its_submodules():
