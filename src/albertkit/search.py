@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import AlgebraError
 from .fields import QuadraticFieldExtension, RationalField, RationalFunctionField
@@ -183,8 +183,21 @@ def scan_heights(field, n):
 
 
 def zeros(form, heights):
-    """(h, v) for every projective candidate v of height h with form(v) = 0."""
+    """(h, v) for every projective candidate v of height h with form(v) = 0.
+
+    Over Q the form is scaled once to integer coefficients and each primitive
+    integer vector is evaluated with ints, in the order of projective_points;
+    only a zero becomes a Fraction tuple.
+    """
     f = form.field
+    if isinstance(f, RationalField):
+        scale = lcm(*(c.denominator for row in form.upper for c in row))
+        terms = [(i, j, int(c * scale)) for i, row in enumerate(form.upper) for j, c in enumerate(row) if c]
+        for h in heights:
+            for vec in primitive_int_vectors(form.n, h):
+                if not sum(c * vec[i] * vec[j] for i, j, c in terms):
+                    yield h, tuple(map(Fraction, vec))
+        return
     for h in heights:
         for vec in projective_points(f, form.n, h):
             if f.is_zero(form.evaluate(vec)):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import linalg
 from .errors import AlgebraError, InternalContradiction, SplitK
-from .forms import QuadraticForm, isotropic_spanning_set, solve_polar_equal_one
+from .forms import QuadraticForm, hyperbolic_partner, isotropic_spanning_set, solve_polar_equal_one
 from .isotropy import witt_decompose
 from .search import DEFAULT_HEIGHT
 
@@ -45,85 +45,82 @@ class DescentResult:
 def descend(ext, phi, height=DEFAULT_HEIGHT):
     """Extract psi over F with dim psi = i0(s_* phi) and psi_K inside phi.
 
-    Follows the inductive proof: strip the anisotropic part, split a
-    two-dimensional F-rational subform per round using an isotropic vector
-    of the transfer, and recurse on the orthogonal complement.
+    Follows the inductive proof: each round splits an F-rational block of
+    phi off the first isotropic vector of its transfer's Witt decomposition
+    over F, and recurses on the orthogonal complement.
     """
     if ext.kind != "field":
         raise SplitK("descent needs a quadratic field extension")
-    K = ext.ring
-    F = ext.base
-    if phi.field != K:
+    if phi.field != ext.ring:
         raise AlgebraError("form is not defined over the extension field")
     if not phi.classify().nonsingular:
         raise AlgebraError("descent requires a nonsingular form")
     steps = []
-
-    # anisotropic part of phi over K; each hyperbolic plane over K
-    # transfers to two hyperbolic planes over F
-    wd_K = witt_decompose(phi, height=height)
-    i0 = witt_decompose(transfer(ext, phi), height=height).witt_index
-    an_i0 = i0 - 2 * len(wd_K.pairs)
-
-    psi, emb_an_local = _descend_anisotropic(ext, wd_K.kernel, height, steps, an_i0)
-    # map the embedding back into phi's ambient coordinates
-    embedding = [linalg.combine(v, wd_K.kernel_basis, K, phi.n) for v in emb_an_local]
-    for (u, v) in wd_K.pairs:
-        psi = psi.orthogonal_sum(QuadraticForm.hyperbolic_plane(F))
-        embedding += [u, v]
-        steps.append({"round": "hyperbolic-plane", "u": u, "v": v})
-
+    i0, psi, embedding = _descend(ext, phi, height, steps, None)
     result = DescentResult(psi=psi, embedding=tuple(embedding), i0=i0, steps=steps)
     _verify_descent(ext, phi, result)
     return result
 
 
-def _descend_anisotropic(ext, phi, height, steps, expected_i0):
-    """Descent for an anisotropic nonsingular form; returns (psi, embedding).
+def _descend(ext, phi, height, steps, expected_i0):
+    """(i0, psi, embedding) for a nonsingular phi, logging each round in steps.
 
-    Each round decomposes the transfer of its form once and checks its Witt
-    index against expected_i0, the index the previous round left.  The
-    embedding vectors live in phi's own coordinate space.
+    Each round decomposes the transfer T of its form once and checks T's
+    Witt index i0 against expected_i0, the index the previous round left
+    (None in the first).  u, the first isotropic vector of T, has phi(u) in
+    F.  phi(u) = 0 splits off a hyperbolic plane over K, which transfers to
+    H _|_ H; otherwise u gives the block <phi(u)> when i0 = 1, and the block
+    of u and its isotropic_plane_partner w when i0 >= 2.  In characteristic
+    not 2 that block may be singular; phi vanishes at its radical vector,
+    an F-combination of the K-independent u and w, which then splits off a
+    hyperbolic plane.  The embedding vectors live in phi's own coordinates.
     """
     K = ext.ring
     F = ext.base
-    n = phi.n
     T = transfer(ext, phi)
     wd = witt_decompose(T, height=height)
     i0 = wd.witt_index
-    if i0 != expected_i0:
+    if expected_i0 is not None and i0 != expected_i0:
         raise InternalContradiction("Witt index did not drop by two per split plane")
     if i0 == 0:
-        return QuadraticForm.zero_form(F, 0), []
+        return i0, QuadraticForm.zero_form(F, 0), []
     u = ext.unrealify_vec(wd.pairs[0][0])
-    cu = phi.evaluate(u)
-    cu_F = ext.in_base(cu)
+    cu_F = ext.in_base(phi.evaluate(u))
     if cu_F is None:
         raise InternalContradiction("phi(u) must lie in F for an isotropic transfer vector")
     if F.is_zero(cu_F):
-        raise InternalContradiction("anisotropic form vanished on a nonzero vector")
-    if i0 == 1:
+        block = None
+    elif i0 == 1:
         steps.append({"round": "dim-1", "u": u})
-        return QuadraticForm.diagonal(F, [cu_F]), [u]
+        return i0, QuadraticForm.diagonal(F, [cu_F]), [u]
+    else:
+        v, w_K = isotropic_plane_partner(ext, phi, T, wd)
+        mu_F = ext.in_base(phi.polar(u, w_K))
+        cw_F = ext.in_base(phi.evaluate(w_K))
+        if mu_F is None or cw_F is None or F.is_zero(mu_F):
+            raise InternalContradiction("descent invariants failed for the chosen w")
+        if linalg.rank([u, w_K], K, phi.n) != 2:
+            raise InternalContradiction("u and w are K-dependent")
+        block = QuadraticForm(F, [[cu_F, mu_F], [F.zero(), cw_F]])
+        rad = block.classify().rad_basis
+        if rad:
+            a, b = (K.from_base(c) for c in rad[0])
+            u, block = tuple(a * x + b * y for x, y in zip(u, w_K)), None
+        else:
+            steps.append({"round": "dim-2", "u": u, "v": v, "lambda": ext.w, "w": w_K})
+            pair = [u, w_K]
+    if block is None:
+        zeta = hyperbolic_partner(phi, u)
+        if zeta is None:
+            raise InternalContradiction("isotropic vector in the polar radical of a nonsingular form")
+        steps.append({"round": "hyperbolic-plane", "u": u, "v": zeta})
+        block, pair = QuadraticForm.hyperbolic_plane(F), [u, zeta]
 
-    v, w_K = isotropic_plane_partner(ext, phi, T, wd)
-    mu = phi.polar(u, w_K)
-    mu_F = ext.in_base(mu)
-    cw_F = ext.in_base(phi.evaluate(w_K))
-    if mu_F is None or cw_F is None or F.is_zero(mu_F):
-        raise InternalContradiction("descent invariants failed for the chosen w")
-    if linalg.rank([u, w_K], K, n) != 2:
-        raise InternalContradiction("u and w are K-dependent")
-    psi1 = QuadraticForm(F, [[cu_F, mu_F], [F.zero(), cw_F]])
-    if not psi1.classify().nonsingular:
-        raise InternalContradiction("two-dimensional block is singular")
-    steps.append({"round": "dim-2", "u": u, "v": v, "lambda": ext.w, "w": w_K})
-
-    # orthogonal complement of span_K(u, w) inside phi
-    comp = phi.orthogonal_complement([u, w_K])
-    psi_rest, emb_rest = _descend_anisotropic(ext, phi.restrict(comp), height, steps, i0 - 2)
-    embedding = [u, w_K] + [linalg.combine(vec, comp, K, n) for vec in emb_rest]
-    return psi1.orthogonal_sum(psi_rest), embedding
+    # orthogonal complement of the round's plane inside phi
+    comp = phi.orthogonal_complement(pair)
+    _, psi_rest, emb_rest = _descend(ext, phi.restrict(comp), height, steps, i0 - 2)
+    embedding = pair + [linalg.combine(vec, comp, K, phi.n) for vec in emb_rest]
+    return i0, block.orthogonal_sum(psi_rest), embedding
 
 
 def isotropic_plane_partner(ext, phi, T, wd):

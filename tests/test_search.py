@@ -1,6 +1,8 @@
 """Search budgets: `searched` counts every candidate drawn."""
 
 import ast
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,7 @@ from albertkit import QQ, BudgetExhausted, FiniteField, QuadraticForm, RationalF
 from albertkit.forms import isometric_embedding
 from albertkit.harness import generate_instance
 from albertkit.quaternion import _candidate_elements, find_disjoint_quadratic_subalgebra
-from albertkit.search import Budget, projective_points
+from albertkit.search import Budget, projective_points, zeros
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "albertkit"
 
@@ -57,6 +59,35 @@ def test_function_field_points_do_not_repeat():
         field = RationalFunctionField(base, "t")
         vecs = [tuple(field.format_element(c) for c in v) for v in projective_points(field, n, h)]
         assert len(vecs) == len(set(vecs)) == count
+
+
+def test_integer_scan_over_q_matches_the_fraction_scan():
+    # the reference evaluates every candidate of projective_points with
+    # Fractions; zeros scales the form to integers and must find the same
+    # zeros in the same order
+    def reference(form, heights):
+        return [(h, v) for h in heights for v in projective_points(QQ, form.n, h) if not form.evaluate(v)]
+
+    rng = random.Random(47)
+    forms = [
+        # a zero row: every vector supported on the last coordinate is a zero
+        QuadraticForm(QQ, [[1, Fraction(1, 2), 0], [0, Fraction(-3, 4), 0], [0, 0, 0]]),
+        QuadraticForm.diagonal(QQ, [1, 1, -2, Fraction(-1, 3)]),
+    ]
+    for n in (2, 3, 3, 4, 4):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.6:
+                    rows[i][j] = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+        # plant a zero x of height <= 3 with x_0 = 1 by moving the first entry
+        x = [1] + [rng.randint(-3, 3) for _ in range(n - 1)]
+        rows[0][0] -= QuadraticForm(QQ, rows).evaluate(x)
+        forms.append(QuadraticForm(QQ, rows))
+    for form in forms:
+        found = list(zeros(form, (1, 2, 3)))
+        assert found and found == reference(form, (1, 2, 3))
+        assert all(type(c) is Fraction for _, v in found for c in v)
 
 
 def test_every_search_limit_is_read():

@@ -1,5 +1,6 @@
 """Transfer and constructive descent along quadratic extensions."""
 
+import json
 from collections import Counter
 
 import pytest
@@ -21,7 +22,9 @@ from albertkit import (
     remark1_check,
     witt_decompose,
 )
+from albertkit.cli import main
 from albertkit.errors import AlgebraError
+from albertkit.fields import QuadraticFieldExtension
 from albertkit.isotropy import isotropy
 from albertkit.linalg import combine, rank
 from albertkit.transfer import isotropic_plane_partner, transfer
@@ -32,6 +35,7 @@ EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
 EXT_Q3 = EtaleQuadratic(QQ, (0, 3))
 EXT_F4 = EtaleQuadratic(F2, (1, 1))
 EXT_F9 = EtaleQuadratic(F3, (0, -1))
+EXT_QI = EtaleQuadratic(QQ, (0, -1))
 
 
 def test_transfer_examples():
@@ -142,7 +146,7 @@ def _block_step_cases():
         K = ext.ring
         for _ in range(12):
             if ext.base.order is None:
-                # totally positive entries keep the Witt machinery over K certified
+                # totally positive entries, as in the descent acceptance suite
                 entries = []
                 while len(entries) < rng.choice([1, 2, 3]):
                     a, b = rng.randint(1, 4), rng.randint(-1, 1)
@@ -225,3 +229,67 @@ def test_block_step_does_not_search(monkeypatch):
     assert v == expected.steps[0]["v"] and w == expected.steps[0]["w"]
     res = descend(EXT_Q2, nq)
     assert res.psi == expected.psi and res.embedding == expected.embedding
+
+
+@pytest.fixture
+def over_F_only(monkeypatch):
+    """Fail any isotropy call on a form over a quadratic extension."""
+    real = albertkit.isotropy.isotropy
+
+    def spy(form, **kwargs):
+        if isinstance(form.field, QuadraticFieldExtension):
+            raise AssertionError("isotropy called over %s" % form.field.name)
+        return real(form, **kwargs)
+
+    monkeypatch.setattr(albertkit.isotropy, "isotropy", spy)
+
+
+def test_anisotropic_indefinite_forms_descend_over_F(over_F_only):
+    # neither form is definite, so deciding them over K meant a search that
+    # the default height does not finish; i0 of the transfer is read over F
+    for ext, diag in ((EXT_Q2, [1, 1, -7]), (EXT_QI, [1, -3, 5])):
+        res = descend(ext, QuadraticForm.diagonal(ext.ring, diag))
+        assert res.i0 == res.psi.n == 3
+        assert [step["round"] for step in res.steps] == ["dim-2", "dim-1"]
+
+
+def _pinned_rounds():
+    K = EXT_Q2.ring
+    w = EXT_F9.ring.gen()
+    hyp = QuadraticForm.hyperbolic_plane(K)
+    f9 = [[2 * w, 0, 0, 0], [0, w, 1 + 2 * w, 0], [0, 0, 1 + 2 * w, 0], [0, 0, 0, 2 * w]]
+    # (ext, phi, rounds, block steps): the block step of <1> _|_ H gives a
+    # singular block, whose radical vector splits off the hyperbolic plane;
+    # the F_9 form vanishes at the transfer's first isotropic vector twice
+    return [
+        (EXT_Q2, QuadraticForm.diagonal(K, [1]).orthogonal_sum(hyp), ["hyperbolic-plane", "dim-1"], 1),
+        (EXT_Q2, QuadraticForm.diagonal(K, [3, 1]).orthogonal_sum(hyp), ["dim-2", "hyperbolic-plane"], 1),
+        (EXT_F9, QuadraticForm(EXT_F9.ring, f9), ["hyperbolic-plane", "hyperbolic-plane"], 0),
+    ]
+
+
+@pytest.mark.parametrize("ext, phi, rounds, block_steps", _pinned_rounds())
+def test_descent_rounds(ext, phi, rounds, block_steps, over_F_only, monkeypatch):
+    real = albertkit.transfer.isotropic_plane_partner
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(albertkit.transfer, "isotropic_plane_partner", counted)
+    res = descend(ext, phi)
+    assert [step["round"] for step in res.steps] == rounds
+    assert len(calls) == block_steps
+    assert res.i0 == res.psi.n == witt_decompose(transfer(ext, phi)).witt_index
+    first_u = ext.unrealify_vec(witt_decompose(transfer(ext, phi)).pairs[0][0])
+    assert ext.ring.is_zero(phi.evaluate(first_u)) == (block_steps == 0)
+
+
+def test_cli_descends_an_anisotropic_indefinite_form(tmp_path, capsys, over_F_only):
+    ext = tmp_path / "ext.json"
+    ext.write_text(json.dumps({"base": "Q", "ext": "x^2-2"}))
+    form = tmp_path / "form.json"
+    form.write_text(json.dumps({"diag": [1, 1, -7]}))
+    assert main(["descend", "--ext", str(ext), "--form", str(form), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["i0"] == 3
