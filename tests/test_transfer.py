@@ -245,8 +245,9 @@ def over_F_only(monkeypatch):
 
 
 def test_anisotropic_indefinite_forms_descend_over_F(over_F_only):
-    # neither form is definite, so deciding them over K meant a search that
-    # the default height does not finish; i0 of the transfer is read over F
+    # neither form is definite, so isotropy over K has no complete method for
+    # them and its search does not end at the default height; the descent
+    # decides isotropy over F only
     for ext, diag in ((EXT_Q2, [1, 1, -7]), (EXT_QI, [1, -3, 5])):
         res = descend(ext, QuadraticForm.diagonal(ext.ring, diag))
         assert res.i0 == res.psi.n == 3
