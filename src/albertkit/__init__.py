@@ -68,7 +68,6 @@ from .corestriction import (
     isotropic_to_generator,
     split_projection_iso,
     tensor_product_algebra,
-    v_space_basis,
     vs_space,
 )
 from .clifford import (

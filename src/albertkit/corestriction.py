@@ -3,17 +3,23 @@
 The conjugate algebra is tensored with the original over K; the switch
 map s(gamma(x) (x) y) = gamma(y) (x) x exchanges the factors, and the
 corestriction is its fixed F-algebra, on the basis e_rr and c e_rs +
-gamma(c) e_sr (c = 1, w; r > s).  V^s = { gamma(y) (x) 1 + 1 (x) y :
-T(Trd y) = 0 }, on six written-down y, carries the form kappa * (gamma(Nrd
-y) - Nrd y), and xi -> [[0, kappa (sigma(x)1)(xi)], [xi, 0]] squares to it:
-a checkable zero-divisor certificate whenever the form is isotropic.
+gamma(c) e_sr (c = 1, w; r > s).  V^s is spanned by the xi = gamma(y) (x)
+1 + 1 (x) y of six written-down y with T(Trd y) = 0.  The Albert form on
+it is c * s(Nrd y), c = kappa (gamma(w) - w), since kappa (gamma(n) - n) =
+c s(n) for n = a + b w: c times the transfer of the norm form.  A test
+over the acceptance batch checks the trace condition, the switch
+invariance and the rank of the xi; albert_form builds no tensor.  The
+map xi -> [[0, kappa (sigma(x)1)(xi)], [xi, 0]] squares to the form: a
+checkable zero-divisor certificate whenever the form is isotropic.  Only
+that certificate (nilpotent_image) and the audits (cor_f_basis) build xi,
+from y, since xi is F-linear in y.
 
 All three algebras have TensorElem elements.  The tensor square (over K)
 and Q1 (x) Q2 (over F) are TensorProductAlgebra: they multiply through
 the 4x4 basis products of their quaternion factors and build no 16x16
 table.  The corestriction is a StructureAlgebra over F, whose structure
 constants are data for the Clifford rank and for `cor build --structure`.
-The tensor square builds Cor, V^s and f and carries the nilpotent
+The tensor square builds Cor and f and carries the nilpotent
 certificate; the audits of f and of the Clifford map compute in M_2(Cor)
 over F.
 """
@@ -30,7 +36,6 @@ from .errors import (
     IdentityFails,
     InternalContradiction,
     InvalidWitness,
-    ValueNotInF,
 )
 from .forms import QuadraticForm, hyperbolic_partner, line_point
 from .isotropy import _clear_denominators, isotropy
@@ -259,41 +264,6 @@ class TensorSquareAlgebra(TensorProductAlgebra):
         return self.gx_tensor(y, one) + self.gx_tensor(one, y)
 
 
-def v_space_basis(ext, Q):
-    """Read-only K-basis of V = {gamma(x1) (x) 1 - 1 (x) x2 : traces match}.
-
-    The trace-compatibility condition gamma(Trd x1) = Trd x2 cuts a
-    K-subspace of pairs; its image in the tensor square has K-dimension 6.
-    Exposed for inspection only (the s-invariant part V^s is what the
-    Albert construction consumes).
-    """
-    if ext.kind != "field":
-        raise AlgebraError("V is only presented over a field extension")
-    tensor = TensorSquareAlgebra(ext, Q)
-    K = Q.domain
-    # pairs (x1, x2) in Q x Q: 8 K-coordinates; one K-linear condition
-    cond = []
-    for r in range(8):
-        coords = [K.zero()] * 8
-        coords[r] = K.one()
-        x1 = Q.element(tuple(coords[:4]))
-        x2 = Q.element(tuple(coords[4:]))
-        cond.append(ext.gamma(x1.trd()) - x2.trd())
-    kernel = linalg.kernel_basis([tuple(cond)], K, 8)
-    one = Q.one()
-    images = [tensor.gx_tensor(Q.element(vec[:4]), one) - tensor.gx_tensor(one, Q.element(vec[4:])) for vec in kernel]
-    chosen = linalg.independent_indices([img.coords for img in images], K, 16)
-    basis = [images[i] for i in chosen]
-    rows_acc = [list(img.coords) for img in basis]
-    if len(basis) != 6:
-        raise InternalContradiction("V has K-dimension %d" % len(basis))
-    for img in basis:
-        sw = tensor.switch(img)
-        if linalg.rank(rows_acc + [list(sw.coords)], K, 16) != len(rows_acc):
-            raise InternalContradiction("V is not preserved by the switch map")
-    return basis
-
-
 # (4r + s, 4s + r) for r >= s, in the order of Cor's fixed basis
 _FIXED = tuple((4 * r + s, 4 * s + r) for r in range(4) for s in range(r + 1))
 
@@ -419,18 +389,9 @@ class AlbertData:
     ext: object
     Q: QuaternionAlgebra
     tensor: TensorSquareAlgebra
-    y_basis: tuple  # quaternion elements presenting the xi basis
-    xi_basis: tuple  # tensor elements, a basis of V^s
+    y_basis: tuple  # quaternion elements y_i; xi_i = tensor.xi_of(y_i) is a basis of V^s
     form: QuadraticForm  # the Albert form over F
     kappa: object  # the chosen skew element of K
-
-    def xi_from_coords(self, coords):
-        F = self.ext.base
-        out = self.tensor.zero()
-        for c, xi in zip(coords, self.xi_basis):
-            if not F.is_zero(c):
-                out = out + xi.scalar_mul(self.tensor.from_base(c))
-        return out
 
     def y_from_coords(self, coords):
         F = self.ext.base
@@ -442,13 +403,14 @@ class AlbertData:
 
 
 def vs_space(ext, Q):
-    """Six y with T(Trd(y)) = 0 and their images xi, a basis of V^s.
+    """Six y with T(Trd(y)) = 0 whose images xi = gamma(y) (x) 1 + 1 (x) y are a basis of V^s.
 
-    The tensor map y -> gamma(y) (x) 1 + 1 (x) y collapses the kappa line of
-    the 7-dimensional space of such y.  In characteristic 2, kappa = 1 and
-    Trd(y) = alpha y_1: the y are w, y1* e, z, w z, ez and w ez.
+    The tensor map collapses the kappa line of the 7-dimensional space of
+    such y.  In characteristic 2, kappa = 1 and Trd(y) = alpha y_1: the y
+    are w, y1* e, z, w z, ez and w ez.  The trace condition, the rank of
+    the xi and their switch invariance are checked by a test over the
+    acceptance batch, not here.
     """
-    tensor = TensorSquareAlgebra(ext, Q)
     F = ext.base
     K = Q.domain
     z = Q.element((K.zero(), K.zero(), K.one(), K.zero()))
@@ -458,59 +420,38 @@ def vs_space(ext, Q):
         e0z = e0 * z
         if ext.kind == "field":
             w = ext.w
-            ys = [e0, e0.scale(w), z, z.scale(w), e0z, e0z.scale(w)]
-        else:
-            # componentwise: the Albert form becomes the block-diagonal sum
-            # of the two pure norm forms, diagonal when alpha = 0
-            eps1 = K.pair(F.one(), F.zero())
-            eps2 = K.pair(F.zero(), F.one())
-            ys = [
-                e0.scale(eps1),
-                z.scale(eps1),
-                e0z.scale(eps1),
-                e0.scale(eps2),
-                z.scale(eps2),
-                e0z.scale(eps2),
-            ]
-    else:
-        # y1* solves T(alpha y1*) = 0 with polynomial coordinates; 1 when T(alpha) = 0
-        t_alpha = ext.trace(Q.alpha)
-        y1 = K.one()
-        if not F.is_zero(t_alpha):
-            y1 = ext.from_pair(*_clear_denominators(F, (-ext.trace(Q.alpha * ext.w) / t_alpha, F.one())))
-        ez = Q.element((K.zero(), K.zero(), K.zero(), K.one()))
-        y1e = Q.element((K.zero(), y1, K.zero(), K.zero()))
-        ys = [Q.one().scale(ext.w), y1e, z, z.scale(ext.w), ez, ez.scale(ext.w)]
-    for y in ys:
-        if not F.is_zero(ext.trace(y.trd())):
-            raise InternalContradiction("basis element violates the trace condition")
-    xis = [tensor.xi_of(y) for y in ys]
-    rows = [tensor.realify(xi) for xi in xis]
-    if linalg.rank(rows, F, 32) != 6:
-        raise InternalContradiction("V^s basis is not 6-dimensional")
-    for xi in xis:
-        if not (tensor.switch(xi) - xi).is_zero():
-            raise InternalContradiction("xi is not switch-invariant")
-    return tuple(ys), tuple(xis), tensor
+            return (e0, e0.scale(w), z, z.scale(w), e0z, e0z.scale(w))
+        # componentwise: the Albert form becomes the block-diagonal sum
+        # of the two pure norm forms, diagonal when alpha = 0
+        eps1 = K.pair(F.one(), F.zero())
+        eps2 = K.pair(F.zero(), F.one())
+        return tuple(y.scale(eps) for eps in (eps1, eps2) for y in (e0, z, e0z))
+    # y1* solves T(alpha y1*) = 0 with polynomial coordinates; 1 when T(alpha) = 0
+    t_alpha = ext.trace(Q.alpha)
+    y1 = K.one()
+    if not F.is_zero(t_alpha):
+        y1 = ext.from_pair(*_clear_denominators(F, (-ext.trace(Q.alpha * ext.w) / t_alpha, F.one())))
+    ez = Q.element((K.zero(), K.zero(), K.zero(), K.one()))
+    y1e = Q.element((K.zero(), y1, K.zero(), K.zero()))
+    return (Q.one().scale(ext.w), y1e, z, z.scale(ext.w), ez, ez.scale(ext.w))
 
 
 def albert_form(ext, Q):
-    """The 6-dimensional Albert form on V^s over F, with its basis data."""
-    ys, xis, tensor = vs_space(ext, Q)
-    F = ext.base
+    """The 6-dimensional Albert form c * s(Nrd y) on V^s over F, with its basis data.
+
+    kappa (gamma(n) - n) = s(n) c for n = a + b w, with c = kappa (gamma(w)
+    - w): 1 for split K, alpha in characteristic 2 and -(alpha^2 + 4
+    beta)/2 otherwise.  So the form is c times the transfer s_* of Nrd
+    restricted to the y_i, and no xi is built.
+    """
+    tensor = TensorSquareAlgebra(ext, Q)
+    ys = vs_space(ext, Q)
     kappa = ext.kappa()
-
-    def value(n_value):
-        out = kappa * (ext.gamma(n_value) - n_value)
-        val = ext.in_base(out)
-        if val is None:
-            raise ValueNotInF("Albert form value does not descend to F")
-        return val
-
-    form = QuadraticForm.from_map(F, lambda c: value(Q.element(c).nrd()), [y.coords for y in ys])
+    c = ext.in_base(kappa * (ext.gamma(ext.w) - ext.w))
+    form = QuadraticForm.from_map(ext.base, lambda v: c * ext.s(Q.element(v).nrd()), [y.coords for y in ys])
     if not form.classify().nonsingular:
         raise InternalContradiction("Albert form is singular")
-    return AlbertData(ext, Q, tensor, ys, xis, form, kappa)
+    return AlbertData(ext, Q, tensor, ys, form, kappa)
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +499,7 @@ def nilpotent_image(ad, coords):
     This is the zero-divisor certificate of an isotropic vector; raises
     InvalidWitness when f(xi) is zero or its square is not.
     """
-    M = f_matrix(ad, ad.xi_from_coords(coords))
+    M = f_matrix(ad, ad.tensor.xi_of(ad.y_from_coords(coords)))
     if M[0][1].is_zero() and M[1][0].is_zero():
         raise InvalidWitness("nilpotent certificate is zero")
     sq = m2_mul(ad.tensor, M, M)
@@ -568,7 +509,7 @@ def nilpotent_image(ad, coords):
 
 
 def cor_f_basis(ad, cor):
-    """The six f(xi_i) of the V^s basis as matrices over Cor, or None.
+    """The six f(xi_i), xi_i = xi_of(y_i), as matrices over Cor, or None.
 
     Expressing the entries xi_i and kappa (sigma (x) id)(xi_i) in Cor's fixed
     basis is the check that f maps V^s into M_2(Cor): None when one lies
@@ -577,7 +518,7 @@ def cor_f_basis(ad, cor):
     """
     zero = cor.zero()
     out = []
-    for xi in ad.xi_basis:
+    for xi in map(ad.tensor.xi_of, ad.y_basis):
         eta = f_matrix(ad, xi)[0][1]
         cx, ce = cor.express(xi), cor.express(eta)
         if cx is None or ce is None:
@@ -759,7 +700,7 @@ def generator_to_isotropic(ad, x):
         raise InvalidWitness("kappa*x violates the trace condition")
     # the tensor map kills exactly the kappa line of the trace-condition
     # space, so kappa*x's first six coordinates over (y_basis, kappa)
-    # are its image's coordinates over xi_basis
+    # are its image's coordinates over the xi_i
     cols = [ext.realify_vec(y.coords) for y in ad.y_basis + (Q.one().scale(kappa),)]
     coords = linalg.solve(list(zip(*cols)), ext.realify_vec(kx.coords), F)
     if coords is None:

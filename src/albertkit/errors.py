@@ -40,10 +40,6 @@ class NotIsotropic(AlgebraError):
     """Expected an isotropic form or vector."""
 
 
-class ValueNotInF(AlgebraError):
-    """A value that must descend to the base field failed to do so."""
-
-
 class IdentityFails(AlgebraError):
     """The central identity f(xi)^2 = phi(xi) was falsified."""
 

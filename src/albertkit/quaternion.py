@@ -310,12 +310,10 @@ def validate_disjoint_witness(Q, ext, x, etale_required):
     Raises InvalidWitness with the failed condition.
     """
     F = ext.base
-    trd = x.trd()
-    nrd = x.nrd()
-    p = ext.in_base(trd)
-    q = ext.in_base(nrd)
+    p = ext.in_base(x.trd())
     if p is None:
         raise InvalidWitness("Trd(x) is not in F")
+    q = ext.in_base(x.nrd())
     if q is None:
         raise InvalidWitness("Nrd(x) is not in F")
     if not _k_independent(Q, ext, x):

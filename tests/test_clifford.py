@@ -194,15 +194,14 @@ def test_clifford_iso_check_rejects_broken_relations():
         rows[i][j] = rows[i][j] + QQ.one()
         with pytest.raises(RelationViolation):
             clifford_iso_check(dataclasses.replace(ad, form=QuadraticForm(QQ, rows)), cor)
-    # (1, -1) xi over F x F keeps every relation of the diagonal Albert form,
-    # but the images leave the fixed algebra
+    # a y with T(Trd y) != 0 over F x F puts kappa (sigma (x) id)(xi) outside
+    # the fixed algebra
     ext2 = EtaleQuadratic(QQ, "split")
     D = ext2.ring
     Q2 = QuaternionAlgebra(D, D.zero(), D.from_int(-1), D.from_int(-1))
     ad2 = albert_form(ext2, Q2)
-    twisted = ad2.xi_basis[0].scalar_mul(D.pair(1, -1))
-    bad = dataclasses.replace(ad2, xi_basis=(twisted,) + ad2.xi_basis[1:])
-    with pytest.raises(RelationViolation):
+    bad = dataclasses.replace(ad2, y_basis=(ad2.y_basis[0] + Q2.one(),) + ad2.y_basis[1:])
+    with pytest.raises(RelationViolation, match="leaves the fixed algebra"):
         clifford_iso_check(bad, build_corestriction(ext2, Q2))
 
 
@@ -300,7 +299,7 @@ def test_reduced_images_are_the_images_reduced(family, seed):
 
 
 def test_rank_deficient_generator_reaches_the_exact_fallback(monkeypatch):
-    # xi_1 := xi_0, with the (singular) form of the new list, keeps every
+    # y_1 := y_0, with the (singular) form of the new list, keeps every
     # relation; the images have rank < 64 at every reduction and exactly
     ext = EtaleQuadratic(QQ, (0, 2))
     K = ext.ring
@@ -309,7 +308,7 @@ def test_rank_deficient_generator_reaches_the_exact_fallback(monkeypatch):
     U = [list(row) for row in ad.form.upper]
     U[0][1] = 2 * U[0][0]
     U[1] = [QQ.zero(), U[0][0]] + U[0][2:]
-    bad = dataclasses.replace(ad, xi_basis=(ad.xi_basis[0],) + ad.xi_basis[:1] + ad.xi_basis[2:], form=QuadraticForm(QQ, U))
+    bad = dataclasses.replace(ad, y_basis=(ad.y_basis[0],) + ad.y_basis[:1] + ad.y_basis[2:], form=QuadraticForm(QQ, U))
     calls = _counting_rank(monkeypatch)
     with pytest.raises(RankDeficient):
         clifford_iso_check(bad, cor)

@@ -30,12 +30,13 @@ from albertkit import (
     verify_certificate,
 )
 from albertkit import corestriction
-from albertkit.corestriction import m2_mul, natural_map_bijective
+from albertkit.corestriction import f_matrix, m2_mul, natural_map_bijective
 from albertkit.errors import IdentityFails, InternalContradiction, InvalidWitness
 from albertkit.forms import QuadraticForm, hyperbolic_partner, isometric_embedding, line_point
 from albertkit.harness import FAMILIES
 from albertkit.isotropy import _clear_denominators, isotropy
-from albertkit.linalg import combine, independent_subset, kernel_basis, solve, units
+from albertkit.linalg import combine, independent_subset, kernel_basis, rank, solve, units
+from albertkit.transfer import transfer
 
 EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
 K2 = EXT_Q2.ring
@@ -232,21 +233,34 @@ def test_written_down_bases_match_the_eliminations():
         for elem in [A.one()] + [cor.basis[r] * cor.basis[(5 * r + 3) % 16] for r in range(16)]:
             vec = A.realify(elem)
             assert cor.express(elem) == tuple(vec[c] for c in free)
-    pool = [generate_instance(f, seed).build() for f in ("char2-finite", "char2-function-field") for seed in range(0, 60, 3)]
-    for F, ext, Q in cases + pool:
+    for F, ext, Q in cases + _char2_pool():
         if F.char == 2:
-            ys = corestriction.vs_space(ext, Q)[0]
+            ys = corestriction.vs_space(ext, Q)
             assert [y.coords for y in ys] == [y.coords for y in _reference_char2_ys(ext, Q)]
 
 
-def test_vs_space_dimension(hamilton_albert):
-    ad = hamilton_albert
-    assert len(ad.xi_basis) == 6
-    t = ad.tensor
-    for xi in ad.xi_basis:
-        assert (t.switch(xi) - xi).is_zero()
-    for y in ad.y_basis:
-        assert QQ.is_zero(EXT_Q2.trace(y.trd()))
+def _char2_pool():
+    return [generate_instance(f, seed).build() for f in ("char2-finite", "char2-function-field") for seed in range(0, 60, 3)]
+
+
+# the 200-instance acceptance batch
+BATCH_SIZES = {"split-K-over-Q": 50, "quad-K-over-Q": 50, "split-K-over-Qt": 40, "char2-finite": 40, "char2-function-field": 20}
+
+
+def test_vs_space_dimension():
+    # the guards that vs_space held at run time: T(Trd y) = 0, and the xi
+    # are switch-invariant and F-independent, so they span the 6-dimensional V^s
+    batch = [generate_instance(f, seed).build() for f, n in BATCH_SIZES.items() for seed in range(n)]
+    cases = [(QQ, EXT_Q2, HAMILTON_K)] + batch + _char2_pool()
+    assert len(cases) == 1 + 200 + 40
+    for F, ext, Q in cases:
+        ys = corestriction.vs_space(ext, Q)
+        assert len(ys) == 6
+        assert all(F.is_zero(ext.trace(y.trd())) for y in ys)
+        t = TensorSquareAlgebra(ext, Q)
+        xis = [t.xi_of(y) for y in ys]
+        assert all(t.switch(xi) == xi for xi in xis)
+        assert rank([t.realify(xi) for xi in xis], F, 32) == 6
 
 
 def test_albert_worked_values(hamilton_albert):
@@ -261,6 +275,56 @@ def test_albert_worked_values(hamilton_albert):
     c2 = solve(rows, EXT_Q2.realify_vec(y2.coords), QQ)
     assert c2 is not None and ad.form.evaluate(c2) == QQ.from_int(-8)
     assert ad.form.classify().nonsingular
+
+
+def test_albert_form_is_the_scaled_transfer_of_the_norm_form():
+    # the paper's route: on the field-K batch items with char F != 2 the
+    # Albert form is c s_*<Nrd e0, Nrd z, Nrd e0z>, c = -(alpha^2 + 4 beta)/2,
+    # in the basis e0, w e0, z, w z, e0z, w e0z
+    for seed in range(BATCH_SIZES["quad-K-over-Q"]):
+        F, ext, Q = generate_instance("quad-K-over-Q", seed).build()
+        assert ext.kind == "field" and F.char != 2
+        ad = albert_form(ext, Q)
+        e0, z, e0z = ad.y_basis[::2]
+        norm = QuadraticForm.diagonal(Q.domain, [e0.nrd(), z.nrd(), e0z.nrd()])
+        c = -(ext.alpha * ext.alpha + 4 * ext.beta) / 2
+        assert ad.form == transfer(ext, norm).scale(c)
+
+
+def _s_nrd(ad):
+    """The form s(Nrd y) on the y basis, before the scaling by c."""
+    ext, Q = ad.ext, ad.Q
+    return QuadraticForm.from_map(ext.base, lambda v: ext.s(Q.element(v).nrd()), [y.coords for y in ad.y_basis])
+
+
+def test_albert_form_scale_per_kind(hamilton_albert):
+    # c = kappa (gamma(w) - w): 1 for split K, alpha in characteristic 2, -(alpha^2 + 4 beta)/2 otherwise
+    split = _albert_of("split-K-over-Q", 0)
+    assert split.ext.kind == "split" and split.form == _s_nrd(split)
+    char2 = next(ad for ad in (_albert_of("char2-finite", seed) for seed in itertools.count()) if ad.ext.kind == "field")
+    assert char2.form == _s_nrd(char2).scale(char2.ext.alpha)
+    # Q(sqrt2): alpha = 0 and beta = 2
+    assert hamilton_albert.form == _s_nrd(hamilton_albert).scale(QQ.from_int(-4))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_albert_form_builds_no_tensor(family, monkeypatch):
+    # the Albert layer is formula-only: no xi and no tensor product
+    counts = {"mul": 0, "xi_of": 0}
+    mul, xi_of = corestriction.TensorElem.__mul__, TensorSquareAlgebra.xi_of
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(corestriction.TensorElem, "__mul__", counting("mul", mul))
+    monkeypatch.setattr(TensorSquareAlgebra, "xi_of", counting("xi_of", xi_of))
+    ad = _albert_of(family, 0)
+    assert counts == {"mul": 0, "xi_of": 0}
+    ad.tensor.xi_of(ad.y_basis[0]) * ad.tensor.one()
+    assert counts == {"mul": 1, "xi_of": 1}
 
 
 def test_f_map_identity(hamilton_albert, hamilton_cor):
@@ -307,7 +371,7 @@ def _albert_of(family, seed):
 def _reference_xi_coords(ad, x):
     """kappa*x's tensor image solved for in the realified xi basis (32 x 6)."""
     xi = ad.tensor.xi_of(x.scale(ad.Q.domain.coerce(ad.kappa)))
-    cols = [ad.tensor.realify(b) for b in ad.xi_basis]
+    cols = [ad.tensor.realify(ad.tensor.xi_of(y)) for y in ad.y_basis]
     return solve([tuple(col[r] for col in cols) for r in range(32)], ad.tensor.realify(xi), ad.ext.base)
 
 
@@ -486,16 +550,6 @@ def test_split_function_field_division_instance():
     assert div.not_division is False and div.method == "springer"
 
 
-def test_conjugate_algebra_and_v_space():
-    from albertkit.corestriction import v_space_basis
-
-    A = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
-    basis = v_space_basis(EXT_Q2, HAMILTON_K)
-    assert len(basis) == 6
-    one = A.one()
-    assert (A.switch(one) - one).is_zero()
-
-
 def _corrupt_gram(ad, i, j):
     """The Albert data with the Gram entry (i, j) of its form increased by 1."""
     F = ad.form.field
@@ -512,27 +566,25 @@ def test_f_map_check_rejects_a_corrupted_gram_entry(hamilton_albert, hamilton_co
 
 
 def test_f_map_check_rejects_xi_outside_the_fixed_space(hamilton_albert, hamilton_cor):
-    ad = hamilton_albert
-    t = ad.tensor
-    one = HAMILTON_K.one()
-    # gamma(y) (x) 1 alone, without its switch image 1 (x) y
-    half = t.gx_tensor(ad.y_basis[0], one)
-    bad = dataclasses.replace(ad, xi_basis=(half,) + ad.xi_basis[1:])
-    with pytest.raises(IdentityFails):
-        f_map_check(bad, hamilton_cor, n_random=0)
-    # over F x F, (1, -1) xi squares like xi and the Albert form is diagonal
-    # here, so f(xi)^2 = phi(xi) still holds on every vector: only the check
-    # that f lands in the fixed algebra rejects it
+    # a y with T(Trd y) != 0 keeps xi in Cor but puts kappa (sigma (x) id)(xi)
+    # outside it: the membership check of cor_f_basis rejects it, before any relation
     ext = EtaleQuadratic(QQ, "split")
     D = ext.ring
     Q = QuaternionAlgebra(D, D.zero(), D.from_int(-1), D.from_int(-1))
-    ad = albert_form(ext, Q)
-    cor = build_corestriction(ext, Q)
-    twisted = ad.xi_basis[0].scalar_mul(D.pair(1, -1))
-    assert not (ad.tensor.switch(twisted) - twisted).is_zero()
-    bad = dataclasses.replace(ad, xi_basis=(twisted,) + ad.xi_basis[1:])
-    with pytest.raises(IdentityFails, match="fixed algebra"):
-        f_map_check(bad, cor, n_random=20)
+    for ad, cor in ((hamilton_albert, hamilton_cor), (albert_form(ext, Q), build_corestriction(ext, Q))):
+        y = ad.y_basis[0] + ad.Q.one()
+        assert not QQ.is_zero(ad.ext.trace(y.trd()))
+        bad = dataclasses.replace(ad, y_basis=(y,) + ad.y_basis[1:])
+        xi = ad.tensor.xi_of(y)
+        assert cor.express(xi) is not None and cor.express(f_matrix(bad, xi)[0][1]) is None
+        assert corestriction.cor_f_basis(bad, cor) is None
+        with pytest.raises(IdentityFails, match="fixed algebra"):
+            f_map_check(bad, cor, n_random=0)
+    # a trace-zero y whose value is not its Gram entry: phi(xi_{(1+sqrt2) i}) = -8, the entry is 0
+    ad = hamilton_albert
+    bad = dataclasses.replace(ad, y_basis=(ad.y_basis[0] + ad.y_basis[1],) + ad.y_basis[1:])
+    with pytest.raises(IdentityFails, match="basis vector 0"):
+        f_map_check(bad, hamilton_cor, n_random=0)
 
 
 def test_arf_scaling_invariance_on_char2_albert():

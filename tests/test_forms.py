@@ -263,7 +263,7 @@ def _nrd_polarisation(field, value, elems):
 
 def _albert_reference(ext, Q):
     kappa = ext.kappa()
-    ys = vs_space(ext, Q)[0]
+    ys = vs_space(ext, Q)
     return _nrd_polarisation(ext.base, lambda n: ext.in_base(kappa * (ext.gamma(n) - n)), ys)
 
 

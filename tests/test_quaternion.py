@@ -17,6 +17,7 @@ from albertkit import (
     validate_disjoint_witness,
 )
 from albertkit.errors import InvalidWitness, NotEtale, ZeroParameter
+from albertkit.quaternion import QuatElem
 
 F2 = FiniteField(2)
 F4 = FiniteField(2, 2)
@@ -114,6 +115,17 @@ def test_disjoint_witness_hamilton_over_Qsqrt2():
         validate_disjoint_witness(Q, ext, w_scalar, etale_required=False)
     found = find_disjoint_quadratic_subalgebra(Q, ext, etale_required=True, height=1)
     validate_disjoint_witness(Q, ext, found, etale_required=True)
+
+
+def test_trace_is_checked_before_the_norm(monkeypatch):
+    # most draws of the subalgebra search fail on Trd, so Nrd is not computed for them
+    def nrd(self):
+        raise AssertionError("Nrd(x) computed before the trace check")
+
+    monkeypatch.setattr(QuatElem, "nrd", nrd)
+    x = HAMILTON_K.element((K2.gen(), K2.one(), K2.zero(), K2.zero()))  # Trd(x) = 2 sqrt2
+    with pytest.raises(InvalidWitness, match=r"^Trd\(x\) is not in F$"):
+        validate_disjoint_witness(HAMILTON_K, EtaleQuadratic(QQ, (0, 2)), x, etale_required=False)
 
 
 def test_char2_etale_flag():
