@@ -20,6 +20,7 @@ from albertkit import (
     generator_to_isotropic,
     isotropic_to_generator,
 )
+from albertkit.corestriction import natural_map_bijective
 
 ext = EtaleQuadratic(QQ, (0, 2))
 K = ext.ring
@@ -27,7 +28,7 @@ Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))  # Hamilton o
 
 print("Fixed points of the switch map:")
 cor = build_corestriction(ext, Q)
-print("  dim_F =", cor.dim, " natural map Cor (x) K -> tensor square bijective")
+print("  dim_F =", cor.dim, " natural map Cor (x) K -> tensor square bijective:", natural_map_bijective(ext, cor))
 print()
 
 ad = albert_form(ext, Q)

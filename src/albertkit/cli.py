@@ -21,8 +21,9 @@ from .corestriction import (
     build_corestriction,
     cor_is_division,
     f_map_check,
+    natural_map_bijective,
 )
-from .errors import BudgetExhausted, MalformedCertificate
+from .errors import BudgetExhausted, InternalContradiction, MalformedCertificate
 from .harness import (
     FAMILIES,
     Instance,
@@ -167,9 +168,10 @@ def _cmd_quat(args):
 def _cmd_cor(args):
     inst = Instance.from_json(_load_json(args.instance))
     F, ext, Q = inst.build()
-    ad = albert_form(ext, Q)
     if args.cmd == "build":
         cor = build_corestriction(ext, Q)
+        if not natural_map_bijective(ext, cor):
+            raise InternalContradiction("Cor (x) K -> tensor square is not bijective")
         doc = {"dim": cor.dim, "label": cor.label}
         if args.structure:
             doc["structure"] = [
@@ -178,6 +180,7 @@ def _cmd_cor(args):
             ]
         _emit(args, doc, "corestriction built: dim 16, natural map bijective")
         return 0
+    ad = albert_form(ext, Q)
     if args.cmd == "albert":
         _emit(args, form_to_json(ad.form), repr(ad.form))
         return 0
@@ -262,6 +265,13 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
+def _non_negative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="albertkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -298,7 +308,7 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--cmd", required=True, choices=("build", "albert", "fcheck", "division"))
     p.add_argument("--structure", action="store_true", help="emit structure constants")
-    p.add_argument("--random-checks", type=int, default=100)
+    p.add_argument("--random-checks", type=_non_negative_int, default=100)
 
     p = add("clifford", _cmd_clifford, help="Clifford algebra operations")
     p.add_argument("--form", required=True)

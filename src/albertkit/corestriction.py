@@ -6,22 +6,24 @@ corestriction is its fixed F-algebra, on the basis e_rr and c e_rs +
 gamma(c) e_sr (c = 1, w; r > s).  V^s is spanned by the xi = gamma(y) (x)
 1 + 1 (x) y of six written-down y with T(Trd y) = 0.  The Albert form on
 it is c * s(Nrd y), c = kappa (gamma(w) - w), since kappa (gamma(n) - n) =
-c s(n) for n = a + b w: c times the transfer of the norm form.  A test
-over the acceptance batch checks the trace condition, the switch
-invariance and the rank of the xi; albert_form builds no tensor.  The
-map xi -> [[0, kappa (sigma(x)1)(xi)], [xi, 0]] squares to the form: a
-checkable zero-divisor certificate whenever the form is isotropic.  Only
-that certificate (nilpotent_image) and the audits (cor_f_basis) build xi,
-from y, since xi is F-linear in y.
+c s(n) for n = a + b w: c times the transfer of the norm form.  Tests
+check the trace condition, the switch invariance and the rank of the xi
+over the acceptance batch, and that the fixed basis spans the square.
+
+The map f is defined on y: f(xi) = [[0, kappa (gamma(conj y) (x) 1 + 1
+(x) y)], [gamma(y) (x) 1 + 1 (x) y, 0]], whose upper entry is kappa
+(sigma (x) id)(xi).  It squares to the form: a checkable zero-divisor
+certificate whenever the form is isotropic.  albert_form builds no
+tensor square.  Two places do: nilpotent_image builds the square it
+multiplies the certificate in, and build_corestriction builds the one
+that Cor lives in, where the audits (cor_f_basis) build f.
 
 All three algebras have TensorElem elements.  The tensor square (over K)
 and Q1 (x) Q2 (over F) are TensorProductAlgebra: they multiply through
 the 4x4 basis products of their quaternion factors and build no 16x16
 table.  The corestriction is a StructureAlgebra over F, whose structure
 constants are data for the Clifford rank and for `cor build --structure`.
-The tensor square builds Cor and f and carries the nilpotent
-certificate; the audits of f and of the Clifford map compute in M_2(Cor)
-over F.
+The audits of f and of the Clifford map compute in M_2(Cor) over F.
 """
 
 from __future__ import annotations
@@ -190,22 +192,13 @@ class TensorProductAlgebra(Algebra16):
 
 
 class TensorSquareAlgebra(TensorProductAlgebra):
-    """(conjugate Q) tensor_K Q with switch map and first-factor involution."""
+    """(conjugate Q) tensor_K Q with its switch map."""
 
     def __init__(self, ext, Q):
-        if Q.domain != ext.ring:
-            raise AlgebraError("quaternion algebra is not defined over the extension")
-        K = Q.domain
-        super().__init__(K, Q, Q, ext.gamma)
+        _require_over(ext, Q)
+        super().__init__(Q.domain, Q, Q, ext.gamma)
         self.ext = ext
         self.Q = Q
-        # sigma on the first factor, as gamma'd coordinate rows
-        sig = []
-        for i in range(4):
-            coords = [K.zero()] * 4
-            coords[i] = K.one()
-            sig.append(Q.element(tuple(coords)).conjugate().coords)
-        self._sigma_rows = tuple(sig)
 
     def from_base(self, c):
         return self.ring.from_base(c)
@@ -237,22 +230,6 @@ class TensorSquareAlgebra(TensorProductAlgebra):
                 continue
             i, j = divmod(idx, 4)
             coords[4 * j + i] = coords[4 * j + i] + gamma(c)
-        return self.elem(coords)
-
-    def sigma_first(self, elem):
-        """(sigma (x) id): conjugate the first tensor factor."""
-        K = self.ring
-        gamma = self.ext.gamma
-        coords = [K.zero()] * 16
-        for idx, c in enumerate(elem.coords):
-            if K.is_zero(c):
-                continue
-            i, j = divmod(idx, 4)
-            srow = self._sigma_rows[i]
-            for m in range(4):
-                s = srow[m]
-                if not K.is_zero(s):
-                    coords[4 * m + j] = coords[4 * m + j] + gamma(s) * c
         return self.elem(coords)
 
     def realify(self, elem):
@@ -287,8 +264,6 @@ class CorestrictionAlgebra(StructureAlgebra):
         F-part of x_rr, and both coordinates of x_rs = a + b w for r > s.
         """
         A = self.tensor
-        if elem.algebra is not A:
-            elem = A.elem(elem.coords)
         if not (A.switch(elem) - elem).is_zero():
             return None
         out = []
@@ -332,13 +307,13 @@ def build_corestriction(ext, Q):
     if unit is None:
         raise InternalContradiction("unit is not a fixed point")
     cor.unit_coords = unit
-    if not natural_map_bijective(ext, cor):
-        raise InternalContradiction("Cor (x) K -> tensor square is not bijective")
     return cor
 
 
 def natural_map_bijective(ext, cor):
-    """Exact rank check: the fixed basis is K-linearly independent."""
+    """Exact rank check: the fixed basis is K-linearly independent, so Cor (x) K
+    is the tensor square.  The basis is written down, so build_corestriction
+    does not call this."""
     K = ext.ring
     F = ext.base
     mat = [b.coords for b in cor.basis]
@@ -388,8 +363,7 @@ def split_projection_iso(ext, cor, Q1, Q2):
 class AlbertData:
     ext: object
     Q: QuaternionAlgebra
-    tensor: TensorSquareAlgebra
-    y_basis: tuple  # quaternion elements y_i; xi_i = tensor.xi_of(y_i) is a basis of V^s
+    y_basis: tuple  # quaternion elements y_i; the xi_of(y_i) are a basis of V^s
     form: QuadraticForm  # the Albert form over F
     kappa: object  # the chosen skew element of K
 
@@ -444,14 +418,19 @@ def albert_form(ext, Q):
     beta)/2 otherwise.  So the form is c times the transfer s_* of Nrd
     restricted to the y_i, and no xi is built.
     """
-    tensor = TensorSquareAlgebra(ext, Q)
+    _require_over(ext, Q)
     ys = vs_space(ext, Q)
     kappa = ext.kappa()
     c = ext.in_base(kappa * (ext.gamma(ext.w) - ext.w))
     form = QuadraticForm.from_map(ext.base, lambda v: c * ext.s(Q.element(v).nrd()), [y.coords for y in ys])
     if not form.classify().nonsingular:
         raise InternalContradiction("Albert form is singular")
-    return AlbertData(ext, Q, tensor, ys, form, kappa)
+    return AlbertData(ext, Q, ys, form, kappa)
+
+
+def _require_over(ext, Q):
+    if Q.domain != ext.ring:
+        raise AlgebraError("quaternion algebra is not defined over the extension")
 
 
 # ---------------------------------------------------------------------------
@@ -459,11 +438,14 @@ def albert_form(ext, Q):
 # ---------------------------------------------------------------------------
 
 
-def f_matrix(ad, xi):
-    """[[0, kappa (sigma (x) id)(xi)], [xi, 0]] as a 2x2 tensor matrix."""
-    t = ad.tensor
-    eta = t.sigma_first(xi).scalar_mul(ad.kappa)
-    zero = t.zero()
+def f_matrix(tensor, kappa, y):
+    """f(xi) = [[0, kappa (sigma (x) id)(xi)], [xi, 0]] for xi = xi_of(y), in `tensor`.
+
+    sigma (x) id sends gamma(y) (x) 1 + 1 (x) y to gamma(conj y) (x) 1 + 1 (x) y.
+    """
+    xi = tensor.xi_of(y)
+    eta = (xi + tensor.gx_tensor(y.conjugate() - y, tensor.Q.one())).scalar_mul(kappa)
+    zero = tensor.zero()
     return ((zero, eta), (xi, zero))
 
 
@@ -497,12 +479,14 @@ def nilpotent_image(ad, coords):
     """f(xi) of the Albert vector `coords`, checked nonzero with square zero.
 
     This is the zero-divisor certificate of an isotropic vector; raises
-    InvalidWitness when f(xi) is zero or its square is not.
+    InvalidWitness when f(xi) is zero or its square is not.  The square is
+    multiplied out in a tensor square built here.
     """
-    M = f_matrix(ad, ad.tensor.xi_of(ad.y_from_coords(coords)))
+    tensor = TensorSquareAlgebra(ad.ext, ad.Q)
+    M = f_matrix(tensor, ad.kappa, ad.y_from_coords(coords))
     if M[0][1].is_zero() and M[1][0].is_zero():
         raise InvalidWitness("nilpotent certificate is zero")
-    sq = m2_mul(ad.tensor, M, M)
+    sq = m2_mul(tensor, M, M)
     if not all(e.is_zero() for row in sq for e in row):
         raise InvalidWitness("certificate is not nilpotent")
     return M
@@ -511,15 +495,16 @@ def nilpotent_image(ad, coords):
 def cor_f_basis(ad, cor):
     """The six f(xi_i), xi_i = xi_of(y_i), as matrices over Cor, or None.
 
-    Expressing the entries xi_i and kappa (sigma (x) id)(xi_i) in Cor's fixed
-    basis is the check that f maps V^s into M_2(Cor): None when one lies
-    outside Cor.  Every product of f images then lies in M_2(Cor) as well,
-    because build_corestriction verified that Cor is closed under products.
+    f is built in Cor's own tensor square.  Expressing the entries xi_i and
+    kappa (sigma (x) id)(xi_i) in Cor's fixed basis is the check that f maps
+    V^s into M_2(Cor): None when one lies outside Cor.  Every product of f
+    images then lies in M_2(Cor) as well, because build_corestriction
+    verified that Cor is closed under products.
     """
     zero = cor.zero()
     out = []
-    for xi in map(ad.tensor.xi_of, ad.y_basis):
-        eta = f_matrix(ad, xi)[0][1]
+    for y in ad.y_basis:
+        (_, eta), (xi, _) = f_matrix(cor.tensor, ad.kappa, y)
         cx, ce = cor.express(xi), cor.express(eta)
         if cx is None or ce is None:
             return None

@@ -30,8 +30,9 @@ from albertkit import (
     verify_certificate,
 )
 from albertkit import corestriction
+from albertkit.clifford import clifford_iso_check
 from albertkit.corestriction import f_matrix, m2_mul, natural_map_bijective
-from albertkit.errors import IdentityFails, InternalContradiction, InvalidWitness
+from albertkit.errors import AlgebraError, IdentityFails, InternalContradiction, InvalidWitness
 from albertkit.forms import QuadraticForm, hyperbolic_partner, isometric_embedding, line_point
 from albertkit.harness import FAMILIES
 from albertkit.isotropy import _clear_denominators, isotropy
@@ -179,10 +180,11 @@ def test_express_matches_an_independent_solve(hamilton_cor):
     for r in range(16):
         for s in range(16):
             assert solve(rows, A.realify(cor.basis[r] * cor.basis[s]), F) == _structure_coords(cor, r, s)
-    # an element of another tensor square of the same algebra is rebuilt first
+    # an element of another tensor square, even of the same algebra, is refused
     other = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
-    assert cor.express(other.one()) == cor.unit_coords
-    assert cor.express(other.elem([K2.one() if i == 1 else K2.zero() for i in range(16)])) is None
+    for elem in (other.one(), other.elem([K2.one() if i == 1 else K2.zero() for i in range(16)])):
+        with pytest.raises(AlgebraError, match="mixed tensor-algebra contexts"):
+            cor.express(elem)
 
 
 def _reference_fixed_basis(ext, A):
@@ -247,11 +249,15 @@ def _char2_pool():
 BATCH_SIZES = {"split-K-over-Q": 50, "quad-K-over-Q": 50, "split-K-over-Qt": 40, "char2-finite": 40, "char2-function-field": 20}
 
 
-def test_vs_space_dimension():
+@pytest.fixture(scope="module")
+def batch_builds():
+    return [generate_instance(f, seed).build() for f, n in BATCH_SIZES.items() for seed in range(n)]
+
+
+def test_vs_space_dimension(batch_builds):
     # the guards that vs_space held at run time: T(Trd y) = 0, and the xi
     # are switch-invariant and F-independent, so they span the 6-dimensional V^s
-    batch = [generate_instance(f, seed).build() for f, n in BATCH_SIZES.items() for seed in range(n)]
-    cases = [(QQ, EXT_Q2, HAMILTON_K)] + batch + _char2_pool()
+    cases = [(QQ, EXT_Q2, HAMILTON_K)] + batch_builds + _char2_pool()
     assert len(cases) == 1 + 200 + 40
     for F, ext, Q in cases:
         ys = corestriction.vs_space(ext, Q)
@@ -261,6 +267,37 @@ def test_vs_space_dimension():
         xis = [t.xi_of(y) for y in ys]
         assert all(t.switch(xi) == xi for xi in xis)
         assert rank([t.realify(xi) for xi in xis], F, 32) == 6
+
+
+def _sigma_first_reference(t, elem):
+    """(sigma (x) id)(elem) by the table of conjugated basis rows, as the
+    tensor square computed it before f was defined on y."""
+    K, gamma = t.ring, t.ext.gamma
+    rows = [q.conjugate().coords for q in t.Q.basis()]
+    coords = [K.zero()] * 16
+    for idx, c in enumerate(elem.coords):
+        i, j = divmod(idx, 4)
+        for m, s in enumerate(rows[i]):
+            coords[4 * m + j] = coords[4 * m + j] + gamma(s) * c
+    return t.elem(coords)
+
+
+def test_f_matrix_from_y_matches_the_sigma_rows(batch_builds):
+    # f from y: xi = gamma(y) (x) 1 + 1 (x) y and eta = kappa (gamma(conj y) (x) 1 + 1 (x) y)
+    # equal xi_of(y) and kappa times the sigma-row image of xi, on the six y_i
+    # and their sum for every batch instance
+    checked = 0
+    for _, ext, Q in batch_builds:
+        t = TensorSquareAlgebra(ext, Q)
+        kappa = ext.kappa()
+        ys = corestriction.vs_space(ext, Q)
+        for y in ys + (sum(ys[1:], ys[0]),):
+            (zero, eta), (xi, zero2) = f_matrix(t, kappa, y)
+            assert zero.is_zero() and zero2.is_zero()
+            assert xi == t.xi_of(y)
+            assert eta == _sigma_first_reference(t, xi).scalar_mul(kappa)
+            checked += 1
+    assert checked == 1400
 
 
 def test_albert_worked_values(hamilton_albert):
@@ -307,11 +344,18 @@ def test_albert_form_scale_per_kind(hamilton_albert):
     assert hamilton_albert.form == _s_nrd(hamilton_albert).scale(QQ.from_int(-4))
 
 
+def test_albert_form_rejects_a_quaternion_algebra_over_another_k():
+    for ext in (EtaleQuadratic(QQ, (0, 3)), EtaleQuadratic(QQ, "split"), EtaleQuadratic(FiniteField(2), (1, 1))):
+        with pytest.raises(AlgebraError, match="quaternion algebra is not defined over the extension"):
+            albert_form(ext, HAMILTON_K)
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_albert_form_builds_no_tensor(family, monkeypatch):
-    # the Albert layer is formula-only: no xi and no tensor product
-    counts = {"mul": 0, "xi_of": 0}
-    mul, xi_of = corestriction.TensorElem.__mul__, TensorSquareAlgebra.xi_of
+    # the Albert layer is formula-only: no tensor square, no xi and no tensor
+    # product; a cor-audit item builds one square, Cor's, for both audits
+    counts = {"square": 0, "mul": 0, "xi_of": 0}
+    square, mul, xi_of = TensorSquareAlgebra.__init__, corestriction.TensorElem.__mul__, TensorSquareAlgebra.xi_of
 
     def counting(name, fn):
         def wrapped(*args):
@@ -319,12 +363,20 @@ def test_albert_form_builds_no_tensor(family, monkeypatch):
             return fn(*args)
         return wrapped
 
+    monkeypatch.setattr(TensorSquareAlgebra, "__init__", counting("square", square))
     monkeypatch.setattr(corestriction.TensorElem, "__mul__", counting("mul", mul))
     monkeypatch.setattr(TensorSquareAlgebra, "xi_of", counting("xi_of", xi_of))
-    ad = _albert_of(family, 0)
-    assert counts == {"mul": 0, "xi_of": 0}
-    ad.tensor.xi_of(ad.y_basis[0]) * ad.tensor.one()
-    assert counts == {"mul": 1, "xi_of": 1}
+    _, ext, Q = generate_instance(family, 0).build()
+    ad = albert_form(ext, Q)
+    assert counts == {"square": 0, "mul": 0, "xi_of": 0}
+    t = TensorSquareAlgebra(ext, Q)
+    t.xi_of(ad.y_basis[0]) * t.one()
+    assert counts == {"square": 1, "mul": 1, "xi_of": 1}
+    counts["square"] = 0
+    cor = build_corestriction(ext, Q)
+    f_map_check(ad, cor, n_random=5)
+    clifford_iso_check(ad, cor)
+    assert counts["square"] == 1
 
 
 def test_f_map_identity(hamilton_albert, hamilton_cor):
@@ -338,7 +390,10 @@ def test_f_nilpotent_certificate(hamilton_albert):
     assert div.not_division is True
     M = div.nilpotent
     assert not (M[0][1].is_zero() and M[1][0].is_zero())
-    sq = m2_mul(ad.tensor, M, M)
+    t = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
+    again = f_matrix(t, ad.kappa, ad.y_from_coords(div.witness_coords))
+    assert [e.coords for row in again for e in row] == [e.coords for row in M for e in row]
+    sq = m2_mul(t, again, again)
     assert all(sq[i][j].is_zero() for i in range(2) for j in range(2))
 
 
@@ -370,9 +425,10 @@ def _albert_of(family, seed):
 
 def _reference_xi_coords(ad, x):
     """kappa*x's tensor image solved for in the realified xi basis (32 x 6)."""
-    xi = ad.tensor.xi_of(x.scale(ad.Q.domain.coerce(ad.kappa)))
-    cols = [ad.tensor.realify(ad.tensor.xi_of(y)) for y in ad.y_basis]
-    return solve([tuple(col[r] for col in cols) for r in range(32)], ad.tensor.realify(xi), ad.ext.base)
+    t = TensorSquareAlgebra(ad.ext, ad.Q)
+    xi = t.xi_of(x.scale(ad.Q.domain.coerce(ad.kappa)))
+    cols = [t.realify(t.xi_of(y)) for y in ad.y_basis]
+    return solve([tuple(col[r] for col in cols) for r in range(32)], t.realify(xi), ad.ext.base)
 
 
 def test_generator_to_isotropic_matches_the_realified_xi_solve(hamilton_albert):
@@ -575,8 +631,8 @@ def test_f_map_check_rejects_xi_outside_the_fixed_space(hamilton_albert, hamilto
         y = ad.y_basis[0] + ad.Q.one()
         assert not QQ.is_zero(ad.ext.trace(y.trd()))
         bad = dataclasses.replace(ad, y_basis=(y,) + ad.y_basis[1:])
-        xi = ad.tensor.xi_of(y)
-        assert cor.express(xi) is not None and cor.express(f_matrix(bad, xi)[0][1]) is None
+        (_, eta), (xi, _) = f_matrix(cor.tensor, ad.kappa, y)
+        assert cor.express(xi) is not None and cor.express(eta) is None
         assert corestriction.cor_f_basis(bad, cor) is None
         with pytest.raises(IdentityFails, match="fixed algebra"):
             f_map_check(bad, cor, n_random=0)

@@ -18,6 +18,7 @@ from albertkit import (
     AlgebraError,
     FiniteField,
     Instance,
+    InternalContradiction,
     MalformedCertificate,
     QuadraticFieldExtension,
     RationalFunctionField,
@@ -626,3 +627,29 @@ def test_cli_registers_only_the_options_a_subcommand_reads():
     ):
         with pytest.raises(SystemExit):
             parser.parse_args(argv)
+
+
+def test_cor_random_checks_must_not_be_negative(tmp_path, capsys):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(generate_instance("quad-K-over-Q", 0).to_json()))
+    with pytest.raises(SystemExit) as exc:
+        main(["cor", "--instance", str(path), "--cmd", "fcheck", "--random-checks", "-5"])
+    assert exc.value.code == 2
+    assert "--random-checks: must be at least 0, got -5" in capsys.readouterr().err
+    assert main(["cor", "--instance", str(path), "--cmd", "fcheck", "--random-checks", "0"]) == 0
+    assert capsys.readouterr().out == "f(xi)^2 = phi(xi) verified (6 basis, 0 random)\n"
+
+
+def test_cor_build_checks_the_natural_map_and_builds_no_albert_form(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "i.json"
+    path.write_text(json.dumps(generate_instance("split-K-over-Q", 0).to_json()))
+
+    def no_albert(*args):
+        raise AssertionError("cor build built the Albert form")
+
+    monkeypatch.setattr(albertkit.cli, "albert_form", no_albert)
+    assert main(["cor", "--instance", str(path), "--cmd", "build"]) == 0
+    assert capsys.readouterr().out == "corestriction built: dim 16, natural map bijective\n"
+    monkeypatch.setattr(albertkit.cli, "natural_map_bijective", lambda ext, cor: False)
+    with pytest.raises(InternalContradiction, match="not bijective"):
+        main(["cor", "--instance", str(path), "--cmd", "build"])
