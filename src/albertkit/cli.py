@@ -6,7 +6,9 @@ output, and the four that search (isotropy, descend, quat, cor) take
 --height; `check` exits 0 when all reports are consistent, 2 on an
 inconsistency (the equivalence would be falsified) and 3 when Unknown
 verdicts remain.  Every subcommand prints "malformed: ..." and exits 1
-on a malformed input file.
+on a malformed input file, and prints "split K: ..." and exits 4 when it
+needs a quadratic field extension and is given the split algebra F x F
+(transfer, descend and quat --cmd split).  Invalid options exit 2.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .corestriction import (
     f_map_check,
     natural_map_bijective,
 )
-from .errors import BudgetExhausted, InternalContradiction, MalformedCertificate
+from .errors import BudgetExhausted, InternalContradiction, MalformedCertificate, SplitK
 from .harness import (
     FAMILIES,
     Instance,
@@ -140,15 +142,15 @@ def _cmd_quat(args):
         if not isinstance(coords, list) or len(coords) != 4:
             raise MalformedCertificate("nrd needs --x, a JSON list of 4 coordinates")
         with _as_malformed("--x"):
-            x = Q.element(parse_vector(Q.domain, coords))
+            x = Q.elem(parse_vector(Q.ring, coords))
         val = x.nrd()
-        _emit(args, {"nrd": format_element(Q.domain, val)}, "Nrd = %s" % Q.domain.format_element(val))
+        _emit(args, {"nrd": format_element(Q.ring, val)}, "Nrd = %s" % Q.ring.format_element(val))
         return 0
     if args.cmd == "split":
         verdict = is_split(Q, height=args.height)
         doc = {"status": verdict.status, "method": verdict.method}
         if verdict.zero_divisor is not None:
-            doc["zero_divisor"] = [format_element(Q.domain, c) for c in verdict.zero_divisor.coords]
+            doc["zero_divisor"] = [format_element(Q.ring, c) for c in verdict.zero_divisor.coords]
         _emit(args, doc, "%s [%s]" % (verdict.status, verdict.method))
         return 0 if verdict.decided else 3
     if args.cmd == "subalg":
@@ -159,7 +161,7 @@ def _cmd_quat(args):
         except BudgetExhausted as exc:
             _emit(args, {"status": "unknown", "searched": exc.searched}, "budget exhausted")
             return 3
-        doc = {"status": "found", "witness": [format_element(Q.domain, c) for c in x.coords]}
+        doc = {"status": "found", "witness": [format_element(Q.ring, c) for c in x.coords]}
         _emit(args, doc, "witness: %r" % (x,))
         return 0
     raise SystemExit("unknown quat command %r" % args.cmd)
@@ -265,11 +267,14 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-def _non_negative_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
-    return value
+def _int_at_least(low):
+    def integer(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return integer
 
 
 def build_parser():
@@ -308,7 +313,7 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--cmd", required=True, choices=("build", "albert", "fcheck", "division"))
     p.add_argument("--structure", action="store_true", help="emit structure constants")
-    p.add_argument("--random-checks", type=_non_negative_int, default=100)
+    p.add_argument("--random-checks", type=_int_at_least(0), default=100)
 
     p = add("clifford", _cmd_clifford, help="Clifford algebra operations")
     p.add_argument("--form", required=True)
@@ -319,7 +324,7 @@ def build_parser():
     p.add_argument("--instance")
     p.add_argument("--family", choices=FAMILIES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=_int_at_least(1), default=1)
     p.add_argument("--path", choices=("albert", "both"), default="albert")
 
     p = add("gen", _cmd_gen, help="generate an instance")
@@ -339,6 +344,9 @@ def main(argv=None):
     except MalformedCertificate as exc:
         print("malformed: %s" % exc)
         return 1
+    except SplitK as exc:
+        print("split K: %s" % exc)
+        return 4
 
 
 if __name__ == "__main__":

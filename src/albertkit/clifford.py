@@ -12,7 +12,8 @@ from __future__ import annotations
 import functools
 
 from . import linalg
-from .corestriction import StructureAlgebra, TensorElem, cor_f_basis, m2_equals_scalar, m2_mul
+from .algebra import m2_add, m2_equals_scalar, m2_mul
+from .corestriction import StructureAlgebra, TensorElem, cor_f_basis
 from .errors import (
     AlgebraError,
     DimensionCap,
@@ -510,14 +511,10 @@ def clifford_iso_check(ad, cor):
         if not m2_equals_scalar(cor, sq, ad.form.upper[i][i]):
             raise RelationViolation("f(xi_i)^2 relation fails")
         for j in range(i + 1, n):
-            anti = _m2_add(m2_mul(cor, fs[i], fs[j]), m2_mul(cor, fs[j], fs[i]))
+            anti = m2_add(m2_mul(cor, fs[i], fs[j]), m2_mul(cor, fs[j], fs[i]))
             if not m2_equals_scalar(cor, anti, B[i][j]):
                 raise RelationViolation("anticommutation relation fails")
     rank = _rank_certified(cor, fs, F)
     if rank != 64:
         raise RankDeficient("Clifford image has rank %d" % rank)
     return {"rank": rank, "monomials": 64}
-
-
-def _m2_add(A, B):
-    return tuple(tuple(A[i][j] + B[i][j] for j in range(2)) for i in range(2))

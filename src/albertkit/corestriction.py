@@ -18,12 +18,16 @@ tensor square.  Two places do: nilpotent_image builds the square it
 multiplies the certificate in, and build_corestriction builds the one
 that Cor lives in, where the audits (cor_f_basis) build f.
 
-All three algebras have TensorElem elements.  The tensor square (over K)
-and Q1 (x) Q2 (over F) are TensorProductAlgebra: they multiply through
-the 4x4 basis products of their quaternion factors and build no 16x16
-table.  The corestriction is a StructureAlgebra over F, whose structure
-constants are data for the Clifford rank and for `cor build --structure`.
-The audits of f and of the Clifford map compute in M_2(Cor) over F.
+Q, the tensor square, Cor and Q1 (x) Q2 are one model, the Algebra of
+algebra.py: coordinate tuples over a scalar ring, with the sum, scaling,
+equality and printing written once.  Each of the three 16-dimensional
+algebras has TensorElem elements, which add only the product.  The tensor
+square (over K) and Q1 (x) Q2 (over F) are TensorProductAlgebra: they
+multiply through the 4x4 basis products of their quaternion factors and
+build no 16x16 table.  The corestriction is a StructureAlgebra over F,
+whose structure constants are data for the Clifford rank and for `cor
+build --structure`.  The audits of f and of the Clifford map compute in
+M_2(Cor) over F.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg, search
+from .algebra import Algebra, AlgebraElem, m2_equals_scalar, m2_mul
 from .errors import (
     AlgebraError,
     IdentityFails,
@@ -44,95 +49,23 @@ from .isotropy import _clear_denominators, isotropy
 from .quaternion import QuaternionAlgebra, validate_disjoint_witness
 
 
-class TensorElem:
-    """Element of an Algebra16: 16 coordinates over its scalar ring."""
+class TensorElem(AlgebraElem):
+    """Element of a 16-dimensional algebra: the tensor square, Q1 (x) Q2 or Cor."""
 
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = coords
-
-    def _check(self, other):
-        if isinstance(other, TensorElem) and other.algebra is self.algebra:
-            return other
-        raise AlgebraError("mixed tensor-algebra contexts")
-
-    def __add__(self, other):
-        other = self._check(other)
-        return TensorElem(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return TensorElem(self.algebra, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
+    __slots__ = ()
+    context = "tensor-algebra"
 
     def __mul__(self, other):
         other = self._check(other)
         return TensorElem(self.algebra, self.algebra.product(self.coords, other.coords))
 
-    def scalar_mul(self, lam):
-        lam = self.algebra.ring.coerce(lam)
-        return TensorElem(self.algebra, tuple(lam * c for c in self.coords))
 
-    def is_zero(self):
-        R = self.algebra.ring
-        return all(R.is_zero(c) for c in self.coords)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElem)
-            and other.algebra is self.algebra
-            and other.coords == self.coords
-        )
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        R = self.algebra.ring
-        parts = []
-        for idx, c in enumerate(self.coords):
-            if not R.is_zero(c):
-                parts.append("(%s)%s" % (R.format_element(c), self.algebra.basis_name(idx)))
-        return " + ".join(parts) if parts else "0"
-
-
-class Algebra16:
-    """A 16-dimensional algebra over `ring` with TensorElem elements, whose
-    product each subclass defines on coordinate tuples."""
-
-    dim = 16
-
-    def __init__(self, ring, unit_coords):
-        self.ring = ring
-        self.unit_coords = unit_coords
-
-    def elem(self, coords):
-        return TensorElem(self, tuple(self.ring.coerce(c) for c in coords))
-
-    def zero(self):
-        return self.elem([self.ring.zero()] * 16)
-
-    def one(self):
-        return self.elem(self.unit_coords)
-
-    def scalar(self, lam):
-        return self.one().scalar_mul(lam)
-
-    def from_base(self, c):
-        """A value of the base field F as a scalar of the ring."""
-        return self.ring.coerce(c)
-
-    def basis_name(self, idx):
-        return "e%d" % idx
-
-
-class StructureAlgebra(Algebra16):
+class StructureAlgebra(Algebra):
     """An algebra by sparse structure constants, for Cor and clifford's Cor_E,
     whose tables are data: structure[i][j] lists the (m, c) with
     e_i e_j = sum c e_m.  Cor sets its table after construction."""
+
+    dim, element = 16, TensorElem
 
     def __init__(self, ring, structure, unit_coords):
         super().__init__(ring, unit_coords)
@@ -154,7 +87,7 @@ class StructureAlgebra(Algebra16):
         return tuple(acc)
 
 
-class TensorProductAlgebra(Algebra16):
+class TensorProductAlgebra(Algebra):
     """Q1 (x) Q2 over `ring` on the basis e_{4i+j} = q_i (x) q_j, with no 16x16 table.
 
     (q_i (x) q_j)(q_k (x) q_l) = sum over m, n of twist(T1[i][k][m])
@@ -163,6 +96,7 @@ class TensorProductAlgebra(Algebra16):
     """
 
     label = "tensor-product"
+    dim, element = 16, TensorElem
 
     def __init__(self, ring, Q1, Q2, twist=None):
         super().__init__(ring, (ring.one(),) + (ring.zero(),) * 15)
@@ -196,7 +130,7 @@ class TensorSquareAlgebra(TensorProductAlgebra):
 
     def __init__(self, ext, Q):
         _require_over(ext, Q)
-        super().__init__(Q.domain, Q, Q, ext.gamma)
+        super().__init__(Q.ring, Q, Q, ext.gamma)
         self.ext = ext
         self.Q = Q
 
@@ -231,9 +165,6 @@ class TensorSquareAlgebra(TensorProductAlgebra):
             i, j = divmod(idx, 4)
             coords[4 * j + i] = coords[4 * j + i] + gamma(c)
         return self.elem(coords)
-
-    def realify(self, elem):
-        return self.ext.realify_vec(elem.coords)
 
     def xi_of(self, y):
         """gamma(y) (x) 1 + 1 (x) y for a quaternion element y."""
@@ -326,9 +257,9 @@ def natural_map_bijective(ext, cor):
 
 def tensor_product_algebra(Q1, Q2):
     """Q1 (x)_F Q2 on the basis q_i (x) q_j."""
-    if Q1.domain != Q2.domain:
+    if Q1.ring != Q2.ring:
         raise AlgebraError("tensor factors over different fields")
-    return TensorProductAlgebra(Q1.domain, Q1, Q2)
+    return TensorProductAlgebra(Q1.ring, Q1, Q2)
 
 
 def split_projection_iso(ext, cor, Q1, Q2):
@@ -372,7 +303,7 @@ class AlbertData:
         y = self.Q.zero()
         for c, yb in zip(coords, self.y_basis):
             if not F.is_zero(c):
-                y = y + yb.scale(self.Q.domain.from_base(c))
+                y = y + yb.scale(self.ext.from_base(c))
         return y
 
 
@@ -386,11 +317,11 @@ def vs_space(ext, Q):
     acceptance batch, not here.
     """
     F = ext.base
-    K = Q.domain
-    z = Q.element((K.zero(), K.zero(), K.one(), K.zero()))
+    K = Q.ring
+    z = Q.elem((K.zero(), K.zero(), K.one(), K.zero()))
     if F.char != 2:
         # canonical trace-zero pure part: e0 = e - alpha/2, z, e0*z
-        e0 = Q.element((-Q.alpha / K.from_int(2), K.one(), K.zero(), K.zero()))
+        e0 = Q.elem((-Q.alpha / K.from_int(2), K.one(), K.zero(), K.zero()))
         e0z = e0 * z
         if ext.kind == "field":
             w = ext.w
@@ -405,8 +336,8 @@ def vs_space(ext, Q):
     y1 = K.one()
     if not F.is_zero(t_alpha):
         y1 = ext.from_pair(*_clear_denominators(F, (-ext.trace(Q.alpha * ext.w) / t_alpha, F.one())))
-    ez = Q.element((K.zero(), K.zero(), K.zero(), K.one()))
-    y1e = Q.element((K.zero(), y1, K.zero(), K.zero()))
+    ez = Q.elem((K.zero(), K.zero(), K.zero(), K.one()))
+    y1e = Q.elem((K.zero(), y1, K.zero(), K.zero()))
     return (Q.one().scale(ext.w), y1e, z, z.scale(ext.w), ez, ez.scale(ext.w))
 
 
@@ -422,14 +353,14 @@ def albert_form(ext, Q):
     ys = vs_space(ext, Q)
     kappa = ext.kappa()
     c = ext.in_base(kappa * (ext.gamma(ext.w) - ext.w))
-    form = QuadraticForm.from_map(ext.base, lambda v: c * ext.s(Q.element(v).nrd()), [y.coords for y in ys])
+    form = QuadraticForm.from_map(ext.base, lambda v: c * ext.s(Q.elem(v).nrd()), [y.coords for y in ys])
     if not form.classify().nonsingular:
         raise InternalContradiction("Albert form is singular")
     return AlbertData(ext, Q, ys, form, kappa)
 
 
 def _require_over(ext, Q):
-    if Q.domain != ext.ring:
+    if Q.ring != ext.ring:
         raise AlgebraError("quaternion algebra is not defined over the extension")
 
 
@@ -444,35 +375,9 @@ def f_matrix(tensor, kappa, y):
     sigma (x) id sends gamma(y) (x) 1 + 1 (x) y to gamma(conj y) (x) 1 + 1 (x) y.
     """
     xi = tensor.xi_of(y)
-    eta = (xi + tensor.gx_tensor(y.conjugate() - y, tensor.Q.one())).scalar_mul(kappa)
+    eta = (xi + tensor.gx_tensor(y.conjugate() - y, tensor.Q.one())).scale(kappa)
     zero = tensor.zero()
     return ((zero, eta), (xi, zero))
-
-
-def m2_mul(alg, A, B):
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = alg.zero()
-            for k in range(2):
-                a, b = A[i][k], B[k][j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def m2_equals_scalar(alg, M, value_in_F):
-    scal = alg.scalar(alg.from_base(value_in_F))
-    return (
-        (M[0][0] - scal).is_zero()
-        and (M[1][1] - scal).is_zero()
-        and M[0][1].is_zero()
-        and M[1][0].is_zero()
-    )
 
 
 def nilpotent_image(ad, coords):
@@ -619,10 +524,10 @@ def isotropic_to_generator(ad, witness_coords):
     """
     ext, Q = ad.ext, ad.Q
     F = ext.base
-    K = Q.domain
+    K = Q.ring
     kappa = K.coerce(ad.kappa)
     char2 = F.char == 2
-    shift = Q.element((K.zero() if char2 else kappa, K.zero(), K.zero(), K.zero()))
+    shift = Q.elem((K.zero() if char2 else kappa, K.zero(), K.zero(), K.zero()))
     for coords in _hyperbolic_candidates(ad.form, tuple(F.coerce(c) for c in witness_coords)):
         y = ad.y_from_coords(coords) + shift
         if char2 and K.is_zero(y.trd()):
@@ -679,7 +584,7 @@ def generator_to_isotropic(ad, x):
     ext, Q = ad.ext, ad.Q
     F = ext.base
     validate_disjoint_witness(Q, ext, x, etale_required=False)
-    kappa = Q.domain.coerce(ad.kappa)
+    kappa = Q.ring.coerce(ad.kappa)
     kx = x.scale(kappa)
     if not F.is_zero(ext.trace(kx.trd())):
         raise InvalidWitness("kappa*x violates the trace condition")

@@ -250,7 +250,7 @@ def _encode_quat(ext, x):
 
 
 def _decode_quat(ext, Q, data):
-    return Q.element(tuple(parse_element(ext.ring, c) for c in data))
+    return Q.elem(tuple(parse_element(ext.ring, c) for c in data))
 
 
 def _condition(doc, key):
@@ -373,7 +373,7 @@ def _transfer_cross_check(ad, cond_iii, derivations, height):
         if i0 >= 2:
             u = ext.unrealify_vec(wd.pairs[0][0])
             _, w = isotropic_plane_partner(ext, nq, T, wd)
-            generator_to_isotropic(ad, Q.element(u).conjugate() * Q.element(w))
+            generator_to_isotropic(ad, Q.elem(u).conjugate() * Q.elem(w))
             derivations.append(
                 "transfer path: conj(u) w from an isotropic plane of s_* n_Q converts to an isotropic Albert vector"
             )

@@ -1,8 +1,9 @@
-"""Quaternion algebras (E/D, a) over an exact scalar domain D.
+"""Quaternion algebras (E/D, a) over an exact scalar ring D.
 
-The domain is a field (possibly a quadratic extension playing the role of
+The ring is a field (possibly a quadratic extension playing the role of
 K) or the split algebra F x F, in which case the construction is the pair
-of component quaternion algebras.  Elements have four coordinates over the
+of component quaternion algebras.  A QuaternionAlgebra is a 4-dimensional
+Algebra (see algebra.py): its elements have four coordinates over the
 basis (1, e, z, ez) with e^2 = alpha e + beta, z^2 = a and z l = iota(l) z.
 """
 
@@ -12,11 +13,13 @@ import functools
 import itertools
 from dataclasses import dataclass
 
+from .algebra import Algebra, AlgebraElem
 from .errors import (
     AlgebraError,
     BudgetExhausted,
     InvalidWitness,
     NotEtale,
+    SplitK,
     ZeroParameter,
 )
 from .etale import EtaleQuadratic, SplitAlgebra
@@ -27,7 +30,37 @@ from .search import DEFAULT_HEIGHT, SUBALGEBRA_CANDIDATES, Budget, scalar_candid
 BASIS_NAMES = ("1", "e", "z", "ez")
 
 
-class QuaternionAlgebra:
+class QuatElem(AlgebraElem):
+    """Element of a QuaternionAlgebra: its product and reduced trace and norm."""
+
+    __slots__ = ()
+    context = "quaternion"
+
+    def __mul__(self, other):
+        other = self._check(other)
+        return QuatElem(self.algebra, self.algebra._mul_coords(self.coords, other.coords))
+
+    def conjugate(self):
+        x = self.coords
+        alg = self.algebra
+        return QuatElem(alg, (x[0] + alg.alpha * x[1], -x[1], -x[2], -x[3]))
+
+    def trd(self):
+        return 2 * self.coords[0] + self.algebra.alpha * self.coords[1]
+
+    def nrd(self):
+        x = self.coords
+        alg = self.algebra
+        n1 = x[0] * x[0] + alg.alpha * x[0] * x[1] - alg.beta * x[1] * x[1]
+        n2 = x[2] * x[2] + alg.alpha * x[2] * x[3] - alg.beta * x[3] * x[3]
+        return n1 - alg.a * n2
+
+    def is_scalar(self):
+        d = self.algebra.ring
+        return all(d.is_zero(c) for c in self.coords[1:])
+
+
+class QuaternionAlgebra(Algebra):
     """(E/D, a) by the closed product formula _mul_coords.
 
     The constructor checks what the theory needs: `a` invertible and E =
@@ -37,24 +70,29 @@ class QuaternionAlgebra:
     and _check_associative is kept for tests only.
     """
 
-    def __init__(self, domain, alpha, beta, a):
-        self.domain = domain
-        self.alpha = domain.coerce(alpha)
-        self.beta = domain.coerce(beta)
-        self.a = domain.coerce(a)
+    dim, element = 4, QuatElem
+
+    def __init__(self, ring, alpha, beta, a):
+        super().__init__(ring, (ring.one(),) + (ring.zero(),) * 3)
+        self.alpha = ring.coerce(alpha)
+        self.beta = ring.coerce(beta)
+        self.a = ring.coerce(a)
         if not self._invertible(self.a):
             raise ZeroParameter("slot parameter a must be invertible")
         disc = self.alpha * self.alpha + 4 * self.beta
-        if domain.char == 2:
+        if ring.char == 2:
             if not self._invertible(self.alpha):
                 raise NotEtale("alpha must be invertible in characteristic 2")
         elif not self._invertible(disc):
             raise NotEtale("alpha^2 + 4 beta must be invertible")
 
     def _invertible(self, x):
-        if isinstance(self.domain, SplitAlgebra):
-            return self.domain.is_invertible(x)
-        return not self.domain.is_zero(x)
+        if isinstance(self.ring, SplitAlgebra):
+            return self.ring.is_invertible(x)
+        return not self.ring.is_zero(x)
+
+    def basis_name(self, idx):
+        return BASIS_NAMES[idx]
 
     # -- E = D[e] helpers (pairs (x0, x1) meaning x0 + x1 e) -------------------
     def _emul(self, x, y):
@@ -64,33 +102,12 @@ class QuaternionAlgebra:
     def _eiota(self, x):
         return (x[0] + self.alpha * x[1], -x[1])
 
-    def element(self, coords):
-        return QuatElem(self, tuple(self.domain.coerce(c) for c in coords))
-
-    def zero(self):
-        z = self.domain.zero()
-        return self.element((z, z, z, z))
-
-    def one(self):
-        z = self.domain.zero()
-        return self.element((self.domain.one(), z, z, z))
-
-    def basis(self):
-        z = self.domain.zero()
-        o = self.domain.one()
-        return [
-            self.element((o, z, z, z)),
-            self.element((z, o, z, z)),
-            self.element((z, z, o, z)),
-            self.element((z, z, z, o)),
-        ]
-
     @functools.cached_property
     def table(self):
         """table[i][j]: the coordinates of b_i b_j, built on first use (by a
         tensor product).  Closed form of _mul_coords on the basis, from
         e^2 = alpha e + beta, z^2 = a and z e = (alpha - e) z."""
-        o, n = self.domain.one(), self.domain.zero()
+        o, n = self.ring.one(), self.ring.zero()
         alpha, beta, a = self.alpha, self.beta, self.a
         return (
             ((o, n, n, n), (n, o, n, n), (n, n, o, n), (n, n, n, o)),
@@ -125,22 +142,22 @@ class QuaternionAlgebra:
                 raise AlgebraError("associativity fails on basis triple")
 
     def random_element(self, rng, size=5):
-        return self.element(tuple(self.domain.random_element(rng, size) for _ in range(4)))
+        return self.elem(tuple(self.ring.random_element(rng, size) for _ in range(4)))
 
     def __eq__(self, other):
         return (
             isinstance(other, QuaternionAlgebra)
-            and other.domain == self.domain
+            and other.ring == self.ring
             and other.alpha == self.alpha
             and other.beta == self.beta
             and other.a == self.a
         )
 
     def __hash__(self):
-        return hash(("quat", self.domain, self.alpha, self.beta, self.a))
+        return hash(("quat", self.ring, self.alpha, self.beta, self.a))
 
     def __repr__(self):
-        d = self.domain
+        d = self.ring
         fmt = d.format_element
         return "Quaternion(%s; e^2=%s*e+%s, z^2=%s)" % (
             getattr(d, "name", "?"),
@@ -150,101 +167,10 @@ class QuaternionAlgebra:
         )
 
 
-class QuatElem:
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra, coords):
-        self.algebra = algebra
-        self.coords = coords
-
-    def _check(self, other):
-        if isinstance(other, int):
-            return self.algebra.element((other, 0, 0, 0))
-        if isinstance(other, QuatElem) and other.algebra == self.algebra:
-            return other
-        raise AlgebraError("mixed quaternion contexts")
-
-    def __add__(self, other):
-        other = self._check(other)
-        return QuatElem(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QuatElem(self.algebra, tuple(-a for a in self.coords))
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __mul__(self, other):
-        if isinstance(other, QuatElem):
-            if other.algebra != self.algebra:
-                raise AlgebraError("mixed quaternion contexts")
-            return QuatElem(self.algebra, self.algebra._mul_coords(self.coords, other.coords))
-        # scalar action
-        c = self.algebra.domain.coerce(other)
-        return QuatElem(self.algebra, tuple(a * c for a in self.coords))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def scale(self, c):
-        c = self.algebra.domain.coerce(c)
-        return QuatElem(self.algebra, tuple(a * c for a in self.coords))
-
-    def conjugate(self):
-        x = self.coords
-        alg = self.algebra
-        return QuatElem(alg, (x[0] + alg.alpha * x[1], -x[1], -x[2], -x[3]))
-
-    def trd(self):
-        return 2 * self.coords[0] + self.algebra.alpha * self.coords[1]
-
-    def nrd(self):
-        x = self.coords
-        alg = self.algebra
-        n1 = x[0] * x[0] + alg.alpha * x[0] * x[1] - alg.beta * x[1] * x[1]
-        n2 = x[2] * x[2] + alg.alpha * x[2] * x[3] - alg.beta * x[3] * x[3]
-        return n1 - alg.a * n2
-
-    def is_zero(self):
-        d = self.algebra.domain
-        return all(d.is_zero(c) for c in self.coords)
-
-    def is_scalar(self):
-        d = self.algebra.domain
-        return all(d.is_zero(c) for c in self.coords[1:])
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self._check(other)
-        return (
-            isinstance(other, QuatElem)
-            and other.algebra == self.algebra
-            and other.coords == self.coords
-        )
-
-    def __hash__(self):
-        return hash(("quatelem", self.coords))
-
-    def __repr__(self):
-        fmt = self.algebra.domain.format_element
-        parts = []
-        for name, c in zip(BASIS_NAMES, self.coords):
-            if self.algebra.domain.is_zero(c):
-                continue
-            cs = fmt(c)
-            parts.append(cs if name == "1" else "(%s)%s" % (cs, name))
-        return " + ".join(parts) if parts else "0"
-
-
 def make_quaternion(E, a):
     """Quaternion algebra from an etale quadratic algebra E/D and a unit a.
 
-    E is an EtaleQuadratic over the scalar domain; the split case embeds as
+    E is an EtaleQuadratic over the scalar ring; the split case embeds as
     alpha = 1, beta = 0 (E = D x D presented by the polynomial x^2 - x).
     """
     if isinstance(E, EtaleQuadratic):
@@ -255,10 +181,10 @@ def make_quaternion(E, a):
 
 
 def norm_form(Q):
-    """The reduced norm as a four-dimensional form over the (field) domain."""
-    d = Q.domain
+    """The reduced norm as a four-dimensional form over the (field) ring."""
+    d = Q.ring
     if isinstance(d, SplitAlgebra):
-        raise AlgebraError("norm form needs a field domain")
+        raise SplitK("the norm form needs a field, not the split algebra")
     z = d.zero()
     rows = [
         [d.one(), Q.alpha, z, z],
@@ -288,8 +214,8 @@ def is_split(Q, height=DEFAULT_HEIGHT):
     nf = norm_form(Q)
     verdict = isotropy(nf, height=height)
     if verdict.is_isotropic:
-        x = Q.element(verdict.witness)
-        if x.is_zero() or not Q.domain.is_zero(x.nrd()):
+        x = Q.elem(verdict.witness)
+        if x.is_zero() or not Q.ring.is_zero(x.nrd()):
             raise InvalidWitness("zero-divisor conversion failed")
         return SplitVerdict("split", x, verdict.method)
     if verdict.is_anisotropic:
@@ -361,13 +287,13 @@ def find_disjoint_quadratic_subalgebra(
 
 def _candidate_elements(Q, ext, height):
     if ext.kind == "field":
-        pool = list(scalar_candidates(Q.domain, height))
+        pool = list(scalar_candidates(Q.ring, height))
         for coords in itertools.product(pool, repeat=4):
-            yield Q.element(coords)
+            yield Q.elem(coords)
     else:
-        d = Q.domain
+        d = Q.ring
         pool = list(scalar_candidates(ext.base, height))
         for comps in itertools.product(pool, repeat=8):
             coords = tuple(d.pair(comps[2 * i], comps[2 * i + 1]) for i in range(4))
-            yield Q.element(coords)
+            yield Q.elem(coords)
 

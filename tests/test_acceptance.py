@@ -75,7 +75,7 @@ def test_criterion_1_algebraic_identities():
     rng = seeded(101)
     failures = 0
     for Q in algebras:
-        d = Q.domain
+        d = Q.ring
         for _ in range(500):
             x = Q.random_element(rng, 3)
             y = Q.random_element(rng, 3)
@@ -313,10 +313,10 @@ def test_criterion_6_albert_suite(corestriction_instances):
     ad = albert_form(EXT_Q2, Q)
     cols = [EXT_Q2.realify_vec(y.coords) for y in ad.y_basis]
     rows = [tuple(cols[c][r] for c in range(6)) for r in range(8)]
-    i_elem = Q.element((K2.zero(), K2.one(), K2.zero(), K2.zero()))
+    i_elem = Q.elem((K2.zero(), K2.one(), K2.zero(), K2.zero()))
     ci = solve(rows, EXT_Q2.realify_vec(i_elem.coords), QQ)
     assert ad.form.evaluate(ci) == 0
-    y2 = Q.element((K2.zero(), K2.from_pair(1, 1), K2.zero(), K2.zero()))
+    y2 = Q.elem((K2.zero(), K2.from_pair(1, 1), K2.zero(), K2.zero()))
     c2 = solve(rows, EXT_Q2.realify_vec(y2.coords), QQ)
     assert ad.form.evaluate(c2) == QQ.from_int(-8)
     _line(6, "Albert forms", "50 instances: Arf trivial, f^2 = phi, Clifford rank 64")

@@ -64,7 +64,7 @@ def test_switch_properties():
         f = A.elem([K2.random_element(rng, 3) for _ in range(16)])
         assert (A.switch(A.switch(e)) - e).is_zero()
         lam = K2.random_element(rng, 3)
-        assert (A.switch(e.scalar_mul(lam)) - A.switch(e).scalar_mul(EXT_Q2.gamma(lam))).is_zero()
+        assert (A.switch(e.scale(lam)) - A.switch(e).scale(EXT_Q2.gamma(lam))).is_zero()
         assert (A.switch(e * f) - A.switch(e) * A.switch(f)).is_zero()
 
 
@@ -138,7 +138,7 @@ def _from_fixed_coords(cor, coords):
     A = cor.tensor
     out = A.zero()
     for c, b in zip(coords, cor.basis):
-        out = out + b.scalar_mul(A.from_base(c))
+        out = out + b.scale(A.from_base(c))
     return out
 
 
@@ -175,11 +175,11 @@ def test_express_matches_an_independent_solve(hamilton_cor):
     cor = hamilton_cor
     A = cor.tensor
     F = cor.ring
-    cols = [A.realify(b) for b in cor.basis]
+    cols = [A.ext.realify_vec(b.coords) for b in cor.basis]
     rows = [tuple(cols[c][r] for c in range(16)) for r in range(32)]
     for r in range(16):
         for s in range(16):
-            assert solve(rows, A.realify(cor.basis[r] * cor.basis[s]), F) == _structure_coords(cor, r, s)
+            assert solve(rows, A.ext.realify_vec((cor.basis[r] * cor.basis[s]).coords), F) == _structure_coords(cor, r, s)
     # an element of another tensor square, even of the same algebra, is refused
     other = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
     for elem in (other.one(), other.elem([K2.one() if i == 1 else K2.zero() for i in range(16)])):
@@ -193,7 +193,7 @@ def _reference_fixed_basis(ext, A):
     cols = []
     for vec in units(F, 32):
         elem = A.elem(ext.unrealify_vec(vec))
-        cols.append(A.realify(A.switch(elem) - elem))
+        cols.append(A.ext.realify_vec((A.switch(elem) - elem).coords))
     kernel = kernel_basis([tuple(col[r] for col in cols) for r in range(32)], F, 32)
     free = [max(i for i, c in enumerate(vec) if not F.is_zero(c)) for vec in kernel]
     return [A.elem(ext.unrealify_vec(vec)) for vec in kernel], free
@@ -201,13 +201,13 @@ def _reference_fixed_basis(ext, A):
 
 def _reference_char2_ys(ext, Q):
     """The kernel of y -> T(Trd y) in F-coordinates, less the kappa line."""
-    F, K = ext.base, Q.domain
-    functional = [ext.trace(Q.element(ext.unrealify_vec(vec)).trd()) for vec in units(F, 8)]
+    F, K = ext.base, Q.ring
+    functional = [ext.trace(Q.elem(ext.unrealify_vec(vec)).trd()) for vec in units(F, 8)]
     Y = kernel_basis([tuple(functional)], F, 8)
-    kappa_vec = ext.realify_vec(Q.element((ext.kappa(), K.zero(), K.zero(), K.zero())).coords)
+    kappa_vec = ext.realify_vec(Q.elem((ext.kappa(), K.zero(), K.zero(), K.zero())).coords)
     chosen = independent_subset([kappa_vec] + Y, F, 8, target=7)
     assert len(Y) == 7 and chosen[0] == kappa_vec
-    return [Q.element(ext.unrealify_vec(_clear_denominators(F, v))) for v in chosen[1:]]
+    return [Q.elem(ext.unrealify_vec(_clear_denominators(F, v))) for v in chosen[1:]]
 
 
 def _cor_audit_kinds():
@@ -233,7 +233,7 @@ def test_written_down_bases_match_the_eliminations():
         basis, free = _reference_fixed_basis(ext, A)
         assert basis == cor.basis
         for elem in [A.one()] + [cor.basis[r] * cor.basis[(5 * r + 3) % 16] for r in range(16)]:
-            vec = A.realify(elem)
+            vec = A.ext.realify_vec(elem.coords)
             assert cor.express(elem) == tuple(vec[c] for c in free)
     for F, ext, Q in cases + _char2_pool():
         if F.char == 2:
@@ -266,7 +266,7 @@ def test_vs_space_dimension(batch_builds):
         t = TensorSquareAlgebra(ext, Q)
         xis = [t.xi_of(y) for y in ys]
         assert all(t.switch(xi) == xi for xi in xis)
-        assert rank([t.realify(xi) for xi in xis], F, 32) == 6
+        assert rank([t.ext.realify_vec(xi.coords) for xi in xis], F, 32) == 6
 
 
 def _sigma_first_reference(t, elem):
@@ -295,7 +295,7 @@ def test_f_matrix_from_y_matches_the_sigma_rows(batch_builds):
             (zero, eta), (xi, zero2) = f_matrix(t, kappa, y)
             assert zero.is_zero() and zero2.is_zero()
             assert xi == t.xi_of(y)
-            assert eta == _sigma_first_reference(t, xi).scalar_mul(kappa)
+            assert eta == _sigma_first_reference(t, xi).scale(kappa)
             checked += 1
     assert checked == 1400
 
@@ -305,10 +305,10 @@ def test_albert_worked_values(hamilton_albert):
     # phi(xi_{y=i}) = 0 and phi(xi_{y=(1+sqrt2) i}) = -8
     cols = [EXT_Q2.realify_vec(y.coords) for y in ad.y_basis]
     rows = [tuple(cols[c][r] for c in range(6)) for r in range(8)]
-    i_elem = HAMILTON_K.element((K2.zero(), K2.one(), K2.zero(), K2.zero()))
+    i_elem = HAMILTON_K.elem((K2.zero(), K2.one(), K2.zero(), K2.zero()))
     ci = solve(rows, EXT_Q2.realify_vec(i_elem.coords), QQ)
     assert ci is not None and ad.form.evaluate(ci) == 0
-    y2 = HAMILTON_K.element((K2.zero(), K2.from_pair(1, 1), K2.zero(), K2.zero()))
+    y2 = HAMILTON_K.elem((K2.zero(), K2.from_pair(1, 1), K2.zero(), K2.zero()))
     c2 = solve(rows, EXT_Q2.realify_vec(y2.coords), QQ)
     assert c2 is not None and ad.form.evaluate(c2) == QQ.from_int(-8)
     assert ad.form.classify().nonsingular
@@ -323,7 +323,7 @@ def test_albert_form_is_the_scaled_transfer_of_the_norm_form():
         assert ext.kind == "field" and F.char != 2
         ad = albert_form(ext, Q)
         e0, z, e0z = ad.y_basis[::2]
-        norm = QuadraticForm.diagonal(Q.domain, [e0.nrd(), z.nrd(), e0z.nrd()])
+        norm = QuadraticForm.diagonal(Q.ring, [e0.nrd(), z.nrd(), e0z.nrd()])
         c = -(ext.alpha * ext.alpha + 4 * ext.beta) / 2
         assert ad.form == transfer(ext, norm).scale(c)
 
@@ -331,7 +331,7 @@ def test_albert_form_is_the_scaled_transfer_of_the_norm_form():
 def _s_nrd(ad):
     """The form s(Nrd y) on the y basis, before the scaling by c."""
     ext, Q = ad.ext, ad.Q
-    return QuadraticForm.from_map(ext.base, lambda v: ext.s(Q.element(v).nrd()), [y.coords for y in ad.y_basis])
+    return QuadraticForm.from_map(ext.base, lambda v: ext.s(Q.elem(v).nrd()), [y.coords for y in ad.y_basis])
 
 
 def test_albert_form_scale_per_kind(hamilton_albert):
@@ -409,7 +409,7 @@ def test_named_witness_conversion(hamilton_albert):
 
 def test_generator_to_isotropic_roundtrip(hamilton_albert):
     ad = hamilton_albert
-    i_elem = HAMILTON_K.element((K2.zero(), K2.one(), K2.zero(), K2.zero()))
+    i_elem = HAMILTON_K.elem((K2.zero(), K2.one(), K2.zero(), K2.zero()))
     coords = generator_to_isotropic(ad, i_elem)
     assert QQ.is_zero(ad.form.evaluate(coords))
     gen = isotropic_to_generator(ad, coords)
@@ -426,15 +426,15 @@ def _albert_of(family, seed):
 def _reference_xi_coords(ad, x):
     """kappa*x's tensor image solved for in the realified xi basis (32 x 6)."""
     t = TensorSquareAlgebra(ad.ext, ad.Q)
-    xi = t.xi_of(x.scale(ad.Q.domain.coerce(ad.kappa)))
-    cols = [t.realify(t.xi_of(y)) for y in ad.y_basis]
-    return solve([tuple(col[r] for col in cols) for r in range(32)], t.realify(xi), ad.ext.base)
+    xi = t.xi_of(x.scale(ad.Q.ring.coerce(ad.kappa)))
+    cols = [t.ext.realify_vec(t.xi_of(y).coords) for y in ad.y_basis]
+    return solve([tuple(col[r] for col in cols) for r in range(32)], t.ext.realify_vec(xi.coords), ad.ext.base)
 
 
 def test_generator_to_isotropic_matches_the_realified_xi_solve(hamilton_albert):
     # the coordinates come from an 8 x 7 solve over y_basis and the kappa
     # line; the 32 x 6 solve in the xi basis is the reference
-    i_elem = HAMILTON_K.element((K2.zero(), K2.one(), K2.zero(), K2.zero()))
+    i_elem = HAMILTON_K.elem((K2.zero(), K2.one(), K2.zero(), K2.zero()))
     assert generator_to_isotropic(hamilton_albert, i_elem) == _reference_xi_coords(hamilton_albert, i_elem)
     families = set()
     for family in FAMILIES:
@@ -453,7 +453,7 @@ def test_y_basis_is_trace_zero_outside_char2(hamilton_albert):
     # kappa*y has trace 0, and c*kappa for c != 0 changes neither the
     # discriminant nor K-independence
     for ad in (hamilton_albert, _albert_of("split-K-over-Q", 26), _albert_of("split-K-over-Qt", 3)):
-        K = ad.Q.domain
+        K = ad.Q.ring
         assert all(K.is_zero(y.trd()) for y in ad.y_basis)
 
 
@@ -462,7 +462,7 @@ def test_char2_generator_is_built_not_searched(family, seed, monkeypatch):
     # the witness itself has trace 0, so the generator must come from its
     # hyperbolic pair, and no scan may run to find it
     ad = _albert_of(family, seed)
-    K = ad.Q.domain
+    K = ad.Q.ring
     div = cor_is_division(ad)
     assert div.not_division is True
     assert K.is_zero(ad.y_from_coords(div.witness_coords).trd())
@@ -523,7 +523,7 @@ def test_failure_polynomial_has_degree_at_most_four(family, seed):
     # P(s*x) = Nrd(y(s x + u - q(s x) zeta)) has degree <= 4 in s, so its
     # fifth difference over s = 0..5 vanishes
     ad = _albert_of(family, seed)
-    F, K = ad.ext.base, ad.Q.domain
+    F, K = ad.ext.base, ad.Q.ring
     u = cor_is_division(ad).witness_coords
     zeta = hyperbolic_partner(ad.form, u)
     comp = ad.form.orthogonal_complement([u, zeta])

@@ -548,7 +548,7 @@ def test_accepted_cond_ii_tampers_are_genuine_witnesses():
             if not verify_certificate(bad):
                 continue
             accepted += 1
-            x = Q.element(tuple(parse_element(K, c) for c in bad["cond_ii"]["witness"]))
+            x = Q.elem(tuple(parse_element(K, c) for c in bad["cond_ii"]["witness"]))
             data = validate_disjoint_witness(Q, ext, x, etale_required=True)
             # x is a root of its reduced characteristic polynomial over F
             assert (x * x - x.scale(K.from_base(data["trd"])) + Q.one().scale(K.from_base(data["nrd"]))).is_zero()
@@ -640,6 +640,34 @@ def test_cor_random_checks_must_not_be_negative(tmp_path, capsys):
     assert capsys.readouterr().out == "f(xi)^2 = phi(xi) verified (6 basis, 0 random)\n"
 
 
+def test_check_count_must_be_positive(capsys):
+    # --count 0 printed "check needs --instance or --family" although --family was given
+    for count in ("0", "-2"):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--family", "quad-K-over-Q", "--count", count])
+        assert exc.value.code == 2
+        assert "--count: must be at least 1, got %s" % count in capsys.readouterr().err
+
+
+def test_split_k_is_refused_in_one_line(tmp_path):
+    # transfer, descend and the split test need a field K; F x F used to end in a traceback
+    ext = tmp_path / "e.json"
+    ext.write_text(json.dumps({"base": "Q", "ext": "split"}))
+    form = tmp_path / "f.json"
+    form.write_text(json.dumps({"field": "Q", "diag": [1, 1]}))
+    spec = tmp_path / "q.json"
+    spec.write_text(json.dumps({"ext": {"base": "Q", "ext": "split"}, "Q": {"alpha": [0, 0], "beta": [1, 2], "a": [3, 5]}}))
+    for argv in (
+        ["transfer", "--ext", str(ext), "--form", str(form)],
+        ["descend", "--ext", str(ext), "--form", str(form)],
+        ["quat", "--spec", str(spec), "--cmd", "split"],
+    ):
+        out = _run_cli(*argv)
+        assert out.returncode == 4, argv
+        assert "Traceback" not in out.stdout + out.stderr, argv
+        assert out.stdout.startswith("split K: ") and out.stdout.count("\n") == 1, argv
+
+
 def test_cor_build_checks_the_natural_map_and_builds_no_albert_form(tmp_path, capsys, monkeypatch):
     path = tmp_path / "i.json"
     path.write_text(json.dumps(generate_instance("split-K-over-Q", 0).to_json()))
@@ -653,3 +681,38 @@ def test_cor_build_checks_the_natural_map_and_builds_no_albert_form(tmp_path, ca
     monkeypatch.setattr(albertkit.cli, "natural_map_bijective", lambda ext, cor: False)
     with pytest.raises(InternalContradiction, match="not bijective"):
         main(["cor", "--instance", str(path), "--cmd", "build"])
+
+
+def test_element_reprs_and_the_subalg_text_are_pinned(tmp_path, capsys):
+    # the printed forms of quaternion, tensor-square and Cor elements
+    from albertkit import EtaleQuadratic, QuaternionAlgebra, TensorSquareAlgebra, build_corestriction
+
+    ext = EtaleQuadratic(QQ, (0, 2))
+    K = ext.ring
+    Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
+    one, e, z, ez = Q.basis()
+    x = one.scale(K.from_int(2)) + e.scale(K.gen()) - ez.scale(K.from_pair(QQ.one(), QQ.coerce(-3) / 2))
+    assert [repr(q) for q in (x, Q.zero(), -z)] == ["2 + (w)e + (-1+3/2*w)ez", "0", "(-1)z"]
+    D = EtaleQuadratic(QQ, "split").ring
+    Qs = QuaternionAlgebra(D, D.pair(0, 1), D.pair(-1, 2), D.pair(-1, 3))
+    one_s, _, _, ez_s = Qs.basis()
+    assert repr(one_s.scale(D.pair(1, 2)) + ez_s.scale(D.pair(0, -1))) == "(1,2) + ((0,-1))ez"
+    t = TensorSquareAlgebra(ext, Q)
+    assert repr(t.xi_of(x)) == "(4)g0(x)0 + (w)g0(x)1 + (-1+3/2*w)g0(x)3 + (-1*w)g1(x)0 + (-1-3/2*w)g3(x)0"
+    assert repr(t.zero()) == "0"
+    cor = build_corestriction(ext, Q)
+    assert repr(cor.one()) == "(1)e0"
+    assert repr(cor.elem(cor.express(cor.tensor.xi_of(x)))) == "(4)e0 + (-1)e2 + (-1)e9 + (-3/2)e10"
+    assert repr(cor.elem([QQ.from_int(k % 3 - 1) / 2 for k in range(16)])) == (
+        "(-1/2)e0 + (1/2)e2 + (-1/2)e3 + (1/2)e5 + (-1/2)e6 + (1/2)e8 + (-1/2)e9 + (1/2)e11 + (-1/2)e12 + (1/2)e14 + (-1/2)e15"
+    )
+    specs = (
+        ({"base": "Q", "ext": "x^2-(-5)", "Q": {"alpha": "0", "beta": "0-3*w", "a": "2+2*w"}}, ["--height", "1"], "(1+w)e + (1-1*w)z"),
+        ({"base": "F(2)", "ext": "x^2-x-1", "Q": {"alpha": "1", "beta": "w", "a": "w"}}, [], "(1)e + (w)ez"),
+        ({"ext": {"base": "Q", "ext": "split"}, "Q": {"alpha": [1, 1], "beta": [0, 0], "a": [3, 5]}}, ["--any-quadratic"], "((1,1))ez"),
+    )
+    for k, (spec, flags, witness) in enumerate(specs):
+        path = tmp_path / ("q%d.json" % k)
+        path.write_text(json.dumps(spec))
+        assert main(["quat", "--spec", str(path), "--cmd", "subalg"] + flags) == 0
+        assert capsys.readouterr().out == "witness: %s\n" % witness

@@ -48,7 +48,7 @@ def test_hamilton_norm_form():
 
 def test_f4_example_split():
     Q = QuaternionAlgebra(F4, F4.one(), F4.one(), F4.one())
-    x = Q.element((F4.one(), F4.zero(), F4.one(), F4.zero()))  # 1 + z
+    x = Q.elem((F4.one(), F4.zero(), F4.one(), F4.zero()))  # 1 + z
     assert F4.is_zero(x.nrd())
     verdict = is_split(Q)
     assert verdict.status == "split"
@@ -78,7 +78,7 @@ def test_hamilton_division():
 )
 def test_algebra_identities(algebra):
     rng = seeded(41)
-    d = algebra.domain
+    d = algebra.ring
     for _ in range(120):
         x = algebra.random_element(rng, 3)
         y = algebra.random_element(rng, 3)
@@ -104,13 +104,13 @@ def test_norm_form_multiplicativity():
 def test_disjoint_witness_hamilton_over_Qsqrt2():
     ext = EtaleQuadratic(QQ, (0, 2))
     Q = HAMILTON_K
-    i = Q.element((K2.zero(), K2.one(), K2.zero(), K2.zero()))
+    i = Q.elem((K2.zero(), K2.one(), K2.zero(), K2.zero()))
     data = validate_disjoint_witness(Q, ext, i, etale_required=True)
     assert data["trd"] == 0 and data["nrd"] == 1
     # scalars are rejected
     with pytest.raises(InvalidWitness):
         validate_disjoint_witness(Q, ext, Q.one(), etale_required=False)
-    w_scalar = Q.element((K2.gen(), K2.zero(), K2.zero(), K2.zero()))
+    w_scalar = Q.elem((K2.gen(), K2.zero(), K2.zero(), K2.zero()))
     with pytest.raises(InvalidWitness):
         validate_disjoint_witness(Q, ext, w_scalar, etale_required=False)
     found = find_disjoint_quadratic_subalgebra(Q, ext, etale_required=True, height=1)
@@ -123,7 +123,7 @@ def test_trace_is_checked_before_the_norm(monkeypatch):
         raise AssertionError("Nrd(x) computed before the trace check")
 
     monkeypatch.setattr(QuatElem, "nrd", nrd)
-    x = HAMILTON_K.element((K2.gen(), K2.one(), K2.zero(), K2.zero()))  # Trd(x) = 2 sqrt2
+    x = HAMILTON_K.elem((K2.gen(), K2.one(), K2.zero(), K2.zero()))  # Trd(x) = 2 sqrt2
     with pytest.raises(InvalidWitness, match=r"^Trd\(x\) is not in F$"):
         validate_disjoint_witness(HAMILTON_K, EtaleQuadratic(QQ, (0, 2)), x, etale_required=False)
 
@@ -133,7 +133,7 @@ def test_char2_etale_flag():
     ext = EtaleQuadratic(F2, (1, 1))
     K4 = ext.ring
     Q = QuaternionAlgebra(K4, K4.one(), K4.gen(), K4.one())
-    z = Q.element((K4.zero(), K4.zero(), K4.one(), K4.zero()))
+    z = Q.elem((K4.zero(), K4.zero(), K4.one(), K4.zero()))
     validate_disjoint_witness(Q, ext, z, etale_required=False)
     with pytest.raises(InvalidWitness):
         validate_disjoint_witness(Q, ext, z, etale_required=True)
@@ -157,7 +157,7 @@ def test_split_verdict_agrees_with_element_search():
             # independent bounded element search for a zero divisor
             found = None
             for coords in _element_grid(field):
-                x = Q.element(coords)
+                x = Q.elem(coords)
                 if not x.is_zero() and field.is_zero(x.nrd()):
                     found = x
                     break
@@ -177,8 +177,8 @@ def test_make_quaternion_from_etale():
     Es = EtaleQuadratic(QQ, "split")
     Qs = make_quaternion(Es, QQ.from_int(5))
     # split E embeds zero divisors immediately: (1,0) is idempotent
-    zd = Qs.element((QQ.one(), QQ.zero(), QQ.zero(), QQ.zero()))
-    idem = Qs.element((QQ.zero(), QQ.one(), QQ.zero(), QQ.zero()))
+    zd = Qs.elem((QQ.one(), QQ.zero(), QQ.zero(), QQ.zero()))
+    idem = Qs.elem((QQ.zero(), QQ.one(), QQ.zero(), QQ.zero()))
     assert idem * idem == idem  # e^2 = e since x^2 - x splits
 
 
