@@ -28,7 +28,7 @@ from .fields import (
     RationalField,
     RationalFunctionField,
 )
-from .etale import EtaleQuadratic, SplitAlgebra, make_etale_quadratic
+from .etale import EtaleQuadratic, SplitAlgebra
 from .forms import (
     QuadraticForm,
     isometric_embedding,

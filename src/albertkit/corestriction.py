@@ -243,16 +243,12 @@ def build_corestriction(ext, Q):
 
 def natural_map_bijective(ext, cor):
     """Exact rank check: the fixed basis is K-linearly independent, so Cor (x) K
-    is the tensor square.  The basis is written down, so build_corestriction
-    does not call this."""
-    K = ext.ring
-    F = ext.base
-    mat = [b.coords for b in cor.basis]
-    if ext.kind == "field":
-        return linalg.rank([tuple(r) for r in mat], K, 16) == 16
-    rows1 = [tuple(c.a for c in r) for r in mat]
-    rows2 = [tuple(c.b for c in r) for r in mat]
-    return linalg.rank(rows1, F, 16) == 16 and linalg.rank(rows2, F, 16) == 16
+    is the tensor square.  Over F: the realified basis and its w-multiples
+    have rank 32.  The basis is written down, so build_corestriction does
+    not call this."""
+    w = ext.w
+    rows = [ext.realify_vec(v) for b in cor.basis for v in (b.coords, tuple(w * c for c in b.coords))]
+    return linalg.rank(rows, ext.base, 32) == 32
 
 
 def tensor_product_algebra(Q1, Q2):

@@ -5,6 +5,13 @@ Elements are immutable and carry their field context where the context is
 not implied by the Python type (Fraction is used raw for Q).  Mixing
 elements of different contexts raises AlgebraError.  Polynomials over F_2
 are packed into one int (`f2poly.F2Poly`); every other base is dense.
+
+The scalars of a quadratic etale algebra K/F are pairs (a, b) over F: a + b w
+in a quadratic field extension, a pair of components in F x F
+(`etale.SplitAlgebra`).  `PairElem` holds what the two share (sum,
+negation, equality, hash, truth), and both rings answer one protocol:
+`gen`, `conj`, `trace_to_base`, `norm_to_base`, `to_pair`, `from_pair`,
+`is_invertible` and `generates_unit_ideal`.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ class Field:
     char = 0
     order = None  # number of elements, None when infinite
     name = "?"
+    element = None  # the element class, whose instances carry their field as `field`
 
     @property
     def enumerable(self):
@@ -57,10 +65,21 @@ class Field:
 
     def coerce(self, x):
         """Accept ints and own elements; reject foreign elements."""
-        raise NotImplementedError
+        if isinstance(x, int):
+            return self.from_int(x)
+        if isinstance(x, self.element) and (x.field is self or x.field == self):
+            return x
+        raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
     def is_zero(self, x):
         return not self.coerce(x)
+
+    def is_invertible(self, x):
+        return not self.is_zero(x)
+
+    def generates_unit_ideal(self, values):
+        """Whether the values generate the whole ring: in a field, whether one is nonzero."""
+        return any(not self.is_zero(v) for v in values)
 
     # -- roots ---------------------------------------------------------------
     def is_square(self, x):
@@ -280,6 +299,8 @@ class FiniteField(Field):
     (at most `order` of them), so equal elements of one field are one object.
     """
 
+    element = GFElem
+
     def __init__(self, p, k=1, reduction=None):
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             raise AlgebraError("p must be prime, got %s" % p)
@@ -360,13 +381,6 @@ class FiniteField(Field):
 
     def from_int(self, n):
         return self._elem((n % self.p,) + (0,) * (self.k - 1))
-
-    def coerce(self, x):
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, GFElem) and (x.field is self or x.field == self):
-            return x
-        raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
     def _mul(self, a, b):
         p, k = self.p, self.k
@@ -636,7 +650,7 @@ class Poly:
             c = self.coeffs[i]
             if self.base.is_zero(c):
                 continue
-            cs = self.base.format_element(c) if not isinstance(c, Fraction) else str(c)
+            cs = self.base.format_element(c)
             if i == 0:
                 parts.append(cs)
             else:
@@ -718,6 +732,8 @@ class RatFuncElem(ScalarElem):
 class RationalFunctionField(Field):
     """Field of rational functions base(var) with exact arithmetic."""
 
+    element = RatFuncElem
+
     def __init__(self, base, var="t"):
         self.base = base
         self.var = var
@@ -749,13 +765,6 @@ class RationalFunctionField(Field):
 
     def from_base(self, c):
         return self.poly_elem((self.base.coerce(c),))
-
-    def coerce(self, x):
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, RatFuncElem) and (x.field is self or x.field == self):
-            return x
-        raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
     def sqrt_or_none(self, x):
         ns = x.num.sqrt()
@@ -846,8 +855,11 @@ def solve_additive_poly(base, m, N):
 # ---------------------------------------------------------------------------
 
 
-class QuadExtElem(ScalarElem):
-    """Element a + b*w of a quadratic extension, w^2 = alpha*w + beta."""
+class PairElem(ScalarElem):
+    """A pair (a, b) over the base of its ring `field`, a quadratic extension
+    or F x F.  Sum, negation, equality, hash and truth are coordinatewise; a
+    subclass defines the ring's product and division.
+    """
 
     __slots__ = ("field", "a", "b")
 
@@ -858,12 +870,35 @@ class QuadExtElem(ScalarElem):
 
     def __add__(self, other):
         other = self._check(other)
-        return QuadExtElem(self.field, self.a + other.a, self.b + other.b)
+        return type(self)(self.field, self.a + other.a, self.b + other.b)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadExtElem(self.field, -self.a, -self.b)
+        return type(self)(self.field, -self.a, -self.b)
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            other = self.field.from_int(other)
+        return (
+            isinstance(other, type(self))
+            and (other.field is self.field or other.field == self.field)
+            and other.a == self.a
+            and other.b == self.b
+        )
+
+    def __hash__(self):
+        return hash((self.a, self.b))
+
+    def __bool__(self):
+        base = self.field.base
+        return not (base.is_zero(self.a) and base.is_zero(self.b))
+
+
+class QuadExtElem(PairElem):
+    """Element a + b*w of a quadratic extension, w^2 = alpha*w + beta."""
+
+    __slots__ = ()
 
     def __mul__(self, other):
         other = self._check(other)
@@ -881,26 +916,11 @@ class QuadExtElem(ScalarElem):
         other = self._check(other)
         return self * self.field.inv(other)
 
-    def __eq__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_int(other)
-        return (
-            isinstance(other, QuadExtElem)
-            and (other.field is self.field or other.field == self.field)
-            and other.a == self.a
-            and other.b == self.b
-        )
-
-    def __hash__(self):
-        return hash(("qe", self.a, self.b))
-
-    def __bool__(self):
-        base = self.field.base
-        return not (base.is_zero(self.a) and base.is_zero(self.b))
-
 
 class QuadraticFieldExtension(Field):
     """base[w]/(w^2 - alpha*w - beta), required to be a field."""
+
+    element = QuadExtElem
 
     def __init__(self, base, alpha, beta, var="w"):
         self.base = base
@@ -923,10 +943,6 @@ class QuadraticFieldExtension(Field):
         if base.monic_quadratic_roots(-self.alpha, -self.beta):
             raise AlgebraError("%s splits over %s: not a field" % (modulus, base.name))
 
-    @property
-    def is_perfect(self):
-        return self.char == 0 or self.order is not None
-
     def zero(self):
         return QuadExtElem(self, self.base.zero(), self.base.zero())
 
@@ -945,12 +961,10 @@ class QuadraticFieldExtension(Field):
     def from_pair(self, a, b):
         return QuadExtElem(self, self.base.coerce(a), self.base.coerce(b))
 
-    def coerce(self, x):
-        if isinstance(x, int):
-            return self.from_int(x)
-        if isinstance(x, QuadExtElem) and (x.field is self or x.field == self):
-            return x
-        raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
+    def to_pair(self, x):
+        """The coordinates (a, b) of x = a + b w."""
+        x = self.coerce(x)
+        return (x.a, x.b)
 
     def conj(self, x):
         """The nontrivial automorphism: w -> alpha - w."""
@@ -1062,10 +1076,10 @@ class QuadraticFieldExtension(Field):
 
     def format_element(self, x):
         base = self.base
-        fa = base.format_element(x.a) if not isinstance(x.a, Fraction) else str(x.a)
+        fa = base.format_element(x.a)
         if base.is_zero(x.b):
             return fa
-        fb = base.format_element(x.b) if not isinstance(x.b, Fraction) else str(x.b)
+        fb = base.format_element(x.b)
         bw = self.var if fb == "1" else "%s*%s" % (fb, self.var)
         if base.is_zero(x.a):
             return bw

@@ -196,15 +196,9 @@ class _ExprParser:
 
 def _field_variables(field):
     vars = {}
-    if isinstance(field, RationalFunctionField):
-        vars["t" if field.var == "t" else field.var] = field.gen()
-        inner = _field_variables(field.base)
-        for k, v in inner.items():
-            vars[k] = field.from_base(v)
-    elif isinstance(field, QuadraticFieldExtension):
+    if isinstance(field, (RationalFunctionField, QuadraticFieldExtension)):
         vars[field.var] = field.gen()
-        inner = _field_variables(field.base)
-        for k, v in inner.items():
+        for k, v in _field_variables(field.base).items():
             vars[k] = field.from_base(v)
     elif isinstance(field, FiniteField) and field.k > 1:
         vars["u"] = field.gen()
@@ -231,8 +225,6 @@ def parse_element(field, data):
 def format_element(field, x):
     if isinstance(field, SplitAlgebra):
         return [format_element(field.base, x.a), format_element(field.base, x.b)]
-    if isinstance(field, RationalField):
-        return str(x)
     return field.format_element(x)
 
 

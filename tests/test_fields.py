@@ -15,7 +15,6 @@ from albertkit import (
     QuadraticFieldExtension,
     RationalFunctionField,
     SplitAlgebra,
-    make_etale_quadratic,
 )
 from albertkit.f2poly import F2Poly
 from albertkit.fields import GFElem, Poly, RatFuncElem, solve_additive_poly
@@ -147,19 +146,19 @@ def test_f2_function_field_arithmetic_runs_on_packed_bits(monkeypatch):
 
 
 def test_make_etale_examples():
-    K = make_etale_quadratic(QQ, (0, 2))
+    K = EtaleQuadratic(QQ, (0, 2))
     w = K.w
     assert K.gamma(w) == -w
-    K4 = make_etale_quadratic(F2, (1, 1))
+    K4 = EtaleQuadratic(F2, (1, 1))
     assert K4.w * K4.w == K4.w + K4.ring.one()
     assert K4.gamma(K4.w) == K4.w + K4.ring.one()
     with pytest.raises(NotEtale):
-        make_etale_quadratic(F2, (0, 1))
+        EtaleQuadratic(F2, (0, 1))
 
 
 def test_split_presentation_of_split_polynomial():
     # x^2 - 1 splits over Q: the etale algebra degenerates to Q x Q
-    K = make_etale_quadratic(QQ, (0, 1))
+    K = EtaleQuadratic(QQ, (0, 1))
     assert K.kind == "split"
 
 
@@ -181,6 +180,7 @@ def test_etale_invariants(ext):
         x = ext.random_element(rng, 4)
         assert ext.gamma(ext.gamma(x)) == x
         a, b = ext.coords(x)
+        assert ext.from_pair(a, b) == x
         fixed = ext.gamma(x) == x
         assert fixed == base.is_zero(b)
         # trace and norm land in the base field by construction; check the
@@ -247,6 +247,9 @@ def test_context_mixing_is_hard_fault():
         QxQ.one() * F3xF3.one()
     with pytest.raises(AlgebraError):
         QxQ.one() - K2.one()
+    # equal coordinates in different rings are different elements
+    assert QxQ.pair(2, 3) != K2.from_pair(2, 3)
+    assert K2.from_pair(2, 3) != QxQ.pair(2, 3)
     # the reflected operators coerce ints and keep the element's context
     for field, x in ((F9, F9.gen()), (Qt, Qt.gen() + 1), (K2, K2.gen()), (QxQ, QxQ.pair(2, 3))):
         assert field.coerce(1 - x) == field.one() - x  # coerce rejects a foreign context

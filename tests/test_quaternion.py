@@ -17,6 +17,7 @@ from albertkit import (
     validate_disjoint_witness,
 )
 from albertkit.errors import InvalidWitness, NotEtale, ZeroParameter
+from albertkit.harness import generate_instance
 from albertkit.quaternion import QuatElem
 
 F2 = FiniteField(2)
@@ -115,6 +116,24 @@ def test_disjoint_witness_hamilton_over_Qsqrt2():
         validate_disjoint_witness(Q, ext, w_scalar, etale_required=False)
     found = find_disjoint_quadratic_subalgebra(Q, ext, etale_required=True, height=1)
     validate_disjoint_witness(Q, ext, found, etale_required=True)
+
+
+def test_k_independence_message_is_pinned():
+    message = r"^\(1, x\) is not K-linearly independent$"
+    # a draw of the harness search on split-K-over-Qt 3: Trd and Nrd lie in F,
+    # but the first component of x is the scalar 0
+    _F, ext, Q = generate_instance("split-K-over-Qt", 3).build()
+    d = Q.ring
+    x = Q.elem((d.zero(), d.zero(), d.pair(0, -1), d.pair(0, -1)))
+    with pytest.raises(InvalidWitness, match=message):
+        validate_disjoint_witness(Q, ext, x, etale_required=False)
+    with pytest.raises(InvalidWitness, match=message):
+        validate_disjoint_witness(HAMILTON_K, EtaleQuadratic(QQ, (0, 2)), HAMILTON_K.one(), etale_required=False)
+    # the harness witness on split-K-over-Qt 6: each component is non-scalar, in different coordinates
+    _F, ext, Q = generate_instance("split-K-over-Qt", 6).build()
+    d = Q.ring
+    x = Q.elem((d.zero(), d.pair(0, -1), d.zero(), d.pair(-1, 0)))
+    assert validate_disjoint_witness(Q, ext, x, etale_required=False) == {"trd": 0, "nrd": 3}
 
 
 def test_trace_is_checked_before_the_norm(monkeypatch):
