@@ -3,12 +3,14 @@
 Subcommands: isotropy, transfer, descend, quat, cor, clifford, check,
 gen, verify.  Every subcommand but verify accepts --json for machine
 output, and the four that search (isotropy, descend, quat, cor) take
---height; `check` exits 0 when all reports are consistent, 2 on an
-inconsistency (the equivalence would be falsified) and 3 when Unknown
-verdicts remain.  Every subcommand prints "malformed: ..." and exits 1
-on a malformed input file, and prints "split K: ..." and exits 4 when it
-needs a quadratic field extension and is given the split algebra F x F
-(transfer, descend and quat --cmd split).  Invalid options exit 2.
+--height (at least 1); `check` exits 0 when all reports are consistent,
+2 on an inconsistency (the equivalence would be falsified) and 3 when
+Unknown verdicts remain.  `quat --cmd subalg` prints condition (ii), or
+(i), of the same report, with the same exit codes.  Every subcommand
+prints "malformed: ..." and exits 1 on a malformed input file, and
+prints "split K: ..." and exits 4 when it needs a quadratic field
+extension and is given the split algebra F x F (transfer, descend and
+quat --cmd split).  Invalid options exit 2.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .corestriction import (
     f_map_check,
     natural_map_bijective,
 )
-from .errors import BudgetExhausted, InternalContradiction, MalformedCertificate, SplitK
+from .errors import InternalContradiction, MalformedCertificate, SplitK
 from .harness import (
     FAMILIES,
     Instance,
@@ -39,13 +41,12 @@ from .jsonio import (
     _as_malformed,
     form_to_json,
     format_element,
-    parse_element,
     parse_extension_doc,
     parse_form,
     parse_vector,
     vector_to_json,
 )
-from .quaternion import QuaternionAlgebra, find_disjoint_quadratic_subalgebra, is_split
+from .quaternion import is_split
 from .search import DEFAULT_HEIGHT
 from .transfer import descend, transfer
 
@@ -113,27 +114,37 @@ def _cmd_descend(args):
     return 0
 
 
-def _build_quat(doc):
+def _build_quat(doc, height):
+    """The Instance of a quaternion spec: F is `base`, K is `ext`, and Q is
+    given in 'Q' or in 'E' and 'a'; its searches stop at `height`."""
     if not isinstance(doc, dict):
         raise MalformedCertificate("a quaternion spec must be a JSON object")
-    ext = parse_extension_doc(doc["ext"] if isinstance(doc.get("ext"), dict) else doc)
+    ext = doc["ext"] if isinstance(doc.get("ext"), dict) else doc
+    if not all(isinstance(ext.get(key), str) for key in ("base", "ext")):
+        raise MalformedCertificate("an extension needs the string specs 'base' and 'ext'")
     spec = doc.get("Q")
     if spec is None and isinstance(doc.get("E"), dict):
         spec = dict(doc["E"], a=doc.get("a"))
     if not isinstance(spec, dict) or any(spec.get(key) is None for key in ("alpha", "beta", "a")):
         raise MalformedCertificate("a quaternion spec needs alpha, beta and a, in 'Q' or in 'E' and 'a'")
-    domain = ext.ring
-    with _as_malformed("quaternion spec"):
-        return ext, QuaternionAlgebra(
-            domain,
-            parse_element(domain, spec["alpha"]),
-            parse_element(domain, spec["beta"]),
-            parse_element(domain, spec["a"]),
-        )
+    return Instance("custom", 0, ext["base"], ext["ext"], spec["alpha"], spec["beta"], spec["a"], height)
 
 
 def _cmd_quat(args):
-    ext, Q = _build_quat(_load_json(args.spec))
+    inst = _build_quat(_load_json(args.spec), args.height)
+    if args.cmd == "subalg":
+        # condition (ii), or (i), of the check route's report
+        report = check_equivalence(inst)
+        cond = report.cond_i if args.any_quadratic else report.cond_ii
+        status = {"yes": "found", "no": "none", "unknown": "unknown"}[cond.status]
+        ring = report.ctx[2].ring
+        witness = None if cond.witness is None else [format_element(ring, c) for c in cond.witness.coords]
+        doc = {"status": status, "method": cond.method, "witness": witness, "searched": cond.searched}
+        _emit(args, doc, "witness: %r" % (cond.witness,) if witness else "%s [%s]" % (status, cond.method))
+        if not report.consistent:
+            return 2
+        return 3 if status == "unknown" else 0
+    _, _, Q = inst.build()
     if args.cmd == "nrd":
         try:
             coords = json.loads(args.x or "null")
@@ -153,17 +164,6 @@ def _cmd_quat(args):
             doc["zero_divisor"] = [format_element(Q.ring, c) for c in verdict.zero_divisor.coords]
         _emit(args, doc, "%s [%s]" % (verdict.status, verdict.method))
         return 0 if verdict.decided else 3
-    if args.cmd == "subalg":
-        try:
-            x = find_disjoint_quadratic_subalgebra(
-                Q, ext, etale_required=not args.any_quadratic, height=args.height
-            )
-        except BudgetExhausted as exc:
-            _emit(args, {"status": "unknown", "searched": exc.searched}, "budget exhausted")
-            return 3
-        doc = {"status": "found", "witness": [format_element(Q.ring, c) for c in x.coords]}
-        _emit(args, doc, "witness: %r" % (x,))
-        return 0
     raise SystemExit("unknown quat command %r" % args.cmd)
 
 
@@ -287,7 +287,7 @@ def build_parser():
         if "json" in flags:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         if "height" in flags:
-            p.add_argument("--height", type=int, default=DEFAULT_HEIGHT, help="search height bound")
+            p.add_argument("--height", type=_int_at_least(1), default=DEFAULT_HEIGHT, help="search height bound")
         return p
 
     searching = ("json", "height")
@@ -307,7 +307,7 @@ def build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--cmd", required=True, choices=("nrd", "split", "subalg"))
     p.add_argument("--x", help="element coordinates (JSON list)")
-    p.add_argument("--any-quadratic", action="store_true", help="condition (i) instead of (ii)")
+    p.add_argument("--any-quadratic", action="store_true", help="subalg: condition (i), any quadratic, not (ii)")
 
     p = add("cor", _cmd_cor, searching, help="corestriction and Albert form")
     p.add_argument("--instance", required=True)

@@ -9,6 +9,10 @@ class NotEtale(AlgebraError):
     """The requested quadratic algebra is not etale (separability fails)."""
 
 
+class Reducible(AlgebraError):
+    """The polynomial of a quadratic field extension has a root in its base."""
+
+
 class ZeroParameter(AlgebraError):
     """A construction parameter that must be invertible is zero."""
 

@@ -15,7 +15,7 @@ structure maps are one call each, whatever the kind.
 
 from __future__ import annotations
 
-from .errors import NotEtale
+from .errors import NotEtale, Reducible
 from .fields import Field, PairElem, QuadraticFieldExtension
 
 
@@ -142,13 +142,13 @@ class EtaleQuadratic:
             else:
                 if base.is_zero(alpha * alpha + 4 * beta):
                     raise NotEtale("discriminant of X^2-%s*X-%s vanishes" % (alpha, beta))
-            if base.monic_quadratic_roots(-alpha, -beta):
+            try:
+                self.kind, self.ring = "field", QuadraticFieldExtension(base, alpha, beta)
+            except Reducible:
                 alpha = beta = None  # separable but split: the algebra is F x F
         self.alpha, self.beta = alpha, beta
         if alpha is None:
             self.kind, self.ring = "split", SplitAlgebra(base)
-        else:
-            self.kind, self.ring = "field", QuadraticFieldExtension(base, alpha, beta)
 
     @property
     def w(self):

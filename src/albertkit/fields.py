@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import isqrt
 
 from . import linalg
-from .errors import AlgebraError
+from .errors import AlgebraError, Reducible
 
 
 def _is_int_square(n):
@@ -941,7 +941,7 @@ class QuadraticFieldExtension(Field):
         modulus = "".join(terms)
         self.name = "%s[%s]/(%s)" % (base.name, var, modulus)
         if base.monic_quadratic_roots(-self.alpha, -self.beta):
-            raise AlgebraError("%s splits over %s: not a field" % (modulus, base.name))
+            raise Reducible("%s splits over %s: not a field" % (modulus, base.name))
 
     def zero(self):
         return QuadExtElem(self, self.base.zero(), self.base.zero())

@@ -46,7 +46,7 @@ from .quaternion import (
     norm_form,
     validate_disjoint_witness,
 )
-from .search import DEFAULT_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES
+from .search import DEFAULT_HEIGHT
 from .transfer import isotropic_plane_partner, transfer
 
 SCHEMA = "albertkit/1"
@@ -297,9 +297,7 @@ def check_equivalence(inst, path="albert"):
     elif div.not_division is False:
         cond_iii = CondVerdict("no", None, div.method)
         try:
-            x = find_disjoint_quadratic_subalgebra(
-                Q, ext, etale_required=False, height=1, max_candidates=HARNESS_SUBALGEBRA_CANDIDATES
-            )
+            x = find_disjoint_quadratic_subalgebra(Q, ext, etale_required=False)
             # a (i) witness converts to an isotropic vector, contradicting
             # the proven anisotropy: the equivalence would be falsified
             generator_to_isotropic(ad, x)
@@ -317,9 +315,7 @@ def check_equivalence(inst, path="albert"):
     else:
         cond_iii = CondVerdict("unknown", None, div.method)
         try:
-            x = find_disjoint_quadratic_subalgebra(
-                Q, ext, etale_required=True, height=1, max_candidates=HARNESS_SUBALGEBRA_CANDIDATES
-            )
+            x = find_disjoint_quadratic_subalgebra(Q, ext, etale_required=True)
             cond_ii = CondVerdict("yes", x, "direct-search")
             cond_i = CondVerdict("yes", x, "from-(ii)")
             coords = generator_to_isotropic(ad, x)

@@ -25,7 +25,7 @@ from .errors import (
 from .etale import EtaleQuadratic, SplitAlgebra
 from .forms import QuadraticForm
 from .isotropy import isotropy
-from .search import DEFAULT_HEIGHT, SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
+from .search import DEFAULT_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
 
 BASIS_NAMES = ("1", "e", "z", "ez")
 
@@ -247,13 +247,13 @@ def validate_disjoint_witness(Q, ext, x, etale_required):
 
 
 def find_disjoint_quadratic_subalgebra(
-    Q, ext, etale_required=True, height=4, max_candidates=SUBALGEBRA_CANDIDATES
+    Q, ext, etale_required=True, height=1, max_candidates=HARNESS_SUBALGEBRA_CANDIDATES
 ):
     """Search for a quadratic F-subalgebra of Q linearly disjoint from K.
 
-    A bounded-height coordinate search.  Returns the witness element or
-    raises BudgetExhausted (a semi-decision, not a proof) whose `searched`
-    counts the candidates drawn, the one over the limit included.
+    The harness's bounded-height coordinate search.  Returns the witness
+    element or raises BudgetExhausted (a semi-decision, not a proof) whose
+    `searched` counts the candidates drawn, the one over the limit included.
     """
     budget = Budget(max_candidates)
     for x in budget.take(_candidate_elements(Q, ext, height)):

@@ -23,8 +23,7 @@ SCAN_POINTS = 300000  # F_q(t) scans go on to height 2 while q^(2n) is at most t
 # blocks, and the assignments tried per block
 CHAR2_TAIL_HEIGHT = 1
 CHAR2_TAILS = 1500
-SUBALGEBRA_CANDIDATES = 200000  # find_disjoint_quadratic_subalgebra's default budget
-HARNESS_SUBALGEBRA_CANDIDATES = 3000  # and the harness's
+HARNESS_SUBALGEBRA_CANDIDATES = 3000  # find_disjoint_quadratic_subalgebra's budget
 EMBEDDING_CANDIDATES = 200000  # isometric_embedding: columns tried over the whole search
 
 

@@ -15,9 +15,10 @@ from albertkit import (
     QuadraticFieldExtension,
     RationalFunctionField,
     SplitAlgebra,
+    generate_instance,
 )
 from albertkit.f2poly import F2Poly
-from albertkit.fields import GFElem, Poly, RatFuncElem, solve_additive_poly
+from albertkit.fields import Field, GFElem, Poly, RatFuncElem, solve_additive_poly
 from albertkit.jsonio import parse_field
 from albertkit.linalg import kernel_basis, solve, units
 
@@ -160,6 +161,30 @@ def test_split_presentation_of_split_polynomial():
     # x^2 - 1 splits over Q: the etale algebra degenerates to Q x Q
     K = EtaleQuadratic(QQ, (0, 1))
     assert K.kind == "split"
+    # handed to QuadraticFieldExtension directly, the polynomial is refused
+    with pytest.raises(AlgebraError, match=r"^w\^2-1 splits over Q: not a field$"):
+        QuadraticFieldExtension(QQ, 0, 1)
+
+
+def test_a_field_k_runs_its_split_test_once(monkeypatch):
+    # EtaleQuadratic and QuadraticFieldExtension each ran it: two calls, over
+    # F_2(t) two Artin-Schreier solves, per Instance.build of a field K
+    calls = []
+    monic_quadratic_roots = Field.monic_quadratic_roots
+
+    def counted(self, b, c):
+        calls.append((b, c))
+        return monic_quadratic_roots(self, b, c)
+
+    monkeypatch.setattr(Field, "monic_quadratic_roots", counted)
+    kinds = []
+    for family in ("quad-K-over-Q", "char2-finite", "char2-function-field"):
+        for seed in (0, 1):
+            calls.clear()
+            _, ext, _ = generate_instance(family, seed).build()
+            kinds.append(ext.kind)
+            assert len(calls) == (ext.kind == "field"), (family, seed)
+    assert kinds.count("field") >= 5
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pkgutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -29,8 +30,8 @@ from albertkit import (
     verify_certificate,
     witt_decompose,
 )
-from albertkit.cli import build_parser, main
-from albertkit.harness import FAMILIES, report_json_bytes
+from albertkit.cli import _build_quat, build_parser, main
+from albertkit.harness import FAMILIES, CondVerdict, report_json_bytes
 from albertkit.isotropy import anisotropic_verdict, unknown_verdict
 from albertkit.jsonio import (
     MAX_DEGREE,
@@ -640,6 +641,19 @@ def test_cor_random_checks_must_not_be_negative(tmp_path, capsys):
     assert capsys.readouterr().out == "f(xi)^2 = phi(xi) verified (6 basis, 0 random)\n"
 
 
+def test_height_must_be_positive(tmp_path, capsys):
+    # --height 0 and -3 ran no search and printed "unknown [budget]" with exit 3
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"field": "Q(t)", "diag": ["1", "t", "-t^2-1"]}))
+    for height in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["isotropy", "--form", str(path), "--height", height])
+        assert exc.value.code == 2
+        assert "--height: must be at least 1, got %s" % height in capsys.readouterr().err
+    assert main(["isotropy", "--form", str(path), "--height", "1"]) == 3
+    assert capsys.readouterr().out == "unknown [budget]\n"
+
+
 def test_check_count_must_be_positive(capsys):
     # --count 0 printed "check needs --instance or --family" although --family was given
     for count in ("0", "-2"):
@@ -706,13 +720,59 @@ def test_element_reprs_and_the_subalg_text_are_pinned(tmp_path, capsys):
     assert repr(cor.elem([QQ.from_int(k % 3 - 1) / 2 for k in range(16)])) == (
         "(-1/2)e0 + (1/2)e2 + (-1/2)e3 + (1/2)e5 + (-1/2)e6 + (1/2)e8 + (-1/2)e9 + (1/2)e11 + (-1/2)e12 + (1/2)e14 + (-1/2)e15"
     )
+    # subalg prints the check route's witness, which the verifier's check accepts
     specs = (
-        ({"base": "Q", "ext": "x^2-(-5)", "Q": {"alpha": "0", "beta": "0-3*w", "a": "2+2*w"}}, ["--height", "1"], "(1+w)e + (1-1*w)z"),
-        ({"base": "F(2)", "ext": "x^2-x-1", "Q": {"alpha": "1", "beta": "w", "a": "w"}}, [], "(1)e + (w)ez"),
-        ({"ext": {"base": "Q", "ext": "split"}, "Q": {"alpha": [1, 1], "beta": [0, 0], "a": [3, 5]}}, ["--any-quadratic"], "((1,1))ez"),
+        ({"base": "Q", "ext": "x^2-(-5)", "Q": {"alpha": "0", "beta": "0-3*w", "a": "2+2*w"}}, 1, False, "-5 + (-5+w)e + (5+w)z"),
+        ({"base": "F(2)", "ext": "x^2-x-1", "Q": {"alpha": "1", "beta": "w", "a": "w"}}, 12, False, "w + (1)e + (w)ez"),
+        ({"ext": {"base": "Q", "ext": "split"}, "Q": {"alpha": [1, 1], "beta": [0, 0], "a": [3, 5]}}, 12, True, "(1/2,3/2) + ((1,-1))e"),
     )
-    for k, (spec, flags, witness) in enumerate(specs):
+    for k, (spec, height, any_quadratic, witness) in enumerate(specs):
         path = tmp_path / ("q%d.json" % k)
         path.write_text(json.dumps(spec))
+        flags = ["--height", str(height)] + ["--any-quadratic"] * any_quadratic
         assert main(["quat", "--spec", str(path), "--cmd", "subalg"] + flags) == 0
         assert capsys.readouterr().out == "witness: %s\n" % witness
+        report = check_equivalence(_build_quat(spec, height))
+        x = report.cond_i.witness if any_quadratic else report.cond_ii.witness
+        assert repr(x) == witness
+        _, ext, Q = report.ctx
+        validate_disjoint_witness(Q, ext, x, etale_required=not any_quadratic)
+
+
+def test_subalg_answers_through_the_check_route(tmp_path, capsys, monkeypatch):
+    # subalg searched 200,001 candidates and printed "budget exhausted" with exit 3
+    # on both: char2-function-field 0 has an etale generator, and split-K-over-Qt 17
+    # none by Springer's theorem
+    inst = generate_instance("split-K-over-Qt", 17)
+    specs = (
+        {"base": "F(2)(t)", "ext": "x^2-x-t", "Q": {"alpha": "t", "beta": "t", "a": "1"}},
+        {"base": inst.f_spec, "ext": inst.k_spec, "Q": {"alpha": inst.q_alpha, "beta": inst.q_beta, "a": inst.q_a}},
+    )
+    path = tmp_path / "q.json"
+    docs = []
+    for spec in specs:
+        path.write_text(json.dumps(spec))
+        report = check_equivalence(_build_quat(spec, DEFAULT_HEIGHT))
+        _, ext, Q = report.ctx
+        assert main(["quat", "--spec", str(path), "--cmd", "subalg", "--json"]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+        if docs[-1]["status"] == "found":
+            x = Q.elem(tuple(parse_element(ext.ring, c) for c in docs[-1]["witness"]))
+            assert x == report.cond_ii.witness
+            validate_disjoint_witness(Q, ext, x, etale_required=True)
+    assert [(d["status"], d["method"]) for d in docs] == [
+        ("found", "albert-isotropic-to-generator"),
+        ("none", "derived: (i)=>(iii) sound converter + albert springer"),
+    ]
+    assert (docs[0]["searched"], docs[1]["witness"], docs[1]["searched"]) == (None, None, 3001)
+    assert main(["quat", "--spec", str(path), "--cmd", "subalg"]) == 0
+    assert capsys.readouterr().out == "none [derived: (i)=>(iii) sound converter + albert springer]\n"
+    # an undecided condition exits 3, an inconsistent report 2, as check does
+    check = albertkit.cli.check_equivalence
+    unknown = CondVerdict("unknown", None, "search-budget", 3001)
+    monkeypatch.setattr(albertkit.cli, "check_equivalence", lambda inst: replace(check(inst), cond_ii=unknown))
+    assert main(["quat", "--spec", str(path), "--cmd", "subalg"]) == 3
+    assert capsys.readouterr().out == "unknown [search-budget]\n"
+    monkeypatch.setattr(albertkit.cli, "check_equivalence", lambda inst: replace(check(inst), consistent=False))
+    assert main(["quat", "--spec", str(path), "--cmd", "subalg"]) == 2
+    capsys.readouterr()
