@@ -66,12 +66,10 @@ from .corestriction import (
     f_matrix,
     generator_to_isotropic,
     isotropic_to_generator,
-    split_projection_iso,
     tensor_product_algebra,
     vs_space,
 )
 from .clifford import (
-    CliffordAlgebra,
     arf_trivial,
     clifford_iso_check,
 )

@@ -3,14 +3,17 @@
 Subcommands: isotropy, transfer, descend, quat, cor, clifford, check,
 gen, verify.  Every subcommand but verify accepts --json for machine
 output, and the four that search (isotropy, descend, quat, cor) take
---height (at least 1); `check` exits 0 when all reports are consistent,
-2 on an inconsistency (the equivalence would be falsified) and 3 when
-Unknown verdicts remain.  `quat --cmd subalg` prints condition (ii), or
-(i), of the same report, with the same exit codes.  Every subcommand
-prints "malformed: ..." and exits 1 on a malformed input file, and
-prints "split K: ..." and exits 4 when it needs a quadratic field
-extension and is given the split algebra F x F (transfer, descend and
-quat --cmd split).  Invalid options exit 2.
+--height (at least 1; quat and cor build an Instance, so at most
+DEFAULT_HEIGHT, as in an instance file); `check` exits 0 when all reports
+are consistent, 2 on an inconsistency (the equivalence would be
+falsified) and 3 when Unknown verdicts remain.  `quat --cmd subalg`
+prints condition (ii), or (i), of the same report, with the same exit
+codes.  Every subcommand prints "malformed: ..." and exits 1 on a
+malformed input file (for `clifford --cmd arf`, also on a form that has
+no Arf invariant: singular or of odd dimension), and prints "split K:
+..." and exits 4 when it needs a quadratic field extension and is given
+the split algebra F x F (transfer, descend and quat --cmd split).
+Invalid options exit 2.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import argparse
 import json
 import sys
 
-from .clifford import CliffordAlgebra, arf_trivial
+from .clifford import arf_trivial
 from .corestriction import (
     albert_form,
     build_corestriction,
@@ -207,21 +210,9 @@ def _cmd_cor(args):
 
 def _cmd_clifford(args):
     form = parse_form(_load_json(args.form))
-    if args.cmd == "build":
-        C = CliffordAlgebra(form)
-        doc = {"dim": C.dim, "generators": form.n}
-        if args.structure:
-            sparse = {}
-            for a in range(C.dim):
-                for b in range(C.dim):
-                    prod = C.mul_masks(a, b)
-                    for m, c in prod.items():
-                        sparse["%d,%d,%d" % (a, b, m)] = format_element(form.field, c)
-            doc["structure"] = sparse
-        _emit(args, doc, "Clifford algebra of dimension %d" % C.dim)
-        return 0
     if args.cmd == "arf":
-        trivial, cert = arf_trivial(form)
+        with _as_malformed("form"):
+            trivial, cert = arf_trivial(form)
         doc = {"trivial": trivial, "center_split": cert["center_split"]}
         _emit(args, doc, "Arf invariant trivial: %s" % trivial)
         return 0
@@ -267,11 +258,13 @@ def _cmd_verify(args):
     return 0 if ok else 1
 
 
-def _int_at_least(low):
+def _int_at_least(low, high=None):
     def integer(text):
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError("must be at most %d, got %d" % (high, value))
         return value
 
     return integer
@@ -281,13 +274,14 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="albertkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, flags=("json",), **kwargs):
+    def add(name, fn, flags=("json",), max_height=None, **kwargs):
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         if "json" in flags:
             p.add_argument("--json", action="store_true", help="machine-readable output")
         if "height" in flags:
-            p.add_argument("--height", type=_int_at_least(1), default=DEFAULT_HEIGHT, help="search height bound")
+            height = _int_at_least(1, max_height)
+            p.add_argument("--height", type=height, default=DEFAULT_HEIGHT, help="search height bound")
         return p
 
     searching = ("json", "height")
@@ -303,22 +297,21 @@ def build_parser():
     p.add_argument("--ext", required=True)
     p.add_argument("--form", required=True)
 
-    p = add("quat", _cmd_quat, searching, help="quaternion algebra operations")
+    p = add("quat", _cmd_quat, searching, DEFAULT_HEIGHT, help="quaternion algebra operations")
     p.add_argument("--spec", required=True)
     p.add_argument("--cmd", required=True, choices=("nrd", "split", "subalg"))
     p.add_argument("--x", help="element coordinates (JSON list)")
     p.add_argument("--any-quadratic", action="store_true", help="subalg: condition (i), any quadratic, not (ii)")
 
-    p = add("cor", _cmd_cor, searching, help="corestriction and Albert form")
+    p = add("cor", _cmd_cor, searching, DEFAULT_HEIGHT, help="corestriction and Albert form")
     p.add_argument("--instance", required=True)
     p.add_argument("--cmd", required=True, choices=("build", "albert", "fcheck", "division"))
     p.add_argument("--structure", action="store_true", help="emit structure constants")
     p.add_argument("--random-checks", type=_int_at_least(0), default=100)
 
-    p = add("clifford", _cmd_clifford, help="Clifford algebra operations")
+    p = add("clifford", _cmd_clifford, help="Arf invariant of a form")
     p.add_argument("--form", required=True)
-    p.add_argument("--cmd", required=True, choices=("build", "arf"))
-    p.add_argument("--structure", action="store_true")
+    p.add_argument("--cmd", required=True, choices=("arf",))
 
     p = add("check", _cmd_check, help="equivalence harness")
     p.add_argument("--instance")

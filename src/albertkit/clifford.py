@@ -1,299 +1,60 @@
-"""Clifford algebras by monomial rewriting, Arf triviality, and the rank-64
-check for the map induced on the Clifford algebra of the Albert form.
+"""Arf triviality by formula, and the rank-64 check for the map induced on
+the Clifford algebra of the Albert form.
 
-Monomials e_S are indexed by subsets of the basis; products reduce to the
-increasing-index normal form via e_i^2 = phi(e_i) and
-e_j e_i = polar(e_i, e_j) - e_i e_j for i < j, which degenerates correctly
-in characteristic 2.
+No Clifford algebra is built.  The center of the even Clifford algebra of a
+nonsingular form of even dimension n is F[X]/(X^2 - pX - q), and (p, q) is
+read off the bases that forms.py builds (Elman, Karpenko, Merkurjev, The
+Algebraic and Geometric Theory of Quadratic Forms, ch. II; Lam, GSM 67,
+ch. V).  The rank check computes in M_2(Cor).
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 from . import linalg
-from .algebra import m2_add, m2_equals_scalar, m2_mul
-from .corestriction import StructureAlgebra, TensorElem, cor_f_basis
-from .errors import (
-    AlgebraError,
-    DimensionCap,
-    InternalContradiction,
-    RankDeficient,
-    RelationViolation,
-)
+from .algebra import m2_mul
+from .corestriction import StructureAlgebra, TensorElem, broken_relation, cor_f_basis
+from .errors import AlgebraError, InternalContradiction, RankDeficient, RelationViolation
 from .f2poly import F2Poly
 from .fields import _DEFAULT_REDUCTION, FiniteField, RationalField, RationalFunctionField
 from .forms import orthogonalize, symplectic_pairs
 
 
-class CliffordAlgebra:
-    def __init__(self, form):
-        if form.n > 6:
-            raise DimensionCap("Clifford construction capped at dimension 6")
-        self.form = form
-        self.field = form.field
-        self.n = form.n
-        self.dim = 1 << form.n
-        self._mul_cache = {}
-
-    # -- elements are dicts {mask: coeff}; zero coeffs are never stored ------
-    def zero(self):
-        return CliffordElem(self, {})
-
-    def one(self):
-        return CliffordElem(self, {0: self.field.one()})
-
-    def generator(self, i):
-        return CliffordElem(self, {1 << i: self.field.one()})
-
-    def vector(self, coords):
-        f = self.field
-        data = {}
-        for i, c in enumerate(coords):
-            c = f.coerce(c)
-            if not f.is_zero(c):
-                data[1 << i] = c
-        return CliffordElem(self, data)
-
-    def elem(self, data):
-        f = self.field
-        return CliffordElem(self, {m: f.coerce(c) for m, c in data.items() if not f.is_zero(c)})
-
-    def basis_masks(self, even_only=False):
-        return [m for m in range(self.dim) if not even_only or bin(m).count("1") % 2 == 0]
-
-    # -- monomial multiplication ----------------------------------------------
-    def _insert(self, word, k):
-        """Multiply the monomial `word` (sorted tuple) by e_k on the right."""
-        f = self.field
-        if not word or word[-1] < k:
-            return {word + (k,): f.one()}
-        j = word[-1]
-        if j == k:
-            val = self.form.upper[k][k]
-            if f.is_zero(val):
-                return {}
-            return {word[:-1]: val}
-        out = {}
-        pol = self.form.polar_matrix()[k][j]
-        if not f.is_zero(pol):
-            out[word[:-1]] = pol
-        for t, c in self._insert(word[:-1], k).items():
-            key = t + (j,)
-            prev = out.get(key)
-            nc = -c if prev is None else prev - c
-            if f.is_zero(nc):
-                out.pop(key, None)
-            else:
-                out[key] = nc
-        return out
-
-    def mul_masks(self, ma, mb):
-        cached = self._mul_cache.get((ma, mb))
-        if cached is not None:
-            return cached
-        f = self.field
-        terms = {_mask_to_word(ma): f.one()}
-        for k in _mask_to_word(mb):
-            new = {}
-            for word, c in terms.items():
-                for w2, c2 in self._insert(word, k).items():
-                    acc = new.get(w2)
-                    val = c * c2 if acc is None else acc + c * c2
-                    if f.is_zero(val):
-                        new.pop(w2, None)
-                    else:
-                        new[w2] = val
-            terms = new
-        out = {_word_to_mask(w): c for w, c in terms.items()}
-        self._mul_cache[(ma, mb)] = out
-        return out
-
-
-def _mask_to_word(mask):
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _word_to_mask(word):
-    out = 0
-    for i in word:
-        out |= 1 << i
-    return out
-
-
-class CliffordElem:
-    __slots__ = ("algebra", "data")
-
-    def __init__(self, algebra, data):
-        self.algebra = algebra
-        self.data = data
-
-    def _check(self, other):
-        if isinstance(other, CliffordElem) and other.algebra is self.algebra:
-            return other
-        raise AlgebraError("mixed Clifford contexts")
-
-    def __add__(self, other):
-        other = self._check(other)
-        f = self.algebra.field
-        data = dict(self.data)
-        for m, c in other.data.items():
-            val = data.get(m)
-            val = c if val is None else val + c
-            if f.is_zero(val):
-                data.pop(m, None)
-            else:
-                data[m] = val
-        return CliffordElem(self.algebra, data)
-
-    def __neg__(self):
-        return CliffordElem(self.algebra, {m: -c for m, c in self.data.items()})
-
-    def __sub__(self, other):
-        return self + (-self._check(other))
-
-    def __mul__(self, other):
-        if not isinstance(other, CliffordElem):
-            c = self.algebra.field.coerce(other)
-            if self.algebra.field.is_zero(c):
-                return self.algebra.zero()
-            return CliffordElem(self.algebra, {m: v * c for m, v in self.data.items()})
-        other = self._check(other)
-        f = self.algebra.field
-        out = {}
-        for ma, ca in self.data.items():
-            for mb, cb in other.data.items():
-                cab = ca * cb
-                for m, c in self.algebra.mul_masks(ma, mb).items():
-                    val = out.get(m)
-                    val = cab * c if val is None else val + cab * c
-                    if f.is_zero(val):
-                        out.pop(m, None)
-                    else:
-                        out[m] = val
-        return CliffordElem(self.algebra, out)
-
-    __rmul__ = __mul__
-
-    def is_zero(self):
-        return not self.data
-
-    def coeff(self, mask):
-        return self.data.get(mask, self.algebra.field.zero())
-
-    def coordinates(self, masks):
-        return tuple(self.coeff(m) for m in masks)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CliffordElem)
-            and other.algebra is self.algebra
-            and other.data == self.data
-        )
-
-    def __repr__(self):
-        if not self.data:
-            return "0"
-        fmt = self.algebra.field.format_element
-        parts = []
-        for m in sorted(self.data):
-            word = "".join("e%d" % i for i in _mask_to_word(m)) or "1"
-            parts.append("(%s)%s" % (fmt(self.data[m]), word))
-        return " + ".join(parts)
-
-
-def even_part_masks(C):
-    return C.basis_masks(even_only=True)
-
-
-def center_of_span(C, masks, generators=None):
-    """Basis of the centralizer of the generators inside span(masks).
-
-    With the default generators (all degree-2 monomials) and masks the even
-    part, this is the center of the even Clifford algebra.
-    """
-    f = C.field
-    if generators is None:
-        generators = [
-            CliffordElem(C, {(1 << i) | (1 << j): f.one()})
-            for i in range(C.n)
-            for j in range(i + 1, C.n)
-        ]
-    rows = []
-    all_masks = list(range(C.dim))
-    for g in generators:
-        cols = []
-        for m in masks:
-            em = CliffordElem(C, {m: f.one()})
-            comm = em * g - g * em
-            cols.append([comm.coeff(mm) for mm in all_masks])
-        for r in range(C.dim):
-            rows.append(tuple(cols[c][r] for c in range(len(masks))))
-    kernel = linalg.kernel_basis(rows, f, len(masks))
-    out = []
-    for coeffs in kernel:
-        data = {}
-        for c, m in zip(coeffs, masks):
-            if not f.is_zero(c):
-                data[m] = c
-        out.append(CliffordElem(C, data))
-    return out
-
-
-def _central_even_element(C):
-    """The distinguished central element of the even part, verified central."""
-    form = C.form
-    f = C.field
-    if f.char != 2:
-        basis = orthogonalize(form)
-        omega = C.one()
-        for v in basis:
-            omega = omega * C.vector(v)
-    else:
-        omega = C.zero()
-        for u, g in symplectic_pairs(form):
-            omega = omega + C.vector(u) * C.vector(g)
-    # verify centrality in the even part on its algebra generators
-    for i in range(C.n):
-        for j in range(i + 1, C.n):
-            g = CliffordElem(C, {(1 << i) | (1 << j): f.one()})
-            if not (omega * g - g * omega).is_zero():
-                raise InternalContradiction("constructed element is not central")
-    if set(omega.data) == {0}:
-        raise InternalContradiction("central element degenerated to a scalar")
-    return omega
-
-
 def arf_trivial(form):
     """Whether the discriminant/Arf invariant of a nonsingular form is trivial.
 
-    The center of the even Clifford algebra is F[X]/(X^2 - p X - q) for the
-    distinguished central element; triviality means that quadratic splits,
-    and the certificate is an explicit nontrivial idempotent.
+    The center of the even Clifford algebra is spanned by 1 and omega, with
+    omega^2 = q + p omega:
+    - outside characteristic 2, omega = v_1 ... v_n over an orthogonal basis;
+      the v_i anticommute, so p = 0 and q = (-1)^(n(n-1)/2) prod phi(v_i);
+    - in characteristic 2, omega = sum u_i g_i over symplectic pairs with
+      b(u_i, g_i) = 1; (u g)^2 = u g + phi(u) phi(g) and the summands
+      commute, so p = 1 and q = sum phi(u_i) phi(g_i), the Arf invariant.
+    Triviality means X^2 - pX - q splits; the certificate is (p, q) and a
+    root of it.
     """
     cls = form.classify()
     if not cls.nonsingular:
         raise AlgebraError("Arf invariant needs a nonsingular form")
     if form.n % 2:
         raise AlgebraError("Arf invariant needs an even-dimensional form")
-    C = CliffordAlgebra(form)
     f = form.field
-    omega = _central_even_element(C)
-    omega2 = omega * omega
-    # express omega^2 = q*1 + p*omega
-    pivot = next(m for m in sorted(omega.data) if m != 0)
-    p = omega2.coeff(pivot) / omega.data[pivot]
-    q = omega2.coeff(0) - p * omega.coeff(0)
-    if not (omega2 - omega * p - C.one() * q).is_zero():
-        raise InternalContradiction("omega^2 does not lie in span(1, omega)")
+    if f.char != 2:
+        p = f.zero()
+        sign = f.from_int((-1) ** (form.n * (form.n - 1) // 2))
+        q = math.prod((form.evaluate(v) for v in orthogonalize(form)), start=sign)
+    else:
+        p = f.one()
+        q = sum((form.evaluate(u) * form.evaluate(g) for u, g in symplectic_pairs(form)), f.zero())
     roots = f.monic_quadratic_roots(-p, -q)
     if len(roots) < 2:
         return False, {"p": p, "q": q, "center_split": False}
-    r1, r2 = roots[0], roots[1]
-    z = (omega - C.one() * r2) * (f.one() / (r1 - r2))
-    if not (z * z - z).is_zero():
-        raise InternalContradiction("idempotent construction failed")
-    return True, {"p": p, "q": q, "center_split": True, "idempotent": z}
+    r = roots[0]
+    if not f.is_zero(r * r - p * r - q):
+        raise InternalContradiction("root of X^2 - pX - q fails")
+    return True, {"p": p, "q": q, "center_split": True, "root": r}
 
 
 # ---------------------------------------------------------------------------
@@ -489,31 +250,24 @@ def clifford_iso_check(ad, cor):
 
     Over F and exactly: expresses the f(xi_i) in Cor (the check that f lands
     in M_2(Cor)), checks that each has zero diagonal, so that the even
-    monomials land block-diagonally, and verifies the defining relations.
-    The map xi -> f(xi) then extends multiplicatively to the 64 monomials,
-    and the images have rank 64 in the 64-dimensional F-space M_2(Cor) when
+    monomials land block-diagonally, and verifies the 21 defining relations
+    (see broken_relation).  The map xi -> f(xi) then extends
+    multiplicatively to the 64 monomials, and the images have rank 64 in
+    the 64-dimensional F-space M_2(Cor) when
     the map is bijective.  _rank_certified takes that rank in Cor reduced
     at a point, with exact elimination over F as the last resort.  Products
     of elements of Cor stay in Cor (build_corestriction verified closure),
     so no image needs its own membership check.
     """
     F = ad.ext.base
-    n = 6
     fs = cor_f_basis(ad, cor)
     if fs is None:
         raise RelationViolation("image entry leaves the fixed algebra")
     if not all(M[0][0].is_zero() and M[1][1].is_zero() for M in fs):
         raise RelationViolation("f(xi_i) has a nonzero diagonal entry")
-    B = ad.form.polar_matrix()
-    # defining relations
-    for i in range(n):
-        sq = m2_mul(cor, fs[i], fs[i])
-        if not m2_equals_scalar(cor, sq, ad.form.upper[i][i]):
-            raise RelationViolation("f(xi_i)^2 relation fails")
-        for j in range(i + 1, n):
-            anti = m2_add(m2_mul(cor, fs[i], fs[j]), m2_mul(cor, fs[j], fs[i]))
-            if not m2_equals_scalar(cor, anti, B[i][j]):
-                raise RelationViolation("anticommutation relation fails")
+    broken = broken_relation(ad.form, cor, fs)
+    if broken is not None:
+        raise RelationViolation(broken)
     rank = _rank_certified(cor, fs, F)
     if rank != 64:
         raise RankDeficient("Clifford image has rank %d" % rank)

@@ -56,10 +56,6 @@ class RankDeficient(AlgebraError):
     """A map expected to be bijective has deficient rank."""
 
 
-class DimensionCap(AlgebraError):
-    """Input exceeds a documented dimension cap."""
-
-
 class InvalidWitness(AlgebraError):
     """A supplied witness fails its defining conditions."""
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg, search
 from .errors import (
@@ -90,51 +89,6 @@ def bounded_search(form, height=search.DEFAULT_HEIGHT):
     if f.enumerable:
         return anisotropic_verdict("enumeration")
     return unknown_verdict(height)
-
-
-def enumeration_isotropy(form):
-    """Complete enumeration verdict over an enumerable field."""
-    if not form.field.enumerable:
-        raise AlgebraError("enumeration requires an enumerable field")
-    return bounded_search(form, 1)
-
-
-def structured_finite_isotropy(form):
-    """Verdict over a finite field by scalar-level rules, no vector scans.
-
-    Rules: a nonzero radical vector is a witness; regular forms in three
-    or more variables are isotropic (Chevalley-Warning); binary regular
-    forms reduce to a square-class or Artin-Schreier condition.  Returns
-    the status only (no witness).
-    """
-    f = form.field
-    if not f.enumerable:
-        raise AlgebraError("structured rules need a finite field")
-    if form.n == 0:
-        return ANISOTROPIC
-    cls = form.classify()
-    if cls.rad_basis:
-        return ISOTROPIC
-    if form.n == 1:
-        return ANISOTROPIC
-    if form.n >= 3:
-        return ISOTROPIC
-    # regular binary forms
-    if f.char != 2:
-        basis = orthogonalize(form)
-        return _square_test(form, basis, [form.evaluate(v) for v in basis]).status
-    B = form.polar_matrix()
-    if f.is_zero(B[0][1]):
-        # totally singular regular binary form over a perfect field has a
-        # nonzero radical vector, handled above; reaching here means regular
-        # with zero polar and no radical zero, impossible over perfect fields
-        raise InternalContradiction("unexpected singular binary form")
-    (u, g), = symplectic_pairs(form)
-    a, b = form.evaluate(u), form.evaluate(g)
-    if f.is_zero(a) or f.is_zero(b):
-        return ISOTROPIC
-    # a x^2 + xy + b y^2 isotropic iff X^2 + X + ab has a root
-    return ISOTROPIC if f.monic_quadratic_roots(f.one(), a * b) else ANISOTROPIC
 
 
 # ---------------------------------------------------------------------------
@@ -292,28 +246,6 @@ def hasse_minkowski(form):
     for h, vec in search.zeros(form, range(1, search.WITNESS_HEIGHT_CAP + 1)):
         return isotropic_verdict(form, vec, method + "+search", h)
     raise InternalContradiction("no witness found for a proven-isotropic form")
-
-
-def rational_invariants(form):
-    """(dim, signature, disc square class, hasse symbols) over Q."""
-    vals = [form.evaluate(v) for v in orthogonalize(form)]
-    d = [squarefree_part(v) for v in vals]
-    pos = sum(1 for v in vals if v > 0)
-    disc = squarefree_part(Fraction(math.prod(d)))
-    hasse = {str(v): _hasse(d, v) for v in _relevant_places(d)}
-    return {"dim": form.n, "positive": pos, "disc": disc, "hasse": hasse}
-
-
-def rationally_equivalent(f1, f2):
-    """Exact equivalence test for regular forms over Q via invariants.
-
-    A place listed for one form only reads 1 for the other: it is an odd
-    prime dividing none of that form's d_i, where every (d_i, d_j) is 1.
-    """
-    a, b = rational_invariants(f1), rational_invariants(f2)
-    if a["dim"] != b["dim"] or a["positive"] != b["positive"] or a["disc"] != b["disc"]:
-        return False
-    return all(a["hasse"].get(v, 1) == b["hasse"].get(v, 1) for v in set(a["hasse"]) | set(b["hasse"]))
 
 
 # ---------------------------------------------------------------------------

@@ -352,18 +352,6 @@ def parse_extension_doc(doc):
         return parse_extension(parse_field(doc["base"]), doc["ext"])
 
 
-def extension_to_spec(ext):
-    if ext.kind == "split":
-        return "split"
-    base = ext.base
-    out = "x^2"
-    if not base.is_zero(ext.alpha):
-        out += "-(%s)*x" % format_element(base, ext.alpha)
-    if not base.is_zero(ext.beta):
-        out += "-(%s)" % format_element(base, ext.beta)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # forms
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import time
 
 import pytest
 from conftest import random_nonsingular_form, seeded
+from reference import enumeration_isotropy, split_projection_iso, structured_finite_isotropy
 from fractions import Fraction
 
 from albertkit import (
@@ -30,16 +31,10 @@ from albertkit import (
     generate_instance,
     hilbert_symbol,
     isotropic_spanning_set,
-    split_projection_iso,
     verify_certificate,
     witt_decompose,
 )
-from albertkit.isotropy import (
-    _factor_int,
-    enumeration_isotropy,
-    squarefree_part,
-    structured_finite_isotropy,
-)
+from albertkit.isotropy import _factor_int, squarefree_part
 from albertkit.harness import report_json_bytes
 from albertkit.jsonio import parse_element
 from albertkit.linalg import det, rank, solve

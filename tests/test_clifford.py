@@ -6,11 +6,18 @@ from fractions import Fraction
 
 import pytest
 from conftest import seeded
+from reference import (
+    CliffordAlgebra,
+    DimensionCap,
+    center_of_span,
+    clifford_arf,
+    even_part_masks,
+    rationally_equivalent,
+)
 
 import albertkit
 from albertkit import (
     QQ,
-    CliffordAlgebra,
     EtaleQuadratic,
     FiniteField,
     QuadraticForm,
@@ -29,13 +36,10 @@ from albertkit.clifford import (
     _monomial_rows,
     _reduced_rows,
     _reductions,
-    center_of_span,
-    even_part_masks,
 )
 from albertkit.corestriction import cor_f_basis
-from albertkit.errors import DimensionCap, RankDeficient, RelationViolation
+from albertkit.errors import AlgebraError, RankDeficient, RelationViolation
 from albertkit.forms import isometric_embedding
-from albertkit.isotropy import rationally_equivalent
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
@@ -110,8 +114,8 @@ def test_even_part_and_center():
 def test_arf_examples():
     trivial, cert = arf_trivial(QuadraticForm.hyperbolic_plane(QQ))
     assert trivial and cert["center_split"]
-    z = cert["idempotent"]
-    assert (z * z - z).is_zero()
+    r, p, q = cert["root"], cert["p"], cert["q"]
+    assert r * r - p * r - q == 0
     trivial, cert = arf_trivial(QuadraticForm.diagonal(QQ, [1, 1]))
     assert not trivial
     # characteristic 2: [1,1] has nontrivial Arf over F2, [0,0] trivial
@@ -162,6 +166,77 @@ def test_even_clifford_binary_and_norm_similarity():
     emb = isometric_embedding(norm_form, scaled, height=6)
     assert emb is not None
     assert rationally_equivalent(norm_form, scaled)
+
+
+def _arf_or_refusal(arf, form):
+    try:
+        return arf(form)
+    except AlgebraError as exc:
+        return type(exc), str(exc)
+
+
+def _formula(form):
+    trivial, cert = arf_trivial(form)
+    if trivial:
+        r = cert["root"]
+        assert r * r - cert["p"] * r - cert["q"] == 0
+    return trivial, cert["p"], cert["q"]
+
+
+def _forms_of_this_file():
+    """The forms that the tests above build, with Albert forms of the rank-64 instances."""
+    F4 = FiniteField(2, 2)
+    forms = [
+        QuadraticForm.diagonal(QQ, [5]),
+        QuadraticForm.diagonal(QQ, [1] * 7),
+        QuadraticForm.hyperbolic_plane(QQ),
+        QuadraticForm.diagonal(QQ, [1, -1, 2]),
+        QuadraticForm.binary(F2, 1, 1).orthogonal_sum(QuadraticForm.binary(F2, 0, 1)),
+        QuadraticForm.diagonal(F3, [1, 1, 2, 1]),
+        QuadraticForm.hyperbolic_plane(QQ).orthogonal_sum(QuadraticForm.diagonal(QQ, [1, -1])),
+        QuadraticForm.diagonal(QQ, [1, 1]),
+        QuadraticForm.binary(F2, 1, 1),
+        QuadraticForm.hyperbolic_plane(F2),
+        QuadraticForm(QQ, [[2, 3], [0, -1]]),
+        QuadraticForm(QQ, [[1, 3], [0, -2]]),
+    ]
+    form = QuadraticForm.binary(F4, F4.one(), F4.gen())
+    forms += [form.scale(c) for c in list(F4.elements())[1:]]
+    rng = seeded(61)
+    for field in (QQ, F3, F2):
+        for _ in range(3):
+            if field.char == 2:
+                blocks = [QuadraticForm.binary(field, field.random_element(rng), field.random_element(rng)) for _ in range(2)]
+                forms.append(blocks[0].orthogonal_sum(blocks[1]))
+            else:
+                entries = []
+                while len(entries) < 4:
+                    c = field.random_element(rng)
+                    if not field.is_zero(c):
+                        entries.append(c)
+                forms.append(QuadraticForm.diagonal(field, entries))
+    for kind in ((0, 2), "split"):
+        ext = EtaleQuadratic(QQ, kind)
+        K = ext.ring
+        forms.append(albert_form(ext, QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))).form)
+    return forms
+
+
+def test_arf_formula_matches_the_clifford_reference():
+    # the same verdict and (p, q), or the same refusal, as the center of the
+    # even Clifford algebra on this file's forms and the 200 batch Albert forms
+    from test_acceptance import BATCH
+
+    forms = _forms_of_this_file()
+    for family, seed in BATCH:
+        _, ext, Q = generate_instance(family, seed).build()
+        forms.append(albert_form(ext, Q).form)
+    trivial = 0
+    for form in forms:
+        expected = _arf_or_refusal(clifford_arf, form)
+        assert _arf_or_refusal(_formula, form) == expected, form
+        trivial += expected[0] is True
+    assert trivial >= 200
 
 
 def test_clifford_iso_rank64():

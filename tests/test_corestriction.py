@@ -7,6 +7,7 @@ import math
 
 import pytest
 from conftest import seeded
+from reference import split_projection_iso
 
 from albertkit import (
     QQ,
@@ -24,7 +25,6 @@ from albertkit import (
     generate_instance,
     generator_to_isotropic,
     isotropic_to_generator,
-    split_projection_iso,
     tensor_product_algebra,
     validate_disjoint_witness,
     verify_certificate,
@@ -32,7 +32,7 @@ from albertkit import (
 from albertkit import corestriction
 from albertkit.clifford import clifford_iso_check
 from albertkit.corestriction import f_matrix, m2_mul, natural_map_bijective
-from albertkit.errors import AlgebraError, IdentityFails, InternalContradiction, InvalidWitness
+from albertkit.errors import AlgebraError, IdentityFails, InternalContradiction, InvalidWitness, RelationViolation
 from albertkit.forms import QuadraticForm, hyperbolic_partner, isometric_embedding, line_point
 from albertkit.harness import FAMILIES
 from albertkit.isotropy import _clear_denominators, isotropy
@@ -619,6 +619,26 @@ def test_f_map_check_rejects_a_corrupted_gram_entry(hamilton_albert, hamilton_co
     for i, j in ((0, 0), (2, 2), (0, 1), (3, 5)):
         with pytest.raises(IdentityFails):
             f_map_check(_corrupt_gram(hamilton_albert, i, j), hamilton_cor, n_random=20)
+
+
+@pytest.mark.parametrize("family", ("hamilton",) + FAMILIES)
+def test_relations_reject_every_corrupted_gram_entry(family, hamilton_albert, hamilton_cor):
+    # with no random vector, the 21 relations see every entry of the Gram
+    # matrix: a diagonal entry in a square, an off-diagonal one in an
+    # anticommutation relation, in f_map_check and in clifford_iso_check
+    if family == "hamilton":
+        ad, cor = hamilton_albert, hamilton_cor
+    else:
+        _, ext, Q = generate_instance(family, 0).build()
+        ad, cor = albert_form(ext, Q), build_corestriction(ext, Q)
+    assert f_map_check(ad, cor, n_random=0) == {
+        "basis_checked": 6, "relations_checked": 21, "random_checked": 0, "entries_in_cor": True}
+    for i, j in itertools.combinations_with_replacement(range(6), 2):
+        bad = _corrupt_gram(ad, i, j)
+        with pytest.raises(IdentityFails, match="basis vector %d" % i if i == j else "i, j = %d, %d" % (i, j)):
+            f_map_check(bad, cor, n_random=0)
+        with pytest.raises(RelationViolation):
+            clifford_iso_check(bad, cor)
 
 
 def test_f_map_check_rejects_xi_outside_the_fixed_space(hamilton_albert, hamilton_cor):

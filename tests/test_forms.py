@@ -2,6 +2,7 @@
 
 import pytest
 from conftest import random_nonsingular_form, seeded
+from reference import enumeration_isotropy
 
 from albertkit import (
     QQ,
@@ -20,7 +21,7 @@ from albertkit import (
 from albertkit.errors import AlgebraError
 from albertkit.forms import hyperbolic_partner, hyperbolic_split, line_point
 from albertkit.harness import FAMILIES, generate_instance
-from albertkit.isotropy import enumeration_isotropy, isotropy
+from albertkit.isotropy import isotropy
 from albertkit.linalg import combine, rank
 from albertkit.transfer import transfer
 

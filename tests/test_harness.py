@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from reference import extension_to_spec
 
 import albertkit
 from albertkit import (
@@ -40,7 +41,6 @@ from albertkit.jsonio import (
     MAX_EXPONENT,
     MAX_FIELD_ORDER,
     MAX_NESTING,
-    extension_to_spec,
     field_to_spec,
     parse_element,
     parse_extension,
@@ -652,6 +652,42 @@ def test_height_must_be_positive(tmp_path, capsys):
         assert "--height: must be at least 1, got %s" % height in capsys.readouterr().err
     assert main(["isotropy", "--form", str(path), "--height", "1"]) == 3
     assert capsys.readouterr().out == "unknown [budget]\n"
+
+
+def test_instance_commands_cap_the_height(tmp_path, capsys):
+    # quat and cor build an Instance, and Instance.from_json refuses a height
+    # above DEFAULT_HEIGHT; `quat --cmd subalg --height 13` used to run
+    assert DEFAULT_HEIGHT == 12
+    spec = tmp_path / "q.json"
+    spec.write_text(json.dumps({"base": "Q", "ext": "x^2-2", "Q": {"alpha": "0", "beta": "-1", "a": "-1"}}))
+    inst = tmp_path / "i.json"
+    inst.write_text(json.dumps(generate_instance("quad-K-over-Q", 0).to_json()))
+    for argv in (["quat", "--spec", str(spec), "--cmd", "subalg"], ["cor", "--instance", str(inst), "--cmd", "division"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--height", "13"])
+        assert exc.value.code == 2
+        assert "--height: must be at most 12, got 13" in capsys.readouterr().err
+        assert build_parser().parse_args(argv + ["--height", "12"]).height == 12
+    assert build_parser().parse_args(["isotropy", "--form", "f.json", "--height", "13"]).height == 13
+
+
+def test_clifford_arf_refuses_a_form_in_one_line(tmp_path):
+    # a singular or odd-dimensional form ended in an AlgebraError traceback,
+    # and dimension 8 in the Clifford construction's dimension cap
+    cases = (
+        ({"field": "Q", "diag": [1, 1, 1]}, 1, "malformed: form: Arf invariant needs an even-dimensional form\n"),
+        ({"field": "Q", "dim": 2, "upper": [["1", "2"], ["0", "1"]]}, 1, "malformed: form: Arf invariant needs a nonsingular form\n"),
+        ({"field": "Q", "diag": [1, 1, 1, 1, 1, 1, 1, -7]}, 0, "Arf invariant trivial: False\n"),
+        ({"field": "Q", "diag": [1, 1, 1, 1, -1, -1, -1, -1]}, 0, "Arf invariant trivial: True\n"),
+    )
+    for k, (doc, code, text) in enumerate(cases):
+        path = tmp_path / ("f%d.json" % k)
+        path.write_text(json.dumps(doc))
+        out = _run_cli("clifford", "--form", str(path), "--cmd", "arf")
+        assert (out.returncode, out.stdout, out.stderr) == (code, text, ""), doc
+    # the dump of the 64x64 Clifford multiplication table is gone
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["clifford", "--form", "f.json", "--cmd", "build"])
 
 
 def test_check_count_must_be_positive(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 from conftest import random_nonsingular_form, seeded
+from reference import rationally_equivalent
 from fractions import Fraction
 
 from albertkit import (
@@ -18,7 +19,7 @@ from albertkit import (
     witt_index,
 )
 from albertkit.errors import NotApplicable
-from albertkit.isotropy import _factor_int, isotropy, rationally_equivalent, squarefree_part
+from albertkit.isotropy import _factor_int, isotropy, squarefree_part
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -199,7 +200,7 @@ def test_remark1_over_finite_extension():
 
 
 def test_structured_vs_enumeration_sampled_larger_fields():
-    from albertkit.isotropy import enumeration_isotropy, structured_finite_isotropy
+    from reference import enumeration_isotropy, structured_finite_isotropy
 
     rng = seeded(73)
     for field in (FiniteField(7), FiniteField(3, 2)):
