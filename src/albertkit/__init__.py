@@ -63,10 +63,9 @@ from .corestriction import (
     build_corestriction,
     cor_is_division,
     f_map_check,
-    f_matrix,
+    f_pair,
     generator_to_isotropic,
     isotropic_to_generator,
-    tensor_product_algebra,
     vs_space,
 )
 from .clifford import (

@@ -6,8 +6,8 @@ ring, a dimension (4 or 16), basis names and the coordinates of the unit.
 Their elements are AlgebraElem, a tuple of coordinates over the ring that
 is added, negated, scaled and compared coordinatewise; each element class
 defines only its algebra's product.  The f map and the Clifford check
-compute with 2x2 matrices over such an algebra, tuples of rows, through
-m2_add, m2_mul and m2_equals_scalar.
+compute in M_2 of such an algebra on pairs of elements: see
+corestriction.f_product.
 """
 
 from __future__ import annotations
@@ -103,38 +103,3 @@ class Algebra:
 
     def basis_name(self, idx):
         return "e%d" % idx
-
-
-# ---------------------------------------------------------------------------
-# 2x2 matrices over an algebra, as tuples of rows
-# ---------------------------------------------------------------------------
-
-
-def m2_add(A, B):
-    return tuple(tuple(A[i][j] + B[i][j] for j in range(2)) for i in range(2))
-
-
-def m2_mul(alg, A, B):
-    out = []
-    for i in range(2):
-        row = []
-        for j in range(2):
-            acc = alg.zero()
-            for k in range(2):
-                a, b = A[i][k], B[k][j]
-                if a.is_zero() or b.is_zero():
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def m2_equals_scalar(alg, M, value_in_F):
-    scal = alg.scalar(alg.from_base(value_in_F))
-    return (
-        (M[0][0] - scal).is_zero()
-        and (M[1][1] - scal).is_zero()
-        and M[0][1].is_zero()
-        and M[1][0].is_zero()
-    )

@@ -5,7 +5,8 @@ No Clifford algebra is built.  The center of the even Clifford algebra of a
 nonsingular form of even dimension n is F[X]/(X^2 - pX - q), and (p, q) is
 read off the bases that forms.py builds (Elman, Karpenko, Merkurjev, The
 Algebraic and Geometric Theory of Quadratic Forms, ch. II; Lam, GSM 67,
-ch. V).  The rank check computes in M_2(Cor).
+ch. V).  The rank check computes in M_2(Cor), on the even and odd pairs of
+corestriction.f_product.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ import functools
 import math
 
 from . import linalg
-from .algebra import m2_mul
-from .corestriction import StructureAlgebra, TensorElem, broken_relation, cor_f_basis
+from .corestriction import StructureAlgebra, TensorElem, broken_relation, cor_f_basis, f_product
 from .errors import AlgebraError, InternalContradiction, RankDeficient, RelationViolation
 from .f2poly import F2Poly
 from .fields import _DEFAULT_REDUCTION, FiniteField, RationalField, RationalFunctionField
@@ -203,7 +203,7 @@ def _reduced_rows(cor, fs, E, phi):
     """The monomial rows (see _monomial_rows) of Cor reduced by phi, or None.
 
     Cor_E has phi of Cor's structure constants and unit, and the reduced
-    f(xi_i) have phi of their coordinates as entries.  None when phi is
+    f(xi_i) are the pairs of phi of their coordinates.  None when phi is
     undefined at one of them.
     """
     structure = []
@@ -220,12 +220,11 @@ def _reduced_rows(cor, fs, E, phi):
         return None
     cor_E = StructureAlgebra(E, tuple(structure), unit)
     fs_E = []
-    for M in fs:
-        entries = [_apply(phi, e.coords) for row in M for e in row]
+    for f in fs:
+        entries = [_apply(phi, x.coords) for x in f]
         if None in entries:
             return None
-        a, b, c, d = (TensorElem(cor_E, coords) for coords in entries)
-        fs_E.append(((a, b), (c, d)))
+        fs_E.append(tuple(TensorElem(cor_E, coords) for coords in entries))
     return _monomial_rows(cor_E, fs_E)
 
 
@@ -233,38 +232,46 @@ def _monomial_rows(alg, fs):
     """The 64 coordinates over `alg` of each monomial image, in increasing mask order.
 
     The image of e_S is the product of the f(xi_i), i in S, in increasing
-    order: e_mask = e_i * e_rest with i below every index of rest.
+    order: e_mask = f_i * e_rest with i below every index of rest.  It is
+    the pair (a, b) of f_product, even or odd with the popcount of the
+    mask, and its row is a|0|0|b or 0|a|b|0: the entries of
+    diag(a, b) or [[0, a], [b, 0]] in row order.
     """
-    one, zero = alg.one(), alg.zero()
-    images = [((one, zero), (zero, one))]
+    one, zero = alg.one(), alg.zero().coords
+    images = [(one, one)]
     for mask in range(1, 64):
         low = mask & -mask
         rest = mask ^ low
         i = low.bit_length() - 1
-        images.append(fs[i] if rest == 0 else m2_mul(alg, fs[i], images[rest]))
-    return [tuple(c for row in M for entry in row for c in entry.coords) for M in images]
+        images.append(fs[i] if rest == 0 else f_product(fs[i], images[rest]))
+    rows = []
+    for mask, (a, b) in enumerate(images):
+        if mask.bit_count() % 2:
+            rows.append(zero + a.coords + b.coords + zero)
+        else:
+            rows.append(a.coords + zero + zero + b.coords)
+    return rows
 
 
 def clifford_iso_check(ad, cor):
     """Dimension-count bijectivity of the induced Clifford map onto M_2(Cor).
 
     Over F and exactly: expresses the f(xi_i) in Cor (the check that f lands
-    in M_2(Cor)), checks that each has zero diagonal, so that the even
-    monomials land block-diagonally, and verifies the 21 defining relations
-    (see broken_relation).  The map xi -> f(xi) then extends
-    multiplicatively to the 64 monomials, and the images have rank 64 in
-    the 64-dimensional F-space M_2(Cor) when
-    the map is bijective.  _rank_certified takes that rank in Cor reduced
-    at a point, with exact elimination over F as the last resort.  Products
-    of elements of Cor stay in Cor (build_corestriction verified closure),
-    so no image needs its own membership check.
+    in M_2(Cor)) and verifies the 21 defining relations (see
+    broken_relation).  Each f(xi_i) is the odd pair (eta_i, xi_i), so the
+    even monomials land block-diagonally and the odd ones off the diagonal
+    by construction.  The map xi -> f(xi) then extends multiplicatively to
+    the 64 monomials, and the images have rank 64 in the 64-dimensional
+    F-space M_2(Cor) when the map is bijective.  _rank_certified takes that
+    rank in Cor reduced at a point, with exact elimination over F as the
+    last resort.  Products of elements of Cor stay in Cor
+    (build_corestriction verified closure), so no image needs its own
+    membership check.
     """
     F = ad.ext.base
     fs = cor_f_basis(ad, cor)
     if fs is None:
         raise RelationViolation("image entry leaves the fixed algebra")
-    if not all(M[0][0].is_zero() and M[1][1].is_zero() for M in fs):
-        raise RelationViolation("f(xi_i) has a nonzero diagonal entry")
     broken = broken_relation(ad.form, cor, fs)
     if broken is not None:
         raise RelationViolation(broken)

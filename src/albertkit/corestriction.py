@@ -10,13 +10,18 @@ c s(n) for n = a + b w: c times the transfer of the norm form.  Tests
 check the trace condition, the switch invariance and the rank of the xi
 over the acceptance batch, and that the fixed basis spans the square.
 
-The map f is defined on y: f(xi) = [[0, kappa (gamma(conj y) (x) 1 + 1
-(x) y)], [gamma(y) (x) 1 + 1 (x) y, 0]], whose upper entry is kappa
-(sigma (x) id)(xi).  It squares to the form: a checkable zero-divisor
-certificate whenever the form is isotropic.  albert_form builds no
-tensor square.  Two places do: nilpotent_image builds the square it
-multiplies the certificate in, and build_corestriction builds the one
-that Cor lives in, where the audits (cor_f_basis) build f.
+The map f is defined on y: f(xi) = [[0, eta], [xi, 0]] with eta = kappa
+(gamma(conj y) (x) 1 + 1 (x) y) = kappa (sigma (x) id)(xi) and xi =
+gamma(y) (x) 1 + 1 (x) y.  It squares to the form: a checkable
+zero-divisor certificate whenever the form is isotropic.  albert_form
+builds no tensor square.  Two places do: nilpotent_image builds the
+square it multiplies the certificate in, and build_corestriction builds
+the one that Cor lives in, where the audits (cor_f_basis) build f.
+
+Every 2x2 matrix the audits form is a product of f's, so it is even,
+diag(a, b), or odd, [[0, a], [b, 0]], and is stored as the pair (a, b):
+f(xi) is (eta, xi).  Its parity is known from the context.  One rule,
+f_product, multiplies: f(xi) (a, b) = (eta b, xi a) in both cases.
 
 Q, the tensor square, Cor and Q1 (x) Q2 are one model, the Algebra of
 algebra.py: coordinate tuples over a scalar ring, with the sum, scaling,
@@ -27,7 +32,7 @@ multiply through the 4x4 basis products of their quaternion factors and
 build no 16x16 table.  The corestriction is a StructureAlgebra over F,
 whose structure constants are data for the Clifford rank and for `cor
 build --structure`.  The audits of f and of the Clifford map compute in
-M_2(Cor) over F.
+M_2(Cor) over F, on pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import random
 from dataclasses import dataclass
 
 from . import linalg, search
-from .algebra import Algebra, AlgebraElem, m2_add, m2_equals_scalar, m2_mul
+from .algebra import Algebra, AlgebraElem
 from .errors import (
     AlgebraError,
     IdentityFails,
@@ -251,13 +256,6 @@ def natural_map_bijective(ext, cor):
     return linalg.rank(rows, ext.base, 32) == 32
 
 
-def tensor_product_algebra(Q1, Q2):
-    """Q1 (x)_F Q2 on the basis q_i (x) q_j."""
-    if Q1.ring != Q2.ring:
-        raise AlgebraError("tensor factors over different fields")
-    return TensorProductAlgebra(Q1.ring, Q1, Q2)
-
-
 # ---------------------------------------------------------------------------
 # V^s and the Albert form
 # ---------------------------------------------------------------------------
@@ -338,40 +336,57 @@ def _require_over(ext, Q):
 
 
 # ---------------------------------------------------------------------------
-# the f map into M_2 of the tensor square and into M_2(Cor)
+# the f map into M_2 of the tensor square and into M_2(Cor), on pairs
 # ---------------------------------------------------------------------------
 
 
-def f_matrix(tensor, kappa, y):
-    """f(xi) = [[0, kappa (sigma (x) id)(xi)], [xi, 0]] for xi = xi_of(y), in `tensor`.
+def f_pair(tensor, kappa, y):
+    """f(xi) = [[0, eta], [xi, 0]] as the pair (eta, xi), for xi = xi_of(y) in `tensor`.
 
-    sigma (x) id sends gamma(y) (x) 1 + 1 (x) y to gamma(conj y) (x) 1 + 1 (x) y.
+    eta = kappa (sigma (x) id)(xi), and sigma (x) id sends gamma(y) (x) 1 +
+    1 (x) y to gamma(conj y) (x) 1 + 1 (x) y.
     """
     xi = tensor.xi_of(y)
     eta = (xi + tensor.gx_tensor(y.conjugate() - y, tensor.Q.one())).scale(kappa)
-    zero = tensor.zero()
-    return ((zero, eta), (xi, zero))
+    return eta, xi
+
+
+def f_product(f, pair):
+    """f(xi) times the even or odd matrix `pair`, as a pair of the other parity.
+
+    f(xi) = (eta, xi) times diag(a, b) is [[0, eta b], [xi a, 0]], and times
+    [[0, a], [b, 0]] it is diag(eta b, xi a): (eta b, xi a) both ways.
+    """
+    eta, xi = f
+    a, b = pair
+    return eta * b, xi * a
+
+
+def _is_scalar(alg, pair, value_in_F):
+    """Whether the even `pair` is value_in_F times the identity."""
+    scal = alg.scalar(alg.from_base(value_in_F))
+    return all((x - scal).is_zero() for x in pair)
 
 
 def nilpotent_image(ad, coords):
-    """f(xi) of the Albert vector `coords`, checked nonzero with square zero.
+    """f(xi) of the Albert vector `coords` as the pair (eta, xi), checked
+    nonzero with square zero.
 
     This is the zero-divisor certificate of an isotropic vector; raises
     InvalidWitness when f(xi) is zero or its square is not.  The square is
     multiplied out in a tensor square built here.
     """
     tensor = TensorSquareAlgebra(ad.ext, ad.Q)
-    M = f_matrix(tensor, ad.kappa, ad.y_from_coords(coords))
-    if M[0][1].is_zero() and M[1][0].is_zero():
+    f = f_pair(tensor, ad.kappa, ad.y_from_coords(coords))
+    if all(x.is_zero() for x in f):
         raise InvalidWitness("nilpotent certificate is zero")
-    sq = m2_mul(tensor, M, M)
-    if not all(e.is_zero() for row in sq for e in row):
+    if not all(x.is_zero() for x in f_product(f, f)):
         raise InvalidWitness("certificate is not nilpotent")
-    return M
+    return f
 
 
 def cor_f_basis(ad, cor):
-    """The six f(xi_i), xi_i = xi_of(y_i), as matrices over Cor, or None.
+    """The six f(xi_i), xi_i = xi_of(y_i), as pairs (eta_i, xi_i) over Cor, or None.
 
     f is built in Cor's own tensor square.  Expressing the entries xi_i and
     kappa (sigma (x) id)(xi_i) in Cor's fixed basis is the check that f maps
@@ -379,14 +394,13 @@ def cor_f_basis(ad, cor):
     images then lies in M_2(Cor) as well, because build_corestriction
     verified that Cor is closed under products.
     """
-    zero = cor.zero()
     out = []
     for y in ad.y_basis:
-        (_, eta), (xi, _) = f_matrix(cor.tensor, ad.kappa, y)
+        eta, xi = f_pair(cor.tensor, ad.kappa, y)
         cx, ce = cor.express(xi), cor.express(eta)
         if cx is None or ce is None:
             return None
-        out.append(((zero, cor.elem(ce)), (cor.elem(cx), zero)))
+        out.append((cor.elem(ce), cor.elem(cx)))
     return out
 
 
@@ -402,13 +416,13 @@ def broken_relation(form, cor, fs):
     C(form) -> M_2(Cor) (Knus, Merkurjev, Rost, Tignol, The Book of
     Involutions, section 8).
     """
-    for i, M in enumerate(fs):
-        if not m2_equals_scalar(cor, m2_mul(cor, M, M), form.upper[i][i]):
+    for i, f in enumerate(fs):
+        if not _is_scalar(cor, f_product(f, f), form.upper[i][i]):
             return "f(xi)^2 != phi(xi) on basis vector %d" % i
     B = form.polar_matrix()
     for i, j in itertools.combinations(range(len(fs)), 2):
-        anti = m2_add(m2_mul(cor, fs[i], fs[j]), m2_mul(cor, fs[j], fs[i]))
-        if not m2_equals_scalar(cor, anti, B[i][j]):
+        anti = tuple(x + y for x, y in zip(f_product(fs[i], fs[j]), f_product(fs[j], fs[i])))
+        if not _is_scalar(cor, anti, B[i][j]):
             return "f(xi_i) f(xi_j) + f(xi_j) f(xi_i) != b(xi_i, xi_j) for i, j = %d, %d" % (i, j)
     return None
 
@@ -432,16 +446,13 @@ def f_map_check(ad, cor, n_random=100, seed=20210513):
     if broken is not None:
         raise IdentityFails(broken)
     report = {"basis_checked": 6, "relations_checked": 21, "random_checked": 0, "entries_in_cor": True}
-    etas = [M[0][1].coords for M in fs]
-    xis = [M[1][0].coords for M in fs]
-    zero = cor.zero()
+    etas = [eta.coords for eta, _ in fs]
+    xis = [xi.coords for _, xi in fs]
     rng = random.Random(seed)
     for _ in range(n_random):
         coords = tuple(F.from_int(rng.randint(-3, 3)) for _ in range(6))
-        eta = cor.elem(linalg.combine(coords, etas, F, 16))
-        xi = cor.elem(linalg.combine(coords, xis, F, 16))
-        M = ((zero, eta), (xi, zero))
-        if not m2_equals_scalar(cor, m2_mul(cor, M, M), ad.form.evaluate(coords)):
+        f = cor.elem(linalg.combine(coords, etas, F, 16)), cor.elem(linalg.combine(coords, xis, F, 16))
+        if not _is_scalar(cor, f_product(f, f), ad.form.evaluate(coords)):
             raise IdentityFails("f(xi)^2 != phi(xi) on a random vector")
         report["random_checked"] += 1
     return report
@@ -457,7 +468,7 @@ class DivisionVerdict:
     not_division: bool | None
     method: str
     witness_coords: tuple | None = None
-    nilpotent: tuple | None = None  # 2x2 tensor matrix, f of the witness
+    nilpotent: tuple | None = None  # (eta, xi) in the tensor square, f of the witness
 
     @property
     def decided(self):
@@ -473,10 +484,10 @@ def cor_is_division(ad, height=search.DEFAULT_HEIGHT):
     verdict = isotropy(ad.form, height=height)
     if verdict.is_isotropic:
         try:
-            M = nilpotent_image(ad, verdict.witness)
+            f = nilpotent_image(ad, verdict.witness)
         except InvalidWitness as exc:
             raise InternalContradiction(str(exc))
-        return DivisionVerdict(True, verdict.method, verdict.witness, M)
+        return DivisionVerdict(True, verdict.method, verdict.witness, f)
     if verdict.is_anisotropic:
         return DivisionVerdict(False, verdict.method)
     return DivisionVerdict(None, verdict.method)

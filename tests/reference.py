@@ -6,8 +6,10 @@ e_j e_i = polar(e_i, e_j) - e_i e_j for i < j, which degenerates correctly
 in characteristic 2) and the Arf invariant read off the center of its even
 part, against which `clifford.arf_trivial`'s formula is tested; the
 enumeration and structured-rule isotropy verdicts over finite fields, the
-invariants of forms over Q, the spec of an extension, and the projection of
-a split corestriction onto Q1 (x) Q2.
+invariants of forms over Q, the spec of an extension, the projection of
+a split corestriction onto Q1 (x) Q2, and the monomial rows of the
+Clifford check by plain 2x2 matrix products, against which the even and
+odd pairs of `corestriction.f_product` are tested.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from fractions import Fraction
 
 from albertkit import linalg
-from albertkit.corestriction import tensor_product_algebra
+from albertkit.corestriction import TensorProductAlgebra
 from albertkit.errors import AlgebraError, InternalContradiction
 from albertkit.forms import orthogonalize, symplectic_pairs
 from albertkit.isotropy import (
@@ -411,3 +413,45 @@ def split_projection_iso(ext, cor, Q1, Q2):
             if lhs != rhs:
                 raise InternalContradiction("projection fails multiplicativity")
     return direct, images
+
+
+def tensor_product_algebra(Q1, Q2):
+    """Q1 (x)_F Q2 on the basis q_i (x) q_j."""
+    if Q1.ring != Q2.ring:
+        raise AlgebraError("tensor factors over different fields")
+    return TensorProductAlgebra(Q1.ring, Q1, Q2)
+
+
+# ---------------------------------------------------------------------------
+# 2x2 matrices over an algebra, as tuples of rows
+# ---------------------------------------------------------------------------
+
+
+def f_as_matrix(alg, f):
+    """The pair (eta, xi) of f(xi) as the matrix ((0, eta), (xi, 0))."""
+    eta, xi = f
+    return (alg.zero(), eta), (xi, alg.zero())
+
+
+def m2_mul(alg, A, B):
+    """The product of two 2x2 matrices over `alg`, entry by entry."""
+    return tuple(
+        tuple(A[i][0] * B[0][j] + A[i][1] * B[1][j] for j in range(2)) for i in range(2)
+    )
+
+
+def monomial_rows_m2(alg, fs):
+    """The 64 coordinate rows of the monomial images of the pairs `fs`, by 2x2 products.
+
+    The image of e_S is the product of the matrices of the f(xi_i), i in S,
+    in increasing order: e_mask = f_i * e_rest with i below every index of
+    rest.  Its row is the coordinates of its four entries in row order.
+    """
+    one, zero = alg.one(), alg.zero()
+    mats = [f_as_matrix(alg, f) for f in fs]
+    images = [((one, zero), (zero, one))]
+    for mask in range(1, 64):
+        low = mask & -mask
+        i = low.bit_length() - 1
+        images.append(m2_mul(alg, mats[i], images[mask ^ low]))
+    return [tuple(c for row in M for entry in row for c in entry.coords) for M in images]

@@ -12,6 +12,9 @@ from reference import (
     center_of_span,
     clifford_arf,
     even_part_masks,
+    f_as_matrix,
+    m2_mul,
+    monomial_rows_m2,
     rationally_equivalent,
 )
 
@@ -37,7 +40,7 @@ from albertkit.clifford import (
     _reduced_rows,
     _reductions,
 )
-from albertkit.corestriction import cor_f_basis
+from albertkit.corestriction import cor_f_basis, f_product
 from albertkit.errors import AlgebraError, RankDeficient, RelationViolation
 from albertkit.forms import isometric_embedding
 
@@ -425,3 +428,44 @@ def test_rank_certified_never_exceeds_the_exact_rank_over_q():
         assert exact <= r
         ranks = _reduced_ranks(rows, QQ)
         assert ranks and all(rank <= exact for _, rank in ranks)
+
+
+def _audit_instance(family):
+    """(albert data, Cor) of the Hamilton instance or of seed 0 of a family."""
+    if family == "hamilton":
+        ext = EtaleQuadratic(QQ, (0, 2))
+        K = ext.ring
+        Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
+    else:
+        _, ext, Q = generate_instance(family, 0).build()
+    return albert_form(ext, Q), build_corestriction(ext, Q)
+
+
+AUDIT_INSTANCES = ["hamilton", "split-K-over-Q", "quad-K-over-Q", "split-K-over-Qt", "char2-finite", "char2-function-field"]
+
+
+@pytest.mark.parametrize("family", AUDIT_INSTANCES)
+def test_monomial_rows_match_the_2x2_products(family):
+    # the pair rows are the rows of the 2x2 matrix products, coordinate for coordinate
+    ad, cor = _audit_instance(family)
+    fs = cor_f_basis(ad, cor)
+    assert _monomial_rows(cor, fs) == monomial_rows_m2(cor, fs)
+
+
+@pytest.mark.parametrize("family", AUDIT_INSTANCES)
+def test_pair_rule_matches_the_2x2_product(family):
+    # f(xi) (a, b) = (eta b, xi a) is [[0, eta], [xi, 0]] times diag(a, b)
+    # (odd times even) and times [[0, a], [b, 0]] (odd times odd)
+    ad, cor = _audit_instance(family)
+    F, zero = cor.ring, cor.zero()
+    rng = seeded(79)
+
+    def element():
+        return cor.elem([F.from_int(rng.randint(-3, 3)) for _ in range(16)])
+
+    for f in cor_f_basis(ad, cor) + [(element(), element()) for _ in range(3)]:
+        a, b = element(), element()
+        (p, q), (r, s) = m2_mul(cor, f_as_matrix(cor, f), ((a, zero), (zero, b)))
+        assert p.is_zero() and s.is_zero() and f_product(f, (a, b)) == (q, r)
+        (p, q), (r, s) = m2_mul(cor, f_as_matrix(cor, f), ((zero, a), (b, zero)))
+        assert q.is_zero() and r.is_zero() and f_product(f, (a, b)) == (p, s)

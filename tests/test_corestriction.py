@@ -7,7 +7,7 @@ import math
 
 import pytest
 from conftest import seeded
-from reference import split_projection_iso
+from reference import split_projection_iso, tensor_product_algebra
 
 from albertkit import (
     QQ,
@@ -25,13 +25,12 @@ from albertkit import (
     generate_instance,
     generator_to_isotropic,
     isotropic_to_generator,
-    tensor_product_algebra,
     validate_disjoint_witness,
     verify_certificate,
 )
 from albertkit import corestriction
 from albertkit.clifford import clifford_iso_check
-from albertkit.corestriction import f_matrix, m2_mul, natural_map_bijective
+from albertkit.corestriction import f_pair, f_product, natural_map_bijective
 from albertkit.errors import AlgebraError, IdentityFails, InternalContradiction, InvalidWitness, RelationViolation
 from albertkit.forms import QuadraticForm, hyperbolic_partner, isometric_embedding, line_point
 from albertkit.harness import FAMILIES
@@ -292,8 +291,7 @@ def test_f_matrix_from_y_matches_the_sigma_rows(batch_builds):
         kappa = ext.kappa()
         ys = corestriction.vs_space(ext, Q)
         for y in ys + (sum(ys[1:], ys[0]),):
-            (zero, eta), (xi, zero2) = f_matrix(t, kappa, y)
-            assert zero.is_zero() and zero2.is_zero()
+            eta, xi = f_pair(t, kappa, y)
             assert xi == t.xi_of(y)
             assert eta == _sigma_first_reference(t, xi).scale(kappa)
             checked += 1
@@ -388,13 +386,13 @@ def test_f_nilpotent_certificate(hamilton_albert):
     ad = hamilton_albert
     div = cor_is_division(ad)
     assert div.not_division is True
-    M = div.nilpotent
-    assert not (M[0][1].is_zero() and M[1][0].is_zero())
+    f = div.nilpotent
+    assert not (f[0].is_zero() and f[1].is_zero())
     t = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
-    again = f_matrix(t, ad.kappa, ad.y_from_coords(div.witness_coords))
-    assert [e.coords for row in again for e in row] == [e.coords for row in M for e in row]
-    sq = m2_mul(t, again, again)
-    assert all(sq[i][j].is_zero() for i in range(2) for j in range(2))
+    again = f_pair(t, ad.kappa, ad.y_from_coords(div.witness_coords))
+    assert [e.coords for e in again] == [e.coords for e in f]
+    sq = f_product(again, again)
+    assert all(e.is_zero() for e in sq)
 
 
 def test_named_witness_conversion(hamilton_albert):
@@ -651,7 +649,7 @@ def test_f_map_check_rejects_xi_outside_the_fixed_space(hamilton_albert, hamilto
         y = ad.y_basis[0] + ad.Q.one()
         assert not QQ.is_zero(ad.ext.trace(y.trd()))
         bad = dataclasses.replace(ad, y_basis=(y,) + ad.y_basis[1:])
-        (_, eta), (xi, _) = f_matrix(cor.tensor, ad.kappa, y)
+        eta, xi = f_pair(cor.tensor, ad.kappa, y)
         assert cor.express(xi) is not None and cor.express(eta) is None
         assert corestriction.cor_f_basis(bad, cor) is None
         with pytest.raises(IdentityFails, match="fixed algebra"):
