@@ -9,29 +9,28 @@ a 6-dimensional quadratic form phi with f(xi)^2 = phi(xi) for the explicit
 
 from albertkit import (
     QQ,
-    EtaleQuadratic,
     QuaternionAlgebra,
     albert_form,
     arf_trivial,
     build_corestriction,
     clifford_iso_check,
     cor_is_division,
+    etale_quadratic,
     f_map_check,
     generator_to_isotropic,
     isotropic_to_generator,
 )
 from albertkit.corestriction import natural_map_bijective
 
-ext = EtaleQuadratic(QQ, (0, 2))
-K = ext.ring
+K = etale_quadratic(QQ, (0, 2))
 Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))  # Hamilton over K
 
 print("Fixed points of the switch map:")
-cor = build_corestriction(ext, Q)
-print("  dim_F =", cor.dim, " natural map Cor (x) K -> tensor square bijective:", natural_map_bijective(ext, cor))
+cor = build_corestriction(K, Q)
+print("  dim_F =", cor.dim, " natural map Cor (x) K -> tensor square bijective:", natural_map_bijective(K, cor))
 print()
 
-ad = albert_form(ext, Q)
+ad = albert_form(K, Q)
 print("Albert form on V^s (basis from y in {i, sqrt2 i, z, sqrt2 z, iz, sqrt2 iz}):")
 for row in ad.form.upper:
     print("   ", [str(c) for c in row])

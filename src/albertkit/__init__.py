@@ -28,7 +28,7 @@ from .fields import (
     RationalField,
     RationalFunctionField,
 )
-from .etale import EtaleQuadratic, SplitAlgebra
+from .etale import SplitAlgebra, etale_quadratic
 from .forms import (
     QuadraticForm,
     isometric_embedding,

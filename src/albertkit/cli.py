@@ -87,30 +87,30 @@ def _cmd_isotropy(args):
 
 
 def _cmd_transfer(args):
-    ext = parse_extension_doc(_load_json(args.ext))
-    form = parse_form(_load_json(args.form), field=ext.ring)
-    out = transfer(ext, form)
+    K = parse_extension_doc(_load_json(args.ext))
+    form = parse_form(_load_json(args.form), field=K)
+    out = transfer(K, form)
     _emit(args, form_to_json(out), repr(out))
     return 0
 
 
 def _cmd_descend(args):
-    ext = parse_extension_doc(_load_json(args.ext))
-    form = parse_form(_load_json(args.form), field=ext.ring)
-    res = descend(ext, form, height=args.height)
+    K = parse_extension_doc(_load_json(args.ext))
+    form = parse_form(_load_json(args.form), field=K)
+    res = descend(K, form, height=args.height)
     steps = []
     for step in res.steps:
         entry = {"round": step["round"]}
         for key in ("u", "v", "w"):
             if key in step:
-                entry[key] = vector_to_json(ext.ring, step[key])
+                entry[key] = vector_to_json(K, step[key])
         if "lambda" in step:
-            entry["lambda"] = format_element(ext.ring, step["lambda"])
+            entry["lambda"] = format_element(K, step["lambda"])
         steps.append(entry)
     doc = {
         "psi": form_to_json(res.psi),
         "i0": res.i0,
-        "embedding": [vector_to_json(ext.ring, v) for v in res.embedding],
+        "embedding": [vector_to_json(K, v) for v in res.embedding],
         "steps": steps,
     }
     _emit(args, doc, "dim psi = %d = i0(s_* phi); embedding verified, %d rounds" % (res.i0, len(steps)))
@@ -140,8 +140,8 @@ def _cmd_quat(args):
         report = check_equivalence(inst)
         cond = report.cond_i if args.any_quadratic else report.cond_ii
         status = {"yes": "found", "no": "none", "unknown": "unknown"}[cond.status]
-        ring = report.ctx[2].ring
-        witness = None if cond.witness is None else [format_element(ring, c) for c in cond.witness.coords]
+        K = report.ctx[1]
+        witness = None if cond.witness is None else vector_to_json(K, cond.witness.coords)
         doc = {"status": status, "method": cond.method, "witness": witness, "searched": cond.searched}
         _emit(args, doc, "witness: %r" % (cond.witness,) if witness else "%s [%s]" % (status, cond.method))
         if not report.consistent:

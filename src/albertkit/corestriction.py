@@ -31,8 +31,8 @@ square (over K) and Q1 (x) Q2 (over F) are TensorProductAlgebra: they
 multiply through the 4x4 basis products of their quaternion factors and
 build no 16x16 table.  The corestriction is a StructureAlgebra over F,
 whose structure constants are data for the Clifford rank and for `cor
-build --structure`.  The audits of f and of the Clifford map compute in
-M_2(Cor) over F, on pairs.
+--instance inst.json --cmd build --structure`.  The audits of f and of the
+Clifford map compute in M_2(Cor) over F, on pairs.
 """
 
 from __future__ import annotations
@@ -135,8 +135,7 @@ class TensorSquareAlgebra(TensorProductAlgebra):
 
     def __init__(self, ext, Q):
         _require_over(ext, Q)
-        super().__init__(Q.ring, Q, Q, ext.gamma)
-        self.ext = ext
+        super().__init__(Q.ring, Q, Q, ext.conj)
         self.Q = Q
 
     def from_base(self, c):
@@ -148,10 +147,10 @@ class TensorSquareAlgebra(TensorProductAlgebra):
     def gx_tensor(self, x, y):
         """The pure tensor (conjugate x) (x) y."""
         K = self.ring
-        gamma = self.ext.gamma
+        conj = K.conj
         coords = [K.zero()] * 16
         for i in range(4):
-            gx = gamma(x.coords[i])
+            gx = conj(x.coords[i])
             if K.is_zero(gx):
                 continue
             for j in range(4):
@@ -162,13 +161,13 @@ class TensorSquareAlgebra(TensorProductAlgebra):
     def switch(self, elem):
         """s(gamma(x) (x) y) = gamma(y) (x) x, extended gamma-semilinearly."""
         K = self.ring
-        gamma = self.ext.gamma
+        conj = K.conj
         coords = [K.zero()] * 16
         for idx, c in enumerate(elem.coords):
             if K.is_zero(c):
                 continue
             i, j = divmod(idx, 4)
-            coords[4 * j + i] = coords[4 * j + i] + gamma(c)
+            coords[4 * j + i] = coords[4 * j + i] + conj(c)
         return self.elem(coords)
 
     def xi_of(self, y):
@@ -204,7 +203,7 @@ class CorestrictionAlgebra(StructureAlgebra):
             return None
         out = []
         for p, q in _FIXED:
-            a, b = A.ext.coords(elem.coords[p])
+            a, b = A.ring.to_pair(elem.coords[p])
             out += (a,) if p == q else (a, b)
         return tuple(out)
 
@@ -217,12 +216,12 @@ def build_corestriction(ext, Q):
     at 4r + s in increasing order; nothing is solved.
     """
     A = TensorSquareAlgebra(ext, Q)
-    F, K = ext.base, ext.ring
+    F, K = ext.base, ext
     basis = []
     for p, q in _FIXED:
-        for c in (K.one(),) if p == q else (K.one(), ext.w):
+        for c in (K.one(),) if p == q else (K.one(), K.gen()):
             coords = [K.zero()] * 16
-            coords[p], coords[q] = c, ext.gamma(c)
+            coords[p], coords[q] = c, K.conj(c)
             basis.append(A.elem(coords))
     cor = CorestrictionAlgebra(F, basis, A)
     # one object per distinct constant: the 256 products repeat a few dozen
@@ -251,7 +250,7 @@ def natural_map_bijective(ext, cor):
     is the tensor square.  Over F: the realified basis and its w-multiples
     have rank 32.  The basis is written down, so build_corestriction does
     not call this."""
-    w = ext.w
+    w = ext.gen()
     rows = [ext.realify_vec(v) for b in cor.basis for v in (b.coords, tuple(w * c for c in b.coords))]
     return linalg.rank(rows, ext.base, 32) == 32
 
@@ -287,15 +286,14 @@ def vs_space(ext, Q):
     the xi and their switch invariance are checked by a test over the
     acceptance batch, not here.
     """
-    F = ext.base
-    K = Q.ring
+    F, K = ext.base, ext
     z = Q.elem((K.zero(), K.zero(), K.one(), K.zero()))
     if F.char != 2:
         # canonical trace-zero pure part: e0 = e - alpha/2, z, e0*z
         e0 = Q.elem((-Q.alpha / K.from_int(2), K.one(), K.zero(), K.zero()))
         e0z = e0 * z
-        if ext.kind == "field":
-            w = ext.w
+        if K.kind == "field":
+            w = K.gen()
             return (e0, e0.scale(w), z, z.scale(w), e0z, e0z.scale(w))
         # componentwise: the Albert form becomes the block-diagonal sum
         # of the two pure norm forms, diagonal when alpha = 0
@@ -303,13 +301,14 @@ def vs_space(ext, Q):
         eps2 = K.pair(F.zero(), F.one())
         return tuple(y.scale(eps) for eps in (eps1, eps2) for y in (e0, z, e0z))
     # y1* solves T(alpha y1*) = 0 with polynomial coordinates; 1 when T(alpha) = 0
-    t_alpha = ext.trace(Q.alpha)
+    w = K.gen()
+    t_alpha = K.trace_to_base(Q.alpha)
     y1 = K.one()
     if not F.is_zero(t_alpha):
-        y1 = ext.from_pair(*_clear_denominators(F, (-ext.trace(Q.alpha * ext.w) / t_alpha, F.one())))
+        y1 = K.from_pair(*_clear_denominators(F, (-K.trace_to_base(Q.alpha * w) / t_alpha, F.one())))
     ez = Q.elem((K.zero(), K.zero(), K.zero(), K.one()))
     y1e = Q.elem((K.zero(), y1, K.zero(), K.zero()))
-    return (Q.one().scale(ext.w), y1e, z, z.scale(ext.w), ez, ez.scale(ext.w))
+    return (Q.one().scale(w), y1e, z, z.scale(w), ez, ez.scale(w))
 
 
 def albert_form(ext, Q):
@@ -323,7 +322,8 @@ def albert_form(ext, Q):
     _require_over(ext, Q)
     ys = vs_space(ext, Q)
     kappa = ext.kappa()
-    c = ext.in_base(kappa * (ext.gamma(ext.w) - ext.w))
+    w = ext.gen()
+    c = ext.in_base(kappa * (ext.conj(w) - w))
     form = QuadraticForm.from_map(ext.base, lambda v: c * ext.s(Q.elem(v).nrd()), [y.coords for y in ys])
     if not form.classify().nonsingular:
         raise InternalContradiction("Albert form is singular")
@@ -331,7 +331,7 @@ def albert_form(ext, Q):
 
 
 def _require_over(ext, Q):
-    if Q.ring != ext.ring:
+    if Q.ring != ext:
         raise AlgebraError("quaternion algebra is not defined over the extension")
 
 
@@ -593,7 +593,7 @@ def generator_to_isotropic(ad, x):
     validate_disjoint_witness(Q, ext, x, etale_required=False)
     kappa = Q.ring.coerce(ad.kappa)
     kx = x.scale(kappa)
-    if not F.is_zero(ext.trace(kx.trd())):
+    if not F.is_zero(ext.trace_to_base(kx.trd())):
         raise InvalidWitness("kappa*x violates the trace condition")
     # the tensor map kills exactly the kappa line of the trace-condition
     # space, so kappa*x's first six coordinates over (y_basis, kappa)

@@ -1,22 +1,19 @@
 """Quadratic etale algebras over an exact base field.
 
 An etale quadratic algebra K over F is either a separable quadratic field
-extension F[w]/(w^2 - a*w - b) or the split algebra F x F.  Both come with
-the nontrivial automorphism gamma, trace and norm down to F, the canonical
-functional s with s(1) = 0, and a canonical skew element kappa with
-gamma(kappa) = -kappa.
-
-The two kinds of K share one scalar model (see fields.py): their elements
-are `PairElem` pairs over F, and `SplitAlgebra` answers the ring protocol of
-`QuadraticFieldExtension` (`gen`, `conj`, `trace_to_base`, `norm_to_base`,
-`to_pair`, `is_invertible`, `generates_unit_ideal`), so EtaleQuadratic's
-structure maps are one call each, whatever the kind.
+extension F[w]/(w^2 - alpha*w - beta) or the split algebra F x F.  K is one
+object, the ring: `fields.QuadraticFieldExtension` or `SplitAlgebra` below,
+built from a presentation by `etale_quadratic`.  Both derive from
+`fields.EtaleAlgebra` and answer the ring protocol that fields.py lists:
+`conj` is the nontrivial automorphism gamma, `s` the canonical functional
+with s(1) = 0 and s(w) = 1, and `kappa` a canonical skew element,
+conj(kappa) = -kappa.
 """
 
 from __future__ import annotations
 
 from .errors import NotEtale, Reducible
-from .fields import Field, PairElem, QuadraticFieldExtension
+from .fields import EtaleAlgebra, Field, PairElem, QuadraticFieldExtension
 
 
 class SplitElem(PairElem):
@@ -39,7 +36,7 @@ class SplitElem(PairElem):
         return SplitElem(self.field, self.a / other.a, self.b / other.b)
 
 
-class SplitAlgebra:
+class SplitAlgebra(EtaleAlgebra):
     """The ring F x F with componentwise operations.
 
     Not a field (it has zero divisors) but answers the ring protocol of a
@@ -47,6 +44,7 @@ class SplitAlgebra:
     """
 
     element = SplitElem
+    kind = "split"
     coerce = Field.coerce
 
     def __init__(self, base):
@@ -98,6 +96,10 @@ class SplitAlgebra:
         x = self.coerce(x)
         return x.a * x.b
 
+    def kappa(self):
+        """The canonical nonzero element with conj(kappa) = -kappa: (1, -1)."""
+        return self.pair(self.base.one(), -self.base.one())
+
     def is_zero(self, x):
         return not self.coerce(x)
 
@@ -126,117 +128,22 @@ class SplitAlgebra:
         return self.name
 
 
-class EtaleQuadratic:
-    """A quadratic etale algebra K/F with its standard structure maps."""
+def etale_quadratic(base: Field, presentation):
+    """The quadratic etale algebra F[X]/(X^2 - alpha X - beta) over `base`.
 
-    def __init__(self, base: Field, presentation):
-        self.base = base
-        alpha = beta = None
-        if presentation != "split":
-            alpha, beta = presentation
-            alpha = base.coerce(alpha)
-            beta = base.coerce(beta)
-            if base.char == 2:
-                if base.is_zero(alpha):
-                    raise NotEtale("X^2 - %s is inseparable in characteristic 2" % beta)
-            else:
-                if base.is_zero(alpha * alpha + 4 * beta):
-                    raise NotEtale("discriminant of X^2-%s*X-%s vanishes" % (alpha, beta))
-            try:
-                self.kind, self.ring = "field", QuadraticFieldExtension(base, alpha, beta)
-            except Reducible:
-                alpha = beta = None  # separable but split: the algebra is F x F
-        self.alpha, self.beta = alpha, beta
-        if alpha is None:
-            self.kind, self.ring = "split", SplitAlgebra(base)
-
-    @property
-    def w(self):
-        """Generator with s(w) = 1: the extension generator, or (0,1)."""
-        return self.ring.gen()
-
-    def one(self):
-        return self.ring.one()
-
-    def zero(self):
-        return self.ring.zero()
-
-    def from_base(self, c):
-        return self.ring.from_base(c)
-
-    def from_pair(self, a, b):
-        return self.ring.from_pair(a, b)
-
-    def coords(self, x):
-        """Coordinates (a, b) with x = a*1 + b*w."""
-        return self.ring.to_pair(x)
-
-    def gamma(self, x):
-        return self.ring.conj(x)
-
-    def trace(self, x):
-        """T_{K/F}(x) = x + gamma(x), as a base-field element."""
-        return self.ring.trace_to_base(x)
-
-    def norm(self, x):
-        """N_{K/F}(x) = x * gamma(x), as a base-field element."""
-        return self.ring.norm_to_base(x)
-
-    def s(self, x):
-        """The canonical F-linear functional with s(1) = 0, s(w) = 1."""
-        return self.coords(x)[1]
-
-    def kappa(self):
-        """Canonical nonzero element with gamma(kappa) = -kappa."""
-        base = self.base
-        if self.kind == "split":
-            return self.ring.pair(base.one(), -base.one())
-        if base.char == 2:
-            return self.ring.one()
-        # w - alpha/2
-        return self.ring.from_pair(-self.alpha / 2, base.one())
-
-    def in_base(self, x):
-        """The base coordinate of x, or None when x is not in F*1."""
-        a, b = self.coords(x)
-        if self.base.is_zero(b):
-            return a
-        return None
-
-    # -- realification ---------------------------------------------------
-    def realify_vec(self, vec):
-        out = []
-        for x in vec:
-            a, b = self.coords(x)
-            out.append(a)
-            out.append(b)
-        return tuple(out)
-
-    def unrealify_vec(self, vec):
-        out = []
-        for i in range(0, len(vec), 2):
-            out.append(self.from_pair(vec[i], vec[i + 1]))
-        return tuple(out)
-
-    def random_element(self, rng, size=5):
-        return self.ring.random_element(rng, size)
-
-    def describe(self):
-        if self.kind == "split":
-            return "split"
-        return "x^2-%s*x-%s" % (self.base.format_element(self.alpha), self.base.format_element(self.beta))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, EtaleQuadratic)
-            and other.base == self.base
-            and other.kind == self.kind
-            and other.alpha == self.alpha
-            and other.beta == self.beta
-        )
-
-    def __hash__(self):
-        return hash(("etale", self.base, self.kind, self.alpha, self.beta))
-
-    def __repr__(self):
-        return "EtaleQuadratic(%s, %s)" % (self.base.name, self.describe())
+    `presentation` is "split" or the pair (alpha, beta).  A separable
+    polynomial that splits over F gives F x F; an inseparable one (or a
+    vanishing discriminant) raises NotEtale.
+    """
+    if presentation == "split":
+        return SplitAlgebra(base)
+    alpha, beta = (base.coerce(c) for c in presentation)
+    if base.char == 2:
+        if base.is_zero(alpha):
+            raise NotEtale("X^2 - %s is inseparable in characteristic 2" % beta)
+    elif base.is_zero(alpha * alpha + 4 * beta):
+        raise NotEtale("discriminant of X^2-%s*X-%s vanishes" % (alpha, beta))
+    try:
+        return QuadraticFieldExtension(base, alpha, beta)
+    except Reducible:
+        return SplitAlgebra(base)

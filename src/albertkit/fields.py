@@ -6,12 +6,14 @@ not implied by the Python type (Fraction is used raw for Q).  Mixing
 elements of different contexts raises AlgebraError.  Polynomials over F_2
 are packed into one int (`f2poly.F2Poly`); every other base is dense.
 
-The scalars of a quadratic etale algebra K/F are pairs (a, b) over F: a + b w
-in a quadratic field extension, a pair of components in F x F
-(`etale.SplitAlgebra`).  `PairElem` holds what the two share (sum,
-negation, equality, hash, truth), and both rings answer one protocol:
-`gen`, `conj`, `trace_to_base`, `norm_to_base`, `to_pair`, `from_pair`,
-`is_invertible` and `generates_unit_ideal`.
+A quadratic etale algebra K/F is one of two rings, a quadratic field
+extension or F x F (`etale.SplitAlgebra`), whose scalars are pairs (a, b)
+over F: a + b w in the field, a pair of components in F x F.  `PairElem`
+holds what their elements share (sum, negation, equality, hash, truth), and
+`EtaleAlgebra`, the base class of both rings, what the rings derive from
+their pairs (s, `in_base`, `realify_vec`, `unrealify_vec`).  Both answer one
+protocol: `gen`, `conj`, `trace_to_base`, `norm_to_base`, `to_pair`,
+`from_pair`, `kappa`, `kind`, `is_invertible` and `generates_unit_ideal`.
 """
 
 from __future__ import annotations
@@ -895,6 +897,30 @@ class PairElem(ScalarElem):
         return not (base.is_zero(self.a) and base.is_zero(self.b))
 
 
+class EtaleAlgebra:
+    """What both kinds of quadratic etale K/F derive from their pairs: the
+    canonical functional s and the moves between K-vectors and F-vectors.
+    A subclass gives `base`, `to_pair` and `from_pair`.
+    """
+
+    def s(self, x):
+        """The canonical F-linear functional with s(1) = 0, s(w) = 1."""
+        return self.to_pair(x)[1]
+
+    def in_base(self, x):
+        """The base coordinate of x, or None when x is not in F*1."""
+        a, b = self.to_pair(x)
+        return a if self.base.is_zero(b) else None
+
+    def realify_vec(self, vec):
+        """A K-vector as the F-vector of its coordinates (a_0, b_0, a_1, b_1, ...)."""
+        return tuple(c for x in vec for c in self.to_pair(x))
+
+    def unrealify_vec(self, vec):
+        """The inverse of realify_vec."""
+        return tuple(self.from_pair(vec[i], vec[i + 1]) for i in range(0, len(vec), 2))
+
+
 class QuadExtElem(PairElem):
     """Element a + b*w of a quadratic extension, w^2 = alpha*w + beta."""
 
@@ -917,10 +943,11 @@ class QuadExtElem(PairElem):
         return self * self.field.inv(other)
 
 
-class QuadraticFieldExtension(Field):
+class QuadraticFieldExtension(Field, EtaleAlgebra):
     """base[w]/(w^2 - alpha*w - beta), required to be a field."""
 
     element = QuadExtElem
+    kind = "field"
 
     def __init__(self, base, alpha, beta, var="w"):
         self.base = base
@@ -978,6 +1005,13 @@ class QuadraticFieldExtension(Field):
     def trace_to_base(self, x):
         x = self.coerce(x)
         return 2 * x.a + self.alpha * x.b
+
+    def kappa(self):
+        """The canonical nonzero element with conj(kappa) = -kappa: 1 in
+        characteristic 2, w - alpha/2 otherwise."""
+        if self.char == 2:
+            return self.one()
+        return self.from_pair(-self.alpha / 2, self.base.one())
 
     def inv(self, x):
         x = self.coerce(x)

@@ -112,12 +112,11 @@ class Instance:
     def build(self):
         with _as_malformed("instance"):
             F = parse_field(self.f_spec)
-            ext = parse_extension(F, self.k_spec)
-            domain = ext.ring
-            alpha = parse_element(domain, self.q_alpha)
-            beta = parse_element(domain, self.q_beta)
-            a = parse_element(domain, self.q_a)
-            return F, ext, QuaternionAlgebra(domain, alpha, beta, a)
+            K = parse_extension(F, self.k_spec)
+            alpha = parse_element(K, self.q_alpha)
+            beta = parse_element(K, self.q_beta)
+            a = parse_element(K, self.q_a)
+            return F, K, QuaternionAlgebra(K, alpha, beta, a)
 
 
 def _rng_for(family, seed):
@@ -211,7 +210,7 @@ class EquivalenceReport:
     consistent: bool
     derivations: list = dc_field(default_factory=list)
     albert_gram: list | None = None
-    ctx: tuple | None = None  # (F, ext, Q), not serialized
+    ctx: tuple | None = None  # (F, K, Q), not serialized
 
     @property
     def has_unknown(self):
@@ -222,13 +221,12 @@ class EquivalenceReport:
 
     def to_json(self):
         if self.ctx is not None:
-            _, ext, Q = self.ctx
+            F, K, _ = self.ctx
         else:
-            _, ext, Q = self.instance.build()
-        F = ext.base
+            F, K, _ = self.instance.build()
 
         def enc_elem(x):
-            return _encode_quat(ext, x)
+            return vector_to_json(K, x.coords)
 
         def enc_vec(v):
             return vector_to_json(F, v)
@@ -243,14 +241,6 @@ class EquivalenceReport:
             "derivations": list(self.derivations),
             "albert_gram": self.albert_gram,
         }
-
-
-def _encode_quat(ext, x):
-    return [format_element(ext.ring, c) for c in x.coords]
-
-
-def _decode_quat(ext, Q, data):
-    return Q.elem(tuple(parse_element(ext.ring, c) for c in data))
 
 
 def _condition(doc, key):
@@ -276,8 +266,8 @@ def check_equivalence(inst, path="albert"):
     `path="both"` adds, when the extension is a field, the cross-check
     through the transfer of the norm form, which needs isotropy over F only.
     """
-    F, ext, Q = inst.build()
-    ad = albert_form(ext, Q)
+    F, K, Q = inst.build()
+    ad = albert_form(K, Q)
     derivations = []
     gram = [[format_element(F, c) for c in row] for row in ad.form.upper]
 
@@ -297,7 +287,7 @@ def check_equivalence(inst, path="albert"):
     elif div.not_division is False:
         cond_iii = CondVerdict("no", None, div.method)
         try:
-            x = find_disjoint_quadratic_subalgebra(Q, ext, etale_required=False)
+            x = find_disjoint_quadratic_subalgebra(Q, K, etale_required=False)
             # a (i) witness converts to an isotropic vector, contradicting
             # the proven anisotropy: the equivalence would be falsified
             generator_to_isotropic(ad, x)
@@ -315,7 +305,7 @@ def check_equivalence(inst, path="albert"):
     else:
         cond_iii = CondVerdict("unknown", None, div.method)
         try:
-            x = find_disjoint_quadratic_subalgebra(Q, ext, etale_required=True)
+            x = find_disjoint_quadratic_subalgebra(Q, K, etale_required=True)
             cond_ii = CondVerdict("yes", x, "direct-search")
             cond_i = CondVerdict("yes", x, "from-(ii)")
             coords = generator_to_isotropic(ad, x)
@@ -325,7 +315,7 @@ def check_equivalence(inst, path="albert"):
             cond_i = CondVerdict("unknown", None, "search-budget", exc.searched)
             cond_ii = CondVerdict("unknown", None, "search-budget", exc.searched)
 
-    if path == "both" and ext.kind == "field":
+    if path == "both" and K.kind == "field":
         _transfer_cross_check(ad, cond_iii, derivations, inst.height)
 
     statuses = {cond_i.status, cond_ii.status, cond_iii.status}
@@ -341,7 +331,7 @@ def check_equivalence(inst, path="albert"):
         consistent=consistent,
         derivations=derivations,
         albert_gram=gram,
-        ctx=(F, ext, Q),
+        ctx=(F, K, Q),
     )
 
 
@@ -354,10 +344,10 @@ def _transfer_cross_check(ad, cond_iii, derivations, height):
     Nrd(x) = n_Q(u) n_Q(w) in F and is not in K, a (i) witness, which
     generator_to_isotropic checks against the Albert form.
     """
-    ext, Q = ad.ext, ad.Q
+    K, Q = ad.ext, ad.Q
     try:
         nq = norm_form(Q)
-        T = transfer(ext, nq)
+        T = transfer(K, nq)
         wd = witt_decompose(T, height=height)
         i0 = wd.witt_index
         agrees = (i0 >= 2) == (cond_iii.status == "yes")
@@ -367,8 +357,8 @@ def _transfer_cross_check(ad, cond_iii, derivations, height):
         if not agrees:
             raise AlgebraError("transfer cross-check contradicts the Albert route")
         if i0 >= 2:
-            u = ext.unrealify_vec(wd.pairs[0][0])
-            _, w = isotropic_plane_partner(ext, nq, T, wd)
+            u = K.unrealify_vec(wd.pairs[0][0])
+            _, w = isotropic_plane_partner(K, nq, T, wd)
             generator_to_isotropic(ad, Q.elem(u).conjugate() * Q.elem(w))
             derivations.append(
                 "transfer path: conj(u) w from an isotropic plane of s_* n_Q converts to an isotropic Albert vector"
@@ -395,8 +385,8 @@ def verify_certificate(doc):
     ciii, cii, ci = (_condition(doc, key) for key in ("cond_iii_not_division", "cond_ii", "cond_i"))
     inst = Instance.from_json(doc.get("instance"))
     with _as_malformed("instance"):
-        F, ext, Q = inst.build()
-        ad = albert_form(ext, Q)
+        F, K, Q = inst.build()
+        ad = albert_form(K, Q)
 
     try:
         if ciii["status"] == "yes":
@@ -412,8 +402,8 @@ def verify_certificate(doc):
                 return False
         for cond, etale in ((cii, True), (ci, False)):
             if cond["status"] == "yes":
-                x = _decode_quat(ext, Q, _witness(cond, 4))
-                validate_disjoint_witness(Q, ext, x, etale_required=etale)
+                x = Q.elem(parse_vector(K, _witness(cond, 4)))
+                validate_disjoint_witness(Q, K, x, etale_required=etale)
             elif cond["status"] == "no":
                 # negatives on (i)/(ii) are derived from the (iii) method
                 if ciii["status"] != "no":

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import AlgebraError, InternalContradiction, MalformedCertificate
-from .etale import EtaleQuadratic, SplitAlgebra
+from .etale import SplitAlgebra, etale_quadratic
 from .f2poly import F2Poly
 from .fields import (
     QQ,
@@ -336,16 +336,16 @@ def _parse_monic_poly(base, text, var, degree):
 
 
 def parse_extension(base, spec):
-    """Extension spec 'split' or a monic quadratic in x -> EtaleQuadratic."""
+    """Extension spec 'split' or a monic quadratic in x -> the algebra K."""
     if spec == "split":
-        return EtaleQuadratic(base, "split")
+        return etale_quadratic(base, "split")
     coeffs = _parse_monic_poly(base, spec, "x", 2).coeffs
     # x^2 + c1 x + c0 = x^2 - alpha x - beta
-    return EtaleQuadratic(base, (-coeffs[1], -coeffs[0]))
+    return etale_quadratic(base, (-coeffs[1], -coeffs[0]))
 
 
 def parse_extension_doc(doc):
-    """{"base": field spec, "ext": extension spec} -> EtaleQuadratic."""
+    """{"base": field spec, "ext": extension spec} -> the algebra K."""
     if not isinstance(doc, dict) or not all(isinstance(doc.get(key), str) for key in ("base", "ext")):
         raise MalformedCertificate("an extension needs the string specs 'base' and 'ext'")
     with _as_malformed("extension"):
@@ -388,10 +388,10 @@ def parse_form_field(spec):
     if isinstance(spec, str):
         with _as_malformed("form field"):
             return parse_field(spec)
-    ext = parse_extension_doc(spec)
-    if ext.kind != "field":
+    K = parse_extension_doc(spec)
+    if K.kind != "field":
         raise MalformedCertificate("forms over the split algebra are not supported")
-    return ext.ring
+    return K
 
 
 def form_field_spec(field):

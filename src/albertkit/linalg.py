@@ -70,11 +70,6 @@ def solve(rows, rhs, field):
     sol = [field.zero()] * ncols
     for i, pc in enumerate(piv_full):
         sol[pc] = red_full[i][ncols]
-        for c in range(pc + 1, ncols):
-            if not field.is_zero(red_full[i][c]):
-                sol[pc] = sol[pc] - red_full[i][c] * sol[c]
-    # pivots of rref have zero entries elsewhere, so back substitution above
-    # only matters for free columns (which stay zero); verify exactly
     for acc, b in zip(mat_vec(rows, sol, field), rhs):
         if not field.is_zero(acc - b):
             return None

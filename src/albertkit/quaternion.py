@@ -22,7 +22,8 @@ from .errors import (
     SplitK,
     ZeroParameter,
 )
-from .etale import EtaleQuadratic, SplitAlgebra
+from .etale import SplitAlgebra
+from .fields import EtaleAlgebra
 from .forms import QuadraticForm
 from .isotropy import isotropy
 from .search import DEFAULT_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
@@ -161,14 +162,14 @@ class QuaternionAlgebra(Algebra):
 def make_quaternion(E, a):
     """Quaternion algebra from an etale quadratic algebra E/D and a unit a.
 
-    E is an EtaleQuadratic over the scalar ring; the split case embeds as
-    alpha = 1, beta = 0 (E = D x D presented by the polynomial x^2 - x).
+    E is a quadratic extension of D or D x D; the split case embeds as
+    alpha = 1, beta = 0 (D x D presented by the polynomial x^2 - x).
     """
-    if isinstance(E, EtaleQuadratic):
-        if E.kind == "field":
-            return QuaternionAlgebra(E.base, E.alpha, E.beta, a)
-        return QuaternionAlgebra(E.base, E.base.one(), E.base.zero(), a)
-    raise AlgebraError("make_quaternion expects an EtaleQuadratic")
+    if not isinstance(E, EtaleAlgebra):
+        raise AlgebraError("make_quaternion expects a quadratic etale algebra")
+    if E.kind == "field":
+        return QuaternionAlgebra(E.base, E.alpha, E.beta, a)
+    return QuaternionAlgebra(E.base, E.base.one(), E.base.zero(), a)
 
 
 def norm_form(Q):

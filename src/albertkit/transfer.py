@@ -18,20 +18,19 @@ from .isotropy import witt_decompose
 from .search import DEFAULT_HEIGHT
 
 
-def transfer(ext, phi):
+def transfer(K, phi):
     """s_* phi over F; the F-basis is (b_0, w b_0, b_1, w b_1, ...).
 
     Vectors move between phi's space and the transfer's with
-    ext.unrealify_vec and ext.realify_vec.
+    K.unrealify_vec and K.realify_vec.
     """
-    if ext.kind != "field":
+    if K.kind != "field":
         raise SplitK("transfer is not defined over the split algebra")
-    K = ext.ring
     if phi.field != K:
         raise AlgebraError("form is not defined over the extension field")
-    F = ext.base
-    lifts = [ext.unrealify_vec(e) for e in linalg.units(F, 2 * phi.n)]
-    return QuadraticForm.from_map(F, lambda v: ext.s(phi.evaluate(v)), lifts)
+    F = K.base
+    lifts = [K.unrealify_vec(e) for e in linalg.units(F, 2 * phi.n)]
+    return QuadraticForm.from_map(F, lambda v: K.s(phi.evaluate(v)), lifts)
 
 
 @dataclass
@@ -42,27 +41,27 @@ class DescentResult:
     steps: list = dc_field(default_factory=list)
 
 
-def descend(ext, phi, height=DEFAULT_HEIGHT):
+def descend(K, phi, height=DEFAULT_HEIGHT):
     """Extract psi over F with dim psi = i0(s_* phi) and psi_K inside phi.
 
     Follows the inductive proof: each round splits an F-rational block of
     phi off the first isotropic vector of its transfer's Witt decomposition
     over F, and recurses on the orthogonal complement.
     """
-    if ext.kind != "field":
+    if K.kind != "field":
         raise SplitK("descent needs a quadratic field extension")
-    if phi.field != ext.ring:
+    if phi.field != K:
         raise AlgebraError("form is not defined over the extension field")
     if not phi.classify().nonsingular:
         raise AlgebraError("descent requires a nonsingular form")
     steps = []
-    i0, psi, embedding = _descend(ext, phi, height, steps, None)
+    i0, psi, embedding = _descend(K, phi, height, steps, None)
     result = DescentResult(psi=psi, embedding=tuple(embedding), i0=i0, steps=steps)
-    _verify_descent(ext, phi, result)
+    _verify_descent(K, phi, result)
     return result
 
 
-def _descend(ext, phi, height, steps, expected_i0):
+def _descend(K, phi, height, steps, expected_i0):
     """(i0, psi, embedding) for a nonsingular phi, logging each round in steps.
 
     Each round decomposes the transfer T of its form once and checks T's
@@ -75,17 +74,16 @@ def _descend(ext, phi, height, steps, expected_i0):
     an F-combination of the K-independent u and w, which then splits off a
     hyperbolic plane.  The embedding vectors live in phi's own coordinates.
     """
-    K = ext.ring
-    F = ext.base
-    T = transfer(ext, phi)
+    F = K.base
+    T = transfer(K, phi)
     wd = witt_decompose(T, height=height)
     i0 = wd.witt_index
     if expected_i0 is not None and i0 != expected_i0:
         raise InternalContradiction("Witt index did not drop by two per split plane")
     if i0 == 0:
         return i0, QuadraticForm.zero_form(F, 0), []
-    u = ext.unrealify_vec(wd.pairs[0][0])
-    cu_F = ext.in_base(phi.evaluate(u))
+    u = K.unrealify_vec(wd.pairs[0][0])
+    cu_F = K.in_base(phi.evaluate(u))
     if cu_F is None:
         raise InternalContradiction("phi(u) must lie in F for an isotropic transfer vector")
     if F.is_zero(cu_F):
@@ -94,9 +92,9 @@ def _descend(ext, phi, height, steps, expected_i0):
         steps.append({"round": "dim-1", "u": u})
         return i0, QuadraticForm.diagonal(F, [cu_F]), [u]
     else:
-        v, w_K = isotropic_plane_partner(ext, phi, T, wd)
-        mu_F = ext.in_base(phi.polar(u, w_K))
-        cw_F = ext.in_base(phi.evaluate(w_K))
+        v, w_K = isotropic_plane_partner(K, phi, T, wd)
+        mu_F = K.in_base(phi.polar(u, w_K))
+        cw_F = K.in_base(phi.evaluate(w_K))
         if mu_F is None or cw_F is None or F.is_zero(mu_F):
             raise InternalContradiction("descent invariants failed for the chosen w")
         if linalg.rank([u, w_K], K, phi.n) != 2:
@@ -107,7 +105,7 @@ def _descend(ext, phi, height, steps, expected_i0):
             a, b = (K.from_base(c) for c in rad[0])
             u, block = tuple(a * x + b * y for x, y in zip(u, w_K)), None
         else:
-            steps.append({"round": "dim-2", "u": u, "v": v, "lambda": ext.w, "w": w_K})
+            steps.append({"round": "dim-2", "u": u, "v": v, "lambda": K.gen(), "w": w_K})
             pair = [u, w_K]
     if block is None:
         zeta = hyperbolic_partner(phi, u)
@@ -118,12 +116,12 @@ def _descend(ext, phi, height, steps, expected_i0):
 
     # orthogonal complement of the round's plane inside phi
     comp = phi.orthogonal_complement(pair)
-    _, psi_rest, emb_rest = _descend(ext, phi.restrict(comp), height, steps, i0 - 2)
+    _, psi_rest, emb_rest = _descend(K, phi.restrict(comp), height, steps, i0 - 2)
     embedding = pair + [linalg.combine(vec, comp, K, phi.n) for vec in emb_rest]
     return i0, block.orthogonal_sum(psi_rest), embedding
 
 
-def isotropic_plane_partner(ext, phi, T, wd):
+def isotropic_plane_partner(K, phi, T, wd):
     """(v, w) for the first isotropic vector u of wd, T = s_* phi = H^m _|_ kernel.
 
     wd is T's Witt decomposition with m >= 2, and u its first isotropic
@@ -138,11 +136,11 @@ def isotropic_plane_partner(ext, phi, T, wd):
     not the realified polar complement of u, because v is K-independent of
     u; so one vector of its isotropic spanning set pairs with u.
     """
-    F = ext.base
+    F = K.base
     u_push = wd.pairs[0][0]
-    u = ext.unrealify_vec(u_push)
+    u = K.unrealify_vec(u_push)
     v = _dual_vector(phi, u)
-    lamv_push = ext.realify_vec(tuple(ext.w * c for c in v))
+    lamv_push = K.realify_vec(tuple(K.gen() * c for c in v))
     if T.polar(u_push, lamv_push) != F.one() or not F.is_zero(T.evaluate(u_push)):
         raise InternalContradiction("U block is not hyperbolic for the transfer")
     t = T.evaluate(lamv_push)
@@ -150,7 +148,7 @@ def isotropic_plane_partner(ext, phi, T, wd):
     later = [y for pair in wd.pairs[1:] for y in pair] + list(wd.kernel_basis)
     Wb = [tuple(a - T.polar(y, z) * b for a, b in zip(y, u_push)) for y in later]
     for cand in isotropic_spanning_set(T.restrict(Wb), linalg.units(F, len(Wb))[0]):
-        w = ext.unrealify_vec(linalg.combine(cand, Wb, F, T.n))
+        w = K.unrealify_vec(linalg.combine(cand, Wb, F, T.n))
         if phi.polar(u, w):
             return v, w
     raise InternalContradiction("no isotropic vector of W pairs with u")
@@ -172,8 +170,7 @@ def _dual_vector(phi, u):
     return v
 
 
-def _verify_descent(ext, phi, result):
-    K = ext.ring
+def _verify_descent(K, phi, result):
     psi = result.psi
     emb = result.embedding
     if psi.n != result.i0:
@@ -186,13 +183,13 @@ def _verify_descent(ext, phi, result):
         raise InternalContradiction("embedding is not an isometry")
 
 
-def remark1_check(ext, phi, height=DEFAULT_HEIGHT):
+def remark1_check(K, phi, height=DEFAULT_HEIGHT):
     """When s_* phi is hyperbolic, phi is defined over F: check it.
 
     Runs the descent, whose own checks give dim psi = i0 with an injective
     isometric embedding of psi_K into phi; i0 = dim phi makes that
     embedding bijective, an isometry of phi with psi_K.
     """
-    if descend(ext, phi, height=height).i0 != phi.n:
+    if descend(K, phi, height=height).i0 != phi.n:
         raise AlgebraError("transfer is not hyperbolic")
     return True

@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from albertkit import (
     QQ,
-    EtaleQuadratic,
     FiniteField,
     Instance,
     QuadraticForm,
@@ -27,6 +26,7 @@ from albertkit import (
     check_equivalence,
     clifford_iso_check,
     descend,
+    etale_quadratic,
     f_map_check,
     generate_instance,
     hilbert_symbol,
@@ -44,12 +44,12 @@ F2 = FiniteField(2)
 F3 = FiniteField(3)
 F4 = FiniteField(2, 2)
 F5 = FiniteField(5)
-EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
-EXT_Q3 = EtaleQuadratic(QQ, (0, 3))
-EXT_F9 = EtaleQuadratic(F3, (0, -1))
-EXT_F4 = EtaleQuadratic(F2, (1, 1))
+EXT_Q2 = etale_quadratic(QQ, (0, 2))
+EXT_Q3 = etale_quadratic(QQ, (0, 3))
+EXT_F9 = etale_quadratic(F3, (0, -1))
+EXT_F4 = etale_quadratic(F2, (1, 1))
 
-K2 = EXT_Q2.ring
+K2 = EXT_Q2
 
 
 def _line(num, name, detail=""):
@@ -93,7 +93,7 @@ def test_criterion_1_algebraic_identities():
 def test_criterion_2_transfer():
     rng = seeded(102)
     for ext in (EXT_Q2, EXT_Q3, EXT_F9, EXT_F4):
-        K = ext.ring
+        K = ext
         for _ in range(100):
             for dim in (2, 4):
                 phi = random_nonsingular_form(K, dim, rng, size=2)
@@ -109,12 +109,12 @@ def test_criterion_2_transfer():
 
 
 def _descent_instance(ext, rng):
-    K = ext.ring
+    K = ext
     if ext.base.char == 2 or ext.base.order is not None:
         return random_nonsingular_form(K, rng.choice([2, 4]), rng, size=2)
     # real quadratic extension: totally positive diagonal, plus optional
     # hyperbolic planes so the Witt machinery over K stays certified
-    d = ext.ring.beta
+    d = ext.beta
     entries = []
     for _ in range(rng.choice([1, 2])):
         while True:
@@ -134,7 +134,7 @@ def test_criterion_3_descent():
     odd_char2 = 0
     total = 0
     for ext in (EXT_Q2, EXT_Q3, EXT_F9, EXT_F4):
-        K = ext.ring
+        K = ext
         for _ in range(25):
             phi = _descent_instance(ext, rng)
             res = descend(ext, phi)
@@ -423,7 +423,7 @@ def test_criterion_9_certificates(harness_reports):
         if rejected >= 100:
             break
         F, ext, _ = Instance.from_json(doc["instance"]).build()
-        for key, ring in (("cond_iii_not_division", F), ("cond_ii", ext.ring)):
+        for key, ring in (("cond_iii_not_division", F), ("cond_ii", ext)):
             wit = doc[key].get("witness") or ()
             for pos in range(len(wit)):
                 if rejected >= 100:

@@ -21,7 +21,6 @@ from reference import (
 import albertkit
 from albertkit import (
     QQ,
-    EtaleQuadratic,
     FiniteField,
     QuadraticForm,
     QuaternionAlgebra,
@@ -30,6 +29,7 @@ from albertkit import (
     arf_trivial,
     build_corestriction,
     clifford_iso_check,
+    etale_quadratic,
     generate_instance,
     linalg,
 )
@@ -219,8 +219,8 @@ def _forms_of_this_file():
                         entries.append(c)
                 forms.append(QuadraticForm.diagonal(field, entries))
     for kind in ((0, 2), "split"):
-        ext = EtaleQuadratic(QQ, kind)
-        K = ext.ring
+        ext = etale_quadratic(QQ, kind)
+        K = ext
         forms.append(albert_form(ext, QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))).form)
     return forms
 
@@ -243,16 +243,16 @@ def test_arf_formula_matches_the_clifford_reference():
 
 
 def test_clifford_iso_rank64():
-    ext = EtaleQuadratic(QQ, (0, 2))
-    K = ext.ring
+    ext = etale_quadratic(QQ, (0, 2))
+    K = ext
     Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
     ad = albert_form(ext, Q)
     cor = build_corestriction(ext, Q)
     rep = clifford_iso_check(ad, cor)
     assert rep["rank"] == 64
     # split degeneration
-    ext2 = EtaleQuadratic(QQ, "split")
-    D = ext2.ring
+    ext2 = etale_quadratic(QQ, "split")
+    D = ext2
     Q2 = QuaternionAlgebra(D, D.zero(), D.from_int(-1), D.from_int(-1))
     ad2 = albert_form(ext2, Q2)
     cor2 = build_corestriction(ext2, Q2)
@@ -261,8 +261,8 @@ def test_clifford_iso_rank64():
 
 
 def test_clifford_iso_check_rejects_broken_relations():
-    ext = EtaleQuadratic(QQ, (0, 2))
-    K = ext.ring
+    ext = etale_quadratic(QQ, (0, 2))
+    K = ext
     Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
     ad = albert_form(ext, Q)
     cor = build_corestriction(ext, Q)
@@ -274,8 +274,8 @@ def test_clifford_iso_check_rejects_broken_relations():
             clifford_iso_check(dataclasses.replace(ad, form=QuadraticForm(QQ, rows)), cor)
     # a y with T(Trd y) != 0 over F x F puts kappa (sigma (x) id)(xi) outside
     # the fixed algebra
-    ext2 = EtaleQuadratic(QQ, "split")
-    D = ext2.ring
+    ext2 = etale_quadratic(QQ, "split")
+    D = ext2
     Q2 = QuaternionAlgebra(D, D.zero(), D.from_int(-1), D.from_int(-1))
     ad2 = albert_form(ext2, Q2)
     bad = dataclasses.replace(ad2, y_basis=(ad2.y_basis[0] + Q2.one(),) + ad2.y_basis[1:])
@@ -379,8 +379,8 @@ def test_reduced_images_are_the_images_reduced(family, seed):
 def test_rank_deficient_generator_reaches_the_exact_fallback(monkeypatch):
     # y_1 := y_0, with the (singular) form of the new list, keeps every
     # relation; the images have rank < 64 at every reduction and exactly
-    ext = EtaleQuadratic(QQ, (0, 2))
-    K = ext.ring
+    ext = etale_quadratic(QQ, (0, 2))
+    K = ext
     ad = albert_form(ext, QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1)))
     cor = build_corestriction(ext, ad.Q)
     U = [list(row) for row in ad.form.upper]
@@ -433,8 +433,8 @@ def test_rank_certified_never_exceeds_the_exact_rank_over_q():
 def _audit_instance(family):
     """(albert data, Cor) of the Hamilton instance or of seed 0 of a family."""
     if family == "hamilton":
-        ext = EtaleQuadratic(QQ, (0, 2))
-        K = ext.ring
+        ext = etale_quadratic(QQ, (0, 2))
+        K = ext
         Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
     else:
         _, ext, Q = generate_instance(family, 0).build()

@@ -9,12 +9,12 @@ from conftest import seeded
 from albertkit import (
     QQ,
     AlgebraError,
-    EtaleQuadratic,
     FiniteField,
     NotEtale,
     QuadraticFieldExtension,
     RationalFunctionField,
     SplitAlgebra,
+    etale_quadratic,
     generate_instance,
 )
 from albertkit.f2poly import F2Poly
@@ -147,19 +147,19 @@ def test_f2_function_field_arithmetic_runs_on_packed_bits(monkeypatch):
 
 
 def test_make_etale_examples():
-    K = EtaleQuadratic(QQ, (0, 2))
-    w = K.w
-    assert K.gamma(w) == -w
-    K4 = EtaleQuadratic(F2, (1, 1))
-    assert K4.w * K4.w == K4.w + K4.ring.one()
-    assert K4.gamma(K4.w) == K4.w + K4.ring.one()
+    K = etale_quadratic(QQ, (0, 2))
+    w = K.gen()
+    assert K.conj(w) == -w
+    K4 = etale_quadratic(F2, (1, 1))
+    assert K4.gen() * K4.gen() == K4.gen() + K4.one()
+    assert K4.conj(K4.gen()) == K4.gen() + K4.one()
     with pytest.raises(NotEtale):
-        EtaleQuadratic(F2, (0, 1))
+        etale_quadratic(F2, (0, 1))
 
 
 def test_split_presentation_of_split_polynomial():
     # x^2 - 1 splits over Q: the etale algebra degenerates to Q x Q
-    K = EtaleQuadratic(QQ, (0, 1))
+    K = etale_quadratic(QQ, (0, 1))
     assert K.kind == "split"
     # handed to QuadraticFieldExtension directly, the polynomial is refused
     with pytest.raises(AlgebraError, match=r"^w\^2-1 splits over Q: not a field$"):
@@ -167,8 +167,9 @@ def test_split_presentation_of_split_polynomial():
 
 
 def test_a_field_k_runs_its_split_test_once(monkeypatch):
-    # EtaleQuadratic and QuadraticFieldExtension each ran it: two calls, over
-    # F_2(t) two Artin-Schreier solves, per Instance.build of a field K
+    # a presentation check before QuadraticFieldExtension's own would run it
+    # twice: two calls, over F_2(t) two Artin-Schreier solves, per
+    # Instance.build of a field K
     calls = []
     monic_quadratic_roots = Field.monic_quadratic_roots
 
@@ -190,42 +191,53 @@ def test_a_field_k_runs_its_split_test_once(monkeypatch):
 @pytest.mark.parametrize(
     "ext",
     [
-        EtaleQuadratic(QQ, (0, 2)),
-        EtaleQuadratic(QQ, "split"),
-        EtaleQuadratic(F2, (1, 1)),
-        EtaleQuadratic(F3, (0, -1)),
-        EtaleQuadratic(F2t, (1, F2t.gen())),
+        etale_quadratic(QQ, (0, 2)),
+        etale_quadratic(QQ, "split"),
+        etale_quadratic(F2, (1, 1)),
+        etale_quadratic(F3, (0, -1)),
+        etale_quadratic(F2t, (1, F2t.gen())),
+        # the K of split-K-over-Qt and of a split char2-function-field instance
+        etale_quadratic(Qt, "split"),
+        etale_quadratic(F2t, "split"),
     ],
 )
 def test_etale_invariants(ext):
     rng = seeded(11)
     base = ext.base
     one = ext.one()
+    kappa = ext.kappa()
+    assert kappa and ext.conj(kappa) == -kappa
     for _ in range(500):
         x = ext.random_element(rng, 4)
-        assert ext.gamma(ext.gamma(x)) == x
-        a, b = ext.coords(x)
+        assert ext.conj(ext.conj(x)) == x
+        a, b = ext.to_pair(x)
         assert ext.from_pair(a, b) == x
-        fixed = ext.gamma(x) == x
+        fixed = ext.conj(x) == x
         assert fixed == base.is_zero(b)
         # trace and norm land in the base field by construction; check the
         # defining quadratic x^2 - T x + N = 0
-        T = ext.trace(x)
-        N = ext.norm(x)
+        T = ext.trace_to_base(x)
+        N = ext.norm_to_base(x)
         lhs = x * x - ext.from_base(T) * x + ext.from_base(N) * one
         assert not lhs
+        # the maps every K derives from its pairs
+        assert ext.s(x) == b
+        assert ext.in_base(x) == (a if base.is_zero(b) else None)
+        assert ext.in_base(ext.from_base(a)) == a
+        v = (x, ext.from_base(a), ext.conj(x))
+        assert ext.unrealify_vec(ext.realify_vec(v)) == v
 
 
 def test_s_functional():
-    K = EtaleQuadratic(QQ, (0, 2))
+    K = etale_quadratic(QQ, (0, 2))
     assert K.s(K.from_pair(3, 5)) == 5
     assert K.s(K.one()) == 0
-    K4 = EtaleQuadratic(F2, (1, 1))
+    K4 = etale_quadratic(F2, (1, 1))
     assert K4.s(K4.one()) == F2.zero()
-    assert K4.s(K4.w) == F2.one()
-    Ks = EtaleQuadratic(QQ, "split")
-    assert Ks.s(Ks.ring.pair(1, 1)) == 0
-    assert Ks.s(Ks.ring.pair(0, 1)) == 1
+    assert K4.s(K4.gen()) == F2.one()
+    Ks = etale_quadratic(QQ, "split")
+    assert Ks.s(Ks.pair(1, 1)) == 0
+    assert Ks.s(Ks.pair(0, 1)) == 1
     rng = seeded(3)
     for _ in range(100):
         x, y = K.random_element(rng), K.random_element(rng)
@@ -235,12 +247,12 @@ def test_s_functional():
 
 
 def test_kappa():
-    K = EtaleQuadratic(QQ, (0, 2))
+    K = etale_quadratic(QQ, (0, 2))
     k = K.kappa()
-    assert K.gamma(k) == -k and k
+    assert K.conj(k) == -k and k
     assert K.s(k) != 0
-    assert EtaleQuadratic(F2, (1, 1)).kappa() == EtaleQuadratic(F2, (1, 1)).ring.one()
-    ks = EtaleQuadratic(QQ, "split").kappa()
+    assert etale_quadratic(F2, (1, 1)).kappa() == etale_quadratic(F2, (1, 1)).one()
+    ks = etale_quadratic(QQ, "split").kappa()
     assert (ks.a, ks.b) == (1, -1)
 
 

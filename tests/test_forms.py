@@ -6,12 +6,12 @@ from reference import enumeration_isotropy
 
 from albertkit import (
     QQ,
-    EtaleQuadratic,
     FiniteField,
     QuadraticForm,
     QuadraticFieldExtension,
     RationalFunctionField,
     albert_form,
+    etale_quadratic,
     isometric_embedding,
     isotropic_spanning_set,
     orthogonalize,
@@ -232,12 +232,12 @@ def _restrict_reference(form, vectors):
 
 def _transfer_reference(ext, phi):
     """s(phi) and s(polar) on the lifts (b_0, w b_0, b_1, w b_1, ...)."""
-    K, F = ext.ring, ext.base
+    K, F = ext, ext.base
 
     def lift(i):
         j, odd = divmod(i, 2)
         vec = [K.zero()] * phi.n
-        vec[j] = ext.w if odd else K.one()
+        vec[j] = ext.gen() if odd else K.one()
         return tuple(vec)
 
     N = 2 * phi.n
@@ -265,7 +265,7 @@ def _nrd_polarisation(field, value, elems):
 def _albert_reference(ext, Q):
     kappa = ext.kappa()
     ys = vs_space(ext, Q)
-    return _nrd_polarisation(ext.base, lambda n: ext.in_base(kappa * (ext.gamma(n) - n)), ys)
+    return _nrd_polarisation(ext.base, lambda n: ext.in_base(kappa * (ext.conj(n) - n)), ys)
 
 
 def test_from_map_is_the_form_of_the_map():
@@ -293,13 +293,13 @@ def test_restrict_matches_the_evaluate_polar_loop():
 
 @pytest.mark.parametrize(
     "ext",
-    [EtaleQuadratic(QQ, (0, 2)), EtaleQuadratic(F2, (1, 1)), EtaleQuadratic(F3, (0, -1)), EtaleQuadratic(F2t, (1, F2t.gen()))],
+    [etale_quadratic(QQ, (0, 2)), etale_quadratic(F2, (1, 1)), etale_quadratic(F3, (0, -1)), etale_quadratic(F2t, (1, F2t.gen()))],
     ids=["Qsqrt2", "F4", "F9", "F2t"],
 )
 def test_transfer_matches_the_lift_loop(ext):
     rng = seeded(71)
     for dim in (2, 4):
-        phi = random_nonsingular_form(ext.ring, dim, rng, size=2)
+        phi = random_nonsingular_form(ext, dim, rng, size=2)
         assert transfer(ext, phi) == _transfer_reference(ext, phi)
 
 

@@ -77,6 +77,13 @@ def test_extension_spec_roundtrip():
         assert again == ext
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_instance_build_hands_out_the_ring_that_q_lives_over(family):
+    for seed in (0, 1):
+        F, K, Q = generate_instance(family, seed).build()
+        assert Q.ring is K and K.base is F
+
+
 def test_element_parse_formats():
     Qt = RationalFunctionField(QQ, "t")
     x = parse_element(Qt, "(t^2-1)/(t+1)")
@@ -138,7 +145,7 @@ def test_transfer_path_decides_over_F_only(family, seed, monkeypatch):
         _, ext, Q = inst.build()
         nq = norm_form(Q)
         u = ext.unrealify_vec(witt_decompose(transfer(ext, nq)).pairs[0][0])
-        assert ext.ring.is_zero(nq.evaluate(u))
+        assert ext.is_zero(nq.evaluate(u))
 
 
 def _albert_verdict(monkeypatch, verdict):
@@ -299,7 +306,7 @@ def test_zero_division_and_deep_nesting_are_refused():
         doc = check_equivalence(generate_instance(family, 0)).to_json()
         F, ext, _ = Instance.from_json(doc["instance"]).build()
         for text in hostile:
-            for field in (F, ext.ring):
+            for field in (F, ext):
                 with pytest.raises(AlgebraError):
                     parse_element(field, text)
             for key in ("cond_iii_not_division", "cond_ii"):
@@ -539,7 +546,7 @@ def test_accepted_cond_ii_tampers_are_genuine_witnesses():
     for seed in (0, 3, 6):
         doc = check_equivalence(generate_instance("split-K-over-Q", seed)).to_json()
         _, ext, Q = Instance.from_json(doc["instance"]).build()
-        K = ext.ring
+        K = ext
         wit = doc["cond_ii"]["witness"]
         for pos in range(len(wit)):
             bad = copy.deepcopy(doc)
@@ -735,15 +742,15 @@ def test_cor_build_checks_the_natural_map_and_builds_no_albert_form(tmp_path, ca
 
 def test_element_reprs_and_the_subalg_text_are_pinned(tmp_path, capsys):
     # the printed forms of quaternion, tensor-square and Cor elements
-    from albertkit import EtaleQuadratic, QuaternionAlgebra, TensorSquareAlgebra, build_corestriction
+    from albertkit import QuaternionAlgebra, TensorSquareAlgebra, build_corestriction, etale_quadratic
 
-    ext = EtaleQuadratic(QQ, (0, 2))
-    K = ext.ring
+    ext = etale_quadratic(QQ, (0, 2))
+    K = ext
     Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
     one, e, z, ez = Q.basis()
     x = one.scale(K.from_int(2)) + e.scale(K.gen()) - ez.scale(K.from_pair(QQ.one(), QQ.coerce(-3) / 2))
     assert [repr(q) for q in (x, Q.zero(), -z)] == ["2 + (w)e + (-1+3/2*w)ez", "0", "(-1)z"]
-    D = EtaleQuadratic(QQ, "split").ring
+    D = etale_quadratic(QQ, "split")
     Qs = QuaternionAlgebra(D, D.pair(0, 1), D.pair(-1, 2), D.pair(-1, 3))
     one_s, _, _, ez_s = Qs.basis()
     assert repr(one_s.scale(D.pair(1, 2)) + ez_s.scale(D.pair(0, -1))) == "(1,2) + ((0,-1))ez"
@@ -793,7 +800,7 @@ def test_subalg_answers_through_the_check_route(tmp_path, capsys, monkeypatch):
         assert main(["quat", "--spec", str(path), "--cmd", "subalg", "--json"]) == 0
         docs.append(json.loads(capsys.readouterr().out))
         if docs[-1]["status"] == "found":
-            x = Q.elem(tuple(parse_element(ext.ring, c) for c in docs[-1]["witness"]))
+            x = Q.elem(tuple(parse_element(ext, c) for c in docs[-1]["witness"]))
             assert x == report.cond_ii.witness
             validate_disjoint_witness(Q, ext, x, etale_required=True)
     assert [(d["status"], d["method"]) for d in docs] == [

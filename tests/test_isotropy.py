@@ -190,11 +190,11 @@ def test_witt_radical_bookkeeping_char2():
 
 
 def test_remark1_over_finite_extension():
-    from albertkit import EtaleQuadratic, remark1_check
+    from albertkit import etale_quadratic, remark1_check
 
     F3 = FiniteField(3)
-    ext9 = EtaleQuadratic(F3, (0, -1))
-    K9 = ext9.ring
+    ext9 = etale_quadratic(F3, (0, -1))
+    K9 = ext9
     phi = QuadraticForm.diagonal(K9, [K9.from_int(1), K9.from_int(2)])
     assert remark1_check(ext9, phi)
 

@@ -5,11 +5,11 @@ from conftest import seeded
 
 from albertkit import (
     QQ,
-    EtaleQuadratic,
     FiniteField,
     QuadraticFieldExtension,
     QuaternionAlgebra,
     RationalFunctionField,
+    etale_quadratic,
     find_disjoint_quadratic_subalgebra,
     is_split,
     make_quaternion,
@@ -103,7 +103,7 @@ def test_norm_form_multiplicativity():
 
 
 def test_disjoint_witness_hamilton_over_Qsqrt2():
-    ext = EtaleQuadratic(QQ, (0, 2))
+    ext = etale_quadratic(QQ, (0, 2))
     Q = HAMILTON_K
     i = Q.elem((K2.zero(), K2.one(), K2.zero(), K2.zero()))
     data = validate_disjoint_witness(Q, ext, i, etale_required=True)
@@ -128,7 +128,7 @@ def test_k_independence_message_is_pinned():
     with pytest.raises(InvalidWitness, match=message):
         validate_disjoint_witness(Q, ext, x, etale_required=False)
     with pytest.raises(InvalidWitness, match=message):
-        validate_disjoint_witness(HAMILTON_K, EtaleQuadratic(QQ, (0, 2)), HAMILTON_K.one(), etale_required=False)
+        validate_disjoint_witness(HAMILTON_K, etale_quadratic(QQ, (0, 2)), HAMILTON_K.one(), etale_required=False)
     # the harness witness on split-K-over-Qt 6: each component is non-scalar, in different coordinates
     _F, ext, Q = generate_instance("split-K-over-Qt", 6).build()
     d = Q.ring
@@ -144,13 +144,13 @@ def test_trace_is_checked_before_the_norm(monkeypatch):
     monkeypatch.setattr(QuatElem, "nrd", nrd)
     x = HAMILTON_K.elem((K2.gen(), K2.one(), K2.zero(), K2.zero()))  # Trd(x) = 2 sqrt2
     with pytest.raises(InvalidWitness, match=r"^Trd\(x\) is not in F$"):
-        validate_disjoint_witness(HAMILTON_K, EtaleQuadratic(QQ, (0, 2)), x, etale_required=False)
+        validate_disjoint_witness(HAMILTON_K, etale_quadratic(QQ, (0, 2)), x, etale_required=False)
 
 
 def test_char2_etale_flag():
     # over F4/F2 a trace-zero generator is only a condition-(i) witness
-    ext = EtaleQuadratic(F2, (1, 1))
-    K4 = ext.ring
+    ext = etale_quadratic(F2, (1, 1))
+    K4 = ext
     Q = QuaternionAlgebra(K4, K4.one(), K4.gen(), K4.one())
     z = Q.elem((K4.zero(), K4.zero(), K4.one(), K4.zero()))
     validate_disjoint_witness(Q, ext, z, etale_required=False)
@@ -190,10 +190,10 @@ def _element_grid(field):
 
 
 def test_make_quaternion_from_etale():
-    E = EtaleQuadratic(QQ, (0, -1))
+    E = etale_quadratic(QQ, (0, -1))
     Q = make_quaternion(E, QQ.from_int(-1))
     assert norm_form(Q).upper[0][0] == 1
-    Es = EtaleQuadratic(QQ, "split")
+    Es = etale_quadratic(QQ, "split")
     Qs = make_quaternion(Es, QQ.from_int(5))
     # split E embeds zero divisors immediately: (1,0) is idempotent
     zd = Qs.elem((QQ.one(), QQ.zero(), QQ.zero(), QQ.zero()))
@@ -223,7 +223,7 @@ def test_basis_table_matches_the_product_formula():
     # Each entry of table and of _mul_coords on basis vectors is a polynomial
     # over Z in (alpha, beta, a) of degree at most (2, 1, 1) (see above), so
     # agreement on this grid is agreement over every commutative ring.
-    D = EtaleQuadratic(QQ, "split").ring
+    D = etale_quadratic(QQ, "split")
     F2t = RationalFunctionField(F2)
     t = F2t.gen()
     algebras = [QuaternionAlgebra(QQ, alpha, beta, a) for alpha in range(1, 6) for beta in range(1, 4) for a in range(1, 4)]
@@ -252,7 +252,7 @@ def test_criterion_1_algebras_are_associative(algebra):
 
 
 def test_split_and_function_field_algebras_are_associative():
-    D = EtaleQuadratic(QQ, "split").ring
+    D = etale_quadratic(QQ, "split")
     QuaternionAlgebra(D, D.pair(0, 1), D.pair(-1, 2), D.pair(-1, 3))._check_associative()
     F2t = RationalFunctionField(F2)
     t = F2t.gen()

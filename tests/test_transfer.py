@@ -10,12 +10,12 @@ import albertkit.isotropy
 import albertkit.transfer
 from albertkit import (
     QQ,
-    EtaleQuadratic,
     FiniteField,
     QuadraticForm,
     QuaternionAlgebra,
     SplitK,
     descend,
+    etale_quadratic,
     generate_instance,
     isotropic_spanning_set,
     norm_form,
@@ -31,33 +31,33 @@ from albertkit.transfer import isotropic_plane_partner, transfer
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)
-EXT_Q2 = EtaleQuadratic(QQ, (0, 2))
-EXT_Q3 = EtaleQuadratic(QQ, (0, 3))
-EXT_F4 = EtaleQuadratic(F2, (1, 1))
-EXT_F9 = EtaleQuadratic(F3, (0, -1))
-EXT_QI = EtaleQuadratic(QQ, (0, -1))
+EXT_Q2 = etale_quadratic(QQ, (0, 2))
+EXT_Q3 = etale_quadratic(QQ, (0, 3))
+EXT_F4 = etale_quadratic(F2, (1, 1))
+EXT_F9 = etale_quadratic(F3, (0, -1))
+EXT_QI = etale_quadratic(QQ, (0, -1))
 
 
 def test_transfer_examples():
-    K = EXT_Q2.ring
+    K = EXT_Q2
     T = transfer(EXT_Q2, QuadraticForm.diagonal(K, [K.one()]))
     assert T.upper == ((QQ.zero(), QQ.from_int(2)), (QQ.zero(), QQ.zero()))
     T = transfer(EXT_Q2, QuadraticForm.diagonal(K, [-K.gen()]))
     assert T.upper == ((QQ.from_int(-1), QQ.zero()), (QQ.zero(), QQ.from_int(-2)))
-    K4 = EXT_F4.ring
+    K4 = EXT_F4
     T = transfer(EXT_F4, QuadraticForm.diagonal(K4, [K4.one()]))
     assert T.upper == ((F2.zero(), F2.zero()), (F2.zero(), F2.one()))
 
 
 def test_transfer_split_rejected():
-    ext = EtaleQuadratic(QQ, "split")
+    ext = etale_quadratic(QQ, "split")
     with pytest.raises(SplitK):
         transfer(ext, QuadraticForm.diagonal(QQ, [1]))
 
 
 def test_transfer_additivity():
     rng = seeded(23)
-    K = EXT_Q2.ring
+    K = EXT_Q2
     for _ in range(25):
         f1 = random_nonsingular_form(K, 2, rng, size=2)
         f2 = random_nonsingular_form(K, 2, rng, size=2)
@@ -69,7 +69,7 @@ def test_transfer_additivity():
 @pytest.mark.parametrize("ext", [EXT_Q2, EXT_F4, EXT_F9])
 def test_transfer_preserves_nonsingular(ext):
     rng = seeded(29)
-    K = ext.ring
+    K = ext
     for _ in range(40):
         dim = rng.choice([2, 4])
         phi = random_nonsingular_form(K, dim, rng, size=2)
@@ -77,7 +77,7 @@ def test_transfer_preserves_nonsingular(ext):
 
 
 def test_descend_hamilton_norm():
-    K = EXT_Q2.ring
+    K = EXT_Q2
     Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))
     nq = norm_form(Q)
     res = descend(EXT_Q2, nq)
@@ -88,7 +88,7 @@ def test_descend_hamilton_norm():
 
 
 def test_descend_witt_one():
-    K = EXT_Q2.ring
+    K = EXT_Q2
     phi = QuadraticForm.diagonal(K, [K.one(), -K.gen()])
     res = descend(EXT_Q2, phi)
     assert res.psi.n == 1 and res.i0 == 1
@@ -98,14 +98,14 @@ def test_descend_witt_one():
 
 def test_descend_anisotropic_transfer():
     # <-w, -w> over Q(sqrt2): the transfer <-1,-2,-1,-2> is negative definite
-    K = EXT_Q2.ring
+    K = EXT_Q2
     w = K.gen()
     phi = QuadraticForm.diagonal(K, [-w, -w])
     res = descend(EXT_Q2, phi)
     assert res.i0 == 0 and res.psi.n == 0
     # over a finite K every 4-dimensional transfer is isotropic
     rng = seeded(31)
-    K9 = EXT_F9.ring
+    K9 = EXT_F9
     for _ in range(25):
         phi = random_nonsingular_form(K9, 2, rng)
         res = descend(EXT_F9, phi)
@@ -113,7 +113,7 @@ def test_descend_anisotropic_transfer():
 
 
 def test_descend_char2_remark2():
-    K = EXT_F4.ring
+    K = EXT_F4
     phi = QuadraticForm.binary(K, K.one(), K.gen())
     res = descend(EXT_F4, phi)
     if res.i0 % 2 == 1:
@@ -132,7 +132,7 @@ def test_descend_char2_remark2():
 
 
 def test_hyperbolic_part_glued():
-    K = EXT_Q2.ring
+    K = EXT_Q2
     phi = QuadraticForm.diagonal(K, [1, 2]).orthogonal_sum(QuadraticForm.hyperbolic_plane(K))
     res = descend(EXT_Q2, phi)
     i0 = witt_decompose(transfer(EXT_Q2, phi)).witt_index
@@ -143,7 +143,7 @@ def _block_step_cases():
     """(ext, phi): forms as in the descent acceptance suite, and n_Q."""
     rng = seeded(41)
     for ext in (EXT_Q2, EXT_Q3, EXT_F9, EXT_F4):
-        K = ext.ring
+        K = ext
         for _ in range(12):
             if ext.base.order is None:
                 # totally positive entries, as in the descent acceptance suite
@@ -174,11 +174,11 @@ def test_block_step_writes_W_down():
         wd = witt_decompose(T)
         if wd.witt_index < 2:
             continue
-        seen[ext.ring.name] += 1
+        seen[ext.name] += 1
         v, w = isotropic_plane_partner(ext, phi, T, wd)
         u_push = wd.pairs[0][0]
         u = ext.unrealify_vec(u_push)
-        lamv = ext.realify_vec(tuple(ext.w * c for c in v))
+        lamv = ext.realify_vec(tuple(ext.gen() * c for c in v))
         W_ref = T.orthogonal_complement([u_push, lamv])
         verdict = isotropy(T.restrict(W_ref))
         assert verdict.is_isotropic
@@ -197,7 +197,7 @@ def test_block_step_writes_W_down():
         assert F.is_zero(T.polar(u_push, w_push)) and F.is_zero(T.polar(lamv, w_push))
         mu = ext.in_base(phi.polar(u, w))
         assert mu is not None and not F.is_zero(mu)
-    assert all(seen[ext.ring.name] for ext in (EXT_Q2, EXT_Q3, EXT_F9, EXT_F4))
+    assert all(seen[ext.name] for ext in (EXT_Q2, EXT_Q3, EXT_F9, EXT_F4))
     assert sum(seen.values()) >= 45
 
 
@@ -205,7 +205,7 @@ def test_block_step_does_not_search(monkeypatch):
     # every Witt decomposition is computed once with the real oracle and then
     # served from memory; the block step must find W's isotropic vector with
     # isotropy switched off
-    K = EXT_Q2.ring
+    K = EXT_Q2
     nq = norm_form(QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1)))
     real = albertkit.isotropy.witt_decompose
     held = {}
@@ -249,14 +249,14 @@ def test_anisotropic_indefinite_forms_descend_over_F(over_F_only):
     # them and its search does not end at the default height; the descent
     # decides isotropy over F only
     for ext, diag in ((EXT_Q2, [1, 1, -7]), (EXT_QI, [1, -3, 5])):
-        res = descend(ext, QuadraticForm.diagonal(ext.ring, diag))
+        res = descend(ext, QuadraticForm.diagonal(ext, diag))
         assert res.i0 == res.psi.n == 3
         assert [step["round"] for step in res.steps] == ["dim-2", "dim-1"]
 
 
 def _pinned_rounds():
-    K = EXT_Q2.ring
-    w = EXT_F9.ring.gen()
+    K = EXT_Q2
+    w = EXT_F9.gen()
     hyp = QuadraticForm.hyperbolic_plane(K)
     f9 = [[2 * w, 0, 0, 0], [0, w, 1 + 2 * w, 0], [0, 0, 1 + 2 * w, 0], [0, 0, 0, 2 * w]]
     # (ext, phi, rounds, block steps): the block step of <1> _|_ H gives a
@@ -265,7 +265,7 @@ def _pinned_rounds():
     return [
         (EXT_Q2, QuadraticForm.diagonal(K, [1]).orthogonal_sum(hyp), ["hyperbolic-plane", "dim-1"], 1),
         (EXT_Q2, QuadraticForm.diagonal(K, [3, 1]).orthogonal_sum(hyp), ["dim-2", "hyperbolic-plane"], 1),
-        (EXT_F9, QuadraticForm(EXT_F9.ring, f9), ["hyperbolic-plane", "hyperbolic-plane"], 0),
+        (EXT_F9, QuadraticForm(EXT_F9, f9), ["hyperbolic-plane", "hyperbolic-plane"], 0),
     ]
 
 
@@ -284,7 +284,7 @@ def test_descent_rounds(ext, phi, rounds, block_steps, over_F_only, monkeypatch)
     assert len(calls) == block_steps
     assert res.i0 == res.psi.n == witt_decompose(transfer(ext, phi)).witt_index
     first_u = ext.unrealify_vec(witt_decompose(transfer(ext, phi)).pairs[0][0])
-    assert ext.ring.is_zero(phi.evaluate(first_u)) == (block_steps == 0)
+    assert ext.is_zero(phi.evaluate(first_u)) == (block_steps == 0)
 
 
 def test_cli_descends_an_anisotropic_indefinite_form(tmp_path, capsys, over_F_only):
