@@ -27,7 +27,7 @@ Q = QuaternionAlgebra(K, K.zero(), K.from_int(-1), K.from_int(-1))  # Hamilton o
 
 print("Fixed points of the switch map:")
 cor = build_corestriction(K, Q)
-print("  dim_F =", cor.dim, " natural map Cor (x) K -> tensor square bijective:", natural_map_bijective(K, cor))
+print("  dim_F =", cor.dim, " natural map Cor (x) K -> tensor square bijective:", natural_map_bijective(cor))
 print()
 
 ad = albert_form(K, Q)

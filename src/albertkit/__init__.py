@@ -31,7 +31,6 @@ from .fields import (
 from .etale import SplitAlgebra, etale_quadratic
 from .forms import (
     QuadraticForm,
-    isometric_embedding,
     isotropic_spanning_set,
     orthogonalize,
     symplectic_pairs,
@@ -51,7 +50,6 @@ from .quaternion import (
     QuaternionAlgebra,
     find_disjoint_quadratic_subalgebra,
     is_split,
-    make_quaternion,
     norm_form,
     validate_disjoint_witness,
 )

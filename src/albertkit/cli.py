@@ -55,11 +55,13 @@ from .transfer import descend, transfer
 
 
 def _load_json(path):
-    with open(path) as handle:
-        try:
+    try:
+        with open(path) as handle:
             return json.load(handle)
-        except ValueError as exc:
-            raise MalformedCertificate("%s is not JSON: %s" % (path, exc))
+    except OSError as exc:
+        raise MalformedCertificate("cannot read %s: %s" % (path, exc.strerror or exc))
+    except ValueError as exc:
+        raise MalformedCertificate("%s is not JSON: %s" % (path, exc))
 
 
 def _emit(args, doc, text):
@@ -122,15 +124,15 @@ def _build_quat(doc, height):
     given in 'Q' or in 'E' and 'a'; its searches stop at `height`."""
     if not isinstance(doc, dict):
         raise MalformedCertificate("a quaternion spec must be a JSON object")
-    ext = doc["ext"] if isinstance(doc.get("ext"), dict) else doc
-    if not all(isinstance(ext.get(key), str) for key in ("base", "ext")):
+    k_doc = doc["ext"] if isinstance(doc.get("ext"), dict) else doc
+    if not all(isinstance(k_doc.get(key), str) for key in ("base", "ext")):
         raise MalformedCertificate("an extension needs the string specs 'base' and 'ext'")
     spec = doc.get("Q")
     if spec is None and isinstance(doc.get("E"), dict):
         spec = dict(doc["E"], a=doc.get("a"))
     if not isinstance(spec, dict) or any(spec.get(key) is None for key in ("alpha", "beta", "a")):
         raise MalformedCertificate("a quaternion spec needs alpha, beta and a, in 'Q' or in 'E' and 'a'")
-    return Instance("custom", 0, ext["base"], ext["ext"], spec["alpha"], spec["beta"], spec["a"], height)
+    return Instance("custom", 0, k_doc["base"], k_doc["ext"], spec["alpha"], spec["beta"], spec["a"], height)
 
 
 def _cmd_quat(args):
@@ -140,7 +142,7 @@ def _cmd_quat(args):
         report = check_equivalence(inst)
         cond = report.cond_i if args.any_quadratic else report.cond_ii
         status = {"yes": "found", "no": "none", "unknown": "unknown"}[cond.status]
-        K = report.ctx[1]
+        K = report.Q.ring
         witness = None if cond.witness is None else vector_to_json(K, cond.witness.coords)
         doc = {"status": status, "method": cond.method, "witness": witness, "searched": cond.searched}
         _emit(args, doc, "witness: %r" % (cond.witness,) if witness else "%s [%s]" % (status, cond.method))
@@ -172,10 +174,10 @@ def _cmd_quat(args):
 
 def _cmd_cor(args):
     inst = Instance.from_json(_load_json(args.instance))
-    F, ext, Q = inst.build()
+    F, K, Q = inst.build()
     if args.cmd == "build":
-        cor = build_corestriction(ext, Q)
-        if not natural_map_bijective(ext, cor):
+        cor = build_corestriction(K, Q)
+        if not natural_map_bijective(cor):
             raise InternalContradiction("Cor (x) K -> tensor square is not bijective")
         doc = {"dim": cor.dim, "label": cor.label}
         if args.structure:
@@ -185,12 +187,12 @@ def _cmd_cor(args):
             ]
         _emit(args, doc, "corestriction built: dim 16, natural map bijective")
         return 0
-    ad = albert_form(ext, Q)
+    ad = albert_form(K, Q)
     if args.cmd == "albert":
         _emit(args, form_to_json(ad.form), repr(ad.form))
         return 0
     if args.cmd == "fcheck":
-        cor = build_corestriction(ext, Q)
+        cor = build_corestriction(K, Q)
         rep = f_map_check(ad, cor, n_random=args.random_checks)
         _emit(args, rep, "f(xi)^2 = phi(xi) verified (%d basis, %d random)" % (
             rep["basis_checked"], rep["random_checked"]))

@@ -268,7 +268,7 @@ def clifford_iso_check(ad, cor):
     (build_corestriction verified closure), so no image needs its own
     membership check.
     """
-    F = ad.ext.base
+    F = ad.Q.ring.base
     fs = cor_f_basis(ad, cor)
     if fs is None:
         raise RelationViolation("image entry leaves the fixed algebra")

@@ -33,6 +33,11 @@ build no 16x16 table.  The corestriction is a StructureAlgebra over F,
 whose structure constants are data for the Clifford rank and for `cor
 --instance inst.json --cmd build --structure`.  The audits of f and of the
 Clifford map compute in M_2(Cor) over F, on pairs.
+
+Q carries K: K is Q.ring, F is Q.ring.base and kappa is Q.ring.kappa().
+build_corestriction(K, Q) and albert_form(K, Q) are the entry points that
+take K beside Q, and they check that the two agree; everything else, the
+AlbertData they return included, reads K, F and kappa off Q.
 """
 
 from __future__ import annotations
@@ -131,11 +136,10 @@ class TensorProductAlgebra(Algebra):
 
 
 class TensorSquareAlgebra(TensorProductAlgebra):
-    """(conjugate Q) tensor_K Q with its switch map."""
+    """(conjugate Q) tensor_K Q with its switch map; K is Q.ring."""
 
-    def __init__(self, ext, Q):
-        _require_over(ext, Q)
-        super().__init__(Q.ring, Q, Q, ext.conj)
+    def __init__(self, Q):
+        super().__init__(Q.ring, Q, Q, Q.ring.conj)
         self.Q = Q
 
     def from_base(self, c):
@@ -208,15 +212,16 @@ class CorestrictionAlgebra(StructureAlgebra):
         return tuple(out)
 
 
-def build_corestriction(ext, Q):
+def build_corestriction(K, Q):
     """Fixed points of the switch map, with structure constants over F.
 
     s(c e_rs) = gamma(c) e_sr for e_rs = gamma(q_r) (x) q_s, so the fixed
     basis is e_rr and c e_rs + gamma(c) e_sr for c = 1, w and r > s, taken
-    at 4r + s in increasing order; nothing is solved.
+    at 4r + s in increasing order; nothing is solved.  K must be Q.ring.
     """
-    A = TensorSquareAlgebra(ext, Q)
-    F, K = ext.base, ext
+    _require_over(K, Q)
+    A = TensorSquareAlgebra(Q)
+    F = K.base
     basis = []
     for p, q in _FIXED:
         for c in (K.one(),) if p == q else (K.one(), K.gen()):
@@ -245,14 +250,15 @@ def build_corestriction(ext, Q):
     return cor
 
 
-def natural_map_bijective(ext, cor):
+def natural_map_bijective(cor):
     """Exact rank check: the fixed basis is K-linearly independent, so Cor (x) K
     is the tensor square.  Over F: the realified basis and its w-multiples
     have rank 32.  The basis is written down, so build_corestriction does
     not call this."""
-    w = ext.gen()
-    rows = [ext.realify_vec(v) for b in cor.basis for v in (b.coords, tuple(w * c for c in b.coords))]
-    return linalg.rank(rows, ext.base, 32) == 32
+    K = cor.tensor.ring
+    w = K.gen()
+    rows = [K.realify_vec(v) for b in cor.basis for v in (b.coords, tuple(w * c for c in b.coords))]
+    return linalg.rank(rows, K.base, 32) == 32
 
 
 # ---------------------------------------------------------------------------
@@ -262,22 +268,22 @@ def natural_map_bijective(ext, cor):
 
 @dataclass
 class AlbertData:
-    ext: object
+    """The Albert form of Q; K is Q.ring, F is Q.ring.base and kappa is Q.ring.kappa()."""
+
     Q: QuaternionAlgebra
     y_basis: tuple  # quaternion elements y_i; the xi_of(y_i) are a basis of V^s
     form: QuadraticForm  # the Albert form over F
-    kappa: object  # the chosen skew element of K
 
     def y_from_coords(self, coords):
-        F = self.ext.base
+        K = self.Q.ring
         y = self.Q.zero()
         for c, yb in zip(coords, self.y_basis):
-            if not F.is_zero(c):
-                y = y + yb.scale(self.ext.from_base(c))
+            if not K.base.is_zero(c):
+                y = y + yb.scale(K.from_base(c))
         return y
 
 
-def vs_space(ext, Q):
+def vs_space(Q):
     """Six y with T(Trd(y)) = 0 whose images xi = gamma(y) (x) 1 + 1 (x) y are a basis of V^s.
 
     The tensor map collapses the kappa line of the 7-dimensional space of
@@ -286,7 +292,8 @@ def vs_space(ext, Q):
     the xi and their switch invariance are checked by a test over the
     acceptance batch, not here.
     """
-    F, K = ext.base, ext
+    K = Q.ring
+    F = K.base
     z = Q.elem((K.zero(), K.zero(), K.one(), K.zero()))
     if F.char != 2:
         # canonical trace-zero pure part: e0 = e - alpha/2, z, e0*z
@@ -311,27 +318,27 @@ def vs_space(ext, Q):
     return (Q.one().scale(w), y1e, z, z.scale(w), ez, ez.scale(w))
 
 
-def albert_form(ext, Q):
+def albert_form(K, Q):
     """The 6-dimensional Albert form c * s(Nrd y) on V^s over F, with its basis data.
 
     kappa (gamma(n) - n) = s(n) c for n = a + b w, with c = kappa (gamma(w)
     - w): 1 for split K, alpha in characteristic 2 and -(alpha^2 + 4
     beta)/2 otherwise.  So the form is c times the transfer s_* of Nrd
-    restricted to the y_i, and no xi is built.
+    restricted to the y_i, and no xi is built.  K must be Q.ring.
     """
-    _require_over(ext, Q)
-    ys = vs_space(ext, Q)
-    kappa = ext.kappa()
-    w = ext.gen()
-    c = ext.in_base(kappa * (ext.conj(w) - w))
-    form = QuadraticForm.from_map(ext.base, lambda v: c * ext.s(Q.elem(v).nrd()), [y.coords for y in ys])
+    _require_over(K, Q)
+    ys = vs_space(Q)
+    w = K.gen()
+    c = K.in_base(K.kappa() * (K.conj(w) - w))
+    form = QuadraticForm.from_map(K.base, lambda v: c * K.s(Q.elem(v).nrd()), [y.coords for y in ys])
     if not form.classify().nonsingular:
         raise InternalContradiction("Albert form is singular")
-    return AlbertData(ext, Q, ys, form, kappa)
+    return AlbertData(Q, ys, form)
 
 
-def _require_over(ext, Q):
-    if Q.ring != ext:
+def _require_over(K, Q):
+    """The check of the two entry points that take K beside Q: they must agree."""
+    if Q.ring != K:
         raise AlgebraError("quaternion algebra is not defined over the extension")
 
 
@@ -340,14 +347,14 @@ def _require_over(ext, Q):
 # ---------------------------------------------------------------------------
 
 
-def f_pair(tensor, kappa, y):
+def f_pair(tensor, y):
     """f(xi) = [[0, eta], [xi, 0]] as the pair (eta, xi), for xi = xi_of(y) in `tensor`.
 
-    eta = kappa (sigma (x) id)(xi), and sigma (x) id sends gamma(y) (x) 1 +
-    1 (x) y to gamma(conj y) (x) 1 + 1 (x) y.
+    eta = kappa (sigma (x) id)(xi), with kappa = K.kappa(), and sigma (x) id
+    sends gamma(y) (x) 1 + 1 (x) y to gamma(conj y) (x) 1 + 1 (x) y.
     """
     xi = tensor.xi_of(y)
-    eta = (xi + tensor.gx_tensor(y.conjugate() - y, tensor.Q.one())).scale(kappa)
+    eta = (xi + tensor.gx_tensor(y.conjugate() - y, tensor.Q.one())).scale(tensor.ring.kappa())
     return eta, xi
 
 
@@ -376,8 +383,8 @@ def nilpotent_image(ad, coords):
     InvalidWitness when f(xi) is zero or its square is not.  The square is
     multiplied out in a tensor square built here.
     """
-    tensor = TensorSquareAlgebra(ad.ext, ad.Q)
-    f = f_pair(tensor, ad.kappa, ad.y_from_coords(coords))
+    tensor = TensorSquareAlgebra(ad.Q)
+    f = f_pair(tensor, ad.y_from_coords(coords))
     if all(x.is_zero() for x in f):
         raise InvalidWitness("nilpotent certificate is zero")
     if not all(x.is_zero() for x in f_product(f, f)):
@@ -396,7 +403,7 @@ def cor_f_basis(ad, cor):
     """
     out = []
     for y in ad.y_basis:
-        eta, xi = f_pair(cor.tensor, ad.kappa, y)
+        eta, xi = f_pair(cor.tensor, y)
         cx, ce = cor.express(xi), cor.express(eta)
         if cx is None or ce is None:
             return None
@@ -438,7 +445,7 @@ def f_map_check(ad, cor, n_random=100, seed=20210513):
     the tensor square with the same unit, so they hold in Cor exactly when
     they hold there.  Raises IdentityFails on violation.
     """
-    F = ad.ext.base
+    F = ad.Q.ring.base
     fs = cor_f_basis(ad, cor)
     if fs is None:
         raise IdentityFails("f entry does not lie in the fixed algebra")
@@ -529,10 +536,10 @@ def isotropic_to_generator(ad, witness_coords):
     Over a finite F, which may have fewer values, the theorem gives an
     etale generator, and generator_to_isotropic turns it into a good zero.
     """
-    ext, Q = ad.ext, ad.Q
-    F = ext.base
+    Q = ad.Q
     K = Q.ring
-    kappa = K.coerce(ad.kappa)
+    F = K.base
+    kappa = K.kappa()
     char2 = F.char == 2
     shift = Q.elem((K.zero() if char2 else kappa, K.zero(), K.zero(), K.zero()))
     for coords in _hyperbolic_candidates(ad.form, tuple(F.coerce(c) for c in witness_coords)):
@@ -543,7 +550,7 @@ def isotropic_to_generator(ad, witness_coords):
             raise InternalContradiction("candidate is not isotropic")
         kappa_y = y.scale(kappa)
         try:
-            data = validate_disjoint_witness(Q, ext, kappa_y, etale_required=True)
+            data = validate_disjoint_witness(Q, kappa_y, etale_required=True)
         except InvalidWitness:
             continue
         return GeneratorWitness(kappa_y, y, coords, data["trd"], data["nrd"])
@@ -588,18 +595,19 @@ def generator_to_isotropic(ad, x):
     y_basis and the kappa line (an 8x7 system over F), and asserts the
     Albert form vanishes at the first six.
     """
-    ext, Q = ad.ext, ad.Q
-    F = ext.base
-    validate_disjoint_witness(Q, ext, x, etale_required=False)
-    kappa = Q.ring.coerce(ad.kappa)
+    Q = ad.Q
+    K = Q.ring
+    F = K.base
+    validate_disjoint_witness(Q, x, etale_required=False)
+    kappa = K.kappa()
     kx = x.scale(kappa)
-    if not F.is_zero(ext.trace_to_base(kx.trd())):
+    if not F.is_zero(K.trace_to_base(kx.trd())):
         raise InvalidWitness("kappa*x violates the trace condition")
     # the tensor map kills exactly the kappa line of the trace-condition
     # space, so kappa*x's first six coordinates over (y_basis, kappa)
     # are its image's coordinates over the xi_i
-    cols = [ext.realify_vec(y.coords) for y in ad.y_basis + (Q.one().scale(kappa),)]
-    coords = linalg.solve(list(zip(*cols)), ext.realify_vec(kx.coords), F)
+    cols = [K.realify_vec(y.coords) for y in ad.y_basis + (Q.one().scale(kappa),)]
+    coords = linalg.solve(list(zip(*cols)), K.realify_vec(kx.coords), F)
     if coords is None:
         raise InternalContradiction("kappa*x image is outside V^s")
     coords = coords[:6]

@@ -13,8 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import AlgebraError, BudgetExhausted, NotIsotropic
-from .search import EMBEDDING_CANDIDATES, Budget, scalar_candidates
+from .errors import AlgebraError, NotIsotropic
+from .search import scalar_candidates  # noqa: F401  (perfbench/tracer.py counts it under this name)
 
 
 class QuadraticForm:
@@ -395,63 +395,3 @@ def hyperbolic_split(form, u):
     if zeta is None:
         return None
     return zeta, form.orthogonal_complement([u, zeta])
-
-
-def isometric_embedding(psi, phi, height=20):
-    """An injective U with phi(U x) = psi(x), None if proven absent.
-
-    Column by column: the polar compatibility conditions against earlier
-    columns are linear, so each column ranges over an affine subspace whose
-    parameters are enumerated (exhaustively for enumerable fields, by
-    bounded height otherwise).  BudgetExhausted distinguishes an undecided
-    search from a proven absence; its `searched` counts the column vectors
-    drawn over the whole search.
-    """
-    f = psi.field
-    if phi.field != f:
-        raise AlgebraError("embedding across different fields")
-    if psi.n > phi.n:
-        return None
-    if phi.n > 8:
-        raise AlgebraError("embedding search capped at dimension 8")
-    budget = Budget(EMBEDDING_CANDIDATES)
-    pool = list(scalar_candidates(f, height))
-    psiB = psi.polar_matrix()
-    cols = []
-
-    def column_candidates(k):
-        rows = [phi.polar_row(cols[j]) for j in range(k)]
-        part = linalg.solve(rows, psiB[k][:k], f) if rows else (f.zero(),) * phi.n
-        if part is None:
-            return
-        kern = phi.orthogonal_complement(cols[:k])
-        if not kern:
-            yield part
-            return
-        for coeffs in budget.take(itertools.product(pool, repeat=len(kern))):
-            yield tuple(a + b for a, b in zip(part, linalg.combine(coeffs, kern, f, phi.n)))
-
-    def extend(k):
-        if k == psi.n:
-            return True
-        target_val = psi.upper[k][k]
-        for vec in column_candidates(k):
-            if linalg.is_zero_vec(vec, f):
-                continue
-            if phi.evaluate(vec) != target_val:
-                continue
-            if linalg.rank(cols + [vec], f, phi.n) != k + 1:
-                continue
-            cols.append(vec)
-            if extend(k + 1):
-                return True
-            cols.pop()
-        return False
-
-    if not extend(0):
-        if f.enumerable and not budget.exhausted:
-            return None
-        raise BudgetExhausted("embedding not found within the search budget", searched=budget.spent)
-    if phi.restrict(cols) != psi:
-        raise AlgebraError("embedding verification failed")
-    return list(cols)

@@ -210,7 +210,7 @@ class EquivalenceReport:
     consistent: bool
     derivations: list = dc_field(default_factory=list)
     albert_gram: list | None = None
-    ctx: tuple | None = None  # (F, K, Q), not serialized
+    Q: QuaternionAlgebra | None = None  # the instance's Q, which carries K and F; not serialized
 
     @property
     def has_unknown(self):
@@ -220,10 +220,8 @@ class EquivalenceReport:
         )
 
     def to_json(self):
-        if self.ctx is not None:
-            F, K, _ = self.ctx
-        else:
-            F, K, _ = self.instance.build()
+        Q = self.Q if self.Q is not None else self.instance.build()[2]
+        K, F = Q.ring, Q.ring.base
 
         def enc_elem(x):
             return vector_to_json(K, x.coords)
@@ -287,7 +285,7 @@ def check_equivalence(inst, path="albert"):
     elif div.not_division is False:
         cond_iii = CondVerdict("no", None, div.method)
         try:
-            x = find_disjoint_quadratic_subalgebra(Q, K, etale_required=False)
+            x = find_disjoint_quadratic_subalgebra(Q, etale_required=False)
             # a (i) witness converts to an isotropic vector, contradicting
             # the proven anisotropy: the equivalence would be falsified
             generator_to_isotropic(ad, x)
@@ -305,7 +303,7 @@ def check_equivalence(inst, path="albert"):
     else:
         cond_iii = CondVerdict("unknown", None, div.method)
         try:
-            x = find_disjoint_quadratic_subalgebra(Q, K, etale_required=True)
+            x = find_disjoint_quadratic_subalgebra(Q, etale_required=True)
             cond_ii = CondVerdict("yes", x, "direct-search")
             cond_i = CondVerdict("yes", x, "from-(ii)")
             coords = generator_to_isotropic(ad, x)
@@ -331,7 +329,7 @@ def check_equivalence(inst, path="albert"):
         consistent=consistent,
         derivations=derivations,
         albert_gram=gram,
-        ctx=(F, K, Q),
+        Q=Q,
     )
 
 
@@ -344,7 +342,8 @@ def _transfer_cross_check(ad, cond_iii, derivations, height):
     Nrd(x) = n_Q(u) n_Q(w) in F and is not in K, a (i) witness, which
     generator_to_isotropic checks against the Albert form.
     """
-    K, Q = ad.ext, ad.Q
+    Q = ad.Q
+    K = Q.ring
     try:
         nq = norm_form(Q)
         T = transfer(K, nq)
@@ -403,7 +402,7 @@ def verify_certificate(doc):
         for cond, etale in ((cii, True), (ci, False)):
             if cond["status"] == "yes":
                 x = Q.elem(parse_vector(K, _witness(cond, 4)))
-                validate_disjoint_witness(Q, K, x, etale_required=etale)
+                validate_disjoint_witness(Q, x, etale_required=etale)
             elif cond["status"] == "no":
                 # negatives on (i)/(ii) are derived from the (iii) method
                 if ciii["status"] != "no":

@@ -97,10 +97,19 @@ def bounded_search(form, height=search.DEFAULT_HEIGHT):
 
 
 def _factor_int(n):
+    """{p: e} with |n| = prod p^e, or None when n does not factor within the bound.
+
+    Trial division stops past search.TRIAL_DIVISION_BOUND.  A cofactor
+    below d^2 with no divisor below d is prime; a larger one is not factored
+    (there is no probable-prime test), so hostile input cannot stall a
+    caller.
+    """
     n = abs(n)
     out = {}
     d = 2
     while d * d <= n:
+        if d > search.TRIAL_DIVISION_BOUND:
+            return None
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
@@ -110,18 +119,12 @@ def _factor_int(n):
     return out
 
 
-def squarefree_part(x):
-    """The squarefree integer representing the square class of x in Q*."""
+def _square_class_int(x):
+    """An integer in the square class of x in Q*: its numerator times its denominator."""
     x = QQ.coerce(x)
     if x == 0:
         raise AlgebraError("zero has no square class")
-    n = x.numerator * x.denominator
-    sign = -1 if n < 0 else 1
-    out = sign
-    for p, e in _factor_int(n).items():
-        if e % 2:
-            out *= p
-    return out
+    return x.numerator * x.denominator
 
 
 def _legendre(a, p):
@@ -132,9 +135,14 @@ def _legendre(a, p):
 
 
 def hilbert_symbol(a, b, place):
-    """Local Hilbert symbol (a, b) at a prime or at 'inf'."""
-    a = squarefree_part(a)
-    b = squarefree_part(b)
+    """Local Hilbert symbol (a, b) at a prime or at 'inf'.
+
+    The formulas read the valuation at the place and the unit part of any
+    integer in each square class (Serre, A Course in Arithmetic, ch. III),
+    so nothing is factored.
+    """
+    a = _square_class_int(a)
+    b = _square_class_int(b)
     if place == "inf":
         return -1 if (a < 0 and b < 0) else 1
     p = place
@@ -179,11 +187,14 @@ def _is_square_in_Qv(d, place):
 
 
 def _relevant_places(ds):
-    places = {"inf", 2}
+    """inf, 2 and the primes dividing the integers ds, or None when one does not factor."""
+    places = {2}
     for d in ds:
-        for p in _factor_int(d):
-            places.add(p)
-    return ["inf"] + sorted(p for p in places if p != "inf")
+        factors = _factor_int(d)
+        if factors is None:
+            return None
+        places.update(factors)
+    return ["inf"] + sorted(places)
 
 
 def _hasse(d, place):
@@ -207,9 +218,11 @@ def hasse_minkowski(form):
     """Complete isotropy decision for a regular quadratic form over Q.
 
     Dimension >= 5 is decided purely by the real signature; dimensions 3
-    and 4 by local conditions through Hilbert symbols; the witness for an
-    isotropic form is found by iterative deepening (termination is
-    guaranteed because existence is already proven).
+    and 4 by local conditions through Hilbert symbols, at the places that
+    factoring the values names.  A value that does not factor within the
+    trial-division bound leaves the verdict unknown ("factor-bound").  The
+    witness for an isotropic form is found by iterative deepening
+    (termination is guaranteed because existence is already proven).
     """
     f = form.field
     if not isinstance(f, RationalField):
@@ -225,22 +238,23 @@ def hasse_minkowski(form):
         return anisotropic_verdict("dim1")
     if n == 2:
         return _square_test(form, basis, vals)
-    d = [squarefree_part(v) for v in vals]
-    dd = math.prod(d)
     if n >= 5:
         pos = sum(1 for v in vals if v > 0)
         isotropic = 0 < pos < n
         method = "signature"
-    elif n == 3:
+    else:
+        # integers in the square classes of the values; a prime that divides
+        # one to an even power only adds a place where both sides read 1
+        d = [_square_class_int(v) for v in vals]
+        places = _relevant_places(d)
+        if places is None:
+            return IsotropyVerdict(UNKNOWN, None, "factor-bound")
+        dd = math.prod(d)
         method = "hasse-minkowski"
-        isotropic = all(_hasse(d, v) == hilbert_symbol(-1, -dd, v) for v in _relevant_places(d))
-    else:  # n == 4: only places where the discriminant is a square can fail
-        method = "hasse-minkowski"
-        isotropic = all(
-            _hasse(d, v) == hilbert_symbol(-1, -1, v)
-            for v in _relevant_places(d)
-            if _is_square_in_Qv(dd, v)
-        )
+        if n == 3:
+            isotropic = all(_hasse(d, v) == hilbert_symbol(-1, -dd, v) for v in places)
+        else:  # n == 4: only places where the discriminant is a square can fail
+            isotropic = all(_hasse(d, v) == hilbert_symbol(-1, -1, v) for v in places if _is_square_in_Qv(dd, v))
     if not isotropic:
         return anisotropic_verdict(method)
     for h, vec in search.zeros(form, range(1, search.WITNESS_HEIGHT_CAP + 1)):

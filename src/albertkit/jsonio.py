@@ -212,7 +212,9 @@ def parse_element(field, data):
             return field.pair(parse_element(field.base, data[0]), parse_element(field.base, data[1]))
         # a plain value means the diagonal embedding
         return field.from_base(parse_element(field.base, data))
-    if isinstance(data, int):
+    if type(data) is int:  # not bool, which is an int subclass and no number
+        if abs(data) >= 10**MAX_DIGITS:
+            raise AlgebraError("integer of more than %d digits" % MAX_DIGITS)
         return field.from_int(data)
     if isinstance(data, str):
         tokens = _tokenize(data)

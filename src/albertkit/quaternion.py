@@ -5,6 +5,9 @@ K) or the split algebra F x F, in which case the construction is the pair
 of component quaternion algebras.  A QuaternionAlgebra is a 4-dimensional
 Algebra (see algebra.py): its elements have four coordinates over the
 basis (1, e, z, ez) with e^2 = alpha e + beta, z^2 = a and z l = iota(l) z.
+
+Over K, Q names the whole tower: K is Q.ring and F is Q.ring.base, so the
+subalgebra witnesses below take Q alone.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, AlgebraElem
 from .errors import (
-    AlgebraError,
     BudgetExhausted,
     InvalidWitness,
     NotEtale,
@@ -23,7 +25,6 @@ from .errors import (
     ZeroParameter,
 )
 from .etale import SplitAlgebra
-from .fields import EtaleAlgebra
 from .forms import QuadraticForm
 from .isotropy import isotropy
 from .search import DEFAULT_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
@@ -63,8 +64,7 @@ class QuaternionAlgebra(Algebra):
     The constructor checks what the theory needs: `a` invertible and E =
     D[e]/(e^2 - alpha e - beta) etale.  Associativity and the unit law are
     polynomial identities over Z in (alpha, beta, a), so they hold over every
-    commutative ring; tests/test_quaternion.py proves them once on a grid,
-    and _check_associative is kept for tests only.
+    commutative ring; tests/test_quaternion.py proves them once on a grid.
     """
 
     dim, element = 4, QuatElem
@@ -123,16 +123,6 @@ class QuaternionAlgebra(Algebra):
             q1[1] + q2[1],
         )
 
-    def _check_associative(self):
-        basis = self.basis()
-        one = self.one()
-        for b in basis:
-            if (one * b).coords != b.coords or (b * one).coords != b.coords:
-                raise AlgebraError("unit law fails")
-        for x, y, z in itertools.product(basis, repeat=3):
-            if ((x * y) * z).coords != (x * (y * z)).coords:
-                raise AlgebraError("associativity fails on basis triple")
-
     def random_element(self, rng, size=5):
         return self.elem(tuple(self.ring.random_element(rng, size) for _ in range(4)))
 
@@ -157,19 +147,6 @@ class QuaternionAlgebra(Algebra):
             fmt(self.beta),
             fmt(self.a),
         )
-
-
-def make_quaternion(E, a):
-    """Quaternion algebra from an etale quadratic algebra E/D and a unit a.
-
-    E is a quadratic extension of D or D x D; the split case embeds as
-    alpha = 1, beta = 0 (D x D presented by the polynomial x^2 - x).
-    """
-    if not isinstance(E, EtaleAlgebra):
-        raise AlgebraError("make_quaternion expects a quadratic etale algebra")
-    if E.kind == "field":
-        return QuaternionAlgebra(E.base, E.alpha, E.beta, a)
-    return QuaternionAlgebra(E.base, E.base.one(), E.base.zero(), a)
 
 
 def norm_form(Q):
@@ -220,22 +197,23 @@ def is_split(Q, height=DEFAULT_HEIGHT):
 # ---------------------------------------------------------------------------
 
 
-def validate_disjoint_witness(Q, ext, x, etale_required):
+def validate_disjoint_witness(Q, x, etale_required):
     """Check that x generates a quadratic F-algebra linearly disjoint from K.
 
     Conditions: Trd(x) and Nrd(x) lie in F.1, the pair (1, x) is K-linearly
     independent, and for the etale flavor the algebra F[x] is separable.
     Raises InvalidWitness with the failed condition.
     """
-    F = ext.base
-    p = ext.in_base(x.trd())
+    K = Q.ring
+    F = K.base
+    p = K.in_base(x.trd())
     if p is None:
         raise InvalidWitness("Trd(x) is not in F")
-    q = ext.in_base(x.nrd())
+    q = K.in_base(x.nrd())
     if q is None:
         raise InvalidWitness("Nrd(x) is not in F")
     # c 1 + d x = 0 forces c = d = 0 iff x's coordinates off 1 generate K
-    if not Q.ring.generates_unit_ideal(x.coords[1:]):
+    if not K.generates_unit_ideal(x.coords[1:]):
         raise InvalidWitness("(1, x) is not K-linearly independent")
     if etale_required:
         if F.char == 2:
@@ -248,7 +226,7 @@ def validate_disjoint_witness(Q, ext, x, etale_required):
 
 
 def find_disjoint_quadratic_subalgebra(
-    Q, ext, etale_required=True, height=1, max_candidates=HARNESS_SUBALGEBRA_CANDIDATES
+    Q, etale_required=True, height=1, max_candidates=HARNESS_SUBALGEBRA_CANDIDATES
 ):
     """Search for a quadratic F-subalgebra of Q linearly disjoint from K.
 
@@ -257,24 +235,23 @@ def find_disjoint_quadratic_subalgebra(
     `searched` counts the candidates drawn, the one over the limit included.
     """
     budget = Budget(max_candidates)
-    for x in budget.take(_candidate_elements(Q, ext, height)):
+    for x in budget.take(_candidate_elements(Q, height)):
         try:
-            validate_disjoint_witness(Q, ext, x, etale_required)
+            validate_disjoint_witness(Q, x, etale_required)
             return x
         except InvalidWitness:
             continue
     raise BudgetExhausted("no disjoint quadratic subalgebra found", searched=budget.spent)
 
 
-def _candidate_elements(Q, ext, height):
-    if ext.kind == "field":
-        pool = list(scalar_candidates(Q.ring, height))
+def _candidate_elements(Q, height):
+    K = Q.ring
+    if K.kind == "field":
+        pool = list(scalar_candidates(K, height))
         for coords in itertools.product(pool, repeat=4):
             yield Q.elem(coords)
     else:
-        d = Q.ring
-        pool = list(scalar_candidates(ext.base, height))
+        pool = list(scalar_candidates(K.base, height))
         for comps in itertools.product(pool, repeat=8):
-            coords = tuple(d.pair(comps[2 * i], comps[2 * i + 1]) for i in range(4))
+            coords = tuple(K.pair(comps[2 * i], comps[2 * i + 1]) for i in range(4))
             yield Q.elem(coords)
-

@@ -6,31 +6,41 @@ e_j e_i = polar(e_i, e_j) - e_i e_j for i < j, which degenerates correctly
 in characteristic 2) and the Arf invariant read off the center of its even
 part, against which `clifford.arf_trivial`'s formula is tested; the
 enumeration and structured-rule isotropy verdicts over finite fields, the
-invariants of forms over Q, the spec of an extension, the projection of
-a split corestriction onto Q1 (x) Q2, and the monomial rows of the
-Clifford check by plain 2x2 matrix products, against which the even and
-odd pairs of `corestriction.f_product` are tested.
+squarefree part of a rational and the invariants of forms over Q, the spec
+of an extension, the projection of a split corestriction onto Q1 (x) Q2,
+and the monomial rows of the Clifford check by plain 2x2 matrix products,
+against which the even and odd pairs of `corestriction.f_product` are
+tested.  Also the constructions that build test data or check an identity
+once: the column-by-column isometric embedding search, a quaternion algebra
+from an etale algebra and a unit, and the associativity check on basis
+triples.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
 from albertkit import linalg
 from albertkit.corestriction import TensorProductAlgebra
-from albertkit.errors import AlgebraError, InternalContradiction
+from albertkit.errors import AlgebraError, BudgetExhausted, InternalContradiction
+from albertkit.fields import QQ, EtaleAlgebra
 from albertkit.forms import orthogonalize, symplectic_pairs
 from albertkit.isotropy import (
     ANISOTROPIC,
     ISOTROPIC,
+    _factor_int,
     _hasse,
     _relevant_places,
     _square_test,
     bounded_search,
-    squarefree_part,
 )
 from albertkit.jsonio import format_element
+from albertkit.quaternion import QuaternionAlgebra
+from albertkit.search import Budget, scalar_candidates
+
+EMBEDDING_CANDIDATES = 200000  # isometric_embedding: columns tried over the whole search
 
 
 class DimensionCap(AlgebraError):
@@ -353,6 +363,19 @@ def structured_finite_isotropy(form):
     return ISOTROPIC if f.monic_quadratic_roots(f.one(), a * b) else ANISOTROPIC
 
 
+def squarefree_part(x):
+    """The squarefree integer representing the square class of x in Q*."""
+    x = QQ.coerce(x)
+    if x == 0:
+        raise AlgebraError("zero has no square class")
+    n = x.numerator * x.denominator
+    out = -1 if n < 0 else 1
+    for p, e in _factor_int(n).items():
+        if e % 2:
+            out *= p
+    return out
+
+
 def rational_invariants(form):
     """(dim, signature, disc square class, hasse symbols) over Q."""
     vals = [form.evaluate(v) for v in orthogonalize(form)]
@@ -455,3 +478,93 @@ def monomial_rows_m2(alg, fs):
         i = low.bit_length() - 1
         images.append(m2_mul(alg, mats[i], images[mask ^ low]))
     return [tuple(c for row in M for entry in row for c in entry.coords) for M in images]
+
+
+# ---------------------------------------------------------------------------
+# test-data constructions
+# ---------------------------------------------------------------------------
+
+
+def isometric_embedding(psi, phi, height=20):
+    """An injective U with phi(U x) = psi(x), None if proven absent.
+
+    Column by column: the polar compatibility conditions against earlier
+    columns are linear, so each column ranges over an affine subspace whose
+    parameters are enumerated (exhaustively for enumerable fields, by
+    bounded height otherwise).  BudgetExhausted distinguishes an undecided
+    search from a proven absence; its `searched` counts the column vectors
+    drawn over the whole search.
+    """
+    f = psi.field
+    if phi.field != f:
+        raise AlgebraError("embedding across different fields")
+    if psi.n > phi.n:
+        return None
+    if phi.n > 8:
+        raise AlgebraError("embedding search capped at dimension 8")
+    budget = Budget(EMBEDDING_CANDIDATES)
+    pool = list(scalar_candidates(f, height))
+    psiB = psi.polar_matrix()
+    cols = []
+
+    def column_candidates(k):
+        rows = [phi.polar_row(cols[j]) for j in range(k)]
+        part = linalg.solve(rows, psiB[k][:k], f) if rows else (f.zero(),) * phi.n
+        if part is None:
+            return
+        kern = phi.orthogonal_complement(cols[:k])
+        if not kern:
+            yield part
+            return
+        for coeffs in budget.take(itertools.product(pool, repeat=len(kern))):
+            yield tuple(a + b for a, b in zip(part, linalg.combine(coeffs, kern, f, phi.n)))
+
+    def extend(k):
+        if k == psi.n:
+            return True
+        target_val = psi.upper[k][k]
+        for vec in column_candidates(k):
+            if linalg.is_zero_vec(vec, f):
+                continue
+            if phi.evaluate(vec) != target_val:
+                continue
+            if linalg.rank(cols + [vec], f, phi.n) != k + 1:
+                continue
+            cols.append(vec)
+            if extend(k + 1):
+                return True
+            cols.pop()
+        return False
+
+    if not extend(0):
+        if f.enumerable and not budget.exhausted:
+            return None
+        raise BudgetExhausted("embedding not found within the search budget", searched=budget.spent)
+    if phi.restrict(cols) != psi:
+        raise AlgebraError("embedding verification failed")
+    return list(cols)
+
+
+def make_quaternion(E, a):
+    """Quaternion algebra from an etale quadratic algebra E/D and a unit a.
+
+    E is a quadratic extension of D or D x D; the split case embeds as
+    alpha = 1, beta = 0 (D x D presented by the polynomial x^2 - x).
+    """
+    if not isinstance(E, EtaleAlgebra):
+        raise AlgebraError("make_quaternion expects a quadratic etale algebra")
+    if E.kind == "field":
+        return QuaternionAlgebra(E.base, E.alpha, E.beta, a)
+    return QuaternionAlgebra(E.base, E.base.one(), E.base.zero(), a)
+
+
+def check_associative(Q):
+    """Raise AlgebraError unless Q's unit law and associativity hold on the basis."""
+    basis = Q.basis()
+    one = Q.one()
+    for b in basis:
+        if (one * b).coords != b.coords or (b * one).coords != b.coords:
+            raise AlgebraError("unit law fails")
+    for x, y, z in itertools.product(basis, repeat=3):
+        if ((x * y) * z).coords != (x * (y * z)).coords:
+            raise AlgebraError("associativity fails on basis triple")

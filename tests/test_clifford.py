@@ -13,6 +13,7 @@ from reference import (
     clifford_arf,
     even_part_masks,
     f_as_matrix,
+    isometric_embedding,
     m2_mul,
     monomial_rows_m2,
     rationally_equivalent,
@@ -42,7 +43,6 @@ from albertkit.clifford import (
 )
 from albertkit.corestriction import cor_f_basis, f_product
 from albertkit.errors import AlgebraError, RankDeficient, RelationViolation
-from albertkit.forms import isometric_embedding
 
 F2 = FiniteField(2)
 F3 = FiniteField(3)

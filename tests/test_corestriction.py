@@ -7,7 +7,7 @@ import math
 
 import pytest
 from conftest import seeded
-from reference import split_projection_iso, tensor_product_algebra
+from reference import isometric_embedding, split_projection_iso, tensor_product_algebra
 
 from albertkit import (
     QQ,
@@ -32,7 +32,7 @@ from albertkit import corestriction
 from albertkit.clifford import clifford_iso_check
 from albertkit.corestriction import f_pair, f_product, natural_map_bijective
 from albertkit.errors import AlgebraError, IdentityFails, InternalContradiction, InvalidWitness, RelationViolation
-from albertkit.forms import QuadraticForm, hyperbolic_partner, isometric_embedding, line_point
+from albertkit.forms import QuadraticForm, hyperbolic_partner, line_point
 from albertkit.harness import FAMILIES
 from albertkit.isotropy import _clear_denominators, isotropy
 from albertkit.linalg import combine, independent_subset, kernel_basis, rank, solve, units
@@ -54,7 +54,7 @@ def hamilton_cor():
 
 
 def test_switch_properties():
-    A = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
+    A = TensorSquareAlgebra(HAMILTON_K)
     rng = seeded(53)
     one = A.one()
     assert (A.switch(one) - one).is_zero()
@@ -90,7 +90,7 @@ def test_tensor_products_multiply_factorwise(name):
     # (gamma(x1) (x) y1)(gamma(x2) (x) y2) = gamma(x1 x2) (x) y1 y2 in the
     # tensor square, and (x1 (x) y1)(x2 (x) y2) = x1 x2 (x) y1 y2 in Q (x) Q2
     ext, Q, Q2 = _tensor_case(name)
-    square = TensorSquareAlgebra(ext, Q)
+    square = TensorSquareAlgebra(Q)
     direct = tensor_product_algebra(Q, Q2)
 
     def pure(x, y):
@@ -117,7 +117,7 @@ def test_tensor_products_multiply_factorwise(name):
 def test_fixed_points_dimension_and_rank(hamilton_cor):
     assert hamilton_cor.dim == 16
     assert len(hamilton_cor.basis) == 16
-    assert natural_map_bijective(EXT_Q2, hamilton_cor)
+    assert natural_map_bijective(hamilton_cor)
     assert hamilton_cor.unit_coords is not None
 
 
@@ -180,7 +180,7 @@ def test_express_matches_an_independent_solve(hamilton_cor):
         for s in range(16):
             assert solve(rows, A.ring.realify_vec((cor.basis[r] * cor.basis[s]).coords), F) == _structure_coords(cor, r, s)
     # an element of another tensor square, even of the same algebra, is refused
-    other = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
+    other = TensorSquareAlgebra(HAMILTON_K)
     for elem in (other.one(), other.elem([K2.one() if i == 1 else K2.zero() for i in range(16)])):
         with pytest.raises(AlgebraError, match="mixed tensor-algebra contexts"):
             cor.express(elem)
@@ -236,7 +236,7 @@ def test_written_down_bases_match_the_eliminations():
             assert cor.express(elem) == tuple(vec[c] for c in free)
     for F, ext, Q in cases + _char2_pool():
         if F.char == 2:
-            ys = corestriction.vs_space(ext, Q)
+            ys = corestriction.vs_space(Q)
             assert [y.coords for y in ys] == [y.coords for y in _reference_char2_ys(ext, Q)]
 
 
@@ -259,10 +259,10 @@ def test_vs_space_dimension(batch_builds):
     cases = [(QQ, EXT_Q2, HAMILTON_K)] + batch_builds + _char2_pool()
     assert len(cases) == 1 + 200 + 40
     for F, ext, Q in cases:
-        ys = corestriction.vs_space(ext, Q)
+        ys = corestriction.vs_space(Q)
         assert len(ys) == 6
         assert all(F.is_zero(ext.trace_to_base(y.trd())) for y in ys)
-        t = TensorSquareAlgebra(ext, Q)
+        t = TensorSquareAlgebra(Q)
         xis = [t.xi_of(y) for y in ys]
         assert all(t.switch(xi) == xi for xi in xis)
         assert rank([t.ring.realify_vec(xi.coords) for xi in xis], F, 32) == 6
@@ -287,11 +287,11 @@ def test_f_matrix_from_y_matches_the_sigma_rows(batch_builds):
     # and their sum for every batch instance
     checked = 0
     for _, ext, Q in batch_builds:
-        t = TensorSquareAlgebra(ext, Q)
+        t = TensorSquareAlgebra(Q)
         kappa = ext.kappa()
-        ys = corestriction.vs_space(ext, Q)
+        ys = corestriction.vs_space(Q)
         for y in ys + (sum(ys[1:], ys[0]),):
-            eta, xi = f_pair(t, kappa, y)
+            eta, xi = f_pair(t, y)
             assert xi == t.xi_of(y)
             assert eta == _sigma_first_reference(t, xi).scale(kappa)
             checked += 1
@@ -328,16 +328,17 @@ def test_albert_form_is_the_scaled_transfer_of_the_norm_form():
 
 def _s_nrd(ad):
     """The form s(Nrd y) on the y basis, before the scaling by c."""
-    ext, Q = ad.ext, ad.Q
-    return QuadraticForm.from_map(ext.base, lambda v: ext.s(Q.elem(v).nrd()), [y.coords for y in ad.y_basis])
+    Q = ad.Q
+    K = Q.ring
+    return QuadraticForm.from_map(K.base, lambda v: K.s(Q.elem(v).nrd()), [y.coords for y in ad.y_basis])
 
 
 def test_albert_form_scale_per_kind(hamilton_albert):
     # c = kappa (gamma(w) - w): 1 for split K, alpha in characteristic 2, -(alpha^2 + 4 beta)/2 otherwise
     split = _albert_of("split-K-over-Q", 0)
-    assert split.ext.kind == "split" and split.form == _s_nrd(split)
-    char2 = next(ad for ad in (_albert_of("char2-finite", seed) for seed in itertools.count()) if ad.ext.kind == "field")
-    assert char2.form == _s_nrd(char2).scale(char2.ext.alpha)
+    assert split.Q.ring.kind == "split" and split.form == _s_nrd(split)
+    char2 = next(ad for ad in (_albert_of("char2-finite", seed) for seed in itertools.count()) if ad.Q.ring.kind == "field")
+    assert char2.form == _s_nrd(char2).scale(char2.Q.ring.alpha)
     # Q(sqrt2): alpha = 0 and beta = 2
     assert hamilton_albert.form == _s_nrd(hamilton_albert).scale(QQ.from_int(-4))
 
@@ -346,6 +347,21 @@ def test_albert_form_rejects_a_quaternion_algebra_over_another_k():
     for ext in (etale_quadratic(QQ, (0, 3)), etale_quadratic(QQ, "split"), etale_quadratic(FiniteField(2), (1, 1))):
         with pytest.raises(AlgebraError, match="quaternion algebra is not defined over the extension"):
             albert_form(ext, HAMILTON_K)
+
+
+def test_build_corestriction_rejects_a_quaternion_algebra_over_another_k():
+    # the two entry points that take K beside Q check that they agree; every
+    # other function reads K off Q
+    for K in (etale_quadratic(QQ, (0, 3)), etale_quadratic(QQ, "split"), etale_quadratic(FiniteField(2), (1, 1))):
+        with pytest.raises(AlgebraError, match="quaternion algebra is not defined over the extension"):
+            build_corestriction(K, HAMILTON_K)
+
+
+def test_albert_data_holds_q_alone(hamilton_albert):
+    # K, F and kappa are read off Q, so AlbertData stores no copy of them
+    assert [f.name for f in dataclasses.fields(corestriction.AlbertData)] == ["Q", "y_basis", "form"]
+    ad = hamilton_albert
+    assert ad.Q is HAMILTON_K and ad.form.field is HAMILTON_K.ring.base
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -367,7 +383,7 @@ def test_albert_form_builds_no_tensor(family, monkeypatch):
     _, ext, Q = generate_instance(family, 0).build()
     ad = albert_form(ext, Q)
     assert counts == {"square": 0, "mul": 0, "xi_of": 0}
-    t = TensorSquareAlgebra(ext, Q)
+    t = TensorSquareAlgebra(Q)
     t.xi_of(ad.y_basis[0]) * t.one()
     assert counts == {"square": 1, "mul": 1, "xi_of": 1}
     counts["square"] = 0
@@ -388,8 +404,8 @@ def test_f_nilpotent_certificate(hamilton_albert):
     assert div.not_division is True
     f = div.nilpotent
     assert not (f[0].is_zero() and f[1].is_zero())
-    t = TensorSquareAlgebra(EXT_Q2, HAMILTON_K)
-    again = f_pair(t, ad.kappa, ad.y_from_coords(div.witness_coords))
+    t = TensorSquareAlgebra(HAMILTON_K)
+    again = f_pair(t, ad.y_from_coords(div.witness_coords))
     assert [e.coords for e in again] == [e.coords for e in f]
     sq = f_product(again, again)
     assert all(e.is_zero() for e in sq)
@@ -411,7 +427,7 @@ def test_generator_to_isotropic_roundtrip(hamilton_albert):
     coords = generator_to_isotropic(ad, i_elem)
     assert QQ.is_zero(ad.form.evaluate(coords))
     gen = isotropic_to_generator(ad, coords)
-    validate_disjoint_witness(HAMILTON_K, EXT_Q2, gen.kappa_y, etale_required=True)
+    validate_disjoint_witness(HAMILTON_K, gen.kappa_y, etale_required=True)
     with pytest.raises(InvalidWitness):
         generator_to_isotropic(ad, HAMILTON_K.one())
 
@@ -423,10 +439,10 @@ def _albert_of(family, seed):
 
 def _reference_xi_coords(ad, x):
     """kappa*x's tensor image solved for in the realified xi basis (32 x 6)."""
-    t = TensorSquareAlgebra(ad.ext, ad.Q)
-    xi = t.xi_of(x.scale(ad.Q.ring.coerce(ad.kappa)))
+    t = TensorSquareAlgebra(ad.Q)
+    xi = t.xi_of(x.scale(ad.Q.ring.kappa()))
     cols = [t.ring.realify_vec(t.xi_of(y).coords) for y in ad.y_basis]
-    return solve([tuple(col[r] for col in cols) for r in range(32)], t.ring.realify_vec(xi.coords), ad.ext.base)
+    return solve([tuple(col[r] for col in cols) for r in range(32)], t.ring.realify_vec(xi.coords), ad.Q.ring.base)
 
 
 def test_generator_to_isotropic_matches_the_realified_xi_solve(hamilton_albert):
@@ -473,7 +489,7 @@ def test_char2_generator_is_built_not_searched(family, seed, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, scan)
     gen = isotropic_to_generator(ad, div.witness_coords)
-    validate_disjoint_witness(ad.Q, ad.ext, gen.kappa_y, etale_required=True)
+    validate_disjoint_witness(ad.Q, gen.kappa_y, etale_required=True)
     assert not K.is_zero(gen.kappa_y.trd())
 
 
@@ -483,7 +499,7 @@ def _refuse_first(monkeypatch, n):
     validate = corestriction.validate_disjoint_witness
 
     def refuse(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(args[1])
         if len(calls) <= n:
             raise InvalidWitness("refused")
         return validate(*args, **kwargs)
@@ -521,7 +537,7 @@ def test_failure_polynomial_has_degree_at_most_four(family, seed):
     # P(s*x) = Nrd(y(s x + u - q(s x) zeta)) has degree <= 4 in s, so its
     # fifth difference over s = 0..5 vanishes
     ad = _albert_of(family, seed)
-    F, K = ad.ext.base, ad.Q.ring
+    F, K = ad.Q.ring.base, ad.Q.ring
     u = cor_is_division(ad).witness_coords
     zeta = hyperbolic_partner(ad.form, u)
     comp = ad.form.orthogonal_complement([u, zeta])
@@ -548,7 +564,7 @@ def test_grid_of_f3_gives_way_to_the_zeros(monkeypatch):
     gen = isotropic_to_generator(ad, witness)
     assert len(calls) > 82
     assert ext.base.is_zero(ad.form.evaluate(gen.coords))
-    validate_disjoint_witness(Q, ext, gen.kappa_y, etale_required=True)
+    validate_disjoint_witness(Q, gen.kappa_y, etale_required=True)
 
 
 def test_split_corestriction_is_tensor_product():
@@ -647,9 +663,9 @@ def test_f_map_check_rejects_xi_outside_the_fixed_space(hamilton_albert, hamilto
     Q = QuaternionAlgebra(D, D.zero(), D.from_int(-1), D.from_int(-1))
     for ad, cor in ((hamilton_albert, hamilton_cor), (albert_form(ext, Q), build_corestriction(ext, Q))):
         y = ad.y_basis[0] + ad.Q.one()
-        assert not QQ.is_zero(ad.ext.trace_to_base(y.trd()))
+        assert not QQ.is_zero(ad.Q.ring.trace_to_base(y.trd()))
         bad = dataclasses.replace(ad, y_basis=(y,) + ad.y_basis[1:])
-        eta, xi = f_pair(cor.tensor, ad.kappa, y)
+        eta, xi = f_pair(cor.tensor, y)
         assert cor.express(xi) is not None and cor.express(eta) is None
         assert corestriction.cor_f_basis(bad, cor) is None
         with pytest.raises(IdentityFails, match="fixed algebra"):
@@ -718,4 +734,4 @@ def test_char2_field_instance():
     div = cor_is_division(ad)
     assert div.not_division is True  # finite fields admit no division quaternions
     gen = isotropic_to_generator(ad, div.witness_coords)
-    validate_disjoint_witness(Q, ext, gen.kappa_y, etale_required=True)
+    validate_disjoint_witness(Q, gen.kappa_y, etale_required=True)

