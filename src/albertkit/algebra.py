@@ -19,8 +19,8 @@ from .errors import AlgebraError
 class AlgebraElem:
     """An element of an Algebra: its coordinates over the algebra's ring.
 
-    Elements of one algebra, or of equal ones, combine; anything else is an
-    AlgebraError naming the subclass's `context`.
+    Elements of one algebra combine; anything else is an AlgebraError naming
+    the subclass's `context`.
     """
 
     __slots__ = ("algebra", "coords")
@@ -31,7 +31,7 @@ class AlgebraElem:
         self.coords = coords
 
     def _same_algebra(self, other):
-        return isinstance(other, AlgebraElem) and (other.algebra is self.algebra or other.algebra == self.algebra)
+        return isinstance(other, AlgebraElem) and other.algebra is self.algebra
 
     def _check(self, other):
         if self._same_algebra(other):

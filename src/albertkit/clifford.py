@@ -11,7 +11,6 @@ corestriction.f_product.
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import linalg
@@ -96,23 +95,11 @@ def _reductions(field):
         yield field, lambda x: x
     elif isinstance(field, RationalField):
         for p in _PRIMES:
-            E = _reduction_field(p)
+            E = FiniteField(p)
             yield E, _mod_p(E)
     elif isinstance(field, RationalFunctionField):
         for E, lift, t0 in _points(field.base):
             yield E, _at_point(E, lift, t0)
-
-
-@functools.cache
-def _reduction_field(p, k=1):
-    """The one FiniteField(p, k) that reductions map into.
-
-    A field keeps every element it hands out, and each element refers back to
-    it; a field made per check would leave up to p^k elements to the cycle
-    collector each time.  The cache holds at most one field per prime of
-    _PRIMES and per default modulus.
-    """
-    return FiniteField(p, k)
 
 
 def _mod_p(E):
@@ -167,7 +154,7 @@ def _points(base):
     """
     if isinstance(base, RationalField):
         for p, t0 in zip(_PRIMES, _QT_POINTS):
-            E = _reduction_field(p)
+            E = FiniteField(p)
             yield E, _mod_p(E), E.from_int(t0)
         return
     if not isinstance(base, FiniteField):
@@ -178,7 +165,7 @@ def _points(base):
         return
     p = base.p
     for k in sorted(k for q, k in _DEFAULT_REDUCTION if q == p):
-        E = _reduction_field(p, k)
+        E = FiniteField(p, k)
 
         def lift(c, E=E):
             return E.from_int(c.coeffs[0])

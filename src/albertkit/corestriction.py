@@ -338,7 +338,7 @@ def albert_form(K, Q):
 
 def _require_over(K, Q):
     """The check of the two entry points that take K beside Q: they must agree."""
-    if Q.ring != K:
+    if Q.ring is not K:
         raise AlgebraError("quaternion algebra is not defined over the extension")
 
 

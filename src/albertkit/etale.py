@@ -13,7 +13,7 @@ conj(kappa) = -kappa.
 from __future__ import annotations
 
 from .errors import NotEtale, Reducible
-from .fields import EtaleAlgebra, Field, PairElem, QuadraticFieldExtension
+from .fields import Canonical, EtaleAlgebra, Field, PairElem, QuadraticFieldExtension
 
 
 class SplitElem(PairElem):
@@ -36,7 +36,7 @@ class SplitElem(PairElem):
         return SplitElem(self.field, self.a / other.a, self.b / other.b)
 
 
-class SplitAlgebra(EtaleAlgebra):
+class SplitAlgebra(EtaleAlgebra, metaclass=Canonical):
     """The ring F x F with componentwise operations.
 
     Not a field (it has zero divisors) but answers the ring protocol of a
@@ -46,6 +46,7 @@ class SplitAlgebra(EtaleAlgebra):
     element = SplitElem
     kind = "split"
     coerce = Field.coerce
+    _value = ("base",)
 
     def __init__(self, base):
         self.base = base
@@ -117,12 +118,6 @@ class SplitAlgebra(EtaleAlgebra):
 
     def format_element(self, x):
         return "(%s,%s)" % (self.base.format_element(x.a), self.base.format_element(x.b))
-
-    def __eq__(self, other):
-        return isinstance(other, SplitAlgebra) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("split", self.base))
 
     def __repr__(self):
         return self.name

@@ -104,7 +104,7 @@ class F2Poly(Poly):
         return (
             isinstance(other, F2Poly)
             and other.bits == self.bits
-            and (other.base is self.base or other.base == self.base)
+            and other.base is self.base
         )
 
     def __hash__(self):

@@ -14,11 +14,16 @@ holds what their elements share (sum, negation, equality, hash, truth), and
 their pairs (s, `in_base`, `realify_vec`, `unrealify_vec`).  Both answer one
 protocol: `gen`, `conj`, `trace_to_base`, `norm_to_base`, `to_pair`,
 `from_pair`, `kappa`, `kind`, `is_invertible` and `generates_unit_ideal`.
+
+Construction is canonical (`Canonical`): building a field, a ring K or a
+quaternion algebra equal to a live one returns the live one.  An element's
+context is the object it carries, and every context check is `is`.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from fractions import Fraction
 from math import isqrt
 
@@ -33,7 +38,24 @@ def _is_int_square(n):
     return r * r == n
 
 
-class Field:
+class Canonical(type):
+    """Metaclass of the fields, the rings K and the quaternion algebras: one live object per value.
+
+    A call builds the object as usual, so `__init__` and its checks run, and
+    then returns the live object of the same class whose `_value` attributes
+    are equal, if there is one.  The table holds its objects weakly, so an
+    object nobody refers to is freed as it would be without it.
+    """
+
+    live = weakref.WeakValueDictionary()
+
+    def __call__(cls, *args, **kwargs):
+        obj = super().__call__(*args, **kwargs)
+        key = (cls,) + tuple(getattr(obj, name) for name in cls._value)
+        return Canonical.live.setdefault(key, obj)
+
+
+class Field(metaclass=Canonical):
     """Abstract exact field.
 
     Subclasses provide element construction, `sqrt_or_none`, the
@@ -69,7 +91,7 @@ class Field:
         """Accept ints and own elements; reject foreign elements."""
         if isinstance(x, int):
             return self.from_int(x)
-        if isinstance(x, self.element) and (x.field is self or x.field == self):
+        if isinstance(x, self.element) and x.field is self:
             return x
         raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
@@ -148,13 +170,7 @@ class RationalField(Field):
 
     char = 0
     name = "Q"
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    _value = ()
 
     def zero(self):
         return Fraction(0)
@@ -187,16 +203,6 @@ class RationalField(Field):
         den = rng.randint(1, size)
         return Fraction(num, den)
 
-    def sign(self, x):
-        x = self.coerce(x)
-        return (x > 0) - (x < 0)
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
-
 
 QQ = RationalField()
 
@@ -215,7 +221,7 @@ class ScalarElem:
         """other as an element of this context: ints are coerced, anything else is a fault."""
         if isinstance(other, int):
             return self.field.from_int(other)
-        if isinstance(other, type(self)) and (other.field is self.field or other.field == self.field):
+        if isinstance(other, type(self)) and other.field is self.field:
             return other
         raise AlgebraError(
             "mixed contexts: %r in %s with %s %r" % (self, self.field.name, type(other).__name__, other)
@@ -284,7 +290,7 @@ class GFElem(ScalarElem):
         if isinstance(other, int):
             other = self.field.from_int(other)
         return other is self or (
-            isinstance(other, GFElem) and other.coeffs == self.coeffs and other.field == self.field
+            isinstance(other, GFElem) and other.field is self.field and other.coeffs == self.coeffs
         )
 
     def __hash__(self):
@@ -302,6 +308,7 @@ class FiniteField(Field):
     """
 
     element = GFElem
+    _value = ("p", "k", "reduction")
 
     def __init__(self, p, k=1, reduction=None):
         if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
@@ -325,6 +332,9 @@ class FiniteField(Field):
         # powers of x from x^k up to x^(2k-2), reduced
         self._xpowers = self._build_xpowers()
         self._validate_irreducible()
+        # the check's elements refer to the field: without them a duplicate
+        # that Canonical drops is freed at once, not by the cycle collector
+        self._elems = {}
 
     def _build_xpowers(self):
         if self.k == 1:
@@ -485,17 +495,6 @@ class FiniteField(Field):
                 parts.append("%su%s" % (head, "" if i == 1 else "^%d" % i))
         return "+".join(parts) if parts else "0"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and other.p == self.p
-            and other.k == self.k
-            and other.reduction == self.reduction
-        )
-
-    def __hash__(self):
-        return hash(("GF", self.p, self.k, self.reduction))
-
 
 _F2 = FiniteField(2)  # the prime field that characteristic-2 linear algebra runs over
 
@@ -536,7 +535,7 @@ class Poly:
         if self.is_zero():
             return self
         lead = self.lead()
-        if lead == self.base.one():
+        if lead == 1:
             return self
         return Poly(self.base, tuple(c / lead for c in self.coeffs))
 
@@ -638,8 +637,7 @@ class Poly:
         return None
 
     def __eq__(self, other):
-        same_base = isinstance(other, Poly) and (other.base is self.base or other.base == self.base)
-        return same_base and other.coeffs == self.coeffs
+        return isinstance(other, Poly) and other.base is self.base and other.coeffs == self.coeffs
 
     def __hash__(self):
         return hash((self.base, self.coeffs))
@@ -719,7 +717,7 @@ class RatFuncElem(ScalarElem):
             other = self.field.from_int(other)
         return (
             isinstance(other, RatFuncElem)
-            and (other.field is self.field or other.field == self.field)
+            and other.field is self.field
             and other.num == self.num
             and other.den == self.den
         )
@@ -735,6 +733,7 @@ class RationalFunctionField(Field):
     """Field of rational functions base(var) with exact arithmetic."""
 
     element = RatFuncElem
+    _value = ("base", "var")
 
     def __init__(self, base, var="t"):
         self.base = base
@@ -801,16 +800,6 @@ class RationalFunctionField(Field):
         if x.den.degree == 0:
             return n
         return "(%s)/(%s)" % (n, x.den.format(self.var))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunctionField)
-            and other.base == self.base
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return hash(("ratfunc", self.base, self.var))
 
 
 def solve_additive_poly(base, m, N):
@@ -884,7 +873,7 @@ class PairElem(ScalarElem):
             other = self.field.from_int(other)
         return (
             isinstance(other, type(self))
-            and (other.field is self.field or other.field == self.field)
+            and other.field is self.field
             and other.a == self.a
             and other.b == self.b
         )
@@ -948,16 +937,17 @@ class QuadraticFieldExtension(Field, EtaleAlgebra):
 
     element = QuadExtElem
     kind = "field"
+    var = "w"  # the generator's name in printed elements and element strings
+    _value = ("base", "alpha", "beta")
 
-    def __init__(self, base, alpha, beta, var="w"):
+    def __init__(self, base, alpha, beta):
         self.base = base
         self.alpha = base.coerce(alpha)
         self.beta = base.coerce(beta)
-        self.var = var
         self.char = base.char
         self.order = None if base.order is None else base.order ** 2
-        terms = ["%s^2" % var]
-        for c, mono in ((-self.alpha, var), (-self.beta, "")):
+        terms = ["%s^2" % self.var]
+        for c, mono in ((-self.alpha, self.var), (-self.beta, "")):
             if base.is_zero(c):
                 continue
             s = base.format_element(c)
@@ -966,7 +956,7 @@ class QuadraticFieldExtension(Field, EtaleAlgebra):
                 s = {"1": "", "-1": "-"}.get(s, ("(%s)*" if bracket else "%s*") % s) + mono
             terms.append(s if s.startswith("-") else "+" + s)
         modulus = "".join(terms)
-        self.name = "%s[%s]/(%s)" % (base.name, var, modulus)
+        self.name = "%s[%s]/(%s)" % (base.name, self.var, modulus)
         if base.monic_quadratic_roots(-self.alpha, -self.beta):
             raise Reducible("%s splits over %s: not a field" % (modulus, base.name))
 
@@ -1118,17 +1108,6 @@ class QuadraticFieldExtension(Field, EtaleAlgebra):
         if base.is_zero(x.a):
             return bw
         return ("%s+%s" % (fa, bw)).replace("+-", "-")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuadraticFieldExtension)
-            and other.base == self.base
-            and other.alpha == self.alpha
-            and other.beta == self.beta
-        )
-
-    def __hash__(self):
-        return hash(("quadext", self.base, self.alpha, self.beta))
 
 
 from .f2poly import F2Poly  # noqa: E402  (a Poly subclass: imported once Poly exists)

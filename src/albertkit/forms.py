@@ -137,7 +137,7 @@ class QuadraticForm:
 
     # -- constructions ---------------------------------------------------
     def orthogonal_sum(self, other):
-        if other.field != self.field:
+        if other.field is not self.field:
             raise AlgebraError("orthogonal sum across different fields")
         f = self.field
         n, m = self.n, other.n
@@ -223,7 +223,7 @@ class QuadraticForm:
     def __eq__(self, other):
         return (
             isinstance(other, QuadraticForm)
-            and other.field == self.field
+            and other.field is self.field
             and other.upper == self.upper
         )
 

@@ -221,8 +221,9 @@ def hasse_minkowski(form):
     and 4 by local conditions through Hilbert symbols, at the places that
     factoring the values names.  A value that does not factor within the
     trial-division bound leaves the verdict unknown ("factor-bound").  The
-    witness for an isotropic form is found by iterative deepening
-    (termination is guaranteed because existence is already proven).
+    witness for an isotropic form is found by iterative deepening, which
+    exists once isotropy is proved, but may lie past the search.WITNESS_DRAWS
+    vectors the scan evaluates: the verdict is then unknown ("budget").
     """
     f = form.field
     if not isinstance(f, RationalField):
@@ -257,9 +258,9 @@ def hasse_minkowski(form):
             isotropic = all(_hasse(d, v) == hilbert_symbol(-1, -1, v) for v in places if _is_square_in_Qv(dd, v))
     if not isotropic:
         return anisotropic_verdict(method)
-    for h, vec in search.zeros(form, range(1, search.WITNESS_HEIGHT_CAP + 1)):
+    for h, vec in search.zeros(form, itertools.count(1), search.Budget(search.WITNESS_DRAWS)):
         return isotropic_verdict(form, vec, method + "+search", h)
-    raise InternalContradiction("no witness found for a proven-isotropic form")
+    return unknown_verdict(None)
 
 
 # ---------------------------------------------------------------------------
@@ -275,33 +276,21 @@ def _leading_minors(B, field):
 
 
 def definiteness_certificate(form):
-    """True when the form is definite under some real embedding.
+    """True when the form is definite under a real embedding of its field.
 
-    Supports Q itself and real quadratic extensions of Q; definiteness
-    proves anisotropy exactly.
+    `isotropy` calls it for forms over a quadratic extension of Q alone;
+    definiteness proves anisotropy exactly, and an imaginary extension has
+    no real embedding.
     """
     f = form.field
-    if form.n == 0:
+    if f.alpha * f.alpha + 4 * f.beta <= 0:
         return False
-    B = [list(r) for r in form.polar_matrix()]
-    if isinstance(f, RationalField):
-        embeddings = [lambda x: (x > 0) - (x < 0)]
-    elif isinstance(f, QuadraticFieldExtension) and isinstance(f.base, RationalField):
-        D = f.alpha * f.alpha + 4 * f.beta
-        if D <= 0:
-            return False
-        embeddings = [
-            lambda x: f.real_embedding_signs(x)[0],
-            lambda x: f.real_embedding_signs(x)[1],
-        ]
-    else:
-        return False
-    minors = _leading_minors(B, f)
-    for emb in embeddings:
-        signs = [emb(m) for m in minors]
+    minors = _leading_minors([list(r) for r in form.polar_matrix()], f)
+    for k in (0, 1):
+        signs = [f.real_embedding_signs(m)[k] for m in minors]
         if all(s == 1 for s in signs):
             return True
-        if all(s == (-1) ** (k + 1) for k, s in enumerate(signs)):
+        if all(s == (-1) ** (i + 1) for i, s in enumerate(signs)):
             return True
     return False
 
@@ -329,7 +318,9 @@ def springer_reduce(form, height=search.DEFAULT_HEIGHT):
 
     Requires residue characteristic != 2.  Complete for this shape: both
     residue forms anisotropic proves anisotropy over the function field,
-    and a residue witness lifts exactly by valuation-parity scaling.
+    and a residue witness lifts exactly by valuation-parity scaling.  When
+    the oracle leaves a residue form undecided, its unknown verdict is
+    returned.
     """
     f = form.field
     if not isinstance(f, RationalFunctionField):
@@ -357,7 +348,7 @@ def springer_reduce(form, height=search.DEFAULT_HEIGHT):
         residue = QuadraticForm.diagonal(base, [c for (_, c, _) in cls])
         verdict = isotropy(residue, height=height)
         if verdict.status == UNKNOWN:
-            raise NotApplicable("residue oracle undecided")
+            return verdict
         if verdict.is_isotropic:
             vec = [f.zero()] * form.n
             t = f.gen()
@@ -521,9 +512,16 @@ def isotropy(form, height=search.DEFAULT_HEIGHT):
         if const is not None:
             return const
         try:
-            return springer_reduce(form, height)
+            verdict = springer_reduce(form, height)
         except NotApplicable:
             pass
+        else:
+            if verdict.decided:
+                return verdict
+            # a residue form is undecided: a zero the search finds still
+            # counts, and otherwise the verdict names the residue's method
+            found = bounded_search(form, height)
+            return found if found.decided else verdict
         if f.char == 2 and f.base.enumerable:
             # cheap low-degree scans, then the Artin-Schreier sweep, which
             # alone decides a binary form

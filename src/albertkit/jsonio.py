@@ -10,7 +10,6 @@ generator); split-algebra scalars are two-element lists.
 from __future__ import annotations
 
 import contextlib
-import functools
 import re
 from fractions import Fraction
 from math import isqrt
@@ -281,7 +280,7 @@ def parse_field(spec):
     if m:
         q = _int(m.group(1))
         p, k = _prime_power(q)
-        return _finite_field(p, k)
+        return FiniteField(p, k)
     if spec.startswith("F(") and ":" in spec:
         head, modulus = spec.split(":", 1)
         m = _FQ.match(head)
@@ -289,24 +288,13 @@ def parse_field(spec):
             raise AlgebraError("bad finite-field spec %r" % spec)
         q = _int(m.group(1))
         p, k = _prime_power(q)
-        poly = _parse_monic_poly(_finite_field(p, 1), modulus, "w", k)
+        poly = _parse_monic_poly(FiniteField(p), modulus, "w", k)
         if isinstance(poly, F2Poly):
             low = [poly.bits >> i & 1 for i in range(k)]
         else:
             low = [c.coeffs[0] for c in poly.coeffs[:k]]
-        return _finite_field(p, k, tuple(-c % p for c in low))
+        return FiniteField(p, k, tuple(-c % p for c in low))
     raise AlgebraError("unknown field spec %r" % spec)
-
-
-@functools.lru_cache(maxsize=8)
-def _finite_field(p, k, reduction=None):
-    """The FiniteField that parsing hands out for a spec, one per spec.
-
-    A field and the elements it interns refer to each other, so a field
-    built per parse is freed only by the cycle collector, with every element
-    it handed out; the cache keeps the last 8 specs instead.
-    """
-    return FiniteField(p, k, reduction)
 
 
 def _prime_power(q):

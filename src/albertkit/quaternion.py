@@ -25,6 +25,7 @@ from .errors import (
     ZeroParameter,
 )
 from .etale import SplitAlgebra
+from .fields import Canonical
 from .forms import QuadraticForm
 from .isotropy import isotropy
 from .search import DEFAULT_HEIGHT, HARNESS_SUBALGEBRA_CANDIDATES, Budget, scalar_candidates
@@ -58,7 +59,7 @@ class QuatElem(AlgebraElem):
         return n1 - alg.a * n2
 
 
-class QuaternionAlgebra(Algebra):
+class QuaternionAlgebra(Algebra, metaclass=Canonical):
     """(E/D, a) by the closed product formula _mul_coords.
 
     The constructor checks what the theory needs: `a` invertible and E =
@@ -68,6 +69,7 @@ class QuaternionAlgebra(Algebra):
     """
 
     dim, element = 4, QuatElem
+    _value = ("ring", "alpha", "beta", "a")
 
     def __init__(self, ring, alpha, beta, a):
         super().__init__(ring, (ring.one(),) + (ring.zero(),) * 3)
@@ -125,18 +127,6 @@ class QuaternionAlgebra(Algebra):
 
     def random_element(self, rng, size=5):
         return self.elem(tuple(self.ring.random_element(rng, size) for _ in range(4)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QuaternionAlgebra)
-            and other.ring == self.ring
-            and other.alpha == self.alpha
-            and other.beta == self.beta
-            and other.a == self.a
-        )
-
-    def __hash__(self):
-        return hash(("quat", self.ring, self.alpha, self.beta, self.a))
 
     def __repr__(self):
         d = self.ring

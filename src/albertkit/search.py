@@ -17,7 +17,9 @@ from .errors import AlgebraError
 from .fields import QuadraticFieldExtension, RationalField, RationalFunctionField
 
 DEFAULT_HEIGHT = 12  # height bound of the isotropy oracles, the harness and the CLI
-WITNESS_HEIGHT_CAP = 10000  # hasse_minkowski proves isotropy first: reaching this is a bug
+# vectors hasse_minkowski's witness scan evaluates once isotropy is proved;
+# the pools' largest scan takes 462,512 (split-K-over-Q seed 77)
+WITNESS_DRAWS = 1 << 20
 SCAN_POINTS = 300000  # F_q(t) scans go on to height 2 while q^(2n) is at most this
 # char2_isotropic_stream: degree bound of the values fixed on the other
 # blocks, and the assignments tried per block
@@ -68,13 +70,27 @@ def primitive_int_vectors(n, h):
     positive, remaining coordinates in centered (0, 1, -1, ...) order; only
     vectors new at height h are produced.
     """
-    tail_pool = centered_ints(h)
+    pool = centered_ints(h)
     for k in range(n):
         for lead in range(1, h + 1):
-            for tail in itertools.product(tail_pool, repeat=n - k - 1):
+            tails = itertools.product(pool, repeat=n - k - 1) if lead == h else _tails_reaching(pool, n - k - 1)
+            for tail in tails:
                 vec = (0,) * k + (lead,) + tail
-                if max(abs(c) for c in vec) == h and gcd(*vec) == 1:
+                if gcd(*vec) == 1:
                     yield vec
+
+
+def _tails_reaching(pool, m):
+    """The m-tuples of itertools.product(pool, repeat=m) that hold h or -h,
+    the last two entries of the centered pool, in product order; no other
+    tuple is formed."""
+    if m == 1:
+        yield from ((c,) for c in pool[-2:])
+    elif m > 1:
+        for i, head in enumerate(pool):
+            rests = itertools.product(pool, repeat=m - 1) if i >= len(pool) - 2 else _tails_reaching(pool, m - 1)
+            for rest in rests:
+                yield (head,) + rest
 
 
 def polys(field, coeffs, maxdeg, height=None):
@@ -181,21 +197,22 @@ def scan_heights(field, n):
     return (1, 2) if field.base.order ** (2 * n) <= SCAN_POINTS else (1,)
 
 
-def zeros(form, heights):
+def zeros(form, heights, budget=None):
     """(h, v) for every projective candidate v of height h with form(v) = 0.
 
     Over Q the form is scaled once to integer coefficients and each primitive
     integer vector is evaluated with ints, in the order of projective_points;
-    only a zero becomes a Fraction tuple.
+    only a zero becomes a Fraction tuple.  There, a `budget` counts every
+    vector evaluated and ends the scan when it runs out.
     """
     f = form.field
     if isinstance(f, RationalField):
         scale = lcm(*(c.denominator for row in form.upper for c in row))
         terms = [(i, j, int(c * scale)) for i, row in enumerate(form.upper) for j, c in enumerate(row) if c]
-        for h in heights:
-            for vec in primitive_int_vectors(form.n, h):
-                if not sum(c * vec[i] * vec[j] for i, j, c in terms):
-                    yield h, tuple(map(Fraction, vec))
+        vectors = ((h, vec) for h in heights for vec in primitive_int_vectors(form.n, h))
+        for h, vec in vectors if budget is None else budget.take(vectors):
+            if not sum(c * vec[i] * vec[j] for i, j, c in terms):
+                yield h, tuple(map(Fraction, vec))
         return
     for h in heights:
         for vec in projective_points(f, form.n, h):

@@ -26,7 +26,7 @@ def transfer(K, phi):
     """
     if K.kind != "field":
         raise SplitK("transfer is not defined over the split algebra")
-    if phi.field != K:
+    if phi.field is not K:
         raise AlgebraError("form is not defined over the extension field")
     F = K.base
     lifts = [K.unrealify_vec(e) for e in linalg.units(F, 2 * phi.n)]
@@ -50,7 +50,7 @@ def descend(K, phi, height=DEFAULT_HEIGHT):
     """
     if K.kind != "field":
         raise SplitK("descent needs a quadratic field extension")
-    if phi.field != K:
+    if phi.field is not K:
         raise AlgebraError("form is not defined over the extension field")
     if not phi.classify().nonsingular:
         raise AlgebraError("descent requires a nonsingular form")

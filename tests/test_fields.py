@@ -1,5 +1,6 @@
 """Field arithmetic, etale structure maps, and the linear solver contract."""
 
+import gc
 import itertools
 from fractions import Fraction
 
@@ -18,8 +19,9 @@ from albertkit import (
     generate_instance,
 )
 from albertkit.f2poly import F2Poly
-from albertkit.fields import Field, GFElem, Poly, RatFuncElem, solve_additive_poly
-from albertkit.jsonio import parse_field
+from albertkit.fields import Canonical, Field, GFElem, Poly, RatFuncElem, solve_additive_poly
+from albertkit.jsonio import field_to_spec, parse_field
+from albertkit.quaternion import QuaternionAlgebra
 from albertkit.linalg import kernel_basis, solve, units
 
 
@@ -311,14 +313,48 @@ def test_finite_field_elements_are_canonical():
 
 def test_equal_finite_fields_still_mix():
     A, B = FiniteField(3), FiniteField(3)
-    assert A is not B and A == B
+    assert A is B and A == B
     a, b = A.from_int(2), B.from_int(2)
-    assert a is not b and a == b and hash(a) == hash(b)
+    assert a is b and a == b and hash(a) == hash(b)
     assert a + b == A.one() and b * a == B.one() and a - b == 0
     assert A.coerce(b) is b and B.is_zero(a - b)
     At, Bt = RationalFunctionField(A, "t"), RationalFunctionField(B, "t")
     assert At.gen() + At.from_base(a) == Bt.gen() - Bt.from_base(b + b)
     assert At.from_base(b) * Bt.from_base(a) == 1
+
+
+def test_equal_constructions_are_one_object():
+    assert parse_field("F(4)") is FiniteField(2, 2)
+    assert parse_field("Q(t)") is RationalFunctionField(QQ, "t")
+    assert etale_quadratic(QQ, (0, 2)) is QuadraticFieldExtension(QQ, 0, 2)
+    assert etale_quadratic(QQ, (0, 1)) is SplitAlgebra(QQ)  # x^2 - 1 splits
+    assert SplitAlgebra(QQ) is SplitAlgebra(QQ)
+    K = QuadraticFieldExtension(QQ, 0, 5)
+    Q = QuaternionAlgebra(K, 0, K.gen(), -1)
+    assert QuaternionAlgebra(K, K.zero(), K.from_pair(0, 1), K.from_int(-1)) is Q
+    assert Q.one() * Q.basis()[1] == Q.basis()[1]
+    # unequal values stay apart: F_9 by another modulus, another variable,
+    # another parameter
+    assert parse_field("F(9):w^2+w+2") is not FiniteField(3, 2)
+    assert parse_field("F(9):w^2+1") is FiniteField(3, 2)
+    assert parse_field("Q(s)") is not parse_field("Q(t)")
+    assert QuaternionAlgebra(K, 0, K.gen(), -2) is not Q
+    assert SplitAlgebra(F3) is not SplitAlgebra(QQ)
+
+
+def test_the_table_of_live_objects_is_weak():
+    # equal constructions share the live object; dropped objects leave the
+    # table, which therefore bounds nothing but what the caller keeps
+    primes = [p for p in range(2, 4000) if all(p % d for d in range(2, int(p**0.5) + 1))][:500]
+    gc.collect()
+    before = len(Canonical.live)
+    names = ["x" + "".join(chr(ord("a") + int(d)) for d in str(i)) for i in range(500)]  # xa, xb, ..., xbc, ...
+    fields = [parse_field("Q(%s)" % v) for v in names] + [parse_field("F(%d)" % p) for p in primes]
+    assert len(Canonical.live) >= before + 500
+    assert all(parse_field(field_to_spec(f)) is f for f in fields)
+    del fields
+    gc.collect()
+    assert len(Canonical.live) == before
 
 
 def test_reducible_modulus_is_refused():

@@ -209,6 +209,29 @@ def test_reports_deterministic():
         assert b1 == b2
 
 
+def test_report_bytes_do_not_depend_on_hashes():
+    # fields hash by identity and strings by PYTHONHASHSEED: neither may reach
+    # a report, so two processes with other hash seeds print the same bytes
+    script = (
+        "import sys\n"
+        "from albertkit.harness import FAMILIES, check_equivalence, generate_instance, report_json_bytes\n"
+        "sys.stdout.buffer.write(b'\\n'.join(report_json_bytes(check_equivalence(generate_instance(f, 0)))"
+        " for f in FAMILIES))\n"
+    )
+    expected = b"\n".join(report_json_bytes(check_equivalence(generate_instance(f, 0))) for f in FAMILIES)
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdout=subprocess.PIPE,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin", "PYTHONHASHSEED": seed},
+        )
+        for seed in ("0", "1")
+    ]
+    for run in runs:
+        out, _ = run.communicate(timeout=60)
+        assert run.returncode == 0 and out == expected
+
+
 def test_check_equivalence_leaves_no_finite_field_to_the_cycle_collector():
     # a field and its interned elements refer to each other: a field built per
     # instance would be freed only by the cycle collector, with its elements
@@ -380,10 +403,30 @@ def test_a_semiprime_parameter_cannot_stall_the_verifier():
     start = time.perf_counter()
     report = check_equivalence(inst)
     assert report.cond_iii_not_division.status == "unknown" and report.consistent
+    assert report.cond_iii_not_division.method == "factor-bound"  # the residue's method, not the search's
     doc = report.to_json()
     doc["cond_iii_not_division"] = {"status": "no", "method": "springer"}
     assert not verify_certificate(doc)
     assert time.perf_counter() - start < 5.0
+
+
+def test_a_large_isotropic_witness_cannot_stall_the_verifier():
+    # the signature proves the Albert form isotropic; its smallest zero lies
+    # far past the witness scan's draw budget, which once had no bound
+    p, q = 1152921504606847009, 1152921504606847067  # the primes after 2^60
+    derived = {"status": "no", "method": "derived: (i)=>(iii) sound converter + albert signature"}
+    doc = {
+        "schema": "albertkit/1",
+        "instance": {
+            "F": "Q", "K": "split", "Q": {"alpha": 0, "beta": [str(p), "-1"], "a": [str(q), "-1"]}, "height": 1,
+        },
+        "cond_i": derived,
+        "cond_ii": derived,
+        "cond_iii_not_division": {"status": "no", "method": "signature"},
+    }
+    start = time.perf_counter()
+    assert not verify_certificate(doc)
+    assert time.perf_counter() - start < 10.0
 
 
 def test_large_field_spec_is_rejected_quickly():

@@ -253,3 +253,13 @@ def test_factoring_stops_at_the_trial_division_bound():
     # x^2 + y^2 = 3P z^2 has no solution over Q_3; the places include P
     verdict = isotropy(QuadraticForm.diagonal(QQ, [1, 1, -3 * P]))
     assert (verdict.status, verdict.method) == ("anisotropic", "hasse-minkowski")
+
+
+def test_the_witness_scan_stops_at_its_draw_budget():
+    # P = 1 mod 4 is a sum of two squares, so <1, 1, -P> is isotropic, but
+    # its zeros have height near sqrt(P) = 2^20: the scan gives up, in time
+    P = 1099511627689
+    start = time.perf_counter()
+    verdict = isotropy(QuadraticForm.diagonal(QQ, [1, 1, -P]))
+    assert (verdict.status, verdict.method) == ("unknown", "budget")
+    assert time.perf_counter() - start < 10.0

@@ -1,8 +1,10 @@
 """Search budgets: `searched` counts every candidate drawn."""
 
 import ast
+import itertools
 import random
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ from reference import isometric_embedding
 from albertkit import QQ, BudgetExhausted, FiniteField, QuadraticForm, RationalFunctionField
 from albertkit.harness import generate_instance
 from albertkit.quaternion import _candidate_elements, find_disjoint_quadratic_subalgebra
-from albertkit.search import Budget, projective_points, zeros
+from albertkit.search import Budget, centered_ints, primitive_int_vectors, projective_points, zeros
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "albertkit"
 
@@ -59,6 +61,23 @@ def test_function_field_points_do_not_repeat():
         field = RationalFunctionField(base, "t")
         vecs = [tuple(field.format_element(c) for c in v) for v in projective_points(field, n, h)]
         assert len(vecs) == len(set(vecs)) == count
+
+
+def test_primitive_vectors_are_the_filtered_product():
+    # the reference forms every tuple and keeps the primitive ones of sup-norm
+    # h; the stream forms only tuples that reach h, in the same order
+    def reference(n, h):
+        pool = centered_ints(h)
+        for k in range(n):
+            for lead in range(1, h + 1):
+                for tail in itertools.product(pool, repeat=n - k - 1):
+                    vec = (0,) * k + (lead,) + tail
+                    if max(map(abs, vec)) == h and gcd(*vec) == 1:
+                        yield vec
+
+    for n in range(1, 7):
+        for h in range(1, 7 if n < 5 else 4):
+            assert list(primitive_int_vectors(n, h)) == list(reference(n, h)), (n, h)
 
 
 def test_integer_scan_over_q_matches_the_fraction_scan():
