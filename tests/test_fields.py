@@ -357,6 +357,22 @@ def test_the_table_of_live_objects_is_weak():
     assert len(Canonical.live) == before
 
 
+def test_a_duplicate_construction_leaves_nothing_to_the_cycle_collector():
+    # the irreducibility check interns elements, which refer to their field:
+    # the duplicate that construction builds and drops must not keep them
+    F8 = FiniteField(2, 3)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        assert FiniteField(2, 3) is F8
+        gc.collect()
+        garbage = [obj for obj in gc.garbage if isinstance(obj, (FiniteField, GFElem))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []
+
+
 def test_reducible_modulus_is_refused():
     # w^6 + w^5 + w = w (w^2 + w + 1) (w^3 + w + 1): x^(2^6) = x holds, x^(2^j) != x for j < 6
     with pytest.raises(AlgebraError):
