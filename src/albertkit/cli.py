@@ -10,10 +10,12 @@ falsified) and 3 when Unknown verdicts remain.  `quat --cmd subalg`
 prints condition (ii), or (i), of the same report, with the same exit
 codes.  Every subcommand prints "malformed: ..." and exits 1 on a
 malformed input file (for `clifford --cmd arf`, also on a form that has
-no Arf invariant: singular or of odd dimension), and prints "split K:
-..." and exits 4 when it needs a quadratic field extension and is given
-the split algebra F x F (transfer, descend and quat --cmd split).
-Invalid options exit 2.
+no Arf invariant: singular or of odd dimension; for `descend`, on a form
+it refuses, such as a singular one), and prints "split K: ..." and exits
+4 when it needs a quadratic field extension and is given the split
+algebra F x F (transfer, descend and quat --cmd split).  An oracle left
+undecided where a decision is needed (descend's Witt decomposition)
+prints "unknown: ..." and exits 3.  Invalid options exit 2.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .corestriction import (
     f_map_check,
     natural_map_bijective,
 )
-from .errors import InternalContradiction, MalformedCertificate, SplitK
+from .errors import InternalContradiction, MalformedCertificate, OracleIncomplete, SplitK
 from .harness import (
     FAMILIES,
     Instance,
@@ -99,7 +101,8 @@ def _cmd_transfer(args):
 def _cmd_descend(args):
     K = parse_extension_doc(_load_json(args.ext))
     form = parse_form(_load_json(args.form), field=K)
-    res = descend(K, form, height=args.height)
+    with _as_malformed("form"):
+        res = descend(K, form, height=args.height)
     steps = []
     for step in res.steps:
         entry = {"round": step["round"]}
@@ -309,7 +312,7 @@ def build_parser():
     p.add_argument("--instance", required=True)
     p.add_argument("--cmd", required=True, choices=("build", "albert", "fcheck", "division"))
     p.add_argument("--structure", action="store_true", help="emit structure constants")
-    p.add_argument("--random-checks", type=_int_at_least(0), default=100)
+    p.add_argument("--random-checks", type=_int_at_least(0), default=0)
 
     p = add("clifford", _cmd_clifford, help="Arf invariant of a form")
     p.add_argument("--form", required=True)
@@ -342,6 +345,9 @@ def main(argv=None):
     except SplitK as exc:
         print("split K: %s" % exc)
         return 4
+    except OracleIncomplete as exc:
+        print("unknown: %s" % exc)
+        return 3
 
 
 if __name__ == "__main__":

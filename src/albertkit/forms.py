@@ -57,23 +57,6 @@ class QuadraticForm:
         return cls.binary(field, 0, 0)
 
     @classmethod
-    def from_map(cls, field, q, vectors):
-        """The form x -> q(sum x_i v_i) of a quadratic map q on coordinate tuples v_i.
-
-        q(v_i) goes on the diagonal and q(v_i + v_j) - q(v_i) - q(v_j)
-        above it.
-        """
-        m = len(vectors)
-        z = field.zero()
-        diag = [q(v) for v in vectors]
-        rows = [[z] * m for _ in range(m)]
-        for i, v in enumerate(vectors):
-            rows[i][i] = diag[i]
-            for j in range(i + 1, m):
-                rows[i][j] = q(tuple(a + b for a, b in zip(v, vectors[j]))) - diag[i] - diag[j]
-        return cls(field, rows)
-
-    @classmethod
     def zero_form(cls, field, n):
         z = field.zero()
         return cls(field, [[z] * n for _ in range(n)])
@@ -120,6 +103,17 @@ class QuadraticForm:
         """Echelon basis of the vectors polar-orthogonal to every given vector."""
         return linalg.kernel_basis([self.polar_row(v) for v in vectors], self.field, self.n)
 
+    def gram(self, vectors):
+        """The form x -> phi(sum x_i v_i) in the coordinates of the vectors v_i.
+
+        phi(v_i) goes on the diagonal and the polar b(v_i, v_j) above it.
+        """
+        z = self.field.zero()
+        return QuadraticForm(self.field, [
+            [z] * i + [self.evaluate(v)] + [self.polar(v, u) for u in vectors[i + 1:]]
+            for i, v in enumerate(vectors)
+        ])
+
     def polar(self, x, y):
         if len(x) != self.n or len(y) != self.n:
             raise AlgebraError("dimension mismatch in polar form")
@@ -161,7 +155,7 @@ class QuadraticForm:
         vecs = [tuple(f.coerce(c) for c in v) for v in vectors]
         if vecs and linalg.rank(vecs, f, self.n) != len(vecs):
             raise AlgebraError("restriction basis is dependent")
-        return QuadraticForm.from_map(f, self.evaluate, vecs)
+        return self.gram(vecs)
 
     def base_change(self, target, embed=None):
         """The same coefficients read in a bigger field."""

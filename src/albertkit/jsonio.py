@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from math import isqrt
 
-from .errors import AlgebraError, InternalContradiction, MalformedCertificate
+from .errors import AlgebraError, InternalContradiction, MalformedCertificate, SplitK
 from .etale import SplitAlgebra, etale_quadratic
 from .f2poly import F2Poly
 from .fields import (
@@ -88,10 +88,10 @@ def _within_caps(num_degree, den_degree, bits):
 
 @contextlib.contextmanager
 def _as_malformed(what):
-    """Report an AlgebraError, but not an InternalContradiction, as malformed `what`."""
+    """Report an AlgebraError, but not an InternalContradiction or SplitK, as malformed `what`."""
     try:
         yield
-    except InternalContradiction:
+    except (InternalContradiction, SplitK):
         raise
     except AlgebraError as exc:
         raise MalformedCertificate("%s: %s" % (what, exc)) from exc

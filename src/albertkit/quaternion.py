@@ -140,10 +140,9 @@ class QuaternionAlgebra(Algebra, metaclass=Canonical):
 
 
 def norm_form(Q):
-    """The reduced norm as a four-dimensional form over the (field) ring."""
+    """The reduced norm as a four-dimensional form over Q's ring, which may
+    be F x F (albert_form reads the form's Gram matrix there)."""
     d = Q.ring
-    if isinstance(d, SplitAlgebra):
-        raise SplitK("the norm form needs a field, not the split algebra")
     z = d.zero()
     rows = [
         [d.one(), Q.alpha, z, z],
@@ -170,6 +169,8 @@ def is_split(Q, height=DEFAULT_HEIGHT):
 
     An isotropy witness is converted to an explicit zero divisor.
     """
+    if isinstance(Q.ring, SplitAlgebra):
+        raise SplitK("the split test needs a field, not the split algebra")
     nf = norm_form(Q)
     verdict = isotropy(nf, height=height)
     if verdict.is_isotropic:

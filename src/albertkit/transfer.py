@@ -19,7 +19,8 @@ from .search import DEFAULT_HEIGHT
 
 
 def transfer(K, phi):
-    """s_* phi over F; the F-basis is (b_0, w b_0, b_1, w b_1, ...).
+    """s_* phi over F: s of each entry of phi's Gram matrix on the lifts
+    (b_0, w b_0, b_1, w b_1, ...) of F^{2n}'s unit vectors, its F-basis.
 
     Vectors move between phi's space and the transfer's with
     K.unrealify_vec and K.realify_vec.
@@ -29,8 +30,8 @@ def transfer(K, phi):
     if phi.field is not K:
         raise AlgebraError("form is not defined over the extension field")
     F = K.base
-    lifts = [K.unrealify_vec(e) for e in linalg.units(F, 2 * phi.n)]
-    return QuadraticForm.from_map(F, lambda v: K.s(phi.evaluate(v)), lifts)
+    gram = phi.gram([K.unrealify_vec(e) for e in linalg.units(F, 2 * phi.n)])
+    return QuadraticForm(F, [[K.s(c) for c in row] for row in gram.upper])
 
 
 @dataclass

@@ -268,6 +268,16 @@ def test_vs_space_dimension(batch_builds):
         assert rank([t.ring.realify_vec(xi.coords) for xi in xis], F, 32) == 6
 
 
+def test_relations_hold_in_the_tensor_square_on_the_batch(batch_builds):
+    # the 21 defining relations prove f(xi)^2 = phi(xi) for every xi of every
+    # batch item, so an isotropic Albert vector xi has a nonzero nilpotent
+    # f(xi) and the check route need not multiply it out
+    for _, ext, Q in batch_builds:
+        ad = albert_form(ext, Q)
+        t = TensorSquareAlgebra(Q)
+        assert corestriction.broken_relation(ad.form, t, [f_pair(t, y) for y in ad.y_basis]) is None
+
+
 def _sigma_first_reference(t, elem):
     """(sigma (x) id)(elem) by the table of conjugated basis rows, as the
     tensor square computed it before f was defined on y."""
@@ -327,10 +337,16 @@ def test_albert_form_is_the_scaled_transfer_of_the_norm_form():
 
 
 def _s_nrd(ad):
-    """The form s(Nrd y) on the y basis, before the scaling by c."""
-    Q = ad.Q
-    K = Q.ring
-    return QuadraticForm.from_map(K.base, lambda v: K.s(Q.elem(v).nrd()), [y.coords for y in ad.y_basis])
+    """The form s(Nrd y) on the y basis, before the scaling by c: s(Nrd y_i)
+    on the diagonal, s(Nrd(y_i + y_j) - Nrd y_i - Nrd y_j) above it."""
+    K, ys = ad.Q.ring, ad.y_basis
+    nrds = [y.nrd() for y in ys]
+    rows = [[K.base.zero()] * 6 for _ in range(6)]
+    for i in range(6):
+        rows[i][i] = K.s(nrds[i])
+        for j in range(i + 1, 6):
+            rows[i][j] = K.s((ys[i] + ys[j]).nrd() - nrds[i] - nrds[j])
+    return QuadraticForm(K.base, rows)
 
 
 def test_albert_form_scale_per_kind(hamilton_albert):
@@ -367,7 +383,8 @@ def test_albert_data_holds_q_alone(hamilton_albert):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_albert_form_builds_no_tensor(family, monkeypatch):
     # the Albert layer is formula-only: no tensor square, no xi and no tensor
-    # product; a cor-audit item builds one square, Cor's, for both audits
+    # product, and neither is the check route (check, then verify of its
+    # report); a cor-audit item builds one square, Cor's, for both audits
     counts = {"square": 0, "mul": 0, "xi_of": 0}
     square, mul, xi_of = TensorSquareAlgebra.__init__, corestriction.TensorElem.__mul__, TensorSquareAlgebra.xi_of
 
@@ -382,6 +399,8 @@ def test_albert_form_builds_no_tensor(family, monkeypatch):
     monkeypatch.setattr(TensorSquareAlgebra, "xi_of", counting("xi_of", xi_of))
     _, ext, Q = generate_instance(family, 0).build()
     ad = albert_form(ext, Q)
+    assert counts == {"square": 0, "mul": 0, "xi_of": 0}
+    assert verify_certificate(check_equivalence(generate_instance(family, 0)).to_json())
     assert counts == {"square": 0, "mul": 0, "xi_of": 0}
     t = TensorSquareAlgebra(Q)
     t.xi_of(ad.y_basis[0]) * t.one()
@@ -402,12 +421,10 @@ def test_f_nilpotent_certificate(hamilton_albert):
     ad = hamilton_albert
     div = cor_is_division(ad)
     assert div.not_division is True
-    f = div.nilpotent
-    assert not (f[0].is_zero() and f[1].is_zero())
     t = TensorSquareAlgebra(HAMILTON_K)
-    again = f_pair(t, ad.y_from_coords(div.witness_coords))
-    assert [e.coords for e in again] == [e.coords for e in f]
-    sq = f_product(again, again)
+    f = f_pair(t, ad.y_from_coords(div.witness_coords))
+    assert not (f[0].is_zero() and f[1].is_zero())
+    sq = f_product(f, f)
     assert all(e.is_zero() for e in sq)
 
 

@@ -214,7 +214,7 @@ def test_orthogonalize_and_symplectic():
                     assert F2.is_zero(phi.polar(g, v))
 
 
-# -- QuadraticForm.from_map against the Gram loops it replaced ----------------
+# -- QuadraticForm.gram against the Gram loops it replaced ---------------------
 
 
 def _restrict_reference(form, vectors):
@@ -267,16 +267,16 @@ def _albert_reference(ext, Q):
     return _nrd_polarisation(ext.base, lambda n: ext.in_base(kappa * (ext.conj(n) - n)), ys)
 
 
-def test_from_map_is_the_form_of_the_map():
+def test_gram_is_the_form_of_the_vectors():
     rng = seeded(61)
     for field in (QQ, F3, F2, F4, F2t, RationalFunctionField(QQ, "t")):
         phi = random_nonsingular_form(field, 4, rng, size=3)
         vecs = [tuple(field.random_element(rng, 3) for _ in range(4)) for _ in range(3)]
-        form = QuadraticForm.from_map(field, phi.evaluate, vecs)
+        form = phi.gram(vecs)
         assert form == _restrict_reference(phi, vecs)
         x = tuple(field.random_element(rng, 3) for _ in range(3))
         assert form.evaluate(x) == phi.evaluate(combine(x, vecs, field, 4))
-    assert QuadraticForm.from_map(QQ, lambda v: v[0], []) == QuadraticForm.zero_form(QQ, 0)
+    assert QuadraticForm.diagonal(QQ, [1]).gram([]) == QuadraticForm.zero_form(QQ, 0)
 
 
 def test_restrict_matches_the_evaluate_polar_loop():

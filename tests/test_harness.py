@@ -828,6 +828,27 @@ def test_split_k_is_refused_in_one_line(tmp_path):
         assert out.stdout.startswith("split K: ") and out.stdout.count("\n") == 1, argv
 
 
+def test_descend_ends_in_one_line(tmp_path):
+    # a refused form (exit 1) and an undecided Witt decomposition (exit 3) end in one line, not a traceback
+    cases = (
+        ({"base": "F(2)", "ext": "x^2-x-1"}, {"diag": ["1", "-w", "2"]}, 1, "malformed: form: "),
+        (
+            {"base": "Q", "ext": "x^2-2"},
+            {"upper": [["-1+w/2", "0", "0", "-1/2-w"], ["0", "1/2-2*w", "-w", "1/2+2*w"], ["0", "0", "w", "1"], ["0", "0", "0", "-w"]]},
+            3,
+            "unknown: ",
+        ),
+    )
+    for ext_doc, form_doc, code, prefix in cases:
+        ext, form = tmp_path / "e.json", tmp_path / "f.json"
+        ext.write_text(json.dumps(ext_doc))
+        form.write_text(json.dumps(form_doc))
+        out = _run_cli("descend", "--ext", str(ext), "--form", str(form))
+        assert out.returncode == code, ext_doc
+        assert "Traceback" not in out.stdout + out.stderr, ext_doc
+        assert out.stdout.startswith(prefix) and out.stdout.count("\n") == 1, ext_doc
+
+
 def test_cor_build_checks_the_natural_map_and_builds_no_albert_form(tmp_path, capsys, monkeypatch):
     path = tmp_path / "i.json"
     path.write_text(json.dumps(generate_instance("split-K-over-Q", 0).to_json()))

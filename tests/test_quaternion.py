@@ -93,13 +93,27 @@ def test_algebra_identities(algebra):
         assert all(d.is_zero(c) for c in (x * x.conjugate()).coords[1:])
 
 
+def _split_k_quaternions():
+    """A quaternion algebra over F x F in characteristic 0 and one in characteristic 2."""
+    S = etale_quadratic(QQ, "split")
+    S2 = etale_quadratic(RationalFunctionField(F2, "t"), "split")
+    t = S2.base.gen()
+    return (
+        QuaternionAlgebra(S, S.zero(), S.pair(2, -3), S.pair(-1, 5)),
+        QuaternionAlgebra(S2, S2.pair(1, t), S2.pair(0, t + 1), S2.pair(t, 1)),
+    )
+
+
 def test_norm_form_multiplicativity():
-    nf = norm_form(HAMILTON)
-    rng = seeded(43)
-    for _ in range(60):
-        x = HAMILTON.random_element(rng, 4)
-        y = HAMILTON.random_element(rng, 4)
-        assert nf.evaluate((x * y).coords) == nf.evaluate(x.coords) * nf.evaluate(y.coords)
+    # over F x F too: the norm form is the pair of the components' norm forms
+    for Q in (HAMILTON,) + _split_k_quaternions():
+        nf = norm_form(Q)
+        rng = seeded(43)
+        for _ in range(60):
+            x = Q.random_element(rng, 4)
+            y = Q.random_element(rng, 4)
+            assert nf.evaluate(x.coords) == x.nrd()
+            assert nf.evaluate((x * y).coords) == nf.evaluate(x.coords) * nf.evaluate(y.coords)
 
 
 def test_disjoint_witness_hamilton_over_Qsqrt2():
