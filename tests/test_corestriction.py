@@ -383,8 +383,8 @@ def test_albert_data_holds_q_alone(hamilton_albert):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_albert_form_builds_no_tensor(family, monkeypatch):
     # the Albert layer is formula-only: no tensor square, no xi and no tensor
-    # product, and neither is the check route (check, then verify of its
-    # report); a cor-audit item builds one square, Cor's, for both audits
+    # product, nor does the check route (check, then verify of its report)
+    # build any; a cor-audit item builds one square, Cor's, for both audits
     counts = {"square": 0, "mul": 0, "xi_of": 0}
     square, mul, xi_of = TensorSquareAlgebra.__init__, corestriction.TensorElem.__mul__, TensorSquareAlgebra.xi_of
 
