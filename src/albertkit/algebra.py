@@ -4,10 +4,13 @@ The quaternion algebra Q, the tensor square (conjugate Q) (x)_K Q, its
 fixed algebra Cor_{K/F} Q and Q1 (x)_F Q2 are all an Algebra: a scalar
 ring, a dimension (4 or 16), basis names and the coordinates of the unit.
 Their elements are AlgebraElem, a tuple of coordinates over the ring that
-is added, negated, scaled and compared coordinatewise; each element class
-defines only its algebra's product.  The f map and the Clifford check
-compute in M_2 of such an algebra on pairs of elements: see
-corestriction.f_product.
+is added, negated, scaled, compared and multiplied through the algebra's
+`product`.  That product is written once, here, from sparse structure
+constants: Q, Cor and clifford's reduced Cor_E are each a `structure`
+table; only the tensor products multiply factorwise, with the tables of
+their quaternion factors (corestriction.TensorProductAlgebra).  The f map
+and the Clifford check compute in M_2 of such an algebra on pairs of
+elements: see corestriction.f_product.
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ class AlgebraElem:
     def __sub__(self, other):
         return self + (-self._check(other))
 
+    def __mul__(self, other):
+        other = self._check(other)
+        return type(self)(self.algebra, self.algebra.product(self.coords, other.coords))
+
     def scale(self, c):
         """c times the element, for c in the algebra's ring."""
         c = self.algebra.ring.coerce(c)
@@ -75,12 +82,29 @@ class AlgebraElem:
 
 
 class Algebra:
-    """A `dim`-dimensional algebra over `ring`; a subclass sets `dim` and
-    its `element` class, which defines the product."""
+    """A `dim`-dimensional algebra over `ring`; a subclass sets `dim`, its
+    `element` class and its `structure`: structure[i][j] lists the (m, c)
+    with e_i e_j = sum c e_m, the nonzero constants only."""
 
     def __init__(self, ring, unit_coords):
         self.ring = ring
         self.unit_coords = unit_coords
+
+    def product(self, x, y):
+        """The coordinates of the product of coordinate tuples x and y."""
+        R = self.ring
+        acc = [R.zero()] * self.dim
+        for i, a in enumerate(x):
+            if R.is_zero(a):
+                continue
+            row = self.structure[i]
+            for j, b in enumerate(y):
+                if R.is_zero(b):
+                    continue
+                ab = a * b
+                for m, c in row[j]:
+                    acc[m] = acc[m] + ab * c
+        return tuple(acc)
 
     def elem(self, coords):
         return self.element(self, tuple(self.ring.coerce(c) for c in coords))

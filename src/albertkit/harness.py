@@ -208,9 +208,9 @@ class EquivalenceReport:
     cond_ii: CondVerdict
     cond_iii_not_division: CondVerdict
     consistent: bool
+    Q: QuaternionAlgebra  # the instance's Q, which carries K and F; not serialized
     derivations: list = dc_field(default_factory=list)
     albert_gram: list | None = None
-    Q: QuaternionAlgebra | None = None  # the instance's Q, which carries K and F; not serialized
 
     @property
     def has_unknown(self):
@@ -220,8 +220,7 @@ class EquivalenceReport:
         )
 
     def to_json(self):
-        Q = self.Q if self.Q is not None else self.instance.build()[2]
-        K, F = Q.ring, Q.ring.base
+        K, F = self.Q.ring, self.Q.ring.base
 
         def enc_elem(x):
             return vector_to_json(K, x.coords)

@@ -79,15 +79,17 @@ def unknown_verdict(height):
 
 
 def bounded_search(form, height=search.DEFAULT_HEIGHT):
-    """Exhaustive projective search up to the height bound."""
+    """Projective search: exhaustive over a finite field; over an infinite
+    one up to the height bound and at most search.SEARCH_DRAWS vectors."""
     f = form.field
     if form.n == 0:
         return anisotropic_verdict("empty")
-    hmax = 1 if f.enumerable else height
-    for h, vec in search.zeros(form, range(1, hmax + 1)):
-        return isotropic_verdict(form, vec, "search", h)
     if f.enumerable:
+        for h, vec in search.zeros(form, (1,)):
+            return isotropic_verdict(form, vec, "search", h)
         return anisotropic_verdict("enumeration")
+    for h, vec in search.zeros(form, range(1, height + 1), search.Budget(search.SEARCH_DRAWS)):
+        return isotropic_verdict(form, vec, "search", h)
     return unknown_verdict(height)
 
 
@@ -548,10 +550,8 @@ class WittDecomposition:
     radical_dim: int
     hyperbolic_count: int
     kernel: QuadraticForm
-    basis: tuple  # rad vectors, then (u_i, v_i) pairs flattened, then kernel
     pairs: tuple
     kernel_basis: tuple
-    radical_basis: tuple
 
     @property
     def witt_index(self):
@@ -593,10 +593,8 @@ def witt_decompose(form, height=search.DEFAULT_HEIGHT):
         radical_dim=len(rad),
         hyperbolic_count=len(pairs),
         kernel=kernel_form,
-        basis=tuple(basis),
         pairs=tuple(pairs),
         kernel_basis=tuple(work),
-        radical_basis=tuple(rad),
     )
 
 

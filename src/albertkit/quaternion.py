@@ -4,7 +4,9 @@ The ring is a field (possibly a quadratic extension playing the role of
 K) or the split algebra F x F, in which case the construction is the pair
 of component quaternion algebras.  A QuaternionAlgebra is a 4-dimensional
 Algebra (see algebra.py): its elements have four coordinates over the
-basis (1, e, z, ez) with e^2 = alpha e + beta, z^2 = a and z l = iota(l) z.
+basis (1, e, z, ez) with e^2 = alpha e + beta, z^2 = a and z l = iota(l) z,
+multiplied through its structure constants by Algebra.product.  The
+reduced norm n_Q is written once, as norm_form; QuatElem.nrd evaluates it.
 
 Over K, Q names the whole tower: K is Q.ring and F is Q.ring.base, so the
 subalgebra witnesses below take Q alone.
@@ -34,14 +36,10 @@ BASIS_NAMES = ("1", "e", "z", "ez")
 
 
 class QuatElem(AlgebraElem):
-    """Element of a QuaternionAlgebra: its product and reduced trace and norm."""
+    """Element of a QuaternionAlgebra: its conjugate and reduced trace and norm."""
 
     __slots__ = ()
     context = "quaternion"
-
-    def __mul__(self, other):
-        other = self._check(other)
-        return QuatElem(self.algebra, self.algebra._mul_coords(self.coords, other.coords))
 
     def conjugate(self):
         x = self.coords
@@ -52,20 +50,17 @@ class QuatElem(AlgebraElem):
         return 2 * self.coords[0] + self.algebra.alpha * self.coords[1]
 
     def nrd(self):
-        x = self.coords
-        alg = self.algebra
-        n1 = x[0] * x[0] + alg.alpha * x[0] * x[1] - alg.beta * x[1] * x[1]
-        n2 = x[2] * x[2] + alg.alpha * x[2] * x[3] - alg.beta * x[3] * x[3]
-        return n1 - alg.a * n2
+        return self.algebra.norm.evaluate(self.coords)
 
 
 class QuaternionAlgebra(Algebra, metaclass=Canonical):
-    """(E/D, a) by the closed product formula _mul_coords.
+    """(E/D, a) by the structure constants of its basis (1, e, z, ez).
 
     The constructor checks what the theory needs: `a` invertible and E =
     D[e]/(e^2 - alpha e - beta) etale.  Associativity and the unit law are
     polynomial identities over Z in (alpha, beta, a), so they hold over every
-    commutative ring; tests/test_quaternion.py proves them once on a grid.
+    commutative ring; tests/test_quaternion.py proves them once on a grid,
+    and checks the constants against the closed product formula there.
     """
 
     dim, element = 4, QuatElem
@@ -88,42 +83,27 @@ class QuaternionAlgebra(Algebra, metaclass=Canonical):
     def basis_name(self, idx):
         return BASIS_NAMES[idx]
 
-    # -- E = D[e] helpers (pairs (x0, x1) meaning x0 + x1 e) -------------------
-    def _emul(self, x, y):
-        bb = x[1] * y[1]
-        return (x[0] * y[0] + self.beta * bb, x[0] * y[1] + x[1] * y[0] + self.alpha * bb)
-
-    def _eiota(self, x):
-        return (x[0] + self.alpha * x[1], -x[1])
-
     @functools.cached_property
-    def table(self):
-        """table[i][j]: the coordinates of b_i b_j, built on first use (by a
-        tensor product).  Closed form of _mul_coords on the basis, from
-        e^2 = alpha e + beta, z^2 = a and z e = (alpha - e) z."""
-        o, n = self.ring.one(), self.ring.zero()
+    def structure(self):
+        """The sparse structure constants (see Algebra), built on first use
+        from e^2 = alpha e + beta, z^2 = a and z e = (alpha - e) z."""
+        R = self.ring
+        o, n = R.one(), R.zero()
         alpha, beta, a = self.alpha, self.beta, self.a
-        return (
+        table = (
             ((o, n, n, n), (n, o, n, n), (n, n, o, n), (n, n, n, o)),
             ((n, o, n, n), (beta, alpha, n, n), (n, n, n, o), (n, n, beta, alpha)),
             ((n, n, o, n), (n, n, alpha, -o), (a, n, n, n), (a * alpha, -a, n, n)),
             ((n, n, n, o), (n, n, -beta, n), (n, a, n, n), (-(beta * a), n, n, n)),
         )
-
-    def _mul_coords(self, xc, yc):
-        l1, l2 = (xc[0], xc[1]), (xc[2], xc[3])
-        m1, m2 = (yc[0], yc[1]), (yc[2], yc[3])
-        # (l1 + l2 z)(m1 + m2 z) = l1 m1 + a l2 iota(m2)  +  (l1 m2 + l2 iota(m1)) z
-        p1 = self._emul(l1, m1)
-        p2 = self._emul(l2, self._eiota(m2))
-        q1 = self._emul(l1, m2)
-        q2 = self._emul(l2, self._eiota(m1))
-        return (
-            p1[0] + self.a * p2[0],
-            p1[1] + self.a * p2[1],
-            q1[0] + q2[0],
-            q1[1] + q2[1],
+        return tuple(
+            tuple(tuple((m, c) for m, c in enumerate(cs) if not R.is_zero(c)) for cs in row) for row in table
         )
+
+    @functools.cached_property
+    def norm(self):
+        """norm_form(self), built on first use: nrd evaluates it."""
+        return norm_form(self)
 
     def random_element(self, rng, size=5):
         return self.elem(tuple(self.ring.random_element(rng, size) for _ in range(4)))

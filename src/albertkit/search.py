@@ -9,6 +9,7 @@ bounds ran out.  The streams are deterministic, so witnesses and reported
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import gcd, lcm
@@ -20,6 +21,10 @@ DEFAULT_HEIGHT = 12  # height bound of the isotropy oracles, the harness and the
 # vectors hasse_minkowski's witness scan evaluates once isotropy is proved;
 # the pools' largest scan takes 462,512 (split-K-over-Q seed 77)
 WITNESS_DRAWS = 1 << 20
+# vectors bounded_search evaluates over an infinite field, where no scan
+# of the batch runs and the largest of the test suite draws 728: over
+# Q(sqrt d) a scan evaluates some 6,000 vectors per second
+SEARCH_DRAWS = 1 << 13
 SCAN_POINTS = 300000  # F_q(t) scans go on to height 2 while q^(2n) is at most this
 # char2_isotropic_stream: degree bound of the values fixed on the other
 # blocks, and the assignments tried per block
@@ -200,21 +205,24 @@ def scan_heights(field, n):
 def zeros(form, heights, budget=None):
     """(h, v) for every projective candidate v of height h with form(v) = 0.
 
-    Over Q the form is scaled once to integer coefficients and each primitive
-    integer vector is evaluated with ints, in the order of projective_points;
-    only a zero becomes a Fraction tuple.  There, a `budget` counts every
-    vector evaluated and ends the scan when it runs out.
+    A `budget` counts every vector evaluated and ends the scan when it runs
+    out.  Over Q the form is scaled once to integer coefficients and each
+    primitive integer vector is evaluated with ints, in the order of
+    projective_points; only a zero becomes a Fraction tuple.
     """
     f = form.field
-    if isinstance(f, RationalField):
+    rational = isinstance(f, RationalField)
+    points = primitive_int_vectors if rational else functools.partial(projective_points, f)
+    vectors = ((h, vec) for h in heights for vec in points(form.n, h))
+    if budget is not None:
+        vectors = budget.take(vectors)
+    if rational:
         scale = lcm(*(c.denominator for row in form.upper for c in row))
         terms = [(i, j, int(c * scale)) for i, row in enumerate(form.upper) for j, c in enumerate(row) if c]
-        vectors = ((h, vec) for h in heights for vec in primitive_int_vectors(form.n, h))
-        for h, vec in vectors if budget is None else budget.take(vectors):
+        for h, vec in vectors:
             if not sum(c * vec[i] * vec[j] for i, j, c in terms):
                 yield h, tuple(map(Fraction, vec))
         return
-    for h in heights:
-        for vec in projective_points(f, form.n, h):
-            if f.is_zero(form.evaluate(vec)):
-                yield h, vec
+    for h, vec in vectors:
+        if f.is_zero(form.evaluate(vec)):
+            yield h, vec

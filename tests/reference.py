@@ -12,8 +12,9 @@ and the monomial rows of the Clifford check by plain 2x2 matrix products,
 against which the even and odd pairs of `corestriction.f_product` are
 tested.  Also the constructions that build test data or check an identity
 once: the column-by-column isometric embedding search, a quaternion algebra
-from an etale algebra and a unit, and the associativity check on basis
-triples.
+from an etale algebra and a unit, the closed quaternion product formula
+against which the structure constants are tested, and the associativity
+check on basis triples.
 """
 
 from __future__ import annotations
@@ -556,6 +557,28 @@ def make_quaternion(E, a):
     if E.kind == "field":
         return QuaternionAlgebra(E.base, E.alpha, E.beta, a)
     return QuaternionAlgebra(E.base, E.base.one(), E.base.zero(), a)
+
+
+def quaternion_product(Q, x, y):
+    """The coordinates of x y in Q = (E/D, a) by the closed formula
+
+    (l1 + l2 z)(m1 + m2 z) = l1 m1 + a l2 iota(m2) + (l1 m2 + l2 iota(m1)) z,
+
+    for l, m in E = D[e] written as pairs (c0, c1) meaning c0 + c1 e.
+    """
+    alpha, beta, a = Q.alpha, Q.beta, Q.a
+
+    def emul(u, v):
+        bb = u[1] * v[1]
+        return (u[0] * v[0] + beta * bb, u[0] * v[1] + u[1] * v[0] + alpha * bb)
+
+    def iota(u):
+        return (u[0] + alpha * u[1], -u[1])
+
+    l1, l2, m1, m2 = x[:2], x[2:], y[:2], y[2:]
+    p1, p2 = emul(l1, m1), emul(l2, iota(m2))
+    q1, q2 = emul(l1, m2), emul(l2, iota(m1))
+    return (p1[0] + a * p2[0], p1[1] + a * p2[1], q1[0] + q2[0], q1[1] + q2[1])
 
 
 def check_associative(Q):

@@ -1,5 +1,6 @@
 """Isotropy oracles: Hilbert symbols, Hasse-Minkowski, Springer, Witt."""
 
+import json
 import time
 
 import pytest
@@ -20,6 +21,7 @@ from albertkit import (
     witt_decompose,
     witt_index,
 )
+from albertkit.cli import main
 from albertkit.errors import NotApplicable
 from albertkit.isotropy import _factor_int, isotropy
 from albertkit.search import TRIAL_DIVISION_BOUND
@@ -263,3 +265,15 @@ def test_the_witness_scan_stops_at_its_draw_budget():
     verdict = isotropy(QuadraticForm.diagonal(QQ, [1, 1, -P]))
     assert (verdict.status, verdict.method) == ("unknown", "budget")
     assert time.perf_counter() - start < 10.0
+
+
+def test_the_cli_search_over_a_quadratic_field_stops_at_its_budget(tmp_path, capsys):
+    # no complete method applies to a ternary indefinite form over Q(sqrt d):
+    # the search gives up after search.SEARCH_DRAWS vectors, in time
+    start = time.perf_counter()
+    for d, diag in ((2, ["1", "1", "-7"]), (-1, ["1", "-3", "5"])):
+        path = tmp_path / "form.json"
+        path.write_text(json.dumps({"field": {"base": "Q", "ext": "x^2-(0)*x-(%d)" % d}, "diag": diag}))
+        assert main(["isotropy", "--form", str(path)]) == 3
+        assert capsys.readouterr().out == "unknown [budget]\n"
+    assert time.perf_counter() - start <= 6.0

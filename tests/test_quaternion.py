@@ -2,7 +2,7 @@
 
 import pytest
 from conftest import seeded
-from reference import check_associative, make_quaternion
+from reference import check_associative, make_quaternion, quaternion_product
 
 from albertkit import (
     QQ,
@@ -216,12 +216,11 @@ def test_make_quaternion_from_etale():
 
 
 def test_associativity_is_an_identity_over_z():
-    # Each coordinate of _mul_coords is a polynomial with integer
-    # coefficients in (alpha, beta, a) and the input coordinates, and one
-    # product raises its degree in (alpha, beta, a) by at most (2, 1, 1):
-    # _eiota adds one alpha, _emul one alpha or beta, the slot one a.  So
-    # each coordinate of the associator of three basis elements has degree at
-    # most (4, 2, 2), and of one * b - b at most (2, 1, 1).  A polynomial of
+    # Each structure constant is a polynomial with integer coefficients in
+    # (alpha, beta, a) of degree at most (1, 1, 1), so one product raises
+    # the degree of a coordinate by at most that much.  So each coordinate
+    # of the associator of three basis elements has degree at most
+    # (2, 2, 2), and of one * b - b at most (1, 1, 1).  A polynomial of
     # degree at most d_i in each variable that vanishes on S_1 x S_2 x S_3
     # with |S_i| > d_i is zero (Alon, Combinatorial Nullstellensatz, Lemma
     # 2.1).  On this grid every algebra is valid (alpha^2 + 4 beta > 0 and
@@ -234,9 +233,11 @@ def test_associativity_is_an_identity_over_z():
 
 
 def test_basis_table_matches_the_product_formula():
-    # Each entry of table and of _mul_coords on basis vectors is a polynomial
-    # over Z in (alpha, beta, a) of degree at most (2, 1, 1) (see above), so
-    # agreement on this grid is agreement over every commutative ring.
+    # On two basis vectors, the product (its structure constants) and the
+    # reference formula are each a polynomial over Z in (alpha, beta, a) of
+    # degree at most (2, 1, 1): the formula's iota adds one alpha, its E
+    # product one alpha or beta, the slot one a.  So agreement on this grid
+    # is agreement over every commutative ring, and both are bilinear.
     D = etale_quadratic(QQ, "split")
     F2t = RationalFunctionField(F2)
     t = F2t.gen()
@@ -247,8 +248,9 @@ def test_basis_table_matches_the_product_formula():
         HAMILTON_K,
     ]
     for Q in algebras:
-        basis = [b.coords for b in Q.basis()]
-        assert Q.table == tuple(tuple(Q._mul_coords(x, y) for y in basis) for x in basis)
+        for x in Q.basis():
+            for y in Q.basis():
+                assert (x * y).coords == quaternion_product(Q, x.coords, y.coords)
 
 
 @pytest.mark.parametrize(
