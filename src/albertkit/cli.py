@@ -11,8 +11,10 @@ prints condition (ii), or (i), of the same report, with the same exit
 codes.  Every subcommand prints "malformed: ..." and exits 1 on a
 malformed input file (for `clifford --cmd arf`, also on a form that has
 no Arf invariant: singular or of odd dimension; for `descend`, on a form
-it refuses, such as a singular one), and prints "split K: ..." and exits
-4 when it needs a quadratic field extension and is given the split
+it refuses, such as a singular one; for `isotropy`, on a form whose
+radical it cannot compute: over F_2(t), one with a polar radical of
+dimension > 2), and prints "split K: ..." and exits 4
+when it needs a quadratic field extension and is given the split
 algebra F x F (transfer, descend and quat --cmd split).  An oracle left
 undecided where a decision is needed (descend's Witt decomposition)
 prints "unknown: ..." and exits 3.  Invalid options exit 2.
@@ -75,7 +77,8 @@ def _emit(args, doc, text):
 
 def _cmd_isotropy(args):
     form = parse_form(_load_json(args.form))
-    verdict = isotropy(form, height=args.height)
+    with _as_malformed("form"):
+        verdict = isotropy(form, height=args.height)
     doc = {
         "status": verdict.status,
         "method": verdict.method,

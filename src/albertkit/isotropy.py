@@ -1,10 +1,11 @@
 """Isotropy oracles and Witt decomposition.
 
-Verdicts are complete over finite fields (enumeration) and over Q
-(Hasse-Minkowski); over rational function fields the oracle combines a
-Springer-type reduction at t, constant-coefficient reduction, and the
-C2 bound (any quadratic form in five or more variables over F_q(t) is
-isotropic); over real quadratic extensions of Q anisotropy can be
+Verdicts are complete over finite fields (enumeration), over Q
+(Hasse-Minkowski) and, on every field, in dimension 1 and, outside
+characteristic 2, in dimension 2 (the square test); over rational
+function fields the oracle combines constant-coefficient reduction, a
+Springer-type reduction at t and, in characteristic 2, an Artin-Schreier
+witness search; over real quadratic extensions of Q anisotropy can be
 certified by definiteness under a real embedding.  Everything else is a
 semi-decision by bounded search, reported as Unknown rather than guessed.
 """
@@ -22,14 +23,9 @@ from .errors import (
     NotApplicable,
     OracleIncomplete,
 )
-from .fields import (
-    QQ,
-    QuadraticFieldExtension,
-    RatFuncElem,
-    RationalField,
-    RationalFunctionField,
-)
+from .fields import QQ, QuadraticFieldExtension, RationalField, RationalFunctionField
 from .forms import QuadraticForm, hyperbolic_split, orthogonalize, symplectic_pairs
+from .search import _clear_denominators
 from .search import projective_points  # noqa: F401  (perfbench/tracer.py counts it under this name)
 
 ISOTROPIC = "isotropic"
@@ -390,30 +386,6 @@ def _constant_reduction(form):
     return None
 
 
-def _is_c2_function_field(field):
-    if isinstance(field, RationalFunctionField) and field.base.enumerable:
-        return True
-    if isinstance(field, QuadraticFieldExtension):
-        return _is_c2_function_field(field.base)
-    return False
-
-
-def _clear_denominators(f, vec):
-    """vec scaled to polynomial entries over F(t); unchanged over other fields."""
-    if not isinstance(f, RationalFunctionField):
-        return vec
-    lcm = None
-    for c in vec:
-        d = c.den
-        if lcm is None:
-            lcm = d
-        elif d.degree > 0:
-            g = lcm.gcd(d)
-            lcm = lcm.divmod(g)[0] * d
-    scale = RatFuncElem(f, lcm, f.one().den, reduce=False)
-    return tuple(c * scale for c in vec)
-
-
 def char2_isotropic_stream(form):
     """Isotropic vectors of a characteristic-2 form over F_q(t), streamed.
 
@@ -494,21 +466,18 @@ def isotropy(form, height=search.DEFAULT_HEIGHT):
         return isotropic_verdict(form, cls.rad_basis[0], "radical")
     if f.enumerable:
         return bounded_search(form, 1)
+    # a regular form of dimension 1 has no zero, and a binary one is
+    # isotropic iff -d1/d0 is a square, over every field of char != 2
+    if form.n == 1:
+        return anisotropic_verdict("dim1")
+    if form.n == 2 and f.char != 2:
+        basis = orthogonalize(form)
+        return _square_test(form, basis, [form.evaluate(v) for v in basis])
     if isinstance(f, RationalField):
         return hasse_minkowski(form)
     if isinstance(f, QuadraticFieldExtension):
-        if form.n == 1:
-            return anisotropic_verdict("dim1")
-        if isinstance(f.base, RationalField):
-            if form.n == 2:
-                basis = orthogonalize(form)
-                return _square_test(form, basis, [form.evaluate(v) for v in basis])
-            if definiteness_certificate(form):
-                return anisotropic_verdict("definiteness")
-        elif form.n >= 5 and _is_c2_function_field(f):
-            for h, vec in search.zeros(form, range(1, max(height, 5) + 1)):
-                return isotropic_verdict(form, vec, "tsen-lang", h)
-            return unknown_verdict(height)
+        if isinstance(f.base, RationalField) and definiteness_certificate(form):
+            return anisotropic_verdict("definiteness")
     elif isinstance(f, RationalFunctionField):
         const = _constant_reduction(form)
         if const is not None:
@@ -532,11 +501,6 @@ def isotropy(form, height=search.DEFAULT_HEIGHT):
                     return isotropic_verdict(form, vec, "search", h)
             verdict = _char2_artin_schreier_search(form)
             return unknown_verdict(2) if verdict is None else verdict
-        if form.n >= 5 and _is_c2_function_field(f):
-            # isotropy is guaranteed (C2 field); keep the fallback scan short
-            for h, vec in search.zeros(form, (1, 2)):
-                return isotropic_verdict(form, vec, "tsen-lang", h)
-            return unknown_verdict(2)
     return bounded_search(form, height)
 
 

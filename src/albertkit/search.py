@@ -15,7 +15,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import AlgebraError
-from .fields import QuadraticFieldExtension, RationalField, RationalFunctionField
+from .fields import QuadraticFieldExtension, RatFuncElem, RationalField, RationalFunctionField
 
 DEFAULT_HEIGHT = 12  # height bound of the isotropy oracles, the harness and the CLI
 # vectors hasse_minkowski's witness scan evaluates once isotropy is proved;
@@ -202,15 +202,36 @@ def scan_heights(field, n):
     return (1, 2) if field.base.order ** (2 * n) <= SCAN_POINTS else (1,)
 
 
+def _clear_denominators(f, vec):
+    """vec scaled to polynomial entries over F(t); unchanged over other fields."""
+    if not isinstance(f, RationalFunctionField):
+        return vec
+    lcm = None
+    for c in vec:
+        d = c.den
+        if lcm is None:
+            lcm = d
+        elif d.degree > 0:
+            g = lcm.gcd(d)
+            lcm = lcm.divmod(g)[0] * d
+    scale = RatFuncElem(f, lcm, f.one().den, reduce=False)
+    return tuple(c * scale for c in vec)
+
+
 def zeros(form, heights, budget=None):
     """(h, v) for every projective candidate v of height h with form(v) = 0.
 
     A `budget` counts every vector evaluated and ends the scan when it runs
     out.  Over Q the form is scaled once to integer coefficients and each
     primitive integer vector is evaluated with ints, in the order of
-    projective_points; only a zero becomes a Fraction tuple.
+    projective_points; only a zero becomes a Fraction tuple.  Over F(t) a
+    form with denominators is scaled once to polynomial coefficients, whose
+    products need no gcd.
     """
     f = form.field
+    if isinstance(f, RationalFunctionField) and any(c.den.degree for row in form.upper for c in row):
+        flat = _clear_denominators(f, [c for row in form.upper for c in row])
+        form = type(form)(f, [flat[i : i + form.n] for i in range(0, len(flat), form.n)])
     rational = isinstance(f, RationalField)
     points = primitive_int_vectors if rational else functools.partial(projective_points, f)
     vectors = ((h, vec) for h in heights for vec in points(form.n, h))

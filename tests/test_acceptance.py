@@ -255,6 +255,21 @@ def test_criterion_5_corestriction(corestriction_instances):
     _line(5, "corestriction", "50 instances; 20 split-path isomorphisms found")
 
 
+def test_criterion_5_cor_is_closed_under_products(corestriction_instances):
+    # build_corestriction reads the coordinates of the 256 basis products
+    # with no switch test: each product is switch-fixed, and fixed_coords
+    # reads each basis element as its unit vector, so by F-linearity the
+    # coordinates it reads off a product are the product's, as in the table
+    for inst, F, ext, Q, cor in corestriction_instances:
+        A = cor.tensor
+        for m, b in enumerate(cor.basis):
+            assert cor.fixed_coords(b) == tuple(F.one() if i == m else F.zero() for i in range(16))
+        for r, x in enumerate(cor.basis):
+            for s, y in enumerate(cor.basis):
+                prod = x * y
+                assert A.switch(prod) == prod, (inst.family, inst.seed, r, s)
+
+
 def test_criterion_5_clifford_rank_is_certified_at_a_point(corestriction_instances, monkeypatch):
     # the rank-64 check runs in Cor reduced at a point: no 64-row elimination
     # over Q, Q(t) or F_2(t), no images built over F for the fallback, and

@@ -23,8 +23,8 @@ from albertkit import (
 )
 from albertkit.cli import main
 from albertkit.errors import NotApplicable
-from albertkit.isotropy import _factor_int, isotropy
-from albertkit.search import TRIAL_DIVISION_BOUND
+from albertkit.isotropy import _factor_int, isotropic_verdict, isotropy
+from albertkit.search import TRIAL_DIVISION_BOUND, scalar_candidates
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -277,3 +277,84 @@ def test_the_cli_search_over_a_quadratic_field_stops_at_its_budget(tmp_path, cap
         assert main(["isotropy", "--form", str(path)]) == 3
         assert capsys.readouterr().out == "unknown [budget]\n"
     assert time.perf_counter() - start <= 6.0
+
+
+# F_3(t)(w) with w^2 = t, and with w^2 = w + t
+F3T_SQRT_T = {"base": "F(3)(t)", "ext": "x^2-(0)*x-(t)"}
+F3T_AS = {"base": "F(3)(t)", "ext": "x^2-(1)*x-(t)"}
+# forms of dimension 5 over F_3(t)(w) and F_5(t)(w): no complete method
+# applies, and the scan gives up after search.SEARCH_DRAWS vectors
+BUDGETED_FORMS = [
+    (F3T_SQRT_T, ["1", "t", "t^2+1", "w", "t*w+1"]),
+    (F3T_SQRT_T, ["1", "w", "t", "t*w", "t^2"]),
+    (F3T_AS, ["1", "t", "t+1", "w", "t*w"]),
+]
+
+
+def _run_isotropy(tmp_path, capsys, field, diag):
+    path = tmp_path / "form.json"
+    path.write_text(json.dumps({"field": field, "diag": diag}))
+    code = main(["isotropy", "--form", str(path)])
+    out = capsys.readouterr().out
+    assert "Traceback" not in out and out.count("\n") == 1, out
+    return code, out.rstrip("\n")
+
+
+def test_the_cli_decides_dimensions_1_and_2_on_every_field(tmp_path, capsys):
+    cases = [
+        ("F(2)(t)", ["t"], "anisotropic [dim1]"),
+        ("F(4)(t)", ["t+1"], "anisotropic [dim1]"),
+        ("Q(t)", ["t+1"], "anisotropic [dim1]"),
+        ("Q(t)", ["1", "-t-1"], "anisotropic [square-test]"),
+        ("F(3)(t)", ["t", "t^2+t"], "anisotropic [square-test]"),
+    ]
+    for field, diag, expected in cases:
+        assert _run_isotropy(tmp_path, capsys, field, diag) == (0, expected)
+
+
+def test_the_cli_scans_over_function_field_extensions_stop_at_their_budget(tmp_path, capsys):
+    # each of these ran past 40 s before the scan had a budget; now each
+    # takes about 2.5-3.5 s of CPU (CPU time, so a busy machine does not
+    # fail the bound)
+    for field, diag in BUDGETED_FORMS:
+        start = time.process_time()
+        assert _run_isotropy(tmp_path, capsys, field, diag) == (3, "unknown [budget]")
+        assert time.process_time() - start < 10.0
+    # an isotropic form whose first zero lies past the budget is unknown too
+    diag = ["1", "2", "t", "2*t", "w"]
+    ext = {"base": "F(5)(t)", "ext": "x^2-(0)*x-(t)"}
+    assert _run_isotropy(tmp_path, capsys, ext, diag) == (3, "unknown [budget]")
+
+
+def test_the_cli_prints_a_form_it_refuses_as_malformed(tmp_path, capsys):
+    code, out = _run_isotropy(tmp_path, capsys, "F(2)(t)", ["1", "t", "t+1"])
+    assert code == 1
+    assert out.startswith("malformed: form: radical computation over imperfect characteristic-2 fields")
+
+
+def test_binary_forms_are_decided_by_the_square_test():
+    # over Q(t), F_3(t) and F_3(t)(sqrt t) a binary form is decided by the
+    # square test; wherever the search finds a zero, the verdict agrees
+    rng = seeded(33)
+    F3t = RationalFunctionField(F3, "t")
+    isotropic = 0
+    for field, height in ((Qt, 2), (F3t, 2), (QuadraticFieldExtension(F3t, 0, F3t.gen()), 1)):
+        small = [c for c in scalar_candidates(field, height) if c]
+        for k in range(12):
+            a = b = field.zero()
+            while field.is_zero(a) or field.is_zero(b):
+                a, b = field.random_element(rng, 2), field.random_element(rng, 2)
+            if k % 2:
+                c = rng.choice(small)
+                b = -a * c * c  # <a, -a c^2> is isotropic, with the zero (c, 1)
+            form = QuadraticForm.diagonal(field, [a, b])
+            verdict = isotropy(form)
+            assert verdict.method == "square-test"
+            assert verdict.is_isotropic or not k % 2
+            if verdict.is_isotropic:
+                isotropic += 1
+                isotropic_verdict(form, verdict.witness, "square-test")
+            found = bounded_search(form, height)
+            if found.decided:
+                assert found.is_isotropic and verdict.is_isotropic
+    assert isotropic >= 18
