@@ -40,11 +40,11 @@ from .isotropy import (
     WittDecomposition,
     bounded_search,
     hasse_minkowski,
-    hilbert_symbol,
     springer_reduce,
     witt_decompose,
     witt_index,
 )
+from .places import hilbert_symbol
 from .transfer import DescentResult, descend, remark1_check
 from .quaternion import (
     QuaternionAlgebra,

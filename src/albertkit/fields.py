@@ -29,13 +29,7 @@ from math import isqrt
 
 from . import linalg
 from .errors import AlgebraError, Reducible
-
-
-def _is_int_square(n):
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
+from .places import _factor_int, _is_int_square, _valuation
 
 
 class Canonical(type):
@@ -311,8 +305,9 @@ class FiniteField(Field):
     _value = ("p", "k", "reduction")
 
     def __init__(self, p, k=1, reduction=None):
-        if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-            raise AlgebraError("p must be prime, got %s" % p)
+        # bounded trial division certifies a prime only up to about places.TRIAL_DIVISION_BOUND^2
+        if _factor_int(p) != {p: 1}:
+            raise AlgebraError("p must be a prime below about 2^40, got %s" % p)
         self.p = p
         self.k = k
         self.char = p
@@ -451,9 +446,7 @@ class FiniteField(Field):
             return x
         if not self.is_square(x):
             return None
-        s, m = 0, self.order - 1
-        while m % 2 == 0:
-            s, m = s + 1, m // 2
+        s, m = _valuation(self.order - 1, 2)
         z = next(a for a in self.elements() if a and not self.is_square(a))
         one = self.one()
         c, t, r = self._pow(z, m), self._pow(x, m), self._pow(x, (m + 1) // 2)
@@ -1079,24 +1072,16 @@ class QuadraticFieldExtension(Field, EtaleAlgebra):
         if D <= 0:
             raise AlgebraError("no real embeddings: discriminant <= 0")
         x = self.coerce(x)
-        # x = u + v*sqrt(D) with u = a + b*alpha/2, v = b/2
+        # x = u + v*sqrt(D) with u = a + b*alpha/2, v = b/2; the larger of |u|
+        # and |v| sqrt(D) gives the sign, and they are equal only at x = 0 (D is
+        # not a square)
         u = x.a + x.b * self.alpha / 2
         v = x.b / 2
-        out = []
-        for sgn in (1, -1):
-            vv = v * sgn
-            if vv == 0:
-                s = (u > 0) - (u < 0)
-            elif u == 0:
-                s = (vv > 0) - (vv < 0)
-            elif u > 0 and vv > 0:
-                s = 1
-            elif u < 0 and vv < 0:
-                s = -1
-            else:
-                s = (1 if u > 0 else -1) if u * u > D * vv * vv else (1 if vv > 0 else -1)
-            out.append(s)
-        return tuple(out)
+        if u * u > D * v * v:
+            s = (u > 0) - (u < 0)
+            return (s, s)
+        s = (v > 0) - (v < 0)
+        return (s, -s)
 
     def format_element(self, x):
         base = self.base

@@ -1,13 +1,14 @@
 """Isotropy oracles and Witt decomposition.
 
 Verdicts are complete over finite fields (enumeration), over Q
-(Hasse-Minkowski) and, on every field, in dimension 1 and, outside
-characteristic 2, in dimension 2 (the square test); over rational
-function fields the oracle combines constant-coefficient reduction, a
-Springer-type reduction at t and, in characteristic 2, an Artin-Schreier
-witness search; over real quadratic extensions of Q anisotropy can be
-certified by definiteness under a real embedding.  Everything else is a
-semi-decision by bounded search, reported as Unknown rather than guessed.
+(Hasse-Minkowski) and, on every field, in dimension 1, outside
+characteristic 2 in dimension 2 (the square test) and for forms whose
+polar form vanishes; over rational function fields the oracle combines
+constant-coefficient reduction, a Springer-type reduction at t and, in
+characteristic 2, an Artin-Schreier witness search; over real quadratic
+extensions of Q anisotropy can be certified by definiteness under a real
+embedding.  Everything else is a semi-decision by bounded search, reported
+as Unknown rather than guessed.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from .errors import (
     NotApplicable,
     OracleIncomplete,
 )
-from .fields import QQ, QuadraticFieldExtension, RationalField, RationalFunctionField
+from .fields import QuadraticFieldExtension, RationalField, RationalFunctionField
 from .forms import QuadraticForm, hyperbolic_split, orthogonalize, symplectic_pairs
+from .places import _hasse, _is_square_in_Qv, _relevant_places, _square_class_int, hilbert_symbol
 from .search import _clear_denominators
 from .search import projective_points  # noqa: F401  (perfbench/tracer.py counts it under this name)
 
@@ -90,114 +92,8 @@ def bounded_search(form, height=search.DEFAULT_HEIGHT):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert symbols and Hasse-Minkowski over Q
+# Hasse-Minkowski over Q
 # ---------------------------------------------------------------------------
-
-
-def _factor_int(n):
-    """{p: e} with |n| = prod p^e, or None when n does not factor within the bound.
-
-    Trial division stops past search.TRIAL_DIVISION_BOUND.  A cofactor
-    below d^2 with no divisor below d is prime; a larger one is not factored
-    (there is no probable-prime test), so hostile input cannot stall a
-    caller.
-    """
-    n = abs(n)
-    out = {}
-    d = 2
-    while d * d <= n:
-        if d > search.TRIAL_DIVISION_BOUND:
-            return None
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _square_class_int(x):
-    """An integer in the square class of x in Q*: its numerator times its denominator."""
-    x = QQ.coerce(x)
-    if x == 0:
-        raise AlgebraError("zero has no square class")
-    return x.numerator * x.denominator
-
-
-def _legendre(a, p):
-    a %= p
-    if a == 0:
-        raise AlgebraError("legendre symbol of 0")
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
-def hilbert_symbol(a, b, place):
-    """Local Hilbert symbol (a, b) at a prime or at 'inf'.
-
-    The formulas read the valuation at the place and the unit part of any
-    integer in each square class (Serre, A Course in Arithmetic, ch. III),
-    so nothing is factored.
-    """
-    a = _square_class_int(a)
-    b = _square_class_int(b)
-    if place == "inf":
-        return -1 if (a < 0 and b < 0) else 1
-    p = place
-    alpha = 0
-    while a % p == 0:
-        a //= p
-        alpha += 1
-    beta = 0
-    while b % p == 0:
-        b //= p
-        beta += 1
-    if p != 2:
-        out = 1
-        if alpha % 2 and beta % 2 and (p - 1) // 2 % 2:
-            out = -out
-        if beta % 2:
-            out *= _legendre(a, p)
-        if alpha % 2:
-            out *= _legendre(b, p)
-        return out
-    eps_a = ((a % 8) - 1) // 2 % 2
-    eps_b = ((b % 8) - 1) // 2 % 2
-    omega_a = (a * a - 1) // 8 % 2
-    omega_b = (b * b - 1) // 8 % 2
-    e = eps_a * eps_b + alpha * omega_b + beta * omega_a
-    return -1 if e % 2 else 1
-
-
-def _is_square_in_Qv(d, place):
-    if place == "inf":
-        return d > 0
-    p = place
-    v = 0
-    while d % p == 0:
-        d //= p
-        v += 1
-    if v % 2:
-        return False
-    if p == 2:
-        return d % 8 == 1
-    return _legendre(d, p) == 1
-
-
-def _relevant_places(ds):
-    """inf, 2 and the primes dividing the integers ds, or None when one does not factor."""
-    places = {2}
-    for d in ds:
-        factors = _factor_int(d)
-        if factors is None:
-            return None
-        places.update(factors)
-    return ["inf"] + sorted(places)
-
-
-def _hasse(d, place):
-    """The Hasse invariant prod_{i<j} (d_i, d_j)_v of <d_1, ..., d_n> at v."""
-    return math.prod(hilbert_symbol(a, b, place) for a, b in itertools.combinations(d, 2))
 
 
 def _square_test(form, basis, vals):
@@ -266,13 +162,6 @@ def hasse_minkowski(form):
 # ---------------------------------------------------------------------------
 
 
-def _leading_minors(B, field):
-    out = []
-    for k in range(1, len(B) + 1):
-        out.append(linalg.det([row[:k] for row in B[:k]], field))
-    return out
-
-
 def definiteness_certificate(form):
     """True when the form is definite under a real embedding of its field.
 
@@ -283,12 +172,10 @@ def definiteness_certificate(form):
     f = form.field
     if f.alpha * f.alpha + 4 * f.beta <= 0:
         return False
-    minors = _leading_minors([list(r) for r in form.polar_matrix()], f)
-    for k in (0, 1):
-        signs = [f.real_embedding_signs(m)[k] for m in minors]
-        if all(s == 1 for s in signs):
-            return True
-        if all(s == (-1) ** (i + 1) for i, s in enumerate(signs)):
+    B = form.polar_matrix()
+    minors = [linalg.det([row[:k] for row in B[:k]], f) for k in range(1, form.n + 1)]
+    for signs in zip(*map(f.real_embedding_signs, minors)):
+        if all(s == 1 for s in signs) or all(s == (-1) ** (i + 1) for i, s in enumerate(signs)):
             return True
     return False
 
@@ -473,6 +360,9 @@ def isotropy(form, height=search.DEFAULT_HEIGHT):
     if form.n == 2 and f.char != 2:
         basis = orthogonalize(form)
         return _square_test(form, basis, [form.evaluate(v) for v in basis])
+    if len(cls.rad_polar_basis) == form.n:
+        # the polar form vanishes (char 2), so the zeros are the radical, here 0
+        return anisotropic_verdict("totally-singular")
     if isinstance(f, RationalField):
         return hasse_minkowski(form)
     if isinstance(f, QuadraticFieldExtension):

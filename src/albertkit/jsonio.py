@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextlib
 import re
 from fractions import Fraction
-from math import isqrt
 
 from .errors import AlgebraError, InternalContradiction, MalformedCertificate, SplitK
 from .etale import SplitAlgebra, etale_quadratic
@@ -27,6 +26,7 @@ from .fields import (
     RationalFunctionField,
 )
 from .forms import QuadraticForm
+from .places import _factor_int
 
 # Hostile input must not stall the parser: x^N costs N multiplications,
 # int() refuses more than 4300 digits, a product costs about the product of
@@ -301,13 +301,10 @@ def _prime_power(q):
     """(p, k) with q = p^k, for 1 < q <= MAX_FIELD_ORDER."""
     if not 1 < q <= MAX_FIELD_ORDER:
         raise AlgebraError("field order %d is outside 2..%d" % (q, MAX_FIELD_ORDER))
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    k = 0
-    while q % p == 0:
-        q //= p
-        k += 1
-    if q != 1:
+    factors = _factor_int(q)
+    if len(factors) != 1:
         raise AlgebraError("not a prime power")
+    [(p, k)] = factors.items()
     return p, k
 
 

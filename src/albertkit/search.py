@@ -31,7 +31,6 @@ SCAN_POINTS = 300000  # F_q(t) scans go on to height 2 while q^(2n) is at most t
 CHAR2_TAIL_HEIGHT = 1
 CHAR2_TAILS = 1500
 HARNESS_SUBALGEBRA_CANDIDATES = 3000  # find_disjoint_quadratic_subalgebra's budget
-TRIAL_DIVISION_BOUND = 1 << 20  # isotropy._factor_int tries divisors up to this, no further
 
 
 class Budget:

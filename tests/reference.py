@@ -31,13 +31,11 @@ from albertkit.forms import orthogonalize, symplectic_pairs
 from albertkit.isotropy import (
     ANISOTROPIC,
     ISOTROPIC,
-    _factor_int,
-    _hasse,
-    _relevant_places,
     _square_test,
     bounded_search,
 )
 from albertkit.jsonio import format_element
+from albertkit.places import _factor_int, _hasse, _relevant_places
 from albertkit.quaternion import QuaternionAlgebra
 from albertkit.search import Budget, scalar_candidates
 

@@ -34,7 +34,7 @@ from albertkit import (
     verify_certificate,
     witt_decompose,
 )
-from albertkit.isotropy import _factor_int
+from albertkit.places import _factor_int
 from albertkit.harness import report_json_bytes
 from albertkit.jsonio import parse_element
 from albertkit.linalg import det, rank, solve

@@ -23,8 +23,9 @@ from albertkit import (
 )
 from albertkit.cli import main
 from albertkit.errors import NotApplicable
-from albertkit.isotropy import _factor_int, isotropic_verdict, isotropy
-from albertkit.search import TRIAL_DIVISION_BOUND, scalar_candidates
+from albertkit.isotropy import isotropic_verdict, isotropy
+from albertkit.places import TRIAL_DIVISION_BOUND, _factor_int
+from albertkit.search import scalar_candidates
 
 F3 = FiniteField(3)
 F5 = FiniteField(5)
@@ -310,6 +311,21 @@ def test_the_cli_decides_dimensions_1_and_2_on_every_field(tmp_path, capsys):
     ]
     for field, diag, expected in cases:
         assert _run_isotropy(tmp_path, capsys, field, diag) == (0, expected)
+
+
+def test_totally_singular_forms_with_no_radical_are_anisotropic(tmp_path, capsys):
+    # diagonal forms in characteristic 2 have a zero polar form: phi is then
+    # additive, its zeros are its radical, and an empty radical proves
+    # anisotropy (the search alone answered unknown [budget])
+    for field, diag in (
+        ("F(2)(t)", ["1", "t"]),
+        ("F(2)(t)", ["t^2+t+1", "t+1"]),
+        ("F(4)(t)", ["1", "t"]),
+        ("F(4)(t)", ["u", "t+u"]),
+    ):
+        assert _run_isotropy(tmp_path, capsys, field, diag) == (0, "anisotropic [totally-singular]")
+    # u is a square in F_4, so the radical of <1, u> is not 0: (1 + u)^2 + u = 0
+    assert _run_isotropy(tmp_path, capsys, "F(4)(t)", ["1", "u"]) == (0, "isotropic [radical] witness=['1+u', '1']")
 
 
 def test_the_cli_scans_over_function_field_extensions_stop_at_their_budget(tmp_path, capsys):
