@@ -102,7 +102,7 @@ class SplitAlgebra(EtaleAlgebra, metaclass=Canonical):
         return self.pair(self.base.one(), -self.base.one())
 
     def is_zero(self, x):
-        return not self.coerce(x)
+        return not x
 
     def is_invertible(self, x):
         x = self.coerce(x)

@@ -90,7 +90,7 @@ class Field(metaclass=Canonical):
         raise AlgebraError("cannot coerce %r into %s" % (x, self.name))
 
     def is_zero(self, x):
-        return not self.coerce(x)
+        return not x  # every element class defines __bool__, as int and Fraction do
 
     def is_invertible(self, x):
         return not self.is_zero(x)
@@ -743,7 +743,8 @@ class RationalFunctionField(Field):
         return Poly(self.base, tuple(coeffs))
 
     def poly_elem(self, coeffs):
-        return RatFuncElem(self, self._poly(coeffs), self._poly((self.base.one(),)))
+        # over the denominator 1 the fraction is already in lowest terms
+        return RatFuncElem(self, self._poly(coeffs), self._poly((self.base.one(),)), reduce=False)
 
     def zero(self):
         return self.poly_elem(())

@@ -341,13 +341,11 @@ def isotropic_spanning_set(form, witness):
         if not linalg.is_zero_vec(fixed, f):
             candidates.append(fixed)
     basis = linalg.independent_subset(candidates, f, n, target=n)
-    if len(basis) != n:
-        raise AlgebraError("isotropic vectors failed to span (implementation bug)")
     for b in basis:
         if not f.is_zero(form.evaluate(b)):
             raise AlgebraError("constructed vector is not isotropic")
-    if f.is_zero(linalg.det([list(b) for b in basis], f)):
-        raise AlgebraError("constructed set is not a basis")
+    if linalg.rank(basis, f, n) != n:
+        raise AlgebraError("isotropic vectors failed to span (implementation bug)")
     return basis
 
 

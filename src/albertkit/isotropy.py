@@ -108,6 +108,11 @@ def _square_test(form, basis, vals):
     return isotropic_verdict(form, tuple(r * a + b for a, b in zip(basis[0], basis[1])), "square-test")
 
 
+def _definite(signs):
+    """Signs on an orthogonal basis all 1 or all -1: definite, by Sylvester."""
+    return set(signs) in ({1}, {-1})
+
+
 def hasse_minkowski(form):
     """Complete isotropy decision for a regular quadratic form over Q.
 
@@ -134,8 +139,7 @@ def hasse_minkowski(form):
     if n == 2:
         return _square_test(form, basis, vals)
     if n >= 5:
-        pos = sum(1 for v in vals if v > 0)
-        isotropic = 0 < pos < n
+        isotropic = not _definite([1 if v > 0 else -1 for v in vals])
         method = "signature"
     else:
         # integers in the square classes of the values; a prime that divides
@@ -167,17 +171,15 @@ def definiteness_certificate(form):
 
     `isotropy` calls it for forms over a quadratic extension of Q alone;
     definiteness proves anisotropy exactly, and an imaginary extension has
-    no real embedding.
+    no real embedding.  The signs are read off the values on an orthogonal
+    basis, as `hasse_minkowski` reads the signature at Q's real place; a
+    singular form has a value 0 there and is not definite.
     """
     f = form.field
     if f.alpha * f.alpha + 4 * f.beta <= 0:
         return False
-    B = form.polar_matrix()
-    minors = [linalg.det([row[:k] for row in B[:k]], f) for k in range(1, form.n + 1)]
-    for signs in zip(*map(f.real_embedding_signs, minors)):
-        if all(s == 1 for s in signs) or all(s == (-1) ** (i + 1) for i, s in enumerate(signs)):
-            return True
-    return False
+    vals = [form.evaluate(v) for v in orthogonalize(form)]
+    return any(_definite(signs) for signs in zip(*map(f.real_embedding_signs, vals)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from .f2poly import F2Poly
 from .fields import (
     QQ,
     FiniteField,
+    Poly,
     QuadExtElem,
     QuadraticFieldExtension,
     RatFuncElem,
@@ -240,19 +241,10 @@ def field_to_spec(field):
     if isinstance(field, FiniteField):
         if field.k == 1:
             return "F(%d)" % field.p
-        # modulus: w^k - reduction
-        mono = ["w^%d" % field.k if field.k != 1 else "w"]
-        parts = []
-        for i in range(field.k - 1, -1, -1):
-            c = field.reduction[i]
-            if c == 0:
-                continue
-            cneg = (-c) % field.p
-            term = str(cneg) if i == 0 else (
-                ("w" if i == 1 else "w^%d" % i) if cneg == 1 else "%d*%s" % (cneg, "w" if i == 1 else "w^%d" % i)
-            )
-            parts.append("+" + term)
-        return "F(%d):%s%s" % (field.order, mono[0], "".join(parts))
+        # the modulus w^k - r(w), where w^k = r(w) is the field's reduction
+        p = field.p
+        modulus = Poly(FiniteField(p), tuple(-c % p for c in field.reduction) + (1,))
+        return "F(%d):%s" % (field.order, modulus.format("w"))
     if isinstance(field, RationalFunctionField):
         return "%s(%s)" % (field_to_spec(field.base), field.var)
     raise AlgebraError("no spec string for %s" % field.name)

@@ -76,30 +76,6 @@ def solve(rows, rhs, field):
     return tuple(sol)
 
 
-def det(rows, field):
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    out = field.one()
-    for c in range(n):
-        pr = None
-        for i in range(c, n):
-            if not field.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            return field.zero()
-        if pr != c:
-            rows[c], rows[pr] = rows[pr], rows[c]
-            out = -out
-        out = out * rows[c][c]
-        inv = field.one() / rows[c][c]
-        for i in range(c + 1, n):
-            if not field.is_zero(rows[i][c]):
-                f = rows[i][c] * inv
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return out
-
-
 def mat_vec(rows, vec, field):
     out = []
     for r in rows:

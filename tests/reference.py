@@ -6,8 +6,10 @@ e_j e_i = polar(e_i, e_j) - e_i e_j for i < j, which degenerates correctly
 in characteristic 2) and the Arf invariant read off the center of its even
 part, against which `clifford.arf_trivial`'s formula is tested; the
 enumeration and structured-rule isotropy verdicts over finite fields, the
-squarefree part of a rational and the invariants of forms over Q, the spec
-of an extension, the projection of a split corestriction onto Q1 (x) Q2,
+squarefree part of a rational and the invariants of forms over Q, the
+determinant by its own elimination and definiteness by leading minors,
+against which `isotropy.definiteness_certificate` is tested, the spec of
+an extension, the projection of a split corestriction onto Q1 (x) Q2,
 and the monomial rows of the Clifford check by plain 2x2 matrix products,
 against which the even and odd pairs of `corestriction.f_product` are
 tested.  Also the constructions that build test data or check an identity
@@ -395,6 +397,50 @@ def rationally_equivalent(f1, f2):
     if a["dim"] != b["dim"] or a["positive"] != b["positive"] or a["disc"] != b["disc"]:
         return False
     return all(a["hasse"].get(v, 1) == b["hasse"].get(v, 1) for v in set(a["hasse"]) | set(b["hasse"]))
+
+
+# ---------------------------------------------------------------------------
+# determinants and definiteness by leading minors
+# ---------------------------------------------------------------------------
+
+
+def det(rows, field):
+    n = len(rows)
+    rows = [list(r) for r in rows]
+    out = field.one()
+    for c in range(n):
+        pr = None
+        for i in range(c, n):
+            if not field.is_zero(rows[i][c]):
+                pr = i
+                break
+        if pr is None:
+            return field.zero()
+        if pr != c:
+            rows[c], rows[pr] = rows[pr], rows[c]
+            out = -out
+        out = out * rows[c][c]
+        inv = field.one() / rows[c][c]
+        for i in range(c + 1, n):
+            if not field.is_zero(rows[i][c]):
+                f = rows[i][c] * inv
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return out
+
+
+def leading_minor_definiteness(form):
+    """Whether a form over a quadratic extension of Q is definite under a
+    real embedding, by Sylvester's criterion on the leading principal minors
+    of its polar matrix: all positive, or alternating from negative."""
+    f = form.field
+    if f.alpha * f.alpha + 4 * f.beta <= 0:
+        return False
+    B = form.polar_matrix()
+    minors = [det([row[:k] for row in B[:k]], f) for k in range(1, form.n + 1)]
+    for signs in zip(*map(f.real_embedding_signs, minors)):
+        if all(s == 1 for s in signs) or all(s == (-1) ** (i + 1) for i, s in enumerate(signs)):
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 
 import pytest
 from conftest import random_nonsingular_form, seeded
-from reference import enumeration_isotropy, split_projection_iso, squarefree_part, structured_finite_isotropy
+from reference import det, enumeration_isotropy, split_projection_iso, squarefree_part, structured_finite_isotropy
 from fractions import Fraction
 
 from albertkit import (
@@ -37,7 +37,7 @@ from albertkit import (
 from albertkit.places import _factor_int
 from albertkit.harness import report_json_bytes
 from albertkit.jsonio import parse_element
-from albertkit.linalg import det, rank, solve
+from albertkit.linalg import rank, solve
 from albertkit.transfer import transfer
 
 F2 = FiniteField(2)

@@ -8,8 +8,13 @@ form the oracles refuse (`malformed: form: ...`).  `albertkit verify` takes
 the certificates of seeds 0-2 of the five families with statuses, methods,
 witness entries and instance strings changed, and keys dropped; it prints
 `certificate OK` (exit 0), `certificate REJECTED` or `malformed: ...`
-(exit 1).  Everything runs through `cli.main` in process.  Times are CPU
-seconds of the test process, so a busy machine does not fail them.
+(exit 1).  `transfer` and `descend` take forms of dimension 1-3 over
+Q(sqrt 2), Q(i), F_3(t)(sqrt t) and the split algebra Q x Q (`split K: `,
+exit 4), `clifford --cmd arf` the forms `isotropy` takes, `cor` the
+instances of seeds 0-2 of the five families with refused values and
+dropped keys, and `gen` every family at seeds 0, -1 and 10^40.
+Everything runs through `cli.main` in process.  Times are CPU seconds of
+the test process, so a busy machine does not fail them.
 """
 
 import contextlib
@@ -25,7 +30,7 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from albertkit.cli import main  # noqa: E402
-from albertkit.harness import FAMILIES, check_equivalence, generate_instance  # noqa: E402
+from albertkit.harness import FAMILIES, Instance, check_equivalence, generate_instance  # noqa: E402
 
 # field spec and small coefficients ("0" first, where shrinking goes)
 FIELDS = {
@@ -50,10 +55,25 @@ def _run_cli(argv):
     return code, out.getvalue(), time.process_time() - start
 
 
+# the line each exit code but 0 begins with
+FAILURE_LINES = {1: "malformed: ", 3: "unknown: ", 4: "split K: "}
+
+
+def _run_to_one_line(argv, ok_line, codes, case):
+    """Run argv and check its contract: one line, beginning with ok_line at
+    exit 0 and with its FAILURE_LINES prefix at each other code in codes."""
+    code, text, elapsed = _run_cli(argv)
+    case = (argv, case, text)
+    assert code in (0,) + codes, case
+    assert "Traceback" not in text and text.count("\n") == 1, case
+    assert text.startswith(FAILURE_LINES.get(code, ok_line)), case
+    assert elapsed < PER_RUN_S, (case, elapsed)
+
+
 @st.composite
-def form_docs(draw):
-    spec, pool = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
-    n = draw(st.integers(1, 5))
+def form_docs(draw, max_dim=5, keys=st.sampled_from(sorted(FIELDS))):
+    spec, pool = FIELDS[draw(keys)]
+    n = draw(st.integers(1, max_dim))
     entry = st.sampled_from(pool)
     if draw(st.booleans()):
         return {"field": spec, "diag": [draw(entry) for _ in range(n)]}
@@ -161,3 +181,113 @@ def test_verify_cli_ends_with_one_line_and_a_documented_exit_code(tmp_path):
         assert elapsed < PER_RUN_S, (case, elapsed)
 
     run()
+
+
+# extensions K/F for transfer and descend, with the FIELDS keys whose
+# coefficients lie in K
+EXTENSIONS = {
+    "Qsqrt2": ({"base": "Q", "ext": "x^2-2"}, ("Q", "Qsqrt2")),
+    "Qi": ({"base": "Q", "ext": "x^2+1"}, ("Q", "Qsqrt2")),
+    "F3t_sqrt_t": ({"base": "F(3)(t)", "ext": "x^2-t"}, ("F3", "F3t", "F3t_sqrt_t")),
+    "split": ({"base": "Q", "ext": "split"}, ("Q",)),
+}
+
+
+@st.composite
+def ext_form_docs(draw):
+    ext, keys = EXTENSIONS[draw(st.sampled_from(sorted(EXTENSIONS)))]
+    # mostly coefficients of K, sometimes those of any field of the pool
+    return ext, draw(form_docs(3, st.sampled_from(keys) | st.sampled_from(sorted(FIELDS))))
+
+
+def test_transfer_and_descend_cli_end_with_one_line_and_a_documented_exit_code(tmp_path):
+    ext_path, form_path = tmp_path / "ext.json", tmp_path / "form.json"
+
+    @FUZZ
+    @given(ext_form_docs())
+    # one form over each extension, split K among them, ahead of the drawn ones
+    @example((EXTENSIONS["Qsqrt2"][0], {"diag": ["1", "w", "3"]}))
+    @example((EXTENSIONS["Qi"][0], {"upper": [["1", "w"], ["0", "-1"]]}))
+    @example((EXTENSIONS["F3t_sqrt_t"][0], {"diag": ["w", "t", "1"]}))
+    @example((EXTENSIONS["split"][0], {"diag": ["1", "2"]}))
+    def run(pair):
+        ext, form = pair
+        ext_path.write_text(json.dumps(ext))
+        form_path.write_text(json.dumps(form))
+        paths = ["--ext", str(ext_path), "--form", str(form_path)]
+        _run_to_one_line(["transfer"] + paths, "QuadraticForm(", (1, 4), pair)
+        _run_to_one_line(["descend"] + paths, "dim psi = ", (1, 3, 4), pair)
+
+    run()
+
+
+def test_clifford_cli_ends_with_one_line_and_a_documented_exit_code(tmp_path):
+    path = tmp_path / "form.json"
+
+    @FUZZ
+    @given(form_docs())
+    @example({"field": "Q", "diag": ["1", "-1"]})
+    @example({"field": "F(2)(t)", "upper": [["1", "1"], ["0", "t"]]})
+    @example({"field": "F(3)", "diag": ["1", "2", "1"]})
+    def run(doc):
+        path.write_text(json.dumps(doc))
+        _run_to_one_line(["clifford", "--form", str(path), "--cmd", "arf"], "Arf invariant trivial: ", (1,), doc)
+
+    run()
+
+
+# instance mutations for cor: the parser's refused values and dropped keys
+COR_VALUES = ("t^64", "2^200", "1/0", "1234567890123456789012345678901234567890")
+COR_PATHS = [("F",), ("K",)] + [("Q", key) + tail for key in ("alpha", "beta", "a") for tail in ((), (0,), (1,))]
+COR_DROPPABLE = [(key,) for key in ("F", "K", "Q", "height", "family", "seed")] + [
+    ("Q", key) for key in ("alpha", "beta", "a")
+]
+COR_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(COR_PATHS), st.sampled_from(COR_VALUES)),
+    st.tuples(st.sampled_from(COR_DROPPABLE), st.none()),
+)
+COR_LINES = {
+    "build": "corestriction built: dim 16, natural map bijective\n",
+    "albert": "QuadraticForm(",
+    "fcheck": "f(xi)^2 = phi(xi) verified",
+}
+
+
+def test_cor_cli_ends_with_one_line_and_a_documented_exit_code(tmp_path):
+    instances = [generate_instance(family, seed).to_json() for family in FAMILIES for seed in range(3)]
+    path = tmp_path / "instance.json"
+
+    @FUZZ
+    @given(
+        st.sampled_from(sorted(COR_LINES)),
+        st.sampled_from(range(len(instances))),
+        st.lists(COR_MUTATIONS, max_size=2),
+    )
+    # the unmutated instance of each family, then each refused value
+    @example("albert", 0, [])
+    @example("fcheck", 3, [])
+    @example("build", 6, [])
+    @example("albert", 9, [])
+    @example("fcheck", 12, [])
+    @example("albert", 6, [(("Q", "alpha", 0), "t^64")])
+    @example("build", 3, [(("Q", "a"), "2^200")])
+    @example("fcheck", 9, [(("Q", "beta"), "1/0")])
+    @example("albert", 13, [(("K",), "1234567890123456789012345678901234567890")])
+    @example("build", 1, [(("Q",), None)])
+    def run(cmd, index, mutations):
+        path.write_text(json.dumps(_mutated(instances[index], mutations)))
+        argv = ["cor", "--instance", str(path), "--cmd", cmd]
+        _run_to_one_line(argv, COR_LINES[cmd], (1,), (index, mutations))
+
+    run()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_gen_cli_prints_one_instance_line_for_any_seed(family):
+    for seed in (0, -1, 10**40):
+        argv = ["gen", "--family", family, "--seed", str(seed), "--json"]
+        code, text, elapsed = _run_cli(argv)
+        assert code == 0 and text.count("\n") == 1, (argv, text)
+        inst = Instance.from_json(json.loads(text))
+        assert (inst.family, inst.seed) == (family, seed), argv
+        assert elapsed < PER_RUN_S, (argv, elapsed)

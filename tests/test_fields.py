@@ -297,6 +297,17 @@ def test_context_mixing_is_hard_fault():
         assert (1 / x) * x == field.one()
 
 
+def test_polynomial_elements_are_built_without_a_gcd(monkeypatch):
+    # a polynomial over the denominator 1 is already in lowest terms
+    calls = []
+    gcd = Poly.gcd
+    monkeypatch.setattr(Poly, "gcd", lambda self, other: calls.append(1) or gcd(self, other))
+    five, t, one_plus_2t = Qt.from_int(5), Qt.gen(), Qt.poly_elem((1, 2))
+    assert calls == []
+    assert (five.den, t.den, one_plus_2t.den) == (Qt.one().den,) * 3
+    assert five * t + 1 == one_plus_2t + 3 * t
+
+
 def test_finite_field_elements_are_canonical():
     F16 = FiniteField(2, 4)
     elems = list(F16.elements())
@@ -380,6 +391,32 @@ def test_reducible_modulus_is_refused():
     with pytest.raises(AlgebraError):
         FiniteField(3, 2, reduction=(1, 0))  # x^2 - 1
     assert parse_field("F(64):w^6+w+1").order == 64
+
+
+# the spec of each default field, as field_to_spec has always printed it
+DEFAULT_SPECS = {
+    (2, 1): "F(2)", (3, 1): "F(3)", (5, 1): "F(5)", (7, 1): "F(7)",
+    (2, 2): "F(4):w^2+w+1", (2, 3): "F(8):w^3+w+1", (2, 4): "F(16):w^4+w+1",
+    (3, 2): "F(9):w^2+1", (3, 3): "F(27):w^3+2*w+2", (5, 2): "F(25):w^2+2", (7, 2): "F(49):w^2+1",
+}
+
+
+def test_finite_field_specs_print_the_modulus():
+    for (p, k), spec in DEFAULT_SPECS.items():
+        assert field_to_spec(FiniteField(p, k)) == spec
+        assert parse_field(spec) is FiniteField(p, k)
+    assert field_to_spec(FiniteField(3, 2, (1, 1))) == "F(9):w^2+2*w+2"
+    assert field_to_spec(FiniteField(2, 3, (1, 0, 1))) == "F(8):w^3+w^2+1"
+    accepted = 0
+    for p, k in ((3, 2), (5, 2), (7, 2), (2, 3), (2, 4), (3, 3)):
+        for reduction in itertools.product(range(p), repeat=k):
+            try:
+                field = FiniteField(p, k, reduction)
+            except AlgebraError:
+                continue
+            assert parse_field(field_to_spec(field)) is field
+            accepted += 1
+    assert accepted == 47  # monic irreducibles: 3, 10, 21 quadratics, 2, 8 cubics, 3 quartics
 
 
 @pytest.mark.parametrize("p, k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3), (5, 2)])

@@ -5,7 +5,7 @@ import time
 
 import pytest
 from conftest import random_nonsingular_form, seeded
-from reference import rationally_equivalent, squarefree_part
+from reference import leading_minor_definiteness, rationally_equivalent, squarefree_part
 from fractions import Fraction
 
 from albertkit import (
@@ -23,7 +23,7 @@ from albertkit import (
 )
 from albertkit.cli import main
 from albertkit.errors import NotApplicable
-from albertkit.isotropy import isotropic_verdict, isotropy
+from albertkit.isotropy import definiteness_certificate, isotropic_verdict, isotropy
 from albertkit.places import TRIAL_DIVISION_BOUND, _factor_int
 from albertkit.search import scalar_candidates
 
@@ -148,6 +148,31 @@ def test_definiteness_over_real_quadratic():
     mixed = QuadraticForm.diagonal(K, [K.one(), -w])  # sqrt2 is positive at one embedding
     v = isotropy(mixed)
     assert v.decided
+
+
+def test_definiteness_agrees_with_leading_minors():
+    # Sylvester: the signs on an orthogonal basis against the leading minors,
+    # at both real embeddings of Q(sqrt d) and at none of Q(i)
+    rng = seeded(35)
+    fields = [QuadraticFieldExtension(QQ, 0, d) for d in (2, 3, 5, 7, -1)]
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 1000:
+        K = rng.choice(fields)
+        n = rng.randint(1, 5)
+
+        def entry():
+            return K.from_pair(Fraction(rng.randint(-4, 4), rng.randint(1, 3)), rng.randint(-2, 2))
+
+        if rng.random() < 0.5:
+            form = QuadraticForm.diagonal(K, [entry() for _ in range(n)])
+        else:
+            form = QuadraticForm(K, [[entry() if j >= i else K.zero() for j in range(n)] for i in range(n)])
+        if not form.classify().nonsingular:
+            continue
+        definite = leading_minor_definiteness(form)
+        assert definiteness_certificate(form) == definite, form
+        seen[definite] += 1
+    assert seen[True] >= 100 and seen[False] >= 100, seen
 
 
 def test_dim2_square_test_over_quadratic_field():
