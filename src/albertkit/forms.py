@@ -18,7 +18,7 @@ from .search import scalar_candidates  # noqa: F401  (perfbench/tracer.py counts
 
 
 class QuadraticForm:
-    __slots__ = ("field", "n", "upper", "_polar")
+    __slots__ = ("field", "n", "upper", "_polar", "_class")
 
     def __init__(self, field, upper):
         self.field = field
@@ -37,6 +37,7 @@ class QuadraticForm:
         self.n = n
         self.upper = tuple(rows)
         self._polar = None
+        self._class = None
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -165,14 +166,15 @@ class QuadraticForm:
 
     # -- classification ----------------------------------------------------
     def classify(self):
-        f = self.field
-        B = self.polar_matrix()
-        rad_polar = linalg.kernel_basis(list(B), f, self.n)
-        rad = self._radical_of_restriction(rad_polar)
-        nonsingular = not rad_polar
-        regular = not rad
-        nondegenerate = regular and len(rad_polar) <= 1
-        return FormClass(nonsingular, regular, nondegenerate, tuple(rad_polar), tuple(rad))
+        """The FormClass, kept after the first call (the form is immutable)."""
+        if self._class is None:
+            rad_polar = linalg.kernel_basis(list(self.polar_matrix()), self.field, self.n)
+            rad = self._radical_of_restriction(rad_polar)
+            nonsingular = not rad_polar
+            regular = not rad
+            nondegenerate = regular and len(rad_polar) <= 1
+            self._class = FormClass(nonsingular, regular, nondegenerate, tuple(rad_polar), tuple(rad))
+        return self._class
 
     def _radical_of_restriction(self, rad_polar):
         """Vectors of rad(polar) on which phi vanishes."""
@@ -244,21 +246,24 @@ def orthogonalize(form):
 
     Vectors v with polar(v_i, v_j) = 0 for i != j; phi(v_i) may be zero only
     when the form is not regular on the remaining space.
+
+    No elimination runs: projecting the remaining basis onto the polar
+    complement of the pick sends one vector to 0 (the pick, or v for a pick
+    u + v, whose image is minus u's), and the other images stay a basis.
     """
     f = form.field
     if f.char == 2:
         raise AlgebraError("no orthogonal bases in characteristic 2")
-    n = form.n
     out = []
-    remaining = linalg.units(f, n)
+    remaining = linalg.units(f, form.n)
     while remaining:
         pick = None
-        for v in remaining:
+        for drop, v in enumerate(remaining):
             if not f.is_zero(form.evaluate(v)):
                 pick = v
                 break
         if pick is None:
-            for u, v in itertools.combinations(remaining, 2):
+            for (_, u), (drop, v) in itertools.combinations(enumerate(remaining), 2):
                 cand = tuple(a + b for a, b in zip(u, v))
                 if not f.is_zero(form.evaluate(cand)):
                     pick = cand
@@ -270,13 +275,11 @@ def orthogonalize(form):
         out.append(pick)
         pv = form.polar(pick, pick)  # = 2 phi(pick) != 0
         reduced = []
-        for v in remaining:
-            c = form.polar(pick, v) / pv
-            w = tuple(a - c * b for a, b in zip(v, pick))
-            if not linalg.is_zero_vec(w, f):
-                reduced.append(w)
-        remaining = linalg.independent_subset(reduced, f, n, target=None)
-        remaining = remaining[: n - len(out)]
+        for i, v in enumerate(remaining):
+            if i != drop:
+                c = form.polar(pick, v) / pv
+                reduced.append(tuple(a - c * b for a, b in zip(v, pick)))
+        remaining = reduced
     return out
 
 
@@ -285,32 +288,32 @@ def symplectic_pairs(form):
 
     Characteristic 2 only, where the polar form is alternating; requires a
     nonsingular form.
+
+    No elimination runs: projecting the remaining basis onto the polar
+    complement of (u, g) sends u and g's source to 0; the rest stay a basis.
     """
     f = form.field
     if f.char != 2:
         raise AlgebraError("symplectic reduction is a characteristic-2 tool")
-    n = form.n
     out = []
-    remaining = linalg.units(f, n)
+    remaining = linalg.units(f, form.n)
     while remaining:
-        u = remaining[0]
-        g = None
-        for v in remaining[1:]:
-            if not f.is_zero(form.polar(u, v)):
-                g = v
+        u, rest = remaining[0], remaining[1:]
+        for k, g in enumerate(rest):
+            p = form.polar(u, g)
+            if not f.is_zero(p):
                 break
-        if g is None:
+        else:
             raise AlgebraError("polar form is degenerate on the remaining space")
-        g = tuple(c / form.polar(u, g) for c in g)
+        g = tuple(c / p for c in g)
         out.append((u, g))
         reduced = []
-        for v in remaining[1:]:
-            cu = form.polar(g, v)
-            cg = form.polar(u, v)
-            w = tuple(a + cu * b + cg * c for a, b, c in zip(v, u, g))
-            if not linalg.is_zero_vec(w, f):
-                reduced.append(w)
-        remaining = linalg.independent_subset(reduced, f, n)
+        for i, v in enumerate(rest):
+            if i != k:
+                cu = form.polar(g, v)
+                cg = form.polar(u, v)
+                reduced.append(tuple(a + cu * b + cg * c for a, b, c in zip(v, u, g)))
+        remaining = reduced
     return out
 
 

@@ -328,14 +328,10 @@ def char2_isotropic_stream(form):
 
 
 def _char2_artin_schreier_search(form):
-    """Verdict wrapper around the stream; complete for a single block."""
-    try:
-        k = len(symplectic_pairs(form))
-    except AlgebraError:
-        return None
+    """Verdict wrapper around the stream; complete for one nonsingular binary block."""
     for wit in char2_isotropic_stream(form):
         return isotropic_verdict(form, wit, "char2-artin-schreier")
-    if k == 1:
+    if form.n == 2 and not form.field.is_zero(form.upper[0][1]):
         return anisotropic_verdict("char2-artin-schreier")
     return None
 

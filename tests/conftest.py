@@ -2,9 +2,20 @@ import random
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from albertkit import QuadraticForm  # noqa: E402
+from albertkit import QuadraticForm, linalg  # noqa: E402
+
+
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """The arguments of each `linalg._rref` call (each elimination) the test makes."""
+    calls = []
+    rref = linalg._rref
+    monkeypatch.setattr(linalg, "_rref", lambda *args: calls.append(args) or rref(*args))
+    return calls
 
 
 def random_nonsingular_form(field, dim, rng, size=4, tries=200):

@@ -8,7 +8,10 @@ part, against which `clifford.arf_trivial`'s formula is tested; the
 enumeration and structured-rule isotropy verdicts over finite fields, the
 squarefree part of a rational and the invariants of forms over Q, the
 determinant by its own elimination and definiteness by leading minors,
-against which `isotropy.definiteness_certificate` is tested, the spec of
+against which `isotropy.definiteness_certificate` is tested, the
+orthogonal and symplectic bases with an elimination per round, against
+which `forms.orthogonalize` and `forms.symplectic_pairs` are tested, the
+spec of
 an extension, the projection of a split corestriction onto Q1 (x) Q2,
 and the monomial rows of the Clifford check by plain 2x2 matrix products,
 against which the even and odd pairs of `corestriction.f_product` are
@@ -441,6 +444,78 @@ def leading_minor_definiteness(form):
         if all(s == 1 for s in signs) or all(s == (-1) ** (i + 1) for i, s in enumerate(signs)):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# orthogonal and symplectic bases with an elimination per round
+# ---------------------------------------------------------------------------
+
+
+def orthogonalize_by_elimination(form):
+    """`forms.orthogonalize` as it was with an elimination per round: the
+    nonzero projections re-selected by `linalg.independent_subset`."""
+    f = form.field
+    if f.char == 2:
+        raise AlgebraError("no orthogonal bases in characteristic 2")
+    n = form.n
+    out = []
+    remaining = linalg.units(f, n)
+    while remaining:
+        pick = None
+        for v in remaining:
+            if not f.is_zero(form.evaluate(v)):
+                pick = v
+                break
+        if pick is None:
+            for u, v in itertools.combinations(remaining, 2):
+                cand = tuple(a + b for a, b in zip(u, v))
+                if not f.is_zero(form.evaluate(cand)):
+                    pick = cand
+                    break
+        if pick is None:
+            out.extend(remaining)
+            break
+        out.append(pick)
+        pv = form.polar(pick, pick)
+        reduced = []
+        for v in remaining:
+            c = form.polar(pick, v) / pv
+            w = tuple(a - c * b for a, b in zip(v, pick))
+            if not linalg.is_zero_vec(w, f):
+                reduced.append(w)
+        remaining = linalg.independent_subset(reduced, f, n, target=None)
+        remaining = remaining[: n - len(out)]
+    return out
+
+
+def symplectic_pairs_by_elimination(form):
+    """`forms.symplectic_pairs` as it was with an elimination per round."""
+    f = form.field
+    if f.char != 2:
+        raise AlgebraError("symplectic reduction is a characteristic-2 tool")
+    n = form.n
+    out = []
+    remaining = linalg.units(f, n)
+    while remaining:
+        u = remaining[0]
+        g = None
+        for v in remaining[1:]:
+            if not f.is_zero(form.polar(u, v)):
+                g = v
+                break
+        if g is None:
+            raise AlgebraError("polar form is degenerate on the remaining space")
+        g = tuple(c / form.polar(u, g) for c in g)
+        out.append((u, g))
+        reduced = []
+        for v in remaining[1:]:
+            cu = form.polar(g, v)
+            cg = form.polar(u, v)
+            w = tuple(a + cu * b + cg * c for a, b, c in zip(v, u, g))
+            if not linalg.is_zero_vec(w, f):
+                reduced.append(w)
+        remaining = linalg.independent_subset(reduced, f, n)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ witness entries and instance strings changed, and keys dropped; it prints
 Q(sqrt 2), Q(i), F_3(t)(sqrt t) and the split algebra Q x Q (`split K: `,
 exit 4), `clifford --cmd arf` the forms `isotropy` takes, `cor` the
 instances of seeds 0-2 of the five families with refused values and
-dropped keys, and `gen` every family at seeds 0, -1 and 10^40.
+dropped keys, `quat --cmd nrd|split|subalg` the quaternion specs of the
+same mutated instances, and `gen` every family at seeds 0, -1 and 10^40.
 Everything runs through `cli.main` in process.  Times are CPU seconds of
 the test process, so a busy machine does not fail them.
 """
@@ -278,6 +279,59 @@ def test_cor_cli_ends_with_one_line_and_a_documented_exit_code(tmp_path):
         path.write_text(json.dumps(_mutated(instances[index], mutations)))
         argv = ["cor", "--instance", str(path), "--cmd", cmd]
         _run_to_one_line(argv, COR_LINES[cmd], (1,), (index, mutations))
+
+    run()
+
+
+# what `quat` prints at each exit code but 1 (malformed), by command
+QUAT_LINES = {
+    "nrd": {0: ("Nrd = ",)},
+    "split": {0: ("split [", "division ["), 3: ("unknown [",), 4: ("split K: ",)},
+    "subalg": {0: ("witness: ", "none ["), 3: ("unknown [",)},
+}
+# the quaternion spec's key for each instance key
+QUAT_KEYS = {"F": "base", "K": "ext", "Q": "Q"}
+
+
+def test_quat_cli_ends_with_one_line_and_a_documented_exit_code(tmp_path):
+    instances = [generate_instance(family, seed).to_json() for family in FAMILIES for seed in range(3)]
+    path = tmp_path / "spec.json"
+
+    @FUZZ
+    @given(
+        st.sampled_from(sorted(QUAT_LINES)),
+        st.sampled_from(range(len(instances))),
+        st.lists(COR_MUTATIONS, max_size=2),
+        st.lists(st.sampled_from(VALUES), min_size=3, max_size=5),
+        st.booleans(),
+    )
+    # each command on the unmutated instance of a family, then the slowest
+    # case known (the subalgebra search at alpha = t^64 over Q(t)) and each
+    # refused value
+    @example("nrd", 0, [], ["1", "0", "0", "1"], False)
+    @example("split", 3, [], ["0"] * 4, False)
+    @example("subalg", 6, [], ["0"] * 4, True)
+    @example("split", 6, [], ["0"] * 4, False)
+    @example("nrd", 12, [], ["t", "1", "w", "t^64"], False)
+    @example("subalg", 6, [(("Q", "alpha", 0), "t^64")], ["0"] * 4, False)
+    @example("split", 3, [(("Q", "a"), "2^200")], ["0"] * 4, False)
+    @example("nrd", 9, [], ["1/0", "0", "0", "0"], False)
+    @example("subalg", 13, [(("K",), "1234567890123456789012345678901234567890")], ["0"] * 4, False)
+    @example("split", 1, [(("Q",), None)], ["0"] * 4, False)
+    def run(cmd, index, mutations, x, any_quadratic):
+        doc = _mutated(instances[index], mutations)
+        path.write_text(json.dumps({QUAT_KEYS[key]: value for key, value in doc.items() if key in QUAT_KEYS}))
+        argv = ["quat", "--spec", str(path), "--cmd", cmd]
+        if cmd == "nrd":
+            argv += ["--x", json.dumps(x)]
+        elif cmd == "subalg" and any_quadratic:
+            argv.append("--any-quadratic")
+        code, text, elapsed = _run_cli(argv)
+        case = (argv, index, mutations, text)
+        assert code == 1 or code in QUAT_LINES[cmd], case
+        assert "Traceback" not in text and text.count("\n") == 1, case
+        assert text.startswith(QUAT_LINES[cmd].get(code, ("malformed: ",))), case
+        assert elapsed < PER_RUN_S, (case, elapsed)
 
     run()
 

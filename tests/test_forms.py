@@ -2,7 +2,12 @@
 
 import pytest
 from conftest import random_nonsingular_form, seeded
-from reference import enumeration_isotropy, isometric_embedding
+from reference import (
+    enumeration_isotropy,
+    isometric_embedding,
+    orthogonalize_by_elimination,
+    symplectic_pairs_by_elimination,
+)
 
 from albertkit import (
     QQ,
@@ -212,6 +217,89 @@ def test_orthogonalize_and_symplectic():
                 for v in pairs[j]:
                     assert F2.is_zero(phi.polar(u, v))
                     assert F2.is_zero(phi.polar(g, v))
+
+
+# -- orthogonal and symplectic bases against the eliminating references -------
+
+
+# fields of the differential test, with the largest dimension drawn over each
+BASIS_FIELDS = [
+    (QQ, 5),
+    (F3, 5),
+    (FiniteField(3, 2), 5),
+    (QuadraticFieldExtension(QQ, 0, 2), 4),
+    (RationalFunctionField(QQ, "t"), 3),
+    (F2, 6),
+    (F4, 6),
+    (FiniteField(2, 3), 6),
+    (F2t, 4),
+]
+
+
+def _random_upper_form(field, n, rng):
+    """A random form of dimension n: dense, sparse, with a zero diagonal (the
+    char != 2 basis then picks u + v) or with a zero row and column."""
+    kind = rng.choice(("dense", "sparse", "zero-diagonal", "singular"))
+    density = 0.3 if kind == "sparse" else 0.8
+    rows = []
+    for i in range(n):
+        row = [field.zero()] * n
+        for j in range(i, n):
+            if j == i and kind == "zero-diagonal" or j > i and rng.random() > density:
+                continue
+            row[j] = field.random_element(rng, 3)
+        rows.append(row)
+    if kind == "singular":
+        k = rng.randrange(n)
+        for i in range(n):
+            rows[i][k] = rows[k][i] = field.zero()
+    return QuadraticForm(field, rows)
+
+
+def _basis_or_error(routine, form):
+    try:
+        return routine(form)
+    except AlgebraError as exc:
+        return str(exc)
+
+
+def test_bases_agree_with_the_eliminating_references():
+    # 120 forms over each of the 9 fields
+    rng = seeded(36)
+    for field, max_dim in BASIS_FIELDS:
+        routine, reference = (
+            (symplectic_pairs, symplectic_pairs_by_elimination)
+            if field.char == 2
+            else (orthogonalize, orthogonalize_by_elimination)
+        )
+        for _ in range(120):
+            # a nonsingular form has even dimension in characteristic 2
+            n = 2 * rng.randint(1, max_dim // 2) if field.char == 2 else rng.randint(1, max_dim)
+            form = _random_upper_form(field, n, rng)
+            assert _basis_or_error(routine, form) == _basis_or_error(reference, form), form
+
+
+def test_bases_run_no_elimination(rref_calls):
+    rng = seeded(37)
+    for field, max_dim in BASIS_FIELDS:
+        for _ in range(10):
+            form = _random_upper_form(field, max_dim, rng)
+            if field.char == 2:
+                _basis_or_error(symplectic_pairs, form)
+            else:
+                orthogonalize(form)
+    assert rref_calls == []
+
+
+def test_classify_is_computed_once(rref_calls):
+    form = QuadraticForm.diagonal(QQ, [1, -2, 3])
+    first = form.classify()
+    assert form.classify() is first and len(rref_calls) == 1
+    # a polar radical of dimension 3 over F_2(t) is refused on every call
+    refused = QuadraticForm.diagonal(F2t, [1, F2t.gen(), F2t.gen() + 1])
+    for _ in range(2):
+        with pytest.raises(AlgebraError, match="dimension <= 2"):
+            refused.classify()
 
 
 # -- QuadraticForm.gram against the Gram loops it replaced ---------------------

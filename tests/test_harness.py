@@ -666,6 +666,27 @@ def test_accepted_cond_ii_tampers_are_genuine_witnesses():
     assert accepted >= 2
 
 
+# at most this many eliminations (`linalg._rref` calls) in check_equivalence
+# and verify_certificate on seed 0 of each family
+ELIMINATIONS = {
+    "split-K-over-Q": (4, 1),
+    "quad-K-over-Q": (2, 1),
+    "split-K-over-Qt": (5, 1),
+    "char2-finite": (4, 2),
+    "char2-function-field": (4, 1),
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_check_and_verify_stay_within_their_eliminations(family, rref_calls):
+    report = check_equivalence(generate_instance(family, 0))
+    checked = len(rref_calls)
+    assert verify_certificate(report.to_json())
+    verified = len(rref_calls) - checked
+    most_checked, most_verified = ELIMINATIONS[family]
+    assert checked <= most_checked and verified <= most_verified, (checked, verified)
+
+
 def test_generate_instance_families_deterministic():
     for fam in FAMILIES:
         a = generate_instance(fam, 11).to_json()
